@@ -121,13 +121,23 @@ def integrated_gradients(model: ModelInstance, record: ReviewRecord,
         x_base = np.zeros_like(x)
     delta = x - x_base
 
-    grad_sum = np.zeros_like(x)
-    for j in range(steps):
-        alpha = (j + 0.5) / steps
-        emb = Tensor(x_base + alpha * delta, requires_grad=True)
-        logits, seed = _target_logit(model, batch, emb, target_class)
-        backward_from(logits, seed)
-        grad_sum += emb.grad
+    # Only the path embeddings need a gradient. With every parameter flag off,
+    # backward skips the weight products and leaves no gradient in the model
+    # for a later optimizer step to pick up.
+    trainable = [p for p in model.parameters().values() if p.requires_grad]
+    for p in trainable:
+        p.requires_grad = False
+    try:
+        grad_sum = np.zeros_like(x)
+        for j in range(steps):
+            alpha = (j + 0.5) / steps
+            emb = Tensor(x_base + alpha * delta, requires_grad=True)
+            logits, seed = _target_logit(model, batch, emb, target_class)
+            backward_from(logits, seed)
+            grad_sum += emb.grad
+    finally:
+        for p in trainable:
+            p.requires_grad = True
     attributions = delta * (grad_sum / steps)  # [1, L, e]
 
     logits_x, _ = _target_logit(model, batch, Tensor(x), target_class)

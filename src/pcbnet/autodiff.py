@@ -76,10 +76,13 @@ def parameter(data, path: str) -> Tensor:
 
 
 def _accumulate(t: Tensor, g: Array) -> None:
+    # the first gradient is copied, never aliased: ``add`` hands one ``g`` to
+    # both inputs and ``concat`` hands out views of its upstream gradient
     if t.requires_grad:
         if t.grad is None:
-            t.grad = np.zeros_like(t.data)
-        t.grad += g
+            t.grad = np.array(g, dtype=np.float64)
+        else:
+            t.grad += g
 
 
 def _result(data: Array, op_kind: str, inputs: Sequence[Tensor],
@@ -144,8 +147,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out = a.data @ b.data
 
     def _back(g: Array) -> None:
-        _accumulate(a, g @ b.data.T)
-        _accumulate(b, a.data.T @ g)
+        if a.requires_grad:
+            _accumulate(a, g @ b.data.T)
+        if b.requires_grad:
+            _accumulate(b, a.data.T @ g)
 
     return _result(out, "matmul", (a, b), _back)
 
@@ -160,7 +165,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     if a.data.ndim == 2 and b.data.ndim == 1 and a.shape[1] == b.shape[0]:
         def _back_bias(g: Array) -> None:
             _accumulate(a, g)
-            _accumulate(b, g.sum(axis=0))
+            if b.requires_grad:
+                _accumulate(b, g.sum(axis=0))
         return _result(a.data + b.data, "add", (a, b), _back_bias)
     raise DimensionError(f"add shapes incompatible: {a.shape} and {b.shape}")
 
@@ -240,6 +246,16 @@ def mean(x: Tensor) -> Tensor:
     return _result(out, "mean", (x,), _back)
 
 
+def _pool(x: Array, mask: Array) -> tuple[Array, Array]:
+    """Masked mean of ``x [b, L, e]`` over ``mask [b, L]``, and the ``[b, 1]`` divisors.
+
+    The one pooling expression behind both ``masked_mean`` and
+    ``embedding_bag``, so the two paths agree bit for bit.
+    """
+    counts = np.maximum(mask.sum(axis=1), 1.0)[:, None]
+    return np.matmul(mask[:, None, :], x)[:, 0] / counts, counts
+
+
 def masked_mean(x: Tensor, mask: Array) -> Tensor:
     """Mean of ``x [b, L, e]`` over the positions where ``mask [b, L]`` is 1.
 
@@ -250,24 +266,52 @@ def masked_mean(x: Tensor, mask: Array) -> Tensor:
     if x.data.ndim != 3 or mask.shape != x.data.shape[:2]:
         raise DimensionError(
             f"masked_mean expects x [b, L, e] and mask [b, L], got {x.shape} and {mask.shape}")
-    counts = np.maximum(mask.sum(axis=1), 1.0)
-    out = (x.data * mask[:, :, None]).sum(axis=1) / counts[:, None]
+    out, counts = _pool(x.data, mask)
 
     def _back(g: Array) -> None:
-        _accumulate(x, g[:, None, :] * mask[:, :, None] / counts[:, None, None])
+        _accumulate(x, (g / counts)[:, None, :] * mask[:, :, None])
 
-    return _result(out, "mean", (x,), _back)
+    return _result(out, "masked_mean", (x,), _back)
 
 
-def embedding_lookup(table: Tensor, ids: Array) -> Tensor:
-    """Gather rows of ``table [V, e]`` by integer ids ``[b, L]``."""
-    ids = np.asarray(ids)
+def _check_ids(table: Tensor, ids: Array) -> None:
     if table.data.ndim != 2:
         raise DimensionError(f"embedding table must be 2-d, got {table.shape}")
     vocab_size = table.shape[0]
     if ids.size and (ids.min() < 0 or ids.max() >= vocab_size):
         bad = int(ids.max() if ids.max() >= vocab_size else ids.min())
         raise VocabularyError(f"token id {bad} outside vocabulary of size {vocab_size}")
+
+
+def embedding_bag(table: Tensor, ids: Array, mask: Array) -> Tensor:
+    """``masked_mean(embedding_lookup(table, ids), mask)`` as one op.
+
+    The backward never builds the ``[b, L, e]`` gradient: with ``bags [b, V]``
+    the mask-weighted count of each id in each row, the table gradient is
+    ``bags.T @ (g / counts)``.
+    """
+    ids = np.asarray(ids)
+    mask = np.asarray(mask, dtype=np.float64)
+    _check_ids(table, ids)
+    if ids.ndim != 2 or mask.shape != ids.shape:
+        raise DimensionError(
+            f"embedding_bag expects ids [b, L] and mask [b, L], got {ids.shape} and {mask.shape}")
+    out, counts = _pool(table.data[ids], mask)
+
+    def _back(g: Array) -> None:
+        b, vocab_size = ids.shape[0], table.shape[0]
+        rows = (np.arange(b)[:, None] * vocab_size + ids).ravel()
+        bags = np.bincount(rows, weights=mask.ravel(),
+                           minlength=b * vocab_size).reshape(b, vocab_size)
+        _accumulate(table, bags.T @ (g / counts))
+
+    return _result(out, "embedding_bag", (table,), _back)
+
+
+def embedding_lookup(table: Tensor, ids: Array) -> Tensor:
+    """Gather rows of ``table [V, e]`` by integer ids ``[b, L]``."""
+    ids = np.asarray(ids)
+    _check_ids(table, ids)
     out = table.data[ids]
 
     def _back(g: Array) -> None:

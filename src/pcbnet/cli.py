@@ -14,7 +14,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -43,11 +43,7 @@ _SYNTH_WEIGHT_KEYS = ("appraisal_emotion_weights", "repurchase_appraisal_weights
 _SYNTH_KEYS = {"record_count", "noise_scale", "mean_review_length",
                "text_signal", "squash_scale", "seed", *_SYNTH_WEIGHT_KEYS}
 
-_TRAIN_KEYS = {"dataset", "architecture", "pcb_target", "text_epochs",
-               "rating_epochs", "lr", "batch_size", "repetitions", "base_seed",
-               "split_ratios", "appraisal_loss", "aux_loss_weight",
-               "encoder_dim", "max_sequence_length", "min_token_freq",
-               "resplit_each_repetition", "precomputed_embeddings", "sweep"}
+_TRAIN_KEYS = {f.name for f in fields(ExperimentConfig)} | {"dataset", "sweep"}
 
 
 def _default_out() -> Path:

@@ -111,11 +111,28 @@ class Adam:
         self.step_count += 1
         bc1 = 1.0 - self.beta1 ** self.step_count
         bc2 = 1.0 - self.beta2 ** self.step_count
+        # In place, with the operations and their order of the textbook update
+        #   m = beta1 * m + (1 - beta1) * g
+        #   v = beta2 * v + (1 - beta2) * g * g
+        #   p -= lr * (m / bc1) / (sqrt(v / bc2) + epsilon)
+        # so every result is bit-for-bit the same. Two scratch buffers hold
+        # the temporaries; they live for one step only, so they add nothing
+        # to the memory held during forward and backward.
+        size = max((p.data.size for p in self.params.values()), default=0)
+        buf_a, buf_b = np.empty(size), np.empty(size)
         for path, p in self.params.items():
-            g = p.grad
-            self.m[path] = self.beta1 * self.m[path] + (1.0 - self.beta1) * g
-            self.v[path] = self.beta2 * self.v[path] + (1.0 - self.beta2) * g * g
-            m_hat = self.m[path] / bc1
-            v_hat = self.v[path] / bc2
-            p.data -= lr * m_hat / (np.sqrt(v_hat) + self.epsilon)
+            g, m, v = p.grad, self.m[path], self.v[path]
+            a = buf_a[:g.size].reshape(g.shape)
+            b = buf_b[:g.size].reshape(g.shape)
+            m *= self.beta1
+            m += np.multiply(1.0 - self.beta1, g, out=a)
+            v *= self.beta2
+            np.multiply(1.0 - self.beta2, g, out=a)
+            v += np.multiply(a, g, out=a)
+            np.divide(m, bc1, out=a)
+            a *= lr
+            np.divide(v, bc2, out=b)
+            np.sqrt(b, out=b)
+            b += self.epsilon
+            p.data -= np.divide(a, b, out=a)
             p.grad = None

@@ -17,7 +17,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .autodiff import Tensor, embedding_lookup, masked_mean, parameter
+from .autodiff import (Tensor, embedding_bag, embedding_lookup, masked_mean,
+                       parameter)
 from .errors import ConfigError, ValidationError
 from .nn import LinearLayer
 
@@ -107,7 +108,9 @@ class TextEncoderConfig:
 class TextEncoder:
     """Embedding table -> masked mean pooling -> linear projection.
 
-    Differentiable into the embedding table, which integrated-gradients
+    ``encode`` pools through the fused ``embedding_bag`` op. The two-op path
+    ``token_embeddings`` -> ``encode_from_embeddings`` gives the same output
+    and a gradient for every token position, which integrated-gradients
     attribution relies on.
     """
 
@@ -134,8 +137,8 @@ class TextEncoder:
         return self.projection(pooled)
 
     def encode(self, batch: EncodedBatch) -> Tensor:
-        out = self.encode_from_embeddings(self.token_embeddings(batch),
-                                          batch.attention_mask)
+        pooled = embedding_bag(self.embedding, batch.token_ids, batch.attention_mask)
+        out = self.projection(pooled)
         batch.embedding = out
         return out
 

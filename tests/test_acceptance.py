@@ -16,7 +16,7 @@ import pytest
 
 from pcbnet.attribution import integrated_gradients
 from pcbnet.autodiff import (add, binary_cross_entropy, concat,
-                             cross_entropy, embedding_lookup,
+                             cross_entropy, embedding_bag, embedding_lookup,
                              grouped_cross_entropy, masked_mean, matmul, mean,
                              relu, sigmoid, softmax)
 from pcbnet.cli import main
@@ -136,6 +136,15 @@ def test_criterion_1_gradient_fidelity():
         check_op_gradients(lambda ts: mean(embedding_lookup(ts[0], ids)),
                            [rng.normal(size=(6, 3))])
 
+    def check_embedding_bag():
+        # repeated ids, a masked position and one all-pad row
+        ids = rng.integers(0, 6, size=(3, 4))
+        ids[0, :2] = ids[0, 2]
+        mask = np.array([[1.0, 1.0, 1.0, 0.0], [0.0, 0.0, 0.0, 0.0],
+                         [1.0, 1.0, 1.0, 1.0]])
+        check_op_gradients(lambda ts: mean(embedding_bag(ts[0], ids, mask)),
+                           [rng.normal(size=(6, 3))])
+
     def check_cross_entropy():
         targets = rng.integers(0, 3, size=4)
         check_op_gradients(lambda ts: cross_entropy(ts[0], targets),
@@ -153,7 +162,7 @@ def test_criterion_1_gradient_fidelity():
 
     checks = [check_matmul, check_add, check_relu, check_sigmoid, check_softmax,
               check_concat, check_mean, check_masked_mean, check_embedding_lookup,
-              check_cross_entropy, check_grouped_cross_entropy,
+              check_embedding_bag, check_cross_entropy, check_grouped_cross_entropy,
               check_binary_cross_entropy]
     for check in checks:
         for _ in range(trials):

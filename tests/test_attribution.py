@@ -215,3 +215,41 @@ class TestSerialization:
         assert html_a == html_b  # deterministic output
         assert record.id in html_a
         assert "<span" in html_a
+
+
+@pytest.fixture(scope="module")
+def small_corpus():
+    cfg = SyntheticGeneratorConfig(record_count=120, noise_scale=0.0,
+                                   mean_review_length=40)
+    records = generate_synthetic(cfg, seed=41)
+    split = split_records(len(records), (0.8, 0.1, 0.1), 0)
+    vocab = build_vocab_for_split(records, split)
+    return records, split, vocab, featurize(records, vocab)
+
+
+class TestModelGradientsUntouched:
+    @pytest.mark.parametrize("arch_id", [12, 9])
+    def test_no_parameter_gradient_and_flags_restored(self, small_corpus, arch_id):
+        records, split, vocab, data = small_corpus
+        model = build(arch_id, vocab=vocab, seed=0)
+        train(model, data, split.train,
+              ExperimentConfig(architecture=arch_id, text_epochs=1, rating_epochs=2,
+                               lr=1e-3), seed=0)
+        flags = {path: p.requires_grad for path, p in model.parameters().items()}
+        if arch_id == 9:  # the frozen towers are part of what must be kept
+            assert not all(flags.values()) and any(flags.values())
+        integrated_gradients(model, records[split.test[0]], steps=8)
+        for path, p in model.parameters().items():
+            assert p.grad is None, path
+            assert p.requires_grad == flags[path], path
+
+    def test_training_step_after_attribution_is_unchanged(self, small_corpus):
+        records, split, vocab, data = small_corpus
+        cfg = ExperimentConfig(architecture=12, text_epochs=1, batch_size=16, lr=1e-3)
+        attributed, plain = build(12, vocab=vocab, seed=0), build(12, vocab=vocab, seed=0)
+        integrated_gradients(attributed, records[split.test[0]], steps=8)
+        for model in (attributed, plain):
+            train(model, data, split.train[:16], cfg, seed=0)  # exactly one step
+        got, want = attributed.parameters(), plain.parameters()
+        for path in want:
+            assert np.array_equal(got[path].data, want[path].data), path

@@ -5,8 +5,9 @@ from hypothesis import strategies as st
 
 from pcbnet.autodiff import (Tensor, add, backward, backward_from,
                              binary_cross_entropy, concat, cross_entropy,
-                             embedding_lookup, grouped_cross_entropy, masked_mean,
-                             matmul, mean, relu, sigmoid, softmax)
+                             embedding_bag, embedding_lookup,
+                             grouped_cross_entropy, masked_mean, matmul, mean,
+                             relu, sigmoid, softmax)
 from pcbnet.errors import (DimensionError, GraphError, LabelError,
                            VocabularyError)
 
@@ -33,6 +34,20 @@ class TestMatmul:
         assert a.grad[0, 0] == 3.0
         assert b.grad[0, 0] == 2.0
 
+    def test_constant_operand_gets_no_gradient(self):
+        x = RNG.normal(size=(3, 4))
+        for const_first in (True, False):
+            const = Tensor(x if const_first else x.T)
+            w = Tensor(RNG.normal(size=(4, 4)), requires_grad=True)
+            out = matmul(const, w) if const_first else matmul(w, const)
+            backward(mean(out))
+            assert const.grad is None
+            assert w.grad is not None
+        check_op_gradients(lambda ts: scalarize(matmul(Tensor(x), ts[0])),
+                           [RNG.normal(size=(4, 2))])
+        check_op_gradients(lambda ts: scalarize(matmul(ts[0], Tensor(x))),
+                           [RNG.normal(size=(2, 3))])
+
     def test_shape_error_names_both_shapes(self):
         with pytest.raises(DimensionError, match=r"\(2, 3\).*\(2, 3\)"):
             matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
@@ -51,6 +66,18 @@ class TestAddAndActivations:
         assert np.array_equal(out.data, np.tile([1.0, 2.0], (3, 1)))
         backward(mean(out))
         assert np.allclose(b.grad, [0.5, 0.5])
+
+    def test_constant_bias_gets_no_gradient(self):
+        bias = Tensor(np.array([1.0, -2.0]))
+        x = Tensor(RNG.normal(size=(3, 2)), requires_grad=True)
+        backward(mean(add(x, bias)))
+        assert bias.grad is None
+        assert np.allclose(x.grad, 1.0 / 6.0)
+        check_op_gradients(lambda ts: scalarize(add(ts[0], Tensor(bias.data))),
+                           [RNG.normal(size=(3, 2))])
+        const = Tensor(RNG.normal(size=(3, 2)))
+        check_op_gradients(lambda ts: scalarize(add(const, ts[0])),
+                           [RNG.normal(size=2)])
 
     def test_no_general_broadcast(self):
         with pytest.raises(DimensionError):
@@ -220,6 +247,59 @@ class TestPoolingAndLookup:
         ids = np.array([[1, 4, 1], [0, 5, 2]])
         check_op_gradients(
             lambda ts: scalarize(embedding_lookup(ts[0], ids)), [table])
+
+
+class TestEmbeddingBag:
+    TABLE = RNG.normal(size=(7, 3))
+    IDS = np.array([[2, 5, 2, 0], [1, 0, 0, 0], [3, 3, 3, 6]])
+    MASK = np.array([[1.0, 1.0, 1.0, 0.0], [0.0, 0.0, 0.0, 0.0],
+                     [1.0, 1.0, 0.0, 1.0]])
+
+    def test_forward_equals_two_op_path(self):
+        table = Tensor(self.TABLE)
+        fused = embedding_bag(table, self.IDS, self.MASK)
+        two_op = masked_mean(embedding_lookup(table, self.IDS), self.MASK)
+        assert np.array_equal(fused.data, two_op.data)
+        assert np.array_equal(fused.data[1], np.zeros(3))  # all-pad row
+
+    def test_table_gradient_matches_two_op_path(self):
+        upstream = RNG.normal(size=(3, 3))
+        fused = Tensor(self.TABLE, requires_grad=True)
+        two_op = Tensor(self.TABLE, requires_grad=True)
+        backward_from(embedding_bag(fused, self.IDS, self.MASK), upstream)
+        backward_from(masked_mean(embedding_lookup(two_op, self.IDS), self.MASK),
+                      upstream)
+        assert np.allclose(fused.grad, two_op.grad, rtol=1e-12, atol=1e-15)
+
+    def test_absent_tokens_get_exactly_zero_gradient(self):
+        table = Tensor(self.TABLE, requires_grad=True)
+        backward(mean(embedding_bag(table, self.IDS, self.MASK)))
+        # ids 1 and 0 appear only at masked positions, id 4 nowhere
+        for row in (0, 1, 4):
+            assert np.array_equal(table.grad[row], np.zeros(3))
+        for row in (2, 3, 5, 6):
+            assert np.all(table.grad[row] != 0.0)
+
+    def test_gradients_match_finite_differences(self):
+        check_op_gradients(
+            lambda ts: scalarize(embedding_bag(ts[0], self.IDS, self.MASK)),
+            [self.TABLE.copy()])
+
+    def test_out_of_range_id(self):
+        with pytest.raises(VocabularyError):
+            embedding_bag(Tensor(np.zeros((3, 2))), np.array([[0, 3]]),
+                          np.ones((1, 2)))
+
+    def test_mask_shape_mismatch(self):
+        with pytest.raises(DimensionError):
+            embedding_bag(Tensor(np.zeros((3, 2))), np.array([[0, 1]]),
+                          np.ones((1, 3)))
+
+    def test_op_kinds(self):
+        table = Tensor(self.TABLE, requires_grad=True)
+        assert embedding_bag(table, self.IDS, self.MASK).node.op_kind == "embedding_bag"
+        pooled = masked_mean(embedding_lookup(table, self.IDS), self.MASK)
+        assert pooled.node.op_kind == "masked_mean"
 
 
 class TestLosses:

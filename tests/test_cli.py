@@ -109,6 +109,21 @@ class TestTrain:
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["category"] == "config"
 
+    def test_documented_config_keys_accepted(self, tmp_path):
+        dataset = synth_dataset(tmp_path, n=40)
+        cfg = quick_train_config(tmp_path, dataset, finetune_fused=False,
+                                 track_validation=True)
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "r")]) == 0
+
+    def test_unknown_config_key_rejected(self, tmp_path, capsys):
+        dataset = synth_dataset(tmp_path, n=20)
+        capsys.readouterr()
+        cfg = quick_train_config(tmp_path, dataset, epochs=3)
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "r")]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["category"] == "config"
+        assert "epochs" in err["error"]["message"]
+
     def test_byte_identical_artifacts_across_runs(self, tmp_path):
         dataset = synth_dataset(tmp_path, n=40)
         cfg = quick_train_config(tmp_path, dataset, repetitions=2)

@@ -92,6 +92,31 @@ class TestAdam:
         opt.step()
         assert float((p.data ** 2).mean()) < loss0
 
+    def test_in_place_matches_textbook_update_bit_for_bit(self):
+        rng = make_rng(5)
+        shapes = {"w": (20, 16), "b": (16,), "e": (7, 4)}
+        params = {k: Tensor(rng.normal(size=s), requires_grad=True, path=k)
+                  for k, s in shapes.items()}
+        lr, b1, b2, eps = 3e-3, 0.9, 0.999, 1e-8
+        theta = {k: p.data.copy() for k, p in params.items()}
+        m = {k: np.zeros(s) for k, s in shapes.items()}
+        v = {k: np.zeros(s) for k, s in shapes.items()}
+        opt = Adam(params, lr=lr)
+        for t in range(1, 6):
+            lr_t = lr * (1.0 - t / 10)  # as under the linear schedule
+            grads = {k: rng.normal(size=s) for k, s in shapes.items()}
+            bc1, bc2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+            for k, g in grads.items():
+                m[k] = b1 * m[k] + (1.0 - b1) * g
+                v[k] = b2 * v[k] + (1.0 - b2) * g * g
+                theta[k] = theta[k] - lr_t * (m[k] / bc1) / (np.sqrt(v[k] / bc2) + eps)
+                params[k].grad = g.copy()
+            opt.step(lr=lr_t)
+        for k, p in params.items():
+            assert np.array_equal(p.data, theta[k]), k
+            assert np.array_equal(opt.m[k], m[k]), k
+            assert np.array_equal(opt.v[k], v[k]), k
+
 
 class TestLinearSchedule:
     def test_endpoints_and_midpoint(self):
@@ -117,3 +142,4 @@ class TestLinearSchedule:
         assert values[0] == base
         assert values[-1] == 0.0
         assert all(v >= 0 for v in values)
+
