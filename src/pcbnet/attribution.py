@@ -69,13 +69,37 @@ def _record_batch(model: ModelInstance,
     ), tokens
 
 
-def _target_logit(model: ModelInstance, batch: Batch, emb: Tensor,
-                  target_class: int) -> tuple[Tensor, np.ndarray]:
-    out = model.forward(batch, token_embeddings=emb)
-    logits = out["pcb_logits"]
-    seed = np.zeros_like(logits.data)
-    seed[0, target_class] = 1.0
-    return logits, seed
+# α-steps per batched forward/backward; bounds memory for any ``steps``
+_ALPHA_BLOCK = 128
+
+
+def _repeat_rows(batch: Batch, rows: int) -> Batch:
+    """The one-record batch with its rating features repeated ``rows`` times."""
+    def repeat(features):
+        return None if features is None else np.repeat(features, rows, axis=0)
+    return Batch(record_ids=batch.record_ids * rows, encoded=batch.encoded,
+                 appraisal_features=repeat(batch.appraisal_features),
+                 emotion_features=repeat(batch.emotion_features))
+
+
+def _path_gradient_sum(model: ModelInstance, batch: Batch, p_base: np.ndarray,
+                       p_delta: np.ndarray, target_class: int, steps: int) -> np.ndarray:
+    """Sum over the midpoint α-grid of dF/dp at p' + α (p - p'), shape ``[e]``.
+
+    Each block of α-steps is one batched forward and one backward; rows are
+    independent, so row j's gradient is the one a batch-1 pass would give.
+    """
+    grad_sum = np.zeros_like(p_base[0])
+    for first in range(0, steps, _ALPHA_BLOCK):
+        alphas = (np.arange(first, min(first + _ALPHA_BLOCK, steps)) + 0.5) / steps
+        path = Tensor(p_base + alphas[:, None] * p_delta, requires_grad=True)
+        logits = model.forward(_repeat_rows(batch, len(alphas)),
+                               pooled_text=path)["pcb_logits"]
+        seed = np.zeros_like(logits.data)
+        seed[:, target_class] = 1.0
+        backward_from(logits, seed)
+        grad_sum += path.grad.sum(axis=0)
+    return grad_sum
 
 
 def integrated_gradients(model: ModelInstance, record: ReviewRecord,
@@ -89,6 +113,12 @@ def integrated_gradients(model: ModelInstance, record: ReviewRecord,
     "predicted" attributes the model's own argmax class instead.
     ``baseline`` is the pad-token embedding sequence, or "zero" for the
     zero-vector baseline.
+
+    Every text model reads the token embeddings x only through their masked
+    mean p = sum_i mask_i x_i / n, which is linear. So the straight path
+    x' + α (x - x') pools to p' + α (p - p'), and dF/dx_i = (mask_i / n) dF/dp:
+    the α-steps run on the pooled ``[e]`` vector, all at once, and the
+    per-token gradient follows from the pooled one.
     """
     if TEXT not in model.spec.input_modalities:
         raise CapabilityError(
@@ -104,47 +134,43 @@ def integrated_gradients(model: ModelInstance, record: ReviewRecord,
         raise ConfigError(f"baseline must be 'pad' or 'zero', got {baseline!r}")
 
     batch, tokens = _record_batch(model, record)
-    if target_class == "predicted":
-        target_class = int(np.argmax(model.forward(batch)["pcb_logits"].data[0]))
-    elif target_class is None:
-        target_class = int(segment_pcb(record.pcb(pcb_target)))
-    if not isinstance(target_class, int) or not 0 <= target_class < 3:
-        raise ConfigError(f"target_class must be in [0, 3), got {target_class!r}")
+    encoder = model.encoder
+    mask = batch.encoded.attention_mask
 
-    ids = batch.encoded.token_ids
-    x = model.encoder.embedding.data[ids]  # [1, L, e]
-    if baseline == "pad":
-        x_base = np.broadcast_to(
-            model.encoder.embedding.data[model.encoder.vocab.pad_id],
-            x.shape).copy()
-    else:
-        x_base = np.zeros_like(x)
-    delta = x - x_base
-
-    # Only the path embeddings need a gradient. With every parameter flag off,
-    # backward skips the weight products and leaves no gradient in the model
-    # for a later optimizer step to pick up.
+    # Only the pooled path needs a gradient. With every parameter flag off, no
+    # other forward records a graph, backward skips the weight products, and
+    # no gradient is left in the model for a later optimizer step to pick up.
     trainable = [p for p in model.parameters().values() if p.requires_grad]
     for p in trainable:
         p.requires_grad = False
     try:
-        grad_sum = np.zeros_like(x)
-        for j in range(steps):
-            alpha = (j + 0.5) / steps
-            emb = Tensor(x_base + alpha * delta, requires_grad=True)
-            logits, seed = _target_logit(model, batch, emb, target_class)
-            backward_from(logits, seed)
-            grad_sum += emb.grad
+        x = encoder.token_embeddings(batch.encoded).data  # [1, L, e]
+        if baseline == "pad":
+            x_base = np.broadcast_to(encoder.embedding.data[encoder.vocab.pad_id],
+                                     x.shape).copy()
+        else:
+            x_base = np.zeros_like(x)
+        p_x = encoder.pool(Tensor(x), mask)
+        p_base = encoder.pool(Tensor(x_base), mask)
+        logits_x = model.forward(batch, pooled_text=p_x)["pcb_logits"].data[0]
+        predicted = int(np.argmax(logits_x))
+        if target_class == "predicted":
+            target_class = predicted
+        elif target_class is None:
+            target_class = int(segment_pcb(record.pcb(pcb_target)))
+        if not isinstance(target_class, int) or not 0 <= target_class < 3:
+            raise ConfigError(f"target_class must be in [0, 3), got {target_class!r}")
+        logits_base = model.forward(batch, pooled_text=p_base)["pcb_logits"].data[0]
+        grad_sum = _path_gradient_sum(model, batch, p_base.data,
+                                      p_x.data - p_base.data, target_class, steps)
     finally:
         for p in trainable:
             p.requires_grad = True
-    attributions = delta * (grad_sum / steps)  # [1, L, e]
-
-    logits_x, _ = _target_logit(model, batch, Tensor(x), target_class)
-    logits_base, _ = _target_logit(model, batch, Tensor(x_base), target_class)
-    f_x = float(logits_x.data[0, target_class])
-    f_base = float(logits_base.data[0, target_class])
-    predicted = int(np.argmax(logits_x.data[0]))
+    counts = np.maximum(mask.sum(axis=1), 1.0)[:, None, None]
+    # dF/dx_i summed over the path is (mask_i / n) grad_sum
+    attributions = (x - x_base) * (mask[:, :, None] * grad_sum / counts) / steps
+    f_x = float(logits_x[target_class])
+    f_base = float(logits_base[target_class])
 
     n_tokens = len(tokens)
     token_attr = attributions[0, :n_tokens]

@@ -119,18 +119,28 @@ def _run_one_training(records, cfg: ExperimentConfig, workers: int,
     return summary, checkpoint
 
 
-def _class_distribution(records, cfg: ExperimentConfig) -> dict[str, list[int]]:
-    """Per-split PCB class counts (splits are plain shuffles, not stratified)."""
-    split = split_records(len(records), cfg.split_ratios, cfg.base_seed)
+def _class_distribution(records, cfg: ExperimentConfig) -> dict | list[dict]:
+    """Per-split PCB class counts (splits are plain shuffles, not stratified).
+
+    One set for the shared split; with ``resplit_each_repetition``, a list
+    with one set per repetition, in repetition order.
+    """
     labels = [int(segment_pcb(r.pcb(cfg.pcb_target))) for r in records]
-    out = {}
-    for name, idx in (("train", split.train), ("validation", split.validation),
-                      ("test", split.test)):
-        counts = [0, 0, 0]
-        for i in idx:
-            counts[labels[i]] += 1
-        out[name] = counts
-    return out
+
+    def counts(seed: int) -> dict[str, list[int]]:
+        split = split_records(len(records), cfg.split_ratios, seed)
+        out = {}
+        for name, idx in (("train", split.train), ("validation", split.validation),
+                          ("test", split.test)):
+            per_class = [0, 0, 0]
+            for i in idx:
+                per_class[labels[i]] += 1
+            out[name] = per_class
+        return out
+
+    if cfg.resplit_each_repetition:
+        return [counts(cfg.base_seed + rep) for rep in range(cfg.repetitions)]
+    return counts(cfg.base_seed)
 
 
 def cmd_train(args: argparse.Namespace) -> int:

@@ -214,23 +214,28 @@ class ModelInstance:
         if EMOTIONS in self.spec.input_modalities and batch.emotion_features is None:
             raise InputError("missing modality: Emotions")
 
-    def embed_text(self, batch: Batch, token_embeddings: Tensor | None = None) -> Tensor:
+    def embed_text(self, batch: Batch, pooled_text: Tensor | None = None) -> Tensor:
+        """Encoder output for the batch's text.
+
+        ``pooled_text [b, e]`` stands in for the masked mean of the token
+        embeddings: it goes straight to the encoder's projection, and the
+        batch's token ids are not read.
+        """
         if isinstance(self.encoder, PrecomputedEncoder):
-            if token_embeddings is not None:
-                raise ConfigError("precomputed encoder cannot accept token embeddings")
+            if pooled_text is not None:
+                raise ConfigError("precomputed encoder cannot accept pooled text")
             return self.encoder.embed_records(batch.record_ids)
         assert isinstance(self.encoder, TextEncoder)
-        if token_embeddings is not None:
-            return self.encoder.encode_from_embeddings(token_embeddings,
-                                                       batch.encoded.attention_mask)
+        if pooled_text is not None:
+            return self.encoder.projection(pooled_text)
         return self.encoder.encode(batch.encoded)
 
-    def penultimate(self, batch: Batch, token_embeddings: Tensor | None = None) -> Tensor:
+    def penultimate(self, batch: Batch, pooled_text: Tensor | None = None) -> Tensor:
         """Second-to-last activation, excluding the final classification layer."""
         from .autodiff import relu
         arch = self.spec.id
         if arch == 1:
-            return self.embed_text(batch, token_embeddings)
+            return self.embed_text(batch, pooled_text)
         if arch in (2, 3):
             x = Tensor(batch.appraisal_features if arch == 2 else batch.emotion_features)
             head = self.heads["pcb_head"]
@@ -240,37 +245,37 @@ class ModelInstance:
         raise ConfigError(f"penultimate not defined for architecture {arch}")
 
     def forward(self, batch: Batch,
-                token_embeddings: Tensor | None = None) -> dict[str, Tensor]:
+                pooled_text: Tensor | None = None) -> dict[str, Tensor]:
         """Compute pcb_logits plus whatever auxiliary logits the spec declares."""
         self._require(batch)
         arch = self.spec.id
         out: dict[str, Tensor] = {}
         if arch == 1:
-            emb = self.embed_text(batch, token_embeddings)
+            emb = self.embed_text(batch, pooled_text)
             out["pcb_logits"] = self.heads["pcb_head"](emb)
         elif arch == 2:
             out["pcb_logits"] = self.heads["pcb_head"](Tensor(batch.appraisal_features))
         elif arch == 3:
             out["pcb_logits"] = self.heads["pcb_head"](Tensor(batch.emotion_features))
         elif arch == 4:
-            emb = self.embed_text(batch, token_embeddings)
+            emb = self.embed_text(batch, pooled_text)
             app = self.heads["appraisal_head"](emb)
             out["appraisal_logits"] = app
             out["pcb_logits"] = self.heads["pcb_head"](app)
         elif arch == 5:
-            emb = self.embed_text(batch, token_embeddings)
+            emb = self.embed_text(batch, pooled_text)
             emo = self.heads["emotion_head"](emb)
             out["emotion_logits"] = emo
             out["pcb_logits"] = self.heads["pcb_head"](emo)
         elif arch == 6:
-            emb = self.embed_text(batch, token_embeddings)
+            emb = self.embed_text(batch, pooled_text)
             app = self.heads["appraisal_head"](emb)
             emo = self.heads["emotion_head"](app)
             out["appraisal_logits"] = app
             out["emotion_logits"] = emo
             out["pcb_logits"] = self.heads["pcb_head"](emo)
         elif arch in (7, 8, 9):
-            parts = [self.components["text"].penultimate(batch, token_embeddings)]
+            parts = [self.components["text"].penultimate(batch, pooled_text)]
             if APPRAISALS in self.spec.input_modalities:
                 parts.append(self.components["appraisals"].penultimate(batch))
             if EMOTIONS in self.spec.input_modalities:
@@ -278,17 +283,17 @@ class ModelInstance:
             fused = concat(parts, axis=1)
             out["pcb_logits"] = self.heads["pcb_head"](fused)
         elif arch == 10:
-            emb = self.embed_text(batch, token_embeddings)
+            emb = self.embed_text(batch, pooled_text)
             app = self.heads["appraisal_head"](emb)
             out["appraisal_logits"] = app
             out["pcb_logits"] = self.heads["pcb_head"](concat([emb, app], axis=1))
         elif arch == 11:
-            emb = self.embed_text(batch, token_embeddings)
+            emb = self.embed_text(batch, pooled_text)
             emo = self.heads["emotion_head"](emb)
             out["emotion_logits"] = emo
             out["pcb_logits"] = self.heads["pcb_head"](concat([emb, emo], axis=1))
         elif arch == 12:
-            emb = self.embed_text(batch, token_embeddings)
+            emb = self.embed_text(batch, pooled_text)
             app = self.heads["appraisal_head"](emb)
             emo = self.heads["emotion_head"](app)
             out["appraisal_logits"] = app
@@ -297,9 +302,6 @@ class ModelInstance:
         else:
             raise ConfigError(f"unknown architecture id {arch}")
         return out
-
-    def predict(self, batch: Batch) -> np.ndarray:
-        return np.argmax(self.forward(batch)["pcb_logits"].data, axis=1)
 
 
 def build(arch_id: int, encoder_dim: int = 128, vocab: Vocabulary | None = None,

@@ -10,6 +10,7 @@ for identical inputs.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import tempfile
@@ -66,24 +67,48 @@ def save_params(path: str | Path, tensors: dict[str, np.ndarray],
 
 
 def load_params(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
-    """Read back (tensors, meta) from a file written by save_params."""
+    """Read back (tensors, meta) from a file written by save_params.
+
+    A truncated or otherwise corrupt file raises ``ValidationError``.
+    """
     raw = Path(path).read_bytes()
     if not raw.startswith(MAGIC):
         raise ValidationError(f"{path}: not a {FORMAT_NAME} file")
     pos = len(MAGIC)
+    if len(raw) < pos + 8:
+        raise ValidationError(f"{path}: truncated before the header length")
     (header_len,) = struct.unpack("<Q", raw[pos:pos + 8])
     pos += 8
-    header = json.loads(raw[pos:pos + header_len].decode("utf-8"))
+    if header_len > len(raw) - pos:
+        raise ValidationError(
+            f"{path}: header length {header_len} exceeds the {len(raw) - pos} bytes left")
+    try:
+        header = json.loads(raw[pos:pos + header_len].decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ValidationError(f"{path}: corrupt header ({exc})") from exc
+    if not isinstance(header, dict):
+        raise ValidationError(f"{path}: header is not a JSON object")
     if header.get("format") != FORMAT_NAME:
         raise ValidationError(f"{path}: unexpected format {header.get('format')!r}")
     if header.get("version") != FORMAT_VERSION:
         raise ValidationError(f"{path}: unsupported version {header.get('version')!r}")
+    index, meta = header.get("tensors"), header.get("meta")
+    if not isinstance(index, list) or not isinstance(meta, dict):
+        raise ValidationError(f"{path}: header lacks the tensor index or the metadata")
     data_start = pos + header_len
+    available = (len(raw) - data_start) // 8
     tensors: dict[str, np.ndarray] = {}
-    for entry in header["tensors"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        start = data_start + entry["offset"] * 8
-        flat = np.frombuffer(raw, dtype="<f8", count=count, offset=start)
-        tensors[entry["name"]] = flat.reshape(shape).astype(np.float64)
-    return tensors, header["meta"]
+    for entry in index:
+        try:
+            name, offset = str(entry["name"]), int(entry["offset"])
+            shape = tuple(int(n) for n in entry["shape"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValidationError(f"{path}: bad tensor index entry {entry!r}") from exc
+        count = math.prod(shape)
+        if offset < 0 or min(shape, default=0) < 0 or offset + count > available:
+            raise ValidationError(
+                f"{path}: tensor {name!r} ({count} values at offset {offset}) "
+                f"runs past the {available} values in the file")
+        flat = np.frombuffer(raw, dtype="<f8", count=count, offset=data_start + offset * 8)
+        tensors[name] = flat.reshape(shape).astype(np.float64)
+    return tensors, meta

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -82,7 +82,6 @@ class EncodedBatch:
 
     token_ids: np.ndarray       # [b, L] int64
     attention_mask: np.ndarray  # [b, L] float64 in {0, 1}
-    embedding: Tensor | None = field(default=None, compare=False)
 
 
 def encode_texts(texts: Sequence[str], vocab: Vocabulary,
@@ -108,13 +107,11 @@ class TextEncoderConfig:
 class TextEncoder:
     """Embedding table -> masked mean pooling -> linear projection.
 
-    ``encode`` pools through the fused ``embedding_bag`` op. The two-op path
-    ``token_embeddings`` -> ``encode_from_embeddings`` gives the same output
-    and a gradient for every token position, which integrated-gradients
-    attribution relies on.
+    ``encode`` pools through the fused ``embedding_bag`` op. The per-token
+    path ``token_embeddings`` -> ``pool`` -> ``projection`` gives the same
+    output bit for bit; integrated-gradients attribution pools with it and
+    feeds its own pooled vectors to ``projection``.
     """
-
-    trainable = True
 
     def __init__(self, vocab: Vocabulary, config: TextEncoderConfig,
                  rng: np.random.Generator, path: str = "encoder"):
@@ -132,15 +129,13 @@ class TextEncoder:
     def token_embeddings(self, batch: EncodedBatch) -> Tensor:
         return embedding_lookup(self.embedding, batch.token_ids)
 
-    def encode_from_embeddings(self, emb: Tensor, mask: np.ndarray) -> Tensor:
-        pooled = masked_mean(emb, mask)
-        return self.projection(pooled)
+    def pool(self, emb: Tensor, mask: np.ndarray) -> Tensor:
+        """Masked mean of token embeddings ``[b, L, e]`` -> ``[b, e]``."""
+        return masked_mean(emb, mask)
 
     def encode(self, batch: EncodedBatch) -> Tensor:
-        pooled = embedding_bag(self.embedding, batch.token_ids, batch.attention_mask)
-        out = self.projection(pooled)
-        batch.embedding = out
-        return out
+        return self.projection(
+            embedding_bag(self.embedding, batch.token_ids, batch.attention_mask))
 
     def parameters(self) -> dict[str, Tensor]:
         out = {self.embedding.path: self.embedding}
@@ -154,8 +149,6 @@ class PrecomputedEncoder:
     File format: one JSON object per line, ``{"id": ..., "embedding": [...]}``.
     Not differentiable into the text, so attribution is unavailable.
     """
-
-    trainable = False
 
     def __init__(self, table: dict[str, np.ndarray], dim: int):
         self.table = table

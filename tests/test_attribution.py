@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
 
-from pcbnet.attribution import (AttributionReport, integrated_gradients,
-                                rank_tokens, report_to_html, report_to_json)
+from pcbnet.attribution import (AttributionReport, _record_batch,
+                                integrated_gradients, rank_tokens,
+                                report_to_html, report_to_json)
+from pcbnet.autodiff import Tensor, backward_from, embedding_lookup, masked_mean
 from pcbnet.data import (SyntheticGeneratorConfig, generate_synthetic,
-                         segment_labels, split_records)
+                         segment_labels, segment_pcb, split_records)
 from pcbnet.errors import CapabilityError, ConfigError
 from pcbnet.experiment import (ExperimentConfig, build_vocab_for_split,
                                featurize, train)
-from pcbnet.models import build
+from pcbnet.models import ModelInstance, build
 
 
 @pytest.fixture(scope="module")
@@ -101,6 +103,7 @@ class TestCompleteness:
         b = integrated_gradients(model, record, steps=32)
         assert a.scores == b.scores
         assert a.completeness_gap == b.completeness_gap
+        assert a.to_json_obj() == b.to_json_obj()
 
 
 class TestContracts:
@@ -253,3 +256,82 @@ class TestModelGradientsUntouched:
         got, want = attributed.parameters(), plain.parameters()
         for path in want:
             assert np.array_equal(got[path].data, want[path].data), path
+
+
+def per_token_reference(model, record, target_class, steps, baseline):
+    """Integrated gradients as one batch-1 pass per α-step through the
+    per-token path: the gradient reaches every token embedding through
+    ``masked_mean``'s backward and is summed over the steps.
+
+    Returns (scores, F(x), F(x'), predicted class).
+    """
+    batch, tokens = _record_batch(model, record)
+    encoder, mask = model.encoder, batch.encoded.attention_mask
+    x = embedding_lookup(encoder.embedding, batch.encoded.token_ids).data
+    if baseline == "pad":
+        x_base = np.broadcast_to(encoder.embedding.data[encoder.vocab.pad_id],
+                                 x.shape).copy()
+    else:
+        x_base = np.zeros_like(x)
+
+    def logits(emb):
+        return model.forward(batch, pooled_text=masked_mean(emb, mask))["pcb_logits"]
+
+    params = [p for p in model.parameters().values() if p.requires_grad]
+    for p in params:
+        p.requires_grad = False
+    try:
+        grad_sum = np.zeros_like(x)
+        for j in range(steps):
+            emb = Tensor(x_base + (j + 0.5) / steps * (x - x_base), requires_grad=True)
+            out = logits(emb)
+            seed = np.zeros_like(out.data)
+            seed[0, target_class] = 1.0
+            backward_from(out, seed)
+            grad_sum += emb.grad
+        f_x = float(logits(Tensor(x)).data[0, target_class])
+        f_base = float(logits(Tensor(x_base)).data[0, target_class])
+        predicted = int(np.argmax(model.forward(batch)["pcb_logits"].data[0]))
+    finally:
+        for p in params:
+            p.requires_grad = True
+    scores = ((x - x_base) * (grad_sum / steps))[0, :len(tokens)].sum(axis=1)
+    return scores, f_x, f_base, predicted
+
+
+class TestPooledAlphaBatch:
+    @pytest.mark.parametrize("baseline", ["pad", "zero"])
+    @pytest.mark.parametrize("arch_id", [1, 9, 12])
+    def test_matches_per_token_reference(self, small_corpus, arch_id, baseline):
+        records, split, vocab, _ = small_corpus
+        model = build(arch_id, vocab=vocab, seed=0)
+        record = records[split.test[1]]
+        gold = int(segment_pcb(record.pcb_promote))
+        for steps in (1, 7, 128, 300):  # 300 spans three α-blocks
+            report = integrated_gradients(model, record, steps=steps, baseline=baseline)
+            scores, f_x, f_base, predicted = per_token_reference(
+                model, record, gold, steps, baseline)
+            assert report.target_class == gold
+            # the benchmark's tolerance for a recomputation in another order
+            assert np.abs(np.asarray(report.scores) - scores).max() \
+                <= 1e-9 * np.abs(scores).max(), steps
+            assert report.output_value == f_x
+            assert report.baseline_value == f_base
+            assert report.predicted_class == predicted
+
+    def test_only_the_alpha_batch_records_a_graph(self, small_corpus, monkeypatch):
+        records, split, vocab, _ = small_corpus
+        model = build(12, vocab=vocab, seed=0)
+        logits = []
+        forward = ModelInstance.forward
+
+        def recording_forward(self, *args, **kwargs):
+            out = forward(self, *args, **kwargs)
+            logits.append(out["pcb_logits"])
+            return out
+
+        monkeypatch.setattr(ModelInstance, "forward", recording_forward)
+        integrated_gradients(model, records[split.test[0]], target_class="predicted")
+        # F(x), which also gives the predicted class, F(x'), and the α-batch
+        assert len(logits) == 3
+        assert sum(t.node is not None for t in logits) == 1

@@ -173,6 +173,31 @@ class TestOutputRoot:
         assert set(counts) == {"train", "validation", "test"}
         assert sum(counts["train"]) == 32  # 40 records at 80:10:10
 
+    def test_class_distribution_follows_each_resplit(self, tmp_path):
+        from pcbnet.data import segment_pcb, split_records
+        dataset = synth_dataset(tmp_path, n=40)
+        labels = [int(segment_pcb(r.pcb_promote)) for r in ingest(dataset)]
+
+        def counts(seed):
+            split = split_records(40, (0.8, 0.1, 0.1), seed)
+            return {name: [sum(labels[i] == c for i in idx) for c in range(3)]
+                    for name, idx in (("train", split.train),
+                                      ("validation", split.validation),
+                                      ("test", split.test))}
+
+        summaries = {}
+        for resplit in (False, True):
+            cfg = quick_train_config(tmp_path, dataset, base_seed=5, repetitions=2,
+                                     resplit_each_repetition=resplit)
+            out_dir = tmp_path / f"resplit_{resplit}"
+            assert main(["train", "--config", cfg, "--out", str(out_dir)]) == 0
+            summaries[resplit] = (out_dir / "summary.json").read_text()
+        fixed = json.loads(summaries[False])["arch03_promote"]
+        assert fixed["class_counts_low_moderate_high"] == counts(5)
+        resplit = json.loads(summaries[True])["arch03_promote"]
+        assert resplit["class_counts_low_moderate_high"] == [counts(5), counts(6)]
+        assert counts(5) != counts(6)  # the per-repetition sets tell splits apart
+
 
 class TestReport:
     def test_empty_dir_no_results_exit_zero(self, tmp_path, capsys):
@@ -246,6 +271,17 @@ class TestAttribute:
                      "--out", str(out_dir)]) == 0
         report = json.loads((out_dir / f"{rid}.json").read_text())
         assert report["target_class"] == report["predicted_class"]
+
+    def test_truncated_checkpoint_is_a_validation_error(self, trained_run, capsys):
+        dataset, checkpoint, tmp_path = trained_run
+        truncated = tmp_path / "truncated.params"
+        raw = checkpoint.read_bytes()
+        truncated.write_bytes(raw[:len(raw) // 2])
+        assert main(["attribute", "--checkpoint", str(truncated),
+                     "--dataset", str(dataset), "--records", ingest(dataset)[0].id,
+                     "--out", str(tmp_path / "x")]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["category"] == "validation"
 
     def test_rating_only_checkpoint_rejected(self, tmp_path, capsys):
         dataset = synth_dataset(tmp_path, n=40)

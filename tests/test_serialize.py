@@ -45,3 +45,13 @@ class TestParamsFormat:
         path = tmp_path / "m.params"
         save_params(path, {"w": np.zeros(3)}, meta={})
         assert [p.name for p in tmp_path.iterdir()] == ["m.params"]
+
+    def test_every_truncation_is_a_validation_error(self, tmp_path):
+        path = tmp_path / "m.params"
+        save_params(path, {"w": np.arange(6.0).reshape(2, 3)}, meta={"k": 1})
+        raw = path.read_bytes()
+        cut = tmp_path / "cut.params"
+        for n in range(len(raw)):
+            cut.write_bytes(raw[:n])
+            with pytest.raises(ValidationError):
+                load_params(cut)
