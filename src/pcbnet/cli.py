@@ -28,7 +28,7 @@ from .errors import (CapabilityError, ConfigError, DatasetLookupError,
                      PcbnetError)
 from .experiment import (PCB_TARGETS, ExperimentConfig, MetricsSummary,
                          run_repetitions)
-from .models import TEXT, architecture_spec, load_model, save_model
+from .models import ARCHITECTURES, TEXT, architecture_spec, load_model, save_model
 from .serialize import atomic_write_text
 
 OUTPUT_ROOT_ENV = "PCBNET_OUT"
@@ -221,8 +221,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-_FAMILY_ORDER = ("Baseline", "Constrained", "Multi-modal", "Multi-task",
-                 "Theoretical model")
+_FAMILY_ORDER = tuple(dict.fromkeys(spec.family for spec in ARCHITECTURES))
 
 
 def _mean_std(values: list[float]) -> str:
@@ -248,17 +247,14 @@ def render_report(rows: list[dict]) -> str:
     lines = [header, "-" * len(header)]
     gaps: list[str] = []
     for family in _FAMILY_ORDER:
-        members = [a for a in range(1, 13)
-                   if architecture_spec(a).family == family]
         lines.append(family)
-        for arch_id in members:
-            spec = architecture_spec(arch_id)
+        for spec in [s for s in ARCHITECTURES if s.family == family]:
             cells = []
             for target in PCB_TARGETS:
-                cell = by_key.get((arch_id, target))
+                cell = by_key.get((spec.id, target))
                 if cell is None:
                     cells.extend(["--", "--"])
-                    gaps.append(f"architecture {arch_id} / {target}")
+                    gaps.append(f"architecture {spec.id} / {target}")
                 else:
                     cells.extend([_mean_std(cell["accuracy"]), _mean_std(cell["f1"])])
             lines.append(f"  {spec.name:<{name_width - 2}}"

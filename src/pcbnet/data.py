@@ -94,18 +94,8 @@ def _check_rating(value: int, what: str) -> int:
 
 
 def segment_pcb(rating: int) -> Level:
-    """1-2 -> Low, 3-5 -> Moderate, 6-7 -> High."""
+    """1-2 -> Low, 3-5 -> Moderate, 6-7 -> High; appraisals share these boundaries."""
     r = _check_rating(rating, "PCB rating")
-    if r <= 2:
-        return Level.LOW
-    if r <= 5:
-        return Level.MODERATE
-    return Level.HIGH
-
-
-def segment_appraisal(rating: int) -> Level:
-    """Appraisals segment with the same 1-2 / 3-5 / 6-7 boundaries."""
-    r = _check_rating(rating, "appraisal rating")
     if r <= 2:
         return Level.LOW
     if r <= 5:
@@ -124,7 +114,7 @@ def segment_labels(record: ReviewRecord) -> SegmentedLabels:
         pcb_repurchase=segment_pcb(record.pcb_repurchase),
         pcb_promote=segment_pcb(record.pcb_promote),
         emotion_flags=tuple(segment_emotion(e) for e in record.emotions),
-        appraisal_classes=tuple(segment_appraisal(a) for a in record.appraisals),
+        appraisal_classes=tuple(segment_pcb(a) for a in record.appraisals),
     )
 
 
@@ -513,7 +503,7 @@ def generate_synthetic(cfg: SyntheticGeneratorConfig, seed: int) -> list[ReviewR
                                                cfg.mean_review_length * 0.12),
                                     30, 2 * cfg.mean_review_length))
         text = _render_text(rng,
-                            [segment_appraisal(a) for a in appraisals],
+                            [segment_pcb(a) for a in appraisals],
                             [segment_emotion(e) for e in emotions],
                             cfg, target_tokens)
         records.append(ReviewRecord(

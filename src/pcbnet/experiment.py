@@ -8,14 +8,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .autodiff import Tensor, add, backward, binary_cross_entropy, cross_entropy
-from .data import (APPRAISAL_COUNT, DatasetSplit, ReviewRecord,
-                   segment_appraisal, segment_emotion, segment_pcb, split_records)
+from .autodiff import (Tensor, add, backward, binary_cross_entropy, cross_entropy,
+                       grouped_cross_entropy)
+from .data import (APPRAISAL_COUNT, DatasetSplit, ReviewRecord, segment_emotion,
+                   segment_pcb, split_records)
 from .errors import ConfigError, SizeError, TrainingError
 from .metrics import accuracy_score, weighted_f1
 from .models import (APPRAISALS, EMOTIONS, TEXT, Batch, ModelInstance,
                      architecture_spec, build)
-from .nn import Adam, LinearSchedule, grouped_cross_entropy
+from .nn import Adam, LinearSchedule
 from .text import EncodedBatch, PrecomputedEncoder, Vocabulary, encode_texts
 
 PCB_TARGETS = ("repurchase", "promote")
@@ -145,7 +146,7 @@ def featurize(records: Sequence[ReviewRecord], vocab: Vocabulary | None,
     records = list(records)
     appraisals = np.array([r.appraisals for r in records], dtype=np.float64)
     emotions = np.array([r.emotions for r in records], dtype=np.float64)
-    app_classes = np.array([[segment_appraisal(a) for a in r.appraisals]
+    app_classes = np.array([[segment_pcb(a) for a in r.appraisals]
                             for r in records], dtype=np.int64)
     flags = np.zeros((len(records), APPRAISAL_COUNT * 3))
     rows = np.repeat(np.arange(len(records)), APPRAISAL_COUNT)
@@ -301,7 +302,7 @@ def evaluate(model: ModelInstance, data: Dataset, idx: Sequence[int],
 
 
 def _needs_text(cfg: ExperimentConfig) -> bool:
-    return TEXT in architecture_spec(cfg.architecture, cfg.encoder_dim).input_modalities
+    return TEXT in architecture_spec(cfg.architecture).input_modalities
 
 
 def build_vocab_for_split(records: Sequence[ReviewRecord], split: DatasetSplit,

@@ -1,4 +1,14 @@
-"""The twelve-architecture model zoo with introspectable computation graphs.
+"""The twelve architectures, declared once in ``ARCHITECTURES``.
+
+Each entry gives an architecture's name, its family and its heads in order,
+the PCB head last. A head is a stack of linear layers with the listed
+widths. It reads one or more sources, concatenated in the order listed: the
+text embedding, a rating input, an earlier head, or a tower, which is the
+penultimate activation of an independently trained architecture 1, 2 or 3.
+``build`` walks the heads to create the layers, ``ModelInstance.forward``
+walks them to compute the logits, and the input modalities, the auxiliary
+targets and the graph that ``describe()`` reports are read from the same
+entry, so what is described is what runs.
 
 Architectures 1-3 are single-modality baselines, 4-6 force text through a
 low-dimensional bottleneck, 7-9 fuse independently trained single-modality
@@ -11,6 +21,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -32,10 +43,36 @@ FAMILY_MULTIMODAL = "Multi-modal"
 FAMILY_MULTITASK = "Multi-task"
 FAMILY_THEORETICAL = "Theoretical model"
 
+# Sources other than heads, each named by its describe() node. The text
+# tower has no hidden layer, so describe() draws it as the text embedding.
+TEXT_EMBEDDING = "TextEmbedding"
+APPRAISAL_INPUT, EMOTION_INPUT = "AppraisalInput", "EmotionInput"
+TEXT_TOWER, APPRAISAL_TOWER, EMOTION_TOWER = "TextTower", "AppraisalTower", "EmotionTower"
+# Heads, named by their parameter path and their key in ModelInstance.heads.
+APPRAISAL_HEAD, EMOTION_HEAD, PCB_HEAD = "appraisal_head", "emotion_head", "pcb_head"
+
+_MODALITIES = {TEXT_EMBEDDING: TEXT, APPRAISAL_INPUT: APPRAISALS, EMOTION_INPUT: EMOTIONS}
+# rating input -> (Batch field, width)
+_RATINGS = {APPRAISAL_INPUT: ("appraisal_features", APPRAISAL_COUNT),
+            EMOTION_INPUT: ("emotion_features", EMOTION_COUNT)}
+# tower -> (architecture it is taken from, component key, parameter-path prefix)
+_TOWERS = {TEXT_TOWER: (1, "text", "text_model."),
+           APPRAISAL_TOWER: (2, "appraisals", "appraisal_model."),
+           EMOTION_TOWER: (3, "emotions", "emotion_model.")}
+# head -> (describe() node, auxiliary target it predicts)
+_HEADS = {APPRAISAL_HEAD: ("AppraisalHead", APPRAISALS),
+          EMOTION_HEAD: ("EmotionHead", EMOTIONS),
+          PCB_HEAD: ("PCBHead", None)}
+FUSION_CONCAT = "FusionConcat"  # describe() node of a head's concatenated sources
+
+_PCB_DEEP = (1024, 512, PCB_CLASSES)
+_PCB_SHALLOW = (512, PCB_CLASSES)
+
 
 @dataclass(frozen=True)
-class NodeSpec:
+class Head:
     name: str
+    inputs: tuple[str, ...]
     widths: tuple[int, ...]
 
 
@@ -44,10 +81,82 @@ class ArchitectureSpec:
     id: int
     name: str
     family: str
-    input_modalities: tuple[str, ...]
-    auxiliary_targets: tuple[str, ...]
-    nodes: tuple[NodeSpec, ...]
-    edges: tuple[tuple[str, str], ...]
+    heads: tuple[Head, ...]  # in build and forward order; the PCB head last
+
+    @cached_property
+    def input_modalities(self) -> tuple[str, ...]:
+        found: list[str] = []
+        for head in self.heads:
+            for source in head.inputs:
+                if source in _TOWERS:
+                    found += architecture_spec(_TOWERS[source][0]).input_modalities
+                elif source in _MODALITIES:
+                    found.append(_MODALITIES[source])
+        return tuple(dict.fromkeys(found))
+
+    @cached_property
+    def auxiliary_targets(self) -> tuple[str, ...]:
+        return tuple(_HEADS[head.name][1] for head in self.heads[:-1])
+
+    def width(self, source: str, encoder_dim: int) -> int:
+        """Width of ``source`` as a head of this architecture reads it."""
+        if source == TEXT_EMBEDDING:
+            return encoder_dim
+        if source in _RATINGS:
+            return _RATINGS[source][1]
+        if source in _TOWERS:
+            return architecture_spec(_TOWERS[source][0]).penultimate_width(encoder_dim)
+        return next(h for h in self.heads if h.name == source).widths[-1]
+
+    def in_width(self, head: Head, encoder_dim: int) -> int:
+        return sum(self.width(source, encoder_dim) for source in head.inputs)
+
+    def penultimate_width(self, encoder_dim: int) -> int:
+        pcb = self.heads[-1]
+        return pcb.widths[-2] if len(pcb.widths) > 1 else self.in_width(pcb, encoder_dim)
+
+
+ARCHITECTURES = (
+    ArchitectureSpec(1, "Text -> PCB", FAMILY_BASELINE, (
+        Head(PCB_HEAD, (TEXT_EMBEDDING,), (PCB_CLASSES,)),)),
+    ArchitectureSpec(2, "Appraisals -> PCB", FAMILY_BASELINE, (
+        Head(PCB_HEAD, (APPRAISAL_INPUT,), _PCB_DEEP),)),
+    ArchitectureSpec(3, "Emotions -> PCB", FAMILY_BASELINE, (
+        Head(PCB_HEAD, (EMOTION_INPUT,), _PCB_DEEP),)),
+    ArchitectureSpec(4, "Text -> Appraisals -> PCB", FAMILY_CONSTRAINED, (
+        Head(APPRAISAL_HEAD, (TEXT_EMBEDDING,), (APPRAISAL_LOGITS,)),
+        Head(PCB_HEAD, (APPRAISAL_HEAD,), _PCB_DEEP))),
+    ArchitectureSpec(5, "Text -> Emotions -> PCB", FAMILY_CONSTRAINED, (
+        Head(EMOTION_HEAD, (TEXT_EMBEDDING,), (EMOTION_COUNT,)),
+        Head(PCB_HEAD, (EMOTION_HEAD,), _PCB_DEEP))),
+    ArchitectureSpec(6, "Text -> Appraisals -> Emotions -> PCB", FAMILY_CONSTRAINED, (
+        Head(APPRAISAL_HEAD, (TEXT_EMBEDDING,), (APPRAISAL_LOGITS,)),
+        Head(EMOTION_HEAD, (APPRAISAL_HEAD,), (512, EMOTION_COUNT)),
+        Head(PCB_HEAD, (EMOTION_HEAD,), _PCB_DEEP))),
+    ArchitectureSpec(7, "Text + Appraisals -> PCB", FAMILY_MULTIMODAL, (
+        Head(PCB_HEAD, (TEXT_TOWER, APPRAISAL_TOWER), _PCB_DEEP),)),
+    ArchitectureSpec(8, "Text + Emotions -> PCB", FAMILY_MULTIMODAL, (
+        Head(PCB_HEAD, (TEXT_TOWER, EMOTION_TOWER), _PCB_DEEP),)),
+    ArchitectureSpec(9, "Text + Appraisals + Emotions -> PCB", FAMILY_MULTIMODAL, (
+        Head(PCB_HEAD, (TEXT_TOWER, APPRAISAL_TOWER, EMOTION_TOWER), _PCB_DEEP),)),
+    ArchitectureSpec(10, "Text -> PCB + Appraisals", FAMILY_MULTITASK, (
+        Head(APPRAISAL_HEAD, (TEXT_EMBEDDING,), (APPRAISAL_LOGITS,)),
+        Head(PCB_HEAD, (TEXT_EMBEDDING, APPRAISAL_HEAD), _PCB_SHALLOW))),
+    ArchitectureSpec(11, "Text -> PCB + Emotions", FAMILY_MULTITASK, (
+        Head(EMOTION_HEAD, (TEXT_EMBEDDING,), (EMOTION_COUNT,)),
+        Head(PCB_HEAD, (TEXT_EMBEDDING, EMOTION_HEAD), _PCB_SHALLOW))),
+    ArchitectureSpec(12, "Theoretical model", FAMILY_THEORETICAL, (
+        Head(APPRAISAL_HEAD, (TEXT_EMBEDDING,), (APPRAISAL_LOGITS,)),
+        Head(EMOTION_HEAD, (APPRAISAL_HEAD,), (512, EMOTION_COUNT)),
+        Head(PCB_HEAD, (TEXT_EMBEDDING, APPRAISAL_HEAD, EMOTION_HEAD), _PCB_SHALLOW))),
+)
+_BY_ID = {spec.id: spec for spec in ARCHITECTURES}
+
+
+def architecture_spec(arch_id: int) -> ArchitectureSpec:
+    if arch_id not in _BY_ID:
+        raise ConfigError(f"unknown architecture id {arch_id}; valid ids are 1..12")
+    return _BY_ID[arch_id]
 
 
 @dataclass
@@ -65,99 +174,6 @@ class Batch:
 
     def size(self) -> int:
         return len(self.record_ids)
-
-
-def _pcb_head_widths(arch_id: int) -> tuple[int, ...]:
-    if arch_id == 1:
-        return (PCB_CLASSES,)
-    if arch_id in (10, 11, 12):
-        return (512, PCB_CLASSES)
-    return (1024, 512, PCB_CLASSES)
-
-
-def _architecture_table(d: int) -> dict[int, ArchitectureSpec]:
-    """Build all twelve specs for encoder output width d."""
-    specs: dict[int, ArchitectureSpec] = {}
-
-    def spec(arch_id, name, family, inputs, aux, nodes, edges):
-        specs[arch_id] = ArchitectureSpec(
-            id=arch_id, name=name, family=family,
-            input_modalities=tuple(inputs), auxiliary_targets=tuple(aux),
-            nodes=tuple(NodeSpec(n, tuple(w)) for n, w in nodes),
-            edges=tuple((a, b) for a, b in edges))
-
-    pcb = _pcb_head_widths
-    spec(1, "Text -> PCB", FAMILY_BASELINE, [TEXT], [],
-         [("TextEmbedding", (d,)), ("PCBHead", pcb(1))],
-         [("TextEmbedding", "PCBHead")])
-    spec(2, "Appraisals -> PCB", FAMILY_BASELINE, [APPRAISALS], [],
-         [("AppraisalInput", (APPRAISAL_COUNT,)), ("PCBHead", pcb(2))],
-         [("AppraisalInput", "PCBHead")])
-    spec(3, "Emotions -> PCB", FAMILY_BASELINE, [EMOTIONS], [],
-         [("EmotionInput", (EMOTION_COUNT,)), ("PCBHead", pcb(3))],
-         [("EmotionInput", "PCBHead")])
-    spec(4, "Text -> Appraisals -> PCB", FAMILY_CONSTRAINED, [TEXT], [APPRAISALS],
-         [("TextEmbedding", (d,)), ("AppraisalHead", (APPRAISAL_LOGITS,)),
-          ("PCBHead", pcb(4))],
-         [("TextEmbedding", "AppraisalHead"), ("AppraisalHead", "PCBHead")])
-    spec(5, "Text -> Emotions -> PCB", FAMILY_CONSTRAINED, [TEXT], [EMOTIONS],
-         [("TextEmbedding", (d,)), ("EmotionHead", (EMOTION_COUNT,)),
-          ("PCBHead", pcb(5))],
-         [("TextEmbedding", "EmotionHead"), ("EmotionHead", "PCBHead")])
-    spec(6, "Text -> Appraisals -> Emotions -> PCB", FAMILY_CONSTRAINED, [TEXT],
-         [APPRAISALS, EMOTIONS],
-         [("TextEmbedding", (d,)), ("AppraisalHead", (APPRAISAL_LOGITS,)),
-          ("EmotionHead", (512, EMOTION_COUNT)), ("PCBHead", pcb(6))],
-         [("TextEmbedding", "AppraisalHead"), ("AppraisalHead", "EmotionHead"),
-          ("EmotionHead", "PCBHead")])
-    spec(7, "Text + Appraisals -> PCB", FAMILY_MULTIMODAL, [TEXT, APPRAISALS], [],
-         [("TextEmbedding", (d,)), ("AppraisalInput", (APPRAISAL_COUNT,)),
-          ("AppraisalTower", (1024, 512)), ("FusionConcat", (d + 512,)),
-          ("PCBHead", pcb(7))],
-         [("TextEmbedding", "FusionConcat"), ("AppraisalInput", "AppraisalTower"),
-          ("AppraisalTower", "FusionConcat"), ("FusionConcat", "PCBHead")])
-    spec(8, "Text + Emotions -> PCB", FAMILY_MULTIMODAL, [TEXT, EMOTIONS], [],
-         [("TextEmbedding", (d,)), ("EmotionInput", (EMOTION_COUNT,)),
-          ("EmotionTower", (1024, 512)), ("FusionConcat", (d + 512,)),
-          ("PCBHead", pcb(8))],
-         [("TextEmbedding", "FusionConcat"), ("EmotionInput", "EmotionTower"),
-          ("EmotionTower", "FusionConcat"), ("FusionConcat", "PCBHead")])
-    spec(9, "Text + Appraisals + Emotions -> PCB", FAMILY_MULTIMODAL,
-         [TEXT, APPRAISALS, EMOTIONS], [],
-         [("TextEmbedding", (d,)), ("AppraisalInput", (APPRAISAL_COUNT,)),
-          ("EmotionInput", (EMOTION_COUNT,)), ("AppraisalTower", (1024, 512)),
-          ("EmotionTower", (1024, 512)), ("FusionConcat", (d + 1024,)),
-          ("PCBHead", pcb(9))],
-         [("TextEmbedding", "FusionConcat"), ("AppraisalInput", "AppraisalTower"),
-          ("AppraisalTower", "FusionConcat"), ("EmotionInput", "EmotionTower"),
-          ("EmotionTower", "FusionConcat"), ("FusionConcat", "PCBHead")])
-    spec(10, "Text -> PCB + Appraisals", FAMILY_MULTITASK, [TEXT], [APPRAISALS],
-         [("TextEmbedding", (d,)), ("AppraisalHead", (APPRAISAL_LOGITS,)),
-          ("FusionConcat", (d + APPRAISAL_LOGITS,)), ("PCBHead", pcb(10))],
-         [("TextEmbedding", "AppraisalHead"), ("TextEmbedding", "FusionConcat"),
-          ("AppraisalHead", "FusionConcat"), ("FusionConcat", "PCBHead")])
-    spec(11, "Text -> PCB + Emotions", FAMILY_MULTITASK, [TEXT], [EMOTIONS],
-         [("TextEmbedding", (d,)), ("EmotionHead", (EMOTION_COUNT,)),
-          ("FusionConcat", (d + EMOTION_COUNT,)), ("PCBHead", pcb(11))],
-         [("TextEmbedding", "EmotionHead"), ("TextEmbedding", "FusionConcat"),
-          ("EmotionHead", "FusionConcat"), ("FusionConcat", "PCBHead")])
-    spec(12, "Theoretical model", FAMILY_THEORETICAL, [TEXT],
-         [APPRAISALS, EMOTIONS],
-         [("TextEmbedding", (d,)), ("AppraisalHead", (APPRAISAL_LOGITS,)),
-          ("EmotionHead", (512, EMOTION_COUNT)),
-          ("FusionConcat", (d + APPRAISAL_LOGITS + EMOTION_COUNT,)),
-          ("PCBHead", pcb(12))],
-         [("TextEmbedding", "AppraisalHead"), ("AppraisalHead", "EmotionHead"),
-          ("TextEmbedding", "FusionConcat"), ("AppraisalHead", "FusionConcat"),
-          ("EmotionHead", "FusionConcat"), ("FusionConcat", "PCBHead")])
-    return specs
-
-
-def architecture_spec(arch_id: int, encoder_dim: int = 128) -> ArchitectureSpec:
-    table = _architecture_table(encoder_dim)
-    if arch_id not in table:
-        raise ConfigError(f"unknown architecture id {arch_id}; valid ids are 1..12")
-    return table[arch_id]
 
 
 class ModelInstance:
@@ -197,11 +213,8 @@ class ModelInstance:
         text model) never receives gradients and must not sit in the optimizer.
         """
         for comp in self.components.values():
-            head = comp.heads["pcb_head"]
-            layers = head.layers if comp.spec.id == 1 else head.layers[-1:]
-            for layer in layers:
-                for p in layer.parameters().values():
-                    p.requires_grad = False
+            for p in comp.heads[PCB_HEAD].layers[-1].parameters().values():
+                p.requires_grad = False
 
     # -- forward ----------------------------------------------------------
 
@@ -230,77 +243,37 @@ class ModelInstance:
             return self.encoder.projection(pooled_text)
         return self.encoder.encode(batch.encoded)
 
+    def _read(self, head: Head, batch: Batch, pooled_text: Tensor | None,
+              values: dict[str, Tensor]) -> Tensor:
+        """``head``'s sources, concatenated; each is computed once into ``values``."""
+        for source in head.inputs:
+            if source in values:
+                continue
+            if source == TEXT_EMBEDDING:
+                values[source] = self.embed_text(batch, pooled_text)
+            elif source in _RATINGS:
+                values[source] = Tensor(getattr(batch, _RATINGS[source][0]))
+            else:
+                tower = self.components[_TOWERS[source][1]]
+                values[source] = tower.penultimate(batch, pooled_text)
+        parts = [values[source] for source in head.inputs]
+        return parts[0] if len(parts) == 1 else concat(parts, axis=1)
+
     def penultimate(self, batch: Batch, pooled_text: Tensor | None = None) -> Tensor:
         """Second-to-last activation, excluding the final classification layer."""
-        from .autodiff import relu
-        arch = self.spec.id
-        if arch == 1:
-            return self.embed_text(batch, pooled_text)
-        if arch in (2, 3):
-            x = Tensor(batch.appraisal_features if arch == 2 else batch.emotion_features)
-            head = self.heads["pcb_head"]
-            for layer in head.layers[:-1]:
-                x = relu(layer(x))
-            return x
-        raise ConfigError(f"penultimate not defined for architecture {arch}")
+        pcb = self.spec.heads[-1]
+        return self.heads[pcb.name].hidden(self._read(pcb, batch, pooled_text, {}))
 
     def forward(self, batch: Batch,
                 pooled_text: Tensor | None = None) -> dict[str, Tensor]:
         """Compute pcb_logits plus whatever auxiliary logits the spec declares."""
         self._require(batch)
-        arch = self.spec.id
+        values: dict[str, Tensor] = {}
         out: dict[str, Tensor] = {}
-        if arch == 1:
-            emb = self.embed_text(batch, pooled_text)
-            out["pcb_logits"] = self.heads["pcb_head"](emb)
-        elif arch == 2:
-            out["pcb_logits"] = self.heads["pcb_head"](Tensor(batch.appraisal_features))
-        elif arch == 3:
-            out["pcb_logits"] = self.heads["pcb_head"](Tensor(batch.emotion_features))
-        elif arch == 4:
-            emb = self.embed_text(batch, pooled_text)
-            app = self.heads["appraisal_head"](emb)
-            out["appraisal_logits"] = app
-            out["pcb_logits"] = self.heads["pcb_head"](app)
-        elif arch == 5:
-            emb = self.embed_text(batch, pooled_text)
-            emo = self.heads["emotion_head"](emb)
-            out["emotion_logits"] = emo
-            out["pcb_logits"] = self.heads["pcb_head"](emo)
-        elif arch == 6:
-            emb = self.embed_text(batch, pooled_text)
-            app = self.heads["appraisal_head"](emb)
-            emo = self.heads["emotion_head"](app)
-            out["appraisal_logits"] = app
-            out["emotion_logits"] = emo
-            out["pcb_logits"] = self.heads["pcb_head"](emo)
-        elif arch in (7, 8, 9):
-            parts = [self.components["text"].penultimate(batch, pooled_text)]
-            if APPRAISALS in self.spec.input_modalities:
-                parts.append(self.components["appraisals"].penultimate(batch))
-            if EMOTIONS in self.spec.input_modalities:
-                parts.append(self.components["emotions"].penultimate(batch))
-            fused = concat(parts, axis=1)
-            out["pcb_logits"] = self.heads["pcb_head"](fused)
-        elif arch == 10:
-            emb = self.embed_text(batch, pooled_text)
-            app = self.heads["appraisal_head"](emb)
-            out["appraisal_logits"] = app
-            out["pcb_logits"] = self.heads["pcb_head"](concat([emb, app], axis=1))
-        elif arch == 11:
-            emb = self.embed_text(batch, pooled_text)
-            emo = self.heads["emotion_head"](emb)
-            out["emotion_logits"] = emo
-            out["pcb_logits"] = self.heads["pcb_head"](concat([emb, emo], axis=1))
-        elif arch == 12:
-            emb = self.embed_text(batch, pooled_text)
-            app = self.heads["appraisal_head"](emb)
-            emo = self.heads["emotion_head"](app)
-            out["appraisal_logits"] = app
-            out["emotion_logits"] = emo
-            out["pcb_logits"] = self.heads["pcb_head"](concat([emb, app, emo], axis=1))
-        else:
-            raise ConfigError(f"unknown architecture id {arch}")
+        for head in self.spec.heads:
+            x = self._read(head, batch, pooled_text, values)
+            values[head.name] = self.heads[head.name](x)
+            out[head.name.replace("_head", "_logits")] = values[head.name]
         return out
 
 
@@ -308,99 +281,78 @@ def build(arch_id: int, encoder_dim: int = 128, vocab: Vocabulary | None = None,
           seed: int = 0, max_sequence_length: int = 256,
           precomputed: PrecomputedEncoder | None = None,
           _prefix: str = "", _rng: np.random.Generator | None = None) -> ModelInstance:
-    """Instantiate architecture ``arch_id`` with seed-controlled initialization."""
-    spec = architecture_spec(arch_id, encoder_dim)
+    """Instantiate architecture ``arch_id`` with seed-controlled initialization.
+
+    Heads are created in table order, each after the encoder or tower it is
+    the first to read, so the generator's draws keep one fixed order.
+    """
+    spec = architecture_spec(arch_id)
+    if precomputed is not None and precomputed.dim != encoder_dim:
+        raise ConfigError(f"precomputed embeddings are {precomputed.dim} wide "
+                          f"but encoder_dim is {encoder_dim}; they must be equal")
     rng = _rng if _rng is not None else np.random.default_rng(seed)
     model = ModelInstance(spec, encoder_dim)
-    p = _prefix
-
-    def make_encoder() -> TextEncoder | PrecomputedEncoder:
-        if precomputed is not None:
-            return precomputed
-        v = vocab if vocab is not None else Vocabulary(["<pad>", "<unk>"])
-        return TextEncoder(v, TextEncoderConfig(encoder_dim, max_sequence_length),
-                           rng, path=f"{p}encoder")
-
-    if arch_id == 1:
-        model.encoder = make_encoder()
-        model.heads["pcb_head"] = FFNNHead(encoder_dim, [PCB_CLASSES],
-                                           f"{p}pcb_head", rng)
-    elif arch_id in (2, 3):
-        in_dim = APPRAISAL_COUNT if arch_id == 2 else EMOTION_COUNT
-        model.heads["pcb_head"] = FFNNHead(in_dim, [1024, 512, PCB_CLASSES],
-                                           f"{p}pcb_head", rng)
-    elif arch_id == 4:
-        model.encoder = make_encoder()
-        model.heads["appraisal_head"] = FFNNHead(encoder_dim, [APPRAISAL_LOGITS],
-                                                 f"{p}appraisal_head", rng)
-        model.heads["pcb_head"] = FFNNHead(APPRAISAL_LOGITS, [1024, 512, PCB_CLASSES],
-                                           f"{p}pcb_head", rng)
-    elif arch_id == 5:
-        model.encoder = make_encoder()
-        model.heads["emotion_head"] = FFNNHead(encoder_dim, [EMOTION_COUNT],
-                                               f"{p}emotion_head", rng)
-        model.heads["pcb_head"] = FFNNHead(EMOTION_COUNT, [1024, 512, PCB_CLASSES],
-                                           f"{p}pcb_head", rng)
-    elif arch_id == 6:
-        model.encoder = make_encoder()
-        model.heads["appraisal_head"] = FFNNHead(encoder_dim, [APPRAISAL_LOGITS],
-                                                 f"{p}appraisal_head", rng)
-        model.heads["emotion_head"] = FFNNHead(APPRAISAL_LOGITS, [512, EMOTION_COUNT],
-                                               f"{p}emotion_head", rng)
-        model.heads["pcb_head"] = FFNNHead(EMOTION_COUNT, [1024, 512, PCB_CLASSES],
-                                           f"{p}pcb_head", rng)
-    elif arch_id in (7, 8, 9):
-        model.components["text"] = build(
-            1, encoder_dim, vocab, max_sequence_length=max_sequence_length,
-            precomputed=precomputed, _prefix=f"{p}text_model.", _rng=rng)
-        model.encoder = model.components["text"].encoder
-        fused = encoder_dim
-        if arch_id in (7, 9):
-            model.components["appraisals"] = build(
-                2, encoder_dim, _prefix=f"{p}appraisal_model.", _rng=rng)
-            fused += 512
-        if arch_id in (8, 9):
-            model.components["emotions"] = build(
-                3, encoder_dim, _prefix=f"{p}emotion_model.", _rng=rng)
-            fused += 512
-        model.heads["pcb_head"] = FFNNHead(fused, [1024, 512, PCB_CLASSES],
-                                           f"{p}pcb_head", rng)
-    elif arch_id == 10:
-        model.encoder = make_encoder()
-        model.heads["appraisal_head"] = FFNNHead(encoder_dim, [APPRAISAL_LOGITS],
-                                                 f"{p}appraisal_head", rng)
-        model.heads["pcb_head"] = FFNNHead(encoder_dim + APPRAISAL_LOGITS,
-                                           [512, PCB_CLASSES], f"{p}pcb_head", rng)
-    elif arch_id == 11:
-        model.encoder = make_encoder()
-        model.heads["emotion_head"] = FFNNHead(encoder_dim, [EMOTION_COUNT],
-                                               f"{p}emotion_head", rng)
-        model.heads["pcb_head"] = FFNNHead(encoder_dim + EMOTION_COUNT,
-                                           [512, PCB_CLASSES], f"{p}pcb_head", rng)
-    elif arch_id == 12:
-        model.encoder = make_encoder()
-        model.heads["appraisal_head"] = FFNNHead(encoder_dim, [APPRAISAL_LOGITS],
-                                                 f"{p}appraisal_head", rng)
-        model.heads["emotion_head"] = FFNNHead(APPRAISAL_LOGITS, [512, EMOTION_COUNT],
-                                               f"{p}emotion_head", rng)
-        model.heads["pcb_head"] = FFNNHead(
-            encoder_dim + APPRAISAL_LOGITS + EMOTION_COUNT,
-            [512, PCB_CLASSES], f"{p}pcb_head", rng)
+    for head in spec.heads:
+        for source in head.inputs:
+            if source == TEXT_EMBEDDING and model.encoder is None:
+                if precomputed is not None:
+                    model.encoder = precomputed
+                else:
+                    v = vocab if vocab is not None else Vocabulary(["<pad>", "<unk>"])
+                    model.encoder = TextEncoder(
+                        v, TextEncoderConfig(encoder_dim, max_sequence_length),
+                        rng, path=f"{_prefix}encoder")
+            elif source in _TOWERS:
+                tower_id, key, prefix = _TOWERS[source]
+                tower = build(tower_id, encoder_dim, vocab,
+                              max_sequence_length=max_sequence_length,
+                              precomputed=precomputed, _prefix=_prefix + prefix, _rng=rng)
+                model.components[key] = tower
+                if tower.encoder is not None:
+                    model.encoder = tower.encoder
+        model.heads[head.name] = FFNNHead(spec.in_width(head, encoder_dim), head.widths,
+                                          _prefix + head.name, rng)
     return model
 
 
 def describe(model: ModelInstance) -> dict:
     """Deterministic, seed-independent serialization of the model graph."""
-    spec = model.spec
+    spec, d = model.spec, model.encoder_dim
+    nodes: dict[str, tuple[int, ...]] = {}
+    edges: list[tuple[str, str]] = []
+
+    def node(source: str) -> str:
+        """The node carrying ``source``, added along with what feeds it."""
+        if source in _HEADS:
+            return _HEADS[source][0]
+        if source not in _TOWERS:
+            nodes[source] = (spec.width(source, d),)
+            return source
+        last = architecture_spec(_TOWERS[source][0]).heads[-1]
+        (below,) = [node(s) for s in last.inputs]
+        if len(last.widths) == 1:
+            return below  # no hidden layer: the tower is its input
+        nodes[source] = last.widths[:-1]
+        edges.append((below, source))
+        return source
+
+    for head in spec.heads:
+        name = _HEADS[head.name][0]
+        nodes[name] = head.widths
+        feeds = [node(source) for source in head.inputs]
+        if len(feeds) > 1:
+            nodes[FUSION_CONCAT] = (spec.in_width(head, d),)
+            edges += [(feed, FUSION_CONCAT) for feed in feeds]
+            feeds = [FUSION_CONCAT]
+        edges.append((feeds[0], name))
     return {
         "id": spec.id,
         "name": spec.name,
         "family": spec.family,
         "input_modalities": sorted(spec.input_modalities),
         "auxiliary_targets": sorted(spec.auxiliary_targets),
-        "nodes": [{"name": n.name, "widths": list(n.widths)}
-                  for n in sorted(spec.nodes, key=lambda n: n.name)],
-        "edges": sorted([list(e) for e in spec.edges]),
+        "nodes": [{"name": n, "widths": list(w)} for n, w in sorted(nodes.items())],
+        "edges": sorted([list(e) for e in edges]),
     }
 
 

@@ -6,14 +6,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import (Tensor, add, binary_cross_entropy, cross_entropy,
-                       grouped_cross_entropy, matmul, parameter, relu)
+from .autodiff import Tensor, add, matmul, parameter, relu
 from .errors import ConfigError, OptimizerError
 
-__all__ = [
-    "LinearLayer", "FFNNHead", "Adam", "LinearSchedule", "schedule_lr",
-    "cross_entropy", "binary_cross_entropy", "grouped_cross_entropy",
-]
+__all__ = ["LinearLayer", "FFNNHead", "Adam", "LinearSchedule"]
 
 
 def kaiming_uniform(rng: np.random.Generator, fan_in: int, shape) -> np.ndarray:
@@ -50,12 +46,14 @@ class FFNNHead:
             self.layers.append(LinearLayer(prev, w, f"{path}.layer{i}", rng))
             prev = w
 
-    def __call__(self, x: Tensor) -> Tensor:
-        for i, layer in enumerate(self.layers):
-            x = layer(x)
-            if i < len(self.layers) - 1:
-                x = relu(x)
+    def hidden(self, x: Tensor) -> Tensor:
+        """Activation before the final layer: each earlier layer followed by relu."""
+        for layer in self.layers[:-1]:
+            x = relu(layer(x))
         return x
+
+    def __call__(self, x: Tensor) -> Tensor:
+        return self.layers[-1](self.hidden(x))
 
     def parameters(self) -> dict[str, Tensor]:
         out: dict[str, Tensor] = {}
@@ -70,7 +68,6 @@ class LinearSchedule:
 
     base_lr: float
     total_steps: int
-    current_step: int = 0
 
     def __post_init__(self) -> None:
         if self.total_steps <= 0:
@@ -78,11 +75,6 @@ class LinearSchedule:
 
     def lr_at(self, step: int) -> float:
         return max(self.base_lr * (1.0 - step / self.total_steps), 0.0)
-
-
-def schedule_lr(schedule: LinearSchedule) -> float:
-    """Learning rate at the schedule's current step."""
-    return schedule.lr_at(schedule.current_step)
 
 
 @dataclass

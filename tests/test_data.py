@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from pcbnet.data import (APPRAISAL_COUNT, EMOTION_COUNT, Level, ReviewRecord,
                          SyntheticGeneratorConfig, generate_synthetic, ingest,
                          planted_emotions, planted_pcb, read_appraisal_names,
-                         segment_appraisal, segment_emotion, segment_labels,
+                         segment_emotion, segment_labels,
                          segment_pcb, split_records, write_appraisal_names,
                          write_csv, write_jsonl)
 from pcbnet.errors import ConfigError, SizeError, ValidationError
@@ -22,7 +22,6 @@ class TestSegmentation:
                     6: Level.HIGH, 7: Level.HIGH}
         for rating, level in expected.items():
             assert segment_pcb(rating) == level
-            assert segment_appraisal(rating) == level
 
     def test_emotion_table(self):
         expected = {1: 0, 2: 0, 3: 0, 4: 0, 5: 1, 6: 1, 7: 1}

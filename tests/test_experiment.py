@@ -25,7 +25,7 @@ def prepared(small_records):
 
 class TestFeaturize:
     def test_targets_and_scaling(self, prepared, small_records):
-        from pcbnet.data import segment_appraisal, segment_emotion, segment_pcb
+        from pcbnet.data import segment_emotion, segment_pcb
         data, _ = prepared
         for i in (0, 7, 31):
             record = small_records[i]
@@ -36,7 +36,7 @@ class TestFeaturize:
             flags = data.appraisal_target_flags[i].reshape(20, 3)
             assert np.all(flags.sum(axis=1) == 1.0)
             for k in range(20):
-                assert np.argmax(flags[k]) == int(segment_appraisal(record.appraisals[k]))
+                assert np.argmax(flags[k]) == int(segment_pcb(record.appraisals[k]))
             assert data.emotion_target_flags[i].tolist() == [
                 segment_emotion(e) for e in record.emotions]
 
@@ -199,6 +199,25 @@ class TestEncoderSlot:
                                precomputed_embeddings=str(path))
         summary = run_repetitions(small_records, cfg)
         assert 0.0 <= summary.mean_accuracy <= 1.0
+
+    @pytest.mark.parametrize("arch_id", [1, 9])
+    def test_precomputed_width_mismatch_fails_before_training(
+            self, small_records, tmp_path, monkeypatch, arch_id):
+        from pcbnet import experiment
+        from pcbnet.text import save_precomputed_embeddings
+        rng = np.random.default_rng(0)
+        path = tmp_path / "embeddings.jsonl"
+        save_precomputed_embeddings(path, {r.id: rng.normal(size=64)
+                                           for r in small_records})
+        trained = []
+        monkeypatch.setattr(experiment, "_train_single",
+                            lambda model, *args, **kwargs: trained.append(model))
+        cfg = ExperimentConfig(architecture=arch_id, repetitions=1, text_epochs=1,
+                               rating_epochs=1, encoder_dim=128,
+                               precomputed_embeddings=str(path))
+        with pytest.raises(ConfigError, match=r"\b64\b.*\b128\b"):
+            run_repetitions(small_records, cfg)
+        assert trained == []
 
     def test_precomputed_encoder_rejects_attribution(self, small_records, tmp_path):
         from pcbnet.attribution import integrated_gradients

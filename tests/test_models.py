@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from pcbnet.models import (build, describe, describe_json, load_model,
                            save_model)
 from pcbnet.text import Vocabulary
 
-from architecture_fixtures import FIXTURES
+from architecture_fixtures import FIXTURES, INIT_SHA256, PARAMETER_SHAPES
 
 
 @pytest.fixture(scope="module")
@@ -90,6 +92,19 @@ class TestBottleneckProperty:
 
 
 class TestBuildShapes:
+    @pytest.mark.parametrize("arch_id", range(1, 13))
+    def test_parameter_paths_and_shapes_are_pinned(self, arch_id):
+        params = build(arch_id).parameters()
+        got = [(path, p.data.shape) for path, p in params.items()]
+        assert got == PARAMETER_SHAPES[arch_id]
+
+    @pytest.mark.parametrize("arch_id", range(1, 13))
+    def test_initialization_is_pinned(self, arch_id):
+        digest = hashlib.sha256()
+        for p in build(arch_id, seed=0).parameters().values():
+            digest.update(np.ascontiguousarray(p.data, dtype=np.float64).tobytes())
+        assert digest.hexdigest() == INIT_SHA256[arch_id]
+
     def test_build3_parameter_shapes(self):
         shapes = [p.data.shape for p in build(3).parameters().values()]
         assert shapes == [(8, 1024), (1024,), (1024, 512), (512,), (512, 3), (3,)]

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from pcbnet.autodiff import Tensor, backward, matmul, mean
 from pcbnet.errors import ConfigError, OptimizerError
-from pcbnet.nn import Adam, FFNNHead, LinearLayer, LinearSchedule, schedule_lr
+from pcbnet.nn import Adam, FFNNHead, LinearLayer, LinearSchedule
 
 
 def make_rng(seed=0):
@@ -128,10 +128,6 @@ class TestLinearSchedule:
     def test_zero_total_steps_rejected(self):
         with pytest.raises(ConfigError):
             LinearSchedule(base_lr=1e-5, total_steps=0)
-
-    def test_schedule_lr_uses_current_step(self):
-        s = LinearSchedule(base_lr=2.0, total_steps=4, current_step=1)
-        assert schedule_lr(s) == 1.5
 
     @given(st.integers(1, 500), st.floats(1e-8, 1.0))
     @settings(max_examples=60)
