@@ -9,7 +9,9 @@ of silent bugs.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+import threading
+from contextlib import contextmanager
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -75,19 +77,44 @@ def parameter(data, path: str) -> Tensor:
     return Tensor(data, requires_grad=True, path=path)
 
 
-def _accumulate(t: Tensor, g: Array) -> None:
-    # the first gradient is copied, never aliased: ``add`` hands one ``g`` to
-    # both inputs and ``concat`` hands out views of its upstream gradient
+class _GradMode(threading.local):
+    enabled = True  # the class attribute is every thread's default
+
+
+_grad_mode = _GradMode()
+
+
+@contextmanager
+def no_grad() -> Iterator[None]:
+    """Record no graph for operations run in this thread inside the block.
+
+    Thread-local, so a forward evaluated here leaves other threads'
+    training graphs intact.
+    """
+    prev = _grad_mode.enabled
+    _grad_mode.enabled = False
+    try:
+        yield
+    finally:
+        _grad_mode.enabled = prev
+
+
+def _accumulate(t: Tensor, g: Array, owned: bool = False) -> None:
+    # Ownership rule: a first gradient that its producer has just allocated
+    # (``owned``: a matmul product, relu's ``g * mask``, a bias sum, a loss
+    # gradient) is kept as the buffer; any other is copied, never aliased,
+    # because ``add`` hands one ``g`` to both inputs, ``concat`` hands out
+    # views of its upstream gradient and ``backward_from`` is given its seed
     if t.requires_grad:
         if t.grad is None:
-            t.grad = np.array(g, dtype=np.float64)
+            t.grad = g if owned else np.array(g, dtype=np.float64)
         else:
             t.grad += g
 
 
 def _result(data: Array, op_kind: str, inputs: Sequence[Tensor],
             backward_fn: Callable[[Array], None]) -> Tensor:
-    if any(t.requires_grad for t in inputs):
+    if _grad_mode.enabled and any(t.requires_grad for t in inputs):
         node = ComputationNode(op_kind, inputs, backward_fn)
         return Tensor(data, requires_grad=True, node=node)
     return Tensor(data)
@@ -148,9 +175,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def _back(g: Array) -> None:
         if a.requires_grad:
-            _accumulate(a, g @ b.data.T)
+            _accumulate(a, g @ b.data.T, owned=True)
         if b.requires_grad:
-            _accumulate(b, a.data.T @ g)
+            _accumulate(b, a.data.T @ g, owned=True)
 
     return _result(out, "matmul", (a, b), _back)
 
@@ -166,7 +193,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         def _back_bias(g: Array) -> None:
             _accumulate(a, g)
             if b.requires_grad:
-                _accumulate(b, g.sum(axis=0))
+                _accumulate(b, g.sum(axis=0), owned=True)
         return _result(a.data + b.data, "add", (a, b), _back_bias)
     raise DimensionError(f"add shapes incompatible: {a.shape} and {b.shape}")
 
@@ -176,7 +203,7 @@ def relu(x: Tensor) -> Tensor:
     mask = x.data > 0.0  # relu'(0) := 0
 
     def _back(g: Array) -> None:
-        _accumulate(x, g * mask)
+        _accumulate(x, g * mask, owned=True)
 
     return _result(out, "relu", (x,), _back)
 
@@ -188,7 +215,7 @@ def sigmoid(x: Tensor) -> Tensor:
     out = np.clip(out, _SIGMOID_LO, _SIGMOID_HI)  # keep outputs inside (0, 1)
 
     def _back(g: Array) -> None:
-        _accumulate(x, g * out * (1.0 - out))
+        _accumulate(x, g * out * (1.0 - out), owned=True)
 
     return _result(out, "sigmoid", (x,), _back)
 
@@ -203,7 +230,7 @@ def softmax(x: Tensor) -> Tensor:
 
     def _back(g: Array) -> None:
         inner = (g * out).sum(axis=-1, keepdims=True)
-        _accumulate(x, out * (g - inner))
+        _accumulate(x, out * (g - inner), owned=True)
 
     return _result(out, "softmax", (x,), _back)
 
@@ -241,7 +268,7 @@ def mean(x: Tensor) -> Tensor:
     out = np.asarray(x.data.mean())
 
     def _back(g: Array) -> None:
-        _accumulate(x, np.full_like(x.data, float(g) / n))
+        _accumulate(x, np.full_like(x.data, float(g) / n), owned=True)
 
     return _result(out, "mean", (x,), _back)
 
@@ -269,7 +296,7 @@ def masked_mean(x: Tensor, mask: Array) -> Tensor:
     out, counts = _pool(x.data, mask)
 
     def _back(g: Array) -> None:
-        _accumulate(x, (g / counts)[:, None, :] * mask[:, :, None])
+        _accumulate(x, (g / counts)[:, None, :] * mask[:, :, None], owned=True)
 
     return _result(out, "masked_mean", (x,), _back)
 
@@ -303,7 +330,7 @@ def embedding_bag(table: Tensor, ids: Array, mask: Array) -> Tensor:
         rows = (np.arange(b)[:, None] * vocab_size + ids).ravel()
         bags = np.bincount(rows, weights=mask.ravel(),
                            minlength=b * vocab_size).reshape(b, vocab_size)
-        _accumulate(table, bags.T @ (g / counts))
+        _accumulate(table, bags.T @ (g / counts), owned=True)
 
     return _result(out, "embedding_bag", (table,), _back)
 
@@ -319,7 +346,7 @@ def embedding_lookup(table: Tensor, ids: Array) -> Tensor:
             return
         gt = np.zeros_like(table.data)
         np.add.at(gt, ids.reshape(-1), g.reshape(-1, table.shape[1]))
-        _accumulate(table, gt)
+        _accumulate(table, gt, owned=True)
 
     return _result(out, "embedding_lookup", (table,), _back)
 
@@ -354,7 +381,7 @@ def cross_entropy(logits: Tensor, targets: Array, weight: float = 1.0) -> Tensor
     def _back(g: Array) -> None:
         dz = np.exp(lsm)
         dz[np.arange(b), targets] -= 1.0
-        _accumulate(logits, dz * (weight * float(g) / b))
+        _accumulate(logits, dz * (weight * float(g) / b), owned=True)
 
     return _result(out, "cross_entropy", (logits,), _back)
 
@@ -392,7 +419,8 @@ def grouped_cross_entropy(logits: Tensor, targets: Array, groups: int,
     def _back(g: Array) -> None:
         dz = np.exp(lsm)
         dz[rows, cols, targets] -= 1.0
-        _accumulate(logits, dz.reshape(b, groups * c) * (weight * float(g) / (b * groups)))
+        _accumulate(logits, dz.reshape(b, groups * c) * (weight * float(g) / (b * groups)),
+                    owned=True)
 
     return _result(out, "cross_entropy", (logits,), _back)
 
@@ -420,6 +448,6 @@ def binary_cross_entropy(logits: Tensor, targets: Array, weight: float = 1.0) ->
     def _back(g: Array) -> None:
         sig = np.where(z >= 0, 1.0 / (1.0 + np.exp(-np.abs(z))),
                        np.exp(-np.abs(z)) / (1.0 + np.exp(-np.abs(z))))
-        _accumulate(logits, (sig - targets) * (weight * float(g) / n))
+        _accumulate(logits, (sig - targets) * (weight * float(g) / n), owned=True)
 
     return _result(out, "binary_cross_entropy", (logits,), _back)

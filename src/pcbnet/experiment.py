@@ -9,7 +9,7 @@ from typing import Sequence
 import numpy as np
 
 from .autodiff import (Tensor, add, backward, binary_cross_entropy, cross_entropy,
-                       grouped_cross_entropy)
+                       grouped_cross_entropy, no_grad)
 from .data import (APPRAISAL_COUNT, DatasetSplit, ReviewRecord, segment_emotion,
                    segment_pcb, split_records)
 from .errors import ConfigError, SizeError, TrainingError
@@ -275,7 +275,8 @@ def evaluate(model: ModelInstance, data: Dataset, idx: Sequence[int],
     emo_correct = emo_total = app_correct = app_total = 0
     for start in range(0, len(idx), chunk):
         batch = data.batch(idx[start:start + chunk], pcb_target)
-        out = model.forward(batch)
+        with no_grad():
+            out = model.forward(batch)
         preds.append(np.argmax(out["pcb_logits"].data, axis=1))
         if "emotion_logits" in out:
             got = (out["emotion_logits"].data > 0).astype(np.float64)

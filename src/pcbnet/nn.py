@@ -77,9 +77,22 @@ class LinearSchedule:
         return max(self.base_lr * (1.0 - step / self.total_steps), 0.0)
 
 
+# Adam walks each parameter in blocks of this many float64 (256 KiB per
+# array), so a block of p, g, m, v and the two scratch blocks stays in a 2 MiB
+# L2 cache across the update's 14 passes. Measured on the fusion head's
+# shapes (1.71 M float64) on a 2-core Intel Xeon with 2 MiB L2 per core:
+# 35.8 ms per step whole-array, 27.9 ms at 4096, 23.1 ms at 8192 and
+# 21.2-21.8 ms from 16384 to 65536.
+_ADAM_BLOCK = 32768
+
+
 @dataclass
 class Adam:
-    """Standard Adam with bias correction; clears gradients after each step."""
+    """Standard Adam with bias correction; clears gradients after each step.
+
+    Every parameter must be C-contiguous: the update runs on flat views of
+    its buffer, in place.
+    """
 
     params: dict[str, Tensor]
     lr: float = 1e-5
@@ -92,14 +105,20 @@ class Adam:
 
     def __post_init__(self) -> None:
         for path, p in self.params.items():
-            self.m[path] = np.zeros_like(p.data)
-            self.v[path] = np.zeros_like(p.data)
+            self.m[path] = np.zeros(p.data.shape)
+            self.v[path] = np.zeros(p.data.shape)
 
     def step(self, lr: float | None = None) -> None:
         lr = self.lr if lr is None else lr
         for path, p in self.params.items():
             if p.grad is None:
                 raise OptimizerError(f"parameter {path!r} has no gradient")
+            if p.grad.shape != p.data.shape:
+                raise OptimizerError(
+                    f"parameter {path!r} has shape {p.data.shape} "
+                    f"but its gradient {p.grad.shape}")
+            if not p.data.flags.c_contiguous:
+                raise OptimizerError(f"parameter {path!r} is not C-contiguous")
         self.step_count += 1
         bc1 = 1.0 - self.beta1 ** self.step_count
         bc2 = 1.0 - self.beta2 ** self.step_count
@@ -107,24 +126,28 @@ class Adam:
         #   m = beta1 * m + (1 - beta1) * g
         #   v = beta2 * v + (1 - beta2) * g * g
         #   p -= lr * (m / bc1) / (sqrt(v / bc2) + epsilon)
-        # so every result is bit-for-bit the same. Two scratch buffers hold
-        # the temporaries; they live for one step only, so they add nothing
-        # to the memory held during forward and backward.
-        size = max((p.data.size for p in self.params.values()), default=0)
-        buf_a, buf_b = np.empty(size), np.empty(size)
+        # so every result is bit-for-bit the same: each operation is
+        # elementwise, so running them block by block changes no bit. The two
+        # scratch blocks live for one call, never on the optimizer or the
+        # module, so they add nothing to the memory held between steps and
+        # are never shared between threads.
+        buf_a, buf_b = np.empty(_ADAM_BLOCK), np.empty(_ADAM_BLOCK)
         for path, p in self.params.items():
-            g, m, v = p.grad, self.m[path], self.v[path]
-            a = buf_a[:g.size].reshape(g.shape)
-            b = buf_b[:g.size].reshape(g.shape)
-            m *= self.beta1
-            m += np.multiply(1.0 - self.beta1, g, out=a)
-            v *= self.beta2
-            np.multiply(1.0 - self.beta2, g, out=a)
-            v += np.multiply(a, g, out=a)
-            np.divide(m, bc1, out=a)
-            a *= lr
-            np.divide(v, bc2, out=b)
-            np.sqrt(b, out=b)
-            b += self.epsilon
-            p.data -= np.divide(a, b, out=a)
+            theta, grad = p.data.reshape(-1), p.grad.reshape(-1)
+            m_all, v_all = self.m[path].reshape(-1), self.v[path].reshape(-1)
+            for start in range(0, theta.size, _ADAM_BLOCK):
+                stop = min(start + _ADAM_BLOCK, theta.size)
+                g, m, v = grad[start:stop], m_all[start:stop], v_all[start:stop]
+                a, b = buf_a[:stop - start], buf_b[:stop - start]
+                m *= self.beta1
+                m += np.multiply(1.0 - self.beta1, g, out=a)
+                v *= self.beta2
+                np.multiply(1.0 - self.beta2, g, out=a)
+                v += np.multiply(a, g, out=a)
+                np.divide(m, bc1, out=a)
+                a *= lr
+                np.divide(v, bc2, out=b)
+                np.sqrt(b, out=b)
+                b += self.epsilon
+                theta[start:stop] -= np.divide(a, b, out=a)
             p.grad = None

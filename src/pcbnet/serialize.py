@@ -82,9 +82,11 @@ def load_params(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
     if header_len > len(raw) - pos:
         raise ValidationError(
             f"{path}: header length {header_len} exceeds the {len(raw) - pos} bytes left")
+    # ValueError covers bad UTF-8, bad JSON and integers too long to convert;
+    # RecursionError, arrays or objects nested too deep
     try:
         header = json.loads(raw[pos:pos + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise ValidationError(f"{path}: corrupt header ({exc})") from exc
     if not isinstance(header, dict):
         raise ValidationError(f"{path}: header is not a JSON object")
@@ -99,16 +101,24 @@ def load_params(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
     available = (len(raw) - data_start) // 8
     tensors: dict[str, np.ndarray] = {}
     for entry in index:
-        try:
-            name, offset = str(entry["name"]), int(entry["offset"])
-            shape = tuple(int(n) for n in entry["shape"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValidationError(f"{path}: bad tensor index entry {entry!r}") from exc
+        fields = entry if isinstance(entry, dict) else {}
+        name, offset, shape = fields.get("name"), fields.get("offset"), fields.get("shape")
+        if not (isinstance(name, str) and _is_count(offset) and isinstance(shape, list)
+                and all(_is_count(n) for n in shape)):
+            raise ValidationError(f"{path}: bad tensor index entry {entry!r}")
         count = math.prod(shape)
-        if offset < 0 or min(shape, default=0) < 0 or offset + count > available:
+        if offset + count > available:
             raise ValidationError(
                 f"{path}: tensor {name!r} ({count} values at offset {offset}) "
                 f"runs past the {available} values in the file")
         flat = np.frombuffer(raw, dtype="<f8", count=count, offset=data_start + offset * 8)
-        tensors[name] = flat.reshape(shape).astype(np.float64)
+        try:
+            tensors[name] = flat.reshape(shape).astype(np.float64)
+        except ValueError as exc:  # more dimensions, or larger ones, than numpy allows
+            raise ValidationError(f"{path}: tensor {name!r} has shape {shape} ({exc})") from exc
     return tensors, meta
+
+
+def _is_count(value) -> bool:
+    """A non-negative JSON integer (``bool`` is an ``int`` subclass in Python)."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0

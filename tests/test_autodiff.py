@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,7 @@ from pcbnet.autodiff import (Tensor, add, backward, backward_from,
                              binary_cross_entropy, concat, cross_entropy,
                              embedding_bag, embedding_lookup,
                              grouped_cross_entropy, masked_mean, matmul, mean,
-                             relu, sigmoid, softmax)
+                             no_grad, relu, sigmoid, softmax)
 from pcbnet.errors import (DimensionError, GraphError, LabelError,
                            VocabularyError)
 
@@ -166,6 +168,29 @@ class TestBackwardContract:
         backward(loss2)
         assert np.allclose(x.grad, 2 * first)
 
+    def test_no_gradient_buffer_is_shared(self):
+        def leaf(*shape):
+            return Tensor(RNG.normal(size=shape), requires_grad=True)
+
+        a, b, w, bias, c, p = leaf(3, 4), leaf(3, 4), leaf(4, 4), leaf(4), leaf(3, 2), leaf(6, 6)
+        s = add(a, b)                        # one g handed to both operands
+        h = add(matmul(s, w), bias)          # bias-add
+        r = relu(concat([h, c], axis=1))     # views of the upstream gradient
+        pp = matmul(p, p)                    # one tensor on both sides
+        out = matmul(r, pp)
+        loss = cross_entropy(out, np.array([0, 5, 2]))
+        upstream = RNG.normal(size=out.shape)
+        backward_from(out, upstream)
+        backward(loss)
+        tensors = [a, b, w, bias, c, p, s, h, r, pp, out, loss]
+        assert all(t.grad is not None for t in tensors)
+        for i, t in enumerate(tensors):
+            assert not np.shares_memory(t.grad, upstream), i
+            for j, u in enumerate(tensors):
+                assert not np.shares_memory(t.grad, u.data), (i, j)
+                if j != i:
+                    assert not np.shares_memory(t.grad, u.grad), (i, j)
+
     def test_two_layer_mlp_matches_finite_differences(self):
         w1 = RNG.normal(size=(5, 4)) * 0.5
         b1 = RNG.normal(size=4) * 0.1
@@ -203,6 +228,53 @@ class TestBackwardContract:
         l2, g2 = run()
         assert np.array_equal(l1, l2)
         assert np.array_equal(g1, g2)
+
+
+class TestNoGrad:
+    def test_records_no_graph_inside_and_restores_after(self):
+        x = Tensor(RNG.normal(size=(2, 3)), requires_grad=True)
+        with no_grad():
+            with no_grad():
+                inner = relu(x)
+            out = matmul(relu(x), Tensor(np.ones((3, 1))))
+        assert inner.node is None and not inner.requires_grad
+        assert out.node is None and not out.requires_grad
+        after = relu(x)
+        assert after.node is not None and after.requires_grad
+        with_graph = matmul(relu(x), Tensor(np.ones((3, 1))))
+        assert np.array_equal(out.data, with_graph.data)
+
+    def test_restored_when_the_block_raises(self):
+        x = Tensor(np.ones(2), requires_grad=True)
+        with pytest.raises(RuntimeError):
+            with no_grad():
+                raise RuntimeError
+        assert relu(x).node is not None
+
+    def test_other_threads_keep_their_graphs(self):
+        x = Tensor(RNG.normal(size=(2, 3)), requires_grad=True)
+        inside, release = threading.Event(), threading.Event()
+        seen = []
+
+        def hold_no_grad():
+            with no_grad():
+                inside.set()
+                release.wait(timeout=60)
+                seen.append(relu(x).node)
+
+        worker = threading.Thread(target=hold_no_grad)
+        worker.start()
+        try:
+            assert inside.wait(timeout=60)
+            loss = mean(relu(x))
+            assert loss.node is not None
+            backward(loss)
+            assert x.grad is not None
+        finally:
+            release.set()
+            worker.join(timeout=60)
+        assert not worker.is_alive()
+        assert seen == [None]
 
 
 class TestPoolingAndLookup:

@@ -1,10 +1,16 @@
 import csv
 import json
+import re
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
-from pcbnet.cli import main, render_report
+from pcbnet.cli import _SYNTH_KEYS, _TRAIN_KEYS, main, render_report
 from pcbnet.data import ingest
+from pcbnet.experiment import ExperimentConfig
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def write_config(path, obj):
@@ -152,6 +158,34 @@ class TestTrain:
         entry = summary["arch03_promote"]
         assert {"mean_accuracy", "std_accuracy", "mean_f1", "std_f1"} <= set(entry)
         assert entry["std_kind"] == "population"
+
+
+def readme_config_keys(command):
+    """Backticked names in the README's "Config keys" sentence for ``command``.
+
+    The sentence runs from the first colon after "Config keys" in the
+    paragraph that starts with `command` to its closing full stop;
+    parenthesized remarks (defaults, allowed values) are skipped.
+    """
+    paragraph = next(p for p in README.read_text().split("\n\n")
+                     if p.startswith(f"`{command}`"))
+    listing = paragraph[paragraph.index("Config keys"):]
+    listing = listing[listing.index(":") + 1:]
+    listing = re.split(r"\.\s", listing + " ", maxsplit=1)[0]
+    return re.findall(r"`([^`]+)`", re.sub(r"\([^)]*\)", "", listing))
+
+
+class TestReadmeConfigKeys:
+    def test_synth_keys_are_accepted(self):
+        keys = readme_config_keys("synth")
+        assert "record_count" in keys and "squash_scale" in keys
+        assert set(keys) <= _SYNTH_KEYS
+
+    def test_train_keys_are_accepted_and_cover_the_config(self):
+        keys = readme_config_keys("train")
+        assert "dataset" in keys and "track_validation" in keys
+        assert set(keys) <= _TRAIN_KEYS
+        assert {f.name for f in fields(ExperimentConfig)} <= set(keys)
 
 
 class TestOutputRoot:

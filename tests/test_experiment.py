@@ -1,11 +1,15 @@
+import threading
+
 import numpy as np
 import pytest
 
+from pcbnet.autodiff import backward
 from pcbnet.data import SyntheticGeneratorConfig, generate_synthetic, split_records
 from pcbnet.errors import ConfigError, SizeError
 from pcbnet.experiment import (ExperimentConfig, MetricsSummary,
                                RepetitionResult, build_vocab_for_split,
-                               evaluate, featurize, run_repetitions, train)
+                               compute_loss, evaluate, featurize,
+                               run_repetitions, train)
 from pcbnet.models import build
 
 
@@ -136,6 +140,47 @@ class TestEvaluate:
         result = evaluate(model, data, split.test, "promote")
         assert "emotion_flag_accuracy" in result.diagnostics
         assert "appraisal_class_accuracy" in result.diagnostics
+
+    def test_records_no_graph_while_another_thread_trains(self, prepared):
+        data, split = prepared
+        model = build(12, vocab=data.vocab, seed=0)
+        trained = build(2, seed=0)
+        outputs, failures = [], []
+        inside, release = threading.Event(), threading.Event()
+        forward = model.forward
+
+        def paused_forward(batch, **kwargs):
+            out = forward(batch, **kwargs)
+            outputs.append(out)
+            inside.set()
+            release.wait(timeout=60)
+            return out
+
+        def evaluate_in_thread():
+            try:
+                evaluate(model, data, split.test, "promote")
+            except Exception as exc:  # surfaced by the assertion below
+                failures.append(exc)
+
+        model.forward = paused_forward
+        worker = threading.Thread(target=evaluate_in_thread)
+        worker.start()
+        try:
+            assert inside.wait(timeout=60)
+            # the evaluating thread is inside its no-graph block right now
+            cfg = ExperimentConfig(architecture=2)
+            backward(compute_loss(trained, data.batch(split.train[:16], "promote"), cfg))
+            for path, p in trained.parameters().items():
+                assert p.grad is not None, path
+        finally:
+            release.set()
+            worker.join(timeout=60)
+        assert not worker.is_alive()
+        assert not failures
+        assert outputs
+        for out in outputs:
+            for name, t in out.items():
+                assert t.node is None and not t.requires_grad, name
 
 
 class TestRepetitions:

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from pcbnet.autodiff import Tensor, backward, matmul, mean
 from pcbnet.errors import ConfigError, OptimizerError
-from pcbnet.nn import Adam, FFNNHead, LinearLayer, LinearSchedule
+from pcbnet.nn import _ADAM_BLOCK, Adam, FFNNHead, LinearLayer, LinearSchedule
 
 
 def make_rng(seed=0):
@@ -72,9 +72,13 @@ class TestAdam:
         assert abs(p.data[0] - theta) < 1e-12
 
     def test_missing_grad_names_parameter(self):
+        first = Tensor(np.array([1.0]), requires_grad=True, path="w")
+        first.grad = np.array([1.0])
         p = Tensor(np.array([0.0]), requires_grad=True, path="pcb_head.bias")
         with pytest.raises(OptimizerError, match="pcb_head.bias"):
-            Adam({"pcb_head.bias": p}).step()
+            Adam({"w": first, "pcb_head.bias": p}).step()
+        # checked before any parameter is updated
+        assert first.data[0] == 1.0 and first.grad is not None
 
     def test_grads_cleared_after_step(self):
         p = Tensor(np.array([0.0]), requires_grad=True, path="p")
@@ -94,9 +98,15 @@ class TestAdam:
 
     def test_in_place_matches_textbook_update_bit_for_bit(self):
         rng = make_rng(5)
-        shapes = {"w": (20, 16), "b": (16,), "e": (7, 4)}
+        # "big" spans two blocks and ends in a partial one
+        big = (3, _ADAM_BLOCK // 2 + 7)
+        assert _ADAM_BLOCK < big[0] * big[1] < 2 * _ADAM_BLOCK
+        assert (big[0] * big[1]) % _ADAM_BLOCK != 0
+        shapes = {"w": (20, 16), "b": (16,), "e": (7, 4), "big": big,
+                  "one": (1,), "scalar": ()}
         params = {k: Tensor(rng.normal(size=s), requires_grad=True, path=k)
                   for k, s in shapes.items()}
+        buffers = {k: p.data for k, p in params.items()}
         lr, b1, b2, eps = 3e-3, 0.9, 0.999, 1e-8
         theta = {k: p.data.copy() for k, p in params.items()}
         m = {k: np.zeros(s) for k, s in shapes.items()}
@@ -113,9 +123,32 @@ class TestAdam:
                 params[k].grad = g.copy()
             opt.step(lr=lr_t)
         for k, p in params.items():
+            assert p.data is buffers[k], k  # updated in place
             assert np.array_equal(p.data, theta[k]), k
             assert np.array_equal(opt.m[k], m[k]), k
             assert np.array_equal(opt.v[k], v[k]), k
+
+    def test_non_contiguous_parameter_is_refused_not_dropped(self):
+        # a flat view of a transposed buffer would be a copy, and the update
+        # would land in the copy; the step must refuse it before any update
+        rng = make_rng(6)
+        params = {"ok": Tensor(rng.normal(size=(4, 3)), requires_grad=True, path="ok"),
+                  "t": Tensor(rng.normal(size=(3, 4)).T, requires_grad=True, path="t")}
+        before = {k: p.data.copy() for k, p in params.items()}
+        for p in params.values():
+            p.grad = np.ones(p.data.shape)
+        opt = Adam(params, lr=0.1)
+        with pytest.raises(OptimizerError, match="contiguous"):
+            opt.step()
+        for k, p in params.items():
+            assert np.array_equal(p.data, before[k]), k
+        assert opt.step_count == 0
+
+    def test_gradient_of_another_shape_is_refused(self):
+        p = Tensor(np.zeros((3, 4)), requires_grad=True, path="p")
+        p.grad = np.zeros((4, 3))
+        with pytest.raises(OptimizerError, match="shape"):
+            Adam({"p": p}).step()
 
 
 class TestLinearSchedule:

@@ -1,8 +1,44 @@
+import json
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pcbnet.errors import ValidationError
-from pcbnet.serialize import (FORMAT_VERSION, MAGIC, load_params, save_params)
+from pcbnet.serialize import (FORMAT_NAME, FORMAT_VERSION, MAGIC, load_params,
+                              save_params)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("fuzz")
+    save_params(d / "valid.params",
+                {"head.weight": np.arange(6.0).reshape(2, 3), "head.bias": np.ones(3),
+                 "s": np.array(2.5)},
+                meta={"architecture_id": 12, "vocab": ["<pad>", "good"]})
+    return d
+
+
+def load_or_validation_error(path, raw):
+    """Load ``raw`` from ``path``; any exception but ValidationError fails the test."""
+    path.write_bytes(raw)
+    try:
+        load_params(path)
+    except ValidationError:
+        pass
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner,
+                                                                 max_size=4),
+    max_leaves=12)
+counts = st.integers(-2, 3) | st.integers(2 ** 62, 2 ** 100) | st.just(float("inf"))
+index_entries = st.fixed_dictionaries(
+    {"name": st.text(max_size=4) | json_values, "offset": counts | json_values,
+     "shape": st.lists(counts, max_size=70) | st.lists(json_values, max_size=3) | json_values})
 
 
 class TestParamsFormat:
@@ -55,3 +91,32 @@ class TestParamsFormat:
             cut.write_bytes(raw[:n])
             with pytest.raises(ValidationError):
                 load_params(cut)
+
+    @given(st.binary(max_size=256), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_fuzz_arbitrary_bytes(self, fuzz_dir, tail, with_magic):
+        load_or_validation_error(fuzz_dir / "fuzz.params", (MAGIC if with_magic else b"") + tail)
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_fuzz_flipped_and_truncated_checkpoint(self, fuzz_dir, data):
+        raw = bytearray((fuzz_dir / "valid.params").read_bytes())
+        i = data.draw(st.integers(0, len(raw) - 1))
+        raw[i] ^= data.draw(st.integers(1, 255))
+        cut = data.draw(st.integers(0, len(raw)))
+        load_or_validation_error(fuzz_dir / "fuzz.params", bytes(raw[:cut]))
+
+    @given(st.lists(index_entries | json_values, max_size=3), st.integers(0, 8))
+    @settings(max_examples=200, deadline=None)
+    def test_fuzz_tensor_index(self, fuzz_dir, index, data_values):
+        header = json.dumps({"format": FORMAT_NAME, "version": FORMAT_VERSION,
+                             "meta": {}, "tensors": index}).encode()
+        raw = MAGIC + struct.pack("<Q", len(header)) + header + bytes(8 * data_values)
+        load_or_validation_error(fuzz_dir / "fuzz.params", raw)
+
+    def test_deep_or_huge_header_values_are_validation_errors(self, tmp_path):
+        path = tmp_path / "m.params"
+        for header in (b"[" * 100_000 + b"]" * 100_000, b'{"a": ' + b"9" * 5000 + b"}"):
+            path.write_bytes(MAGIC + struct.pack("<Q", len(header)) + header)
+            with pytest.raises(ValidationError):
+                load_params(path)
