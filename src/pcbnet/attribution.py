@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tensor, backward_from
+from .autodiff import Tensor, backward_from, embedding_bag
 from .data import ReviewRecord, segment_pcb
 from .errors import CapabilityError, ConfigError
 from .models import TEXT, Batch, ModelInstance
@@ -118,7 +118,9 @@ def integrated_gradients(model: ModelInstance, record: ReviewRecord,
     mean p = sum_i mask_i x_i / n, which is linear. So the straight path
     x' + α (x - x') pools to p' + α (p - p'), and dF/dx_i = (mask_i / n) dF/dp:
     the α-steps run on the pooled ``[e]`` vector, all at once, and the
-    per-token gradient follows from the pooled one.
+    per-token gradient follows from the pooled one. p, and the pad baseline's
+    p' (all-pad ids, same mask), pool with ``encode``'s own ``embedding_bag``,
+    so F(x) is the model's logit for the record; the zero baseline is zero.
     """
     if TEXT not in model.spec.input_modalities:
         raise CapabilityError(
@@ -135,7 +137,7 @@ def integrated_gradients(model: ModelInstance, record: ReviewRecord,
 
     batch, tokens = _record_batch(model, record)
     encoder = model.encoder
-    mask = batch.encoded.attention_mask
+    ids, mask = batch.encoded.token_ids, batch.encoded.attention_mask
 
     # Only the pooled path needs a gradient. With every parameter flag off, no
     # other forward records a graph, backward skips the weight products, and
@@ -144,14 +146,12 @@ def integrated_gradients(model: ModelInstance, record: ReviewRecord,
     for p in trainable:
         p.requires_grad = False
     try:
-        x = encoder.token_embeddings(batch.encoded).data  # [1, L, e]
+        p_x = embedding_bag(encoder.embedding, ids, mask)
         if baseline == "pad":
-            x_base = np.broadcast_to(encoder.embedding.data[encoder.vocab.pad_id],
-                                     x.shape).copy()
+            p_base = embedding_bag(encoder.embedding, np.full_like(ids, encoder.vocab.pad_id),
+                                   mask)
         else:
-            x_base = np.zeros_like(x)
-        p_x = encoder.pool(Tensor(x), mask)
-        p_base = encoder.pool(Tensor(x_base), mask)
+            p_base = Tensor(np.zeros_like(p_x.data))
         logits_x = model.forward(batch, pooled_text=p_x)["pcb_logits"].data[0]
         predicted = int(np.argmax(logits_x))
         if target_class == "predicted":
@@ -163,9 +163,11 @@ def integrated_gradients(model: ModelInstance, record: ReviewRecord,
         logits_base = model.forward(batch, pooled_text=p_base)["pcb_logits"].data[0]
         grad_sum = _path_gradient_sum(model, batch, p_base.data,
                                       p_x.data - p_base.data, target_class, steps)
+        x = encoder.token_embeddings(batch.encoded).data  # [1, L, e]
     finally:
         for p in trainable:
             p.requires_grad = True
+    x_base = encoder.embedding.data[encoder.vocab.pad_id] if baseline == "pad" else 0.0
     counts = np.maximum(mask.sum(axis=1), 1.0)[:, None, None]
     # dF/dx_i summed over the path is (mask_i / n) grad_sum
     attributions = (x - x_base) * (mask[:, :, None] * grad_sum / counts) / steps

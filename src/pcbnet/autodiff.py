@@ -100,11 +100,11 @@ def no_grad() -> Iterator[None]:
 
 
 def _accumulate(t: Tensor, g: Array, owned: bool = False) -> None:
-    # Ownership rule: a first gradient that its producer has just allocated
-    # (``owned``: a matmul product, relu's ``g * mask``, a bias sum, a loss
-    # gradient) is kept as the buffer; any other is copied, never aliased,
-    # because ``add`` hands one ``g`` to both inputs, ``concat`` hands out
-    # views of its upstream gradient and ``backward_from`` is given its seed
+    # Ownership rule: ``backward_from`` takes an interior tensor's gradient off
+    # it before its backward rule runs, so that ``g`` has one owner and a rule
+    # may keep or hand it on (``owned``: a fresh product or sum, or the ``g``
+    # add and relu pass on); any other is copied, never aliased: ``concat``
+    # hands out views of ``g``, same-shape add reads it twice, the seed is the caller's
     if t.requires_grad:
         if t.grad is None:
             t.grad = g if owned else np.array(g, dtype=np.float64)
@@ -140,7 +140,10 @@ def _topo_order(root: Tensor) -> list[Tensor]:
 
 
 def backward_from(output: Tensor, upstream: Array) -> None:
-    """Seed ``output`` with an arbitrary upstream gradient and propagate."""
+    """Seed ``output`` with an arbitrary upstream gradient and propagate.
+
+    As in PyTorch, only leaves keep a gradient: every interior ``grad`` ends None.
+    """
     upstream = np.asarray(upstream, dtype=np.float64)
     if upstream.shape != output.data.shape:
         raise DimensionError(
@@ -150,11 +153,12 @@ def backward_from(output: Tensor, upstream: Array) -> None:
     _accumulate(output, upstream)
     for t in reversed(order):
         if t.node is not None and t.grad is not None:
-            t.node.backward_fn(t.grad)
+            g, t.grad = t.grad, None
+            t.node.backward_fn(g)
 
 
 def backward(loss: Tensor) -> None:
-    """Populate ``grad`` on every requires_grad ancestor of a scalar loss.
+    """Populate ``grad`` on every requires_grad leaf ancestor of a scalar loss.
 
     Repeated calls without zeroing accumulate additively.
     """
@@ -186,14 +190,14 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise add; the one allowed broadcast is bias-add of ``[n]`` to ``[m, n]``."""
     if a.shape == b.shape:
         def _back_same(g: Array) -> None:
-            _accumulate(a, g)
             _accumulate(b, g)
+            _accumulate(a, g, owned=True)
         return _result(a.data + b.data, "add", (a, b), _back_same)
     if a.data.ndim == 2 and b.data.ndim == 1 and a.shape[1] == b.shape[0]:
         def _back_bias(g: Array) -> None:
-            _accumulate(a, g)
             if b.requires_grad:
                 _accumulate(b, g.sum(axis=0), owned=True)
+            _accumulate(a, g, owned=True)
         return _result(a.data + b.data, "add", (a, b), _back_bias)
     raise DimensionError(f"add shapes incompatible: {a.shape} and {b.shape}")
 
@@ -203,7 +207,7 @@ def relu(x: Tensor) -> Tensor:
     mask = x.data > 0.0  # relu'(0) := 0
 
     def _back(g: Array) -> None:
-        _accumulate(x, g * mask, owned=True)
+        _accumulate(x, np.multiply(g, mask, out=g), owned=True)
 
     return _result(out, "relu", (x,), _back)
 
@@ -273,16 +277,6 @@ def mean(x: Tensor) -> Tensor:
     return _result(out, "mean", (x,), _back)
 
 
-def _pool(x: Array, mask: Array) -> tuple[Array, Array]:
-    """Masked mean of ``x [b, L, e]`` over ``mask [b, L]``, and the ``[b, 1]`` divisors.
-
-    The one pooling expression behind both ``masked_mean`` and
-    ``embedding_bag``, so the two paths agree bit for bit.
-    """
-    counts = np.maximum(mask.sum(axis=1), 1.0)[:, None]
-    return np.matmul(mask[:, None, :], x)[:, 0] / counts, counts
-
-
 def masked_mean(x: Tensor, mask: Array) -> Tensor:
     """Mean of ``x [b, L, e]`` over the positions where ``mask [b, L]`` is 1.
 
@@ -293,7 +287,8 @@ def masked_mean(x: Tensor, mask: Array) -> Tensor:
     if x.data.ndim != 3 or mask.shape != x.data.shape[:2]:
         raise DimensionError(
             f"masked_mean expects x [b, L, e] and mask [b, L], got {x.shape} and {mask.shape}")
-    out, counts = _pool(x.data, mask)
+    counts = np.maximum(mask.sum(axis=1), 1.0)[:, None]
+    out = np.matmul(mask[:, None, :], x.data)[:, 0] / counts
 
     def _back(g: Array) -> None:
         _accumulate(x, (g / counts)[:, None, :] * mask[:, :, None], owned=True)
@@ -311,11 +306,11 @@ def _check_ids(table: Tensor, ids: Array) -> None:
 
 
 def embedding_bag(table: Tensor, ids: Array, mask: Array) -> Tensor:
-    """``masked_mean(embedding_lookup(table, ids), mask)`` as one op.
+    """``masked_mean(embedding_lookup(table, ids), mask)`` up to rounding, as one op.
 
-    The backward never builds the ``[b, L, e]`` gradient: with ``bags [b, V]``
-    the mask-weighted count of each id in each row, the table gradient is
-    ``bags.T @ (g / counts)``.
+    A mean ignores word order: with ``bags [b, V]`` the mask-weighted count of
+    each id in each row, it is ``bags @ table / counts``, and the table
+    gradient ``bags.T @ (g / counts)``; no ``[b, L, e]`` tensor is built.
     """
     ids = np.asarray(ids)
     mask = np.asarray(mask, dtype=np.float64)
@@ -323,13 +318,14 @@ def embedding_bag(table: Tensor, ids: Array, mask: Array) -> Tensor:
     if ids.ndim != 2 or mask.shape != ids.shape:
         raise DimensionError(
             f"embedding_bag expects ids [b, L] and mask [b, L], got {ids.shape} and {mask.shape}")
-    out, counts = _pool(table.data[ids], mask)
+    b, vocab_size = ids.shape[0], table.shape[0]
+    rows = (np.arange(b)[:, None] * vocab_size + ids).ravel()
+    bags = np.bincount(rows, weights=mask.ravel(),
+                       minlength=b * vocab_size).reshape(b, vocab_size)
+    counts = np.maximum(mask.sum(axis=1), 1.0)[:, None]
+    out = (bags @ table.data) / counts
 
     def _back(g: Array) -> None:
-        b, vocab_size = ids.shape[0], table.shape[0]
-        rows = (np.arange(b)[:, None] * vocab_size + ids).ravel()
-        bags = np.bincount(rows, weights=mask.ravel(),
-                           minlength=b * vocab_size).reshape(b, vocab_size)
         _accumulate(table, bags.T @ (g / counts), owned=True)
 
     return _result(out, "embedding_bag", (table,), _back)

@@ -144,6 +144,8 @@ def split_records(n_records: int, ratios: Sequence[float], seed: int) -> Dataset
 # Ingestion and export
 
 def _record_from_obj(obj: dict, where: str) -> ReviewRecord:
+    if not isinstance(obj, dict):
+        raise ValidationError(f"{where}: expected a JSON object, got {type(obj).__name__}")
     problems = []
     for key in ("id", "text", "appraisals", "emotions", *PCB_FIELDS):
         if key not in obj:
@@ -152,6 +154,8 @@ def _record_from_obj(obj: dict, where: str) -> ReviewRecord:
         raise ValidationError(f"{where}: " + "; ".join(problems))
     appraisals = obj["appraisals"]
     emotions = obj["emotions"]
+    if not isinstance(appraisals, list) or not isinstance(emotions, list):
+        raise ValidationError(f"{where}: appraisals and emotions must be lists of ratings")
     if len(appraisals) != APPRAISAL_COUNT:
         raise ValidationError(
             f"{where}: expected {APPRAISAL_COUNT} appraisal ratings, got {len(appraisals)}")
@@ -189,7 +193,12 @@ def ingest(path: str | Path, fmt: str | None = None) -> list[ReviewRecord]:
         fmt = "csv" if path.suffix.lower() == ".csv" else "jsonl"
     if fmt not in ("jsonl", "csv"):
         raise ConfigError(f"unknown dataset format {fmt!r}")
-    text = path.read_text(encoding="utf-8")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise ConfigError(f"dataset not found: {path}") from None
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text (byte offset {exc.start})") from None
     records: list[ReviewRecord] = []
     errors: list[str] = []
     if fmt == "jsonl":
@@ -201,11 +210,16 @@ def ingest(path: str | Path, fmt: str | None = None) -> list[ReviewRecord]:
                 records.append(_record_from_obj(obj, f"line {lineno}"))
             except json.JSONDecodeError as exc:
                 errors.append(f"line {lineno}: invalid JSON ({exc.msg})")
+            except (ValueError, RecursionError) as exc:  # over-long integer, deep nesting
+                errors.append(f"line {lineno}: invalid JSON ({exc})")
             except ValidationError as exc:
                 errors.append(str(exc))
     else:
         reader = csv.reader(io.StringIO(text))
-        rows = list(reader)
+        try:
+            rows = list(reader)
+        except csv.Error as exc:  # e.g. a field over the csv module's size limit
+            raise ValidationError(f"{path}: line {reader.line_num}: {exc}") from None
         header = _csv_header()
         if not rows or rows[0] != header:
             raise ValidationError(f"{path}: CSV header must be {','.join(header)}")

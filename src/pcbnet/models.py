@@ -27,7 +27,7 @@ import numpy as np
 
 from .autodiff import Tensor, concat
 from .data import APPRAISAL_COUNT, EMOTION_COUNT
-from .errors import ConfigError, InputError
+from .errors import ConfigError, InputError, ValidationError
 from .nn import FFNNHead
 from .serialize import load_params, save_params
 from .text import (EncodedBatch, PrecomputedEncoder, TextEncoder,
@@ -381,8 +381,28 @@ def save_model(path, model: ModelInstance, meta: dict | None = None) -> None:
     save_params(path, tensors, full_meta)
 
 
+def _check_meta(meta: dict) -> None:
+    """Refuse checkpoint metadata that ``load_model`` cannot rebuild a model from."""
+    def is_int(value) -> bool:
+        return isinstance(value, int) and not isinstance(value, bool)
+
+    vocab, length = meta.get("vocab"), meta.get("max_sequence_length")
+    for key, ok, want in (
+            ("architecture_id", is_int(meta.get("architecture_id")), "an integer"),
+            ("encoder_dim", is_int(meta.get("encoder_dim")) and meta["encoder_dim"] >= 0,
+             "a non-negative integer"),
+            ("vocab", vocab is None or (isinstance(vocab, list)
+                                        and all(isinstance(t, str) for t in vocab)),
+             "a list of strings or null"),
+            ("max_sequence_length", length is None or is_int(length), "an integer or null")):
+        if not ok:
+            got = repr(meta[key])[:40] if key in meta else "nothing"
+            raise ValidationError(f"checkpoint metadata {key!r} must be {want}, got {got}")
+
+
 def load_model(path) -> tuple[ModelInstance, dict]:
     tensors, meta = load_params(path)
+    _check_meta(meta)
     if meta.get("encoder_kind") == "precomputed":
         raise ConfigError(
             "checkpoint was trained with externally computed embeddings; "

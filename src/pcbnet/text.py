@@ -17,8 +17,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .autodiff import (Tensor, embedding_bag, embedding_lookup, masked_mean,
-                       parameter)
+from .autodiff import Tensor, embedding_bag, embedding_lookup, parameter
+# not called here; perfbench/spans.py patches ``masked_mean`` in this module
+from .autodiff import masked_mean  # noqa: F401
 from .errors import ConfigError, ValidationError
 from .nn import LinearLayer
 
@@ -107,10 +108,10 @@ class TextEncoderConfig:
 class TextEncoder:
     """Embedding table -> masked mean pooling -> linear projection.
 
-    ``encode`` pools through the fused ``embedding_bag`` op. The per-token
-    path ``token_embeddings`` -> ``pool`` -> ``projection`` gives the same
-    output bit for bit; integrated-gradients attribution pools with it and
-    feeds its own pooled vectors to ``projection``.
+    ``encode`` pools with ``embedding_bag``, the one pooling expression in
+    the program; integrated-gradients attribution pools with the same op and
+    feeds its pooled vectors to ``projection``. ``token_embeddings`` gives
+    the per-token ``[b, L, e]`` rows that attribution scores.
     """
 
     def __init__(self, vocab: Vocabulary, config: TextEncoderConfig,
@@ -128,10 +129,6 @@ class TextEncoder:
 
     def token_embeddings(self, batch: EncodedBatch) -> Tensor:
         return embedding_lookup(self.embedding, batch.token_ids)
-
-    def pool(self, emb: Tensor, mask: np.ndarray) -> Tensor:
-        """Masked mean of token embeddings ``[b, L, e]`` -> ``[b, e]``."""
-        return masked_mean(emb, mask)
 
     def encode(self, batch: EncodedBatch) -> Tensor:
         return self.projection(

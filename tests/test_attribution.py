@@ -4,7 +4,8 @@ import pytest
 from pcbnet.attribution import (AttributionReport, _record_batch,
                                 integrated_gradients, rank_tokens,
                                 report_to_html, report_to_json)
-from pcbnet.autodiff import Tensor, backward_from, embedding_lookup, masked_mean
+from pcbnet.autodiff import (Tensor, backward_from, embedding_bag, embedding_lookup,
+                             masked_mean)
 from pcbnet.data import (SyntheticGeneratorConfig, generate_synthetic,
                          segment_labels, segment_pcb, split_records)
 from pcbnet.errors import CapabilityError, ConfigError
@@ -261,21 +262,26 @@ class TestModelGradientsUntouched:
 def per_token_reference(model, record, target_class, steps, baseline):
     """Integrated gradients as one batch-1 pass per α-step through the
     per-token path: the gradient reaches every token embedding through
-    ``masked_mean``'s backward and is summed over the steps.
+    ``masked_mean``'s backward and is summed over the steps. F(x) and F(x')
+    come from ``embedding_bag``, the pooling the model itself runs.
 
     Returns (scores, F(x), F(x'), predicted class).
     """
     batch, tokens = _record_batch(model, record)
     encoder, mask = model.encoder, batch.encoded.attention_mask
-    x = embedding_lookup(encoder.embedding, batch.encoded.token_ids).data
+    ids = batch.encoded.token_ids
+    x = embedding_lookup(encoder.embedding, ids).data
     if baseline == "pad":
         x_base = np.broadcast_to(encoder.embedding.data[encoder.vocab.pad_id],
                                  x.shape).copy()
+        p_base = embedding_bag(encoder.embedding, np.full_like(ids, encoder.vocab.pad_id),
+                               mask)
     else:
         x_base = np.zeros_like(x)
+        p_base = Tensor(np.zeros((1, x.shape[2])))
 
-    def logits(emb):
-        return model.forward(batch, pooled_text=masked_mean(emb, mask))["pcb_logits"]
+    def logits(pooled):
+        return model.forward(batch, pooled_text=pooled)["pcb_logits"]
 
     params = [p for p in model.parameters().values() if p.requires_grad]
     for p in params:
@@ -284,13 +290,13 @@ def per_token_reference(model, record, target_class, steps, baseline):
         grad_sum = np.zeros_like(x)
         for j in range(steps):
             emb = Tensor(x_base + (j + 0.5) / steps * (x - x_base), requires_grad=True)
-            out = logits(emb)
+            out = logits(masked_mean(emb, mask))
             seed = np.zeros_like(out.data)
             seed[0, target_class] = 1.0
             backward_from(out, seed)
             grad_sum += emb.grad
-        f_x = float(logits(Tensor(x)).data[0, target_class])
-        f_base = float(logits(Tensor(x_base)).data[0, target_class])
+        f_x = float(logits(embedding_bag(encoder.embedding, ids, mask)).data[0, target_class])
+        f_base = float(logits(p_base).data[0, target_class])
         predicted = int(np.argmax(model.forward(batch)["pcb_logits"].data[0]))
     finally:
         for p in params:
@@ -318,6 +324,16 @@ class TestPooledAlphaBatch:
             assert report.output_value == f_x
             assert report.baseline_value == f_base
             assert report.predicted_class == predicted
+
+    @pytest.mark.parametrize("arch_id", [1, 9, 12])
+    def test_output_value_is_the_models_own_logit(self, small_corpus, arch_id):
+        records, split, vocab, _ = small_corpus
+        model = build(arch_id, vocab=vocab, seed=0)
+        for i in split.test[:3]:
+            report = integrated_gradients(model, records[i], steps=4)
+            batch, _ = _record_batch(model, records[i])
+            logits = model.forward(batch)["pcb_logits"].data[0]
+            assert report.output_value == logits[report.target_class]
 
     def test_only_the_alpha_batch_records_a_graph(self, small_corpus, monkeypatch):
         records, split, vocab, _ = small_corpus

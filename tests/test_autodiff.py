@@ -168,28 +168,54 @@ class TestBackwardContract:
         backward(loss2)
         assert np.allclose(x.grad, 2 * first)
 
-    def test_no_gradient_buffer_is_shared(self):
-        def leaf(*shape):
-            return Tensor(RNG.normal(size=shape), requires_grad=True)
+    @staticmethod
+    def _graph(leaves):
+        """Same-shape and bias add, add(x, x), fan-out, concat, relu, matmul(p, p)."""
+        a, b, w, bias, c, p, x = leaves
+        s = add(a, b)                          # one g read for both operands
+        sw = matmul(s, w)
+        h = add(sw, bias)                      # bias-add hands g on
+        hc = concat([h, c], axis=1)            # views of the upstream gradient
+        r = relu(hc)                           # masks its g in place
+        pp = matmul(p, p)                      # one tensor on both sides
+        xx = add(x, x)                         # one tensor as both operands
+        y = matmul(r, pp)
+        yx = add(y, xx)
+        rx = relu(xx)                          # xx fans out to yx and rx
+        out = add(yx, rx)
+        return [s, sw, h, hc, r, pp, xx, y, yx, rx, out]
 
-        a, b, w, bias, c, p = leaf(3, 4), leaf(3, 4), leaf(4, 4), leaf(4), leaf(3, 2), leaf(6, 6)
-        s = add(a, b)                        # one g handed to both operands
-        h = add(matmul(s, w), bias)          # bias-add
-        r = relu(concat([h, c], axis=1))     # views of the upstream gradient
-        pp = matmul(p, p)                    # one tensor on both sides
-        out = matmul(r, pp)
-        loss = cross_entropy(out, np.array([0, 5, 2]))
+    def test_no_gradient_buffer_is_shared(self):
+        # only leaves keep a gradient, and no two of them share memory
+        shapes = [(3, 4), (3, 4), (4, 4), (4,), (3, 2), (6, 6), (3, 6)]
+        leaves = [Tensor(RNG.normal(size=shape), requires_grad=True) for shape in shapes]
+        interior = self._graph(leaves)
+        out = interior[-1]
         upstream = RNG.normal(size=out.shape)
+        seed = upstream.copy()
         backward_from(out, upstream)
+        once = [t.grad.copy() for t in leaves]
+        backward_from(out, upstream)           # the same graph again
+        for t, g in zip(leaves, once):
+            # p's two products add in another order on the second pass
+            np.testing.assert_allclose(t.grad, 2 * g, rtol=1e-12, atol=1e-12)
+        loss = cross_entropy(out, np.array([0, 5, 2]))
         backward(loss)
-        tensors = [a, b, w, bias, c, p, s, h, r, pp, out, loss]
-        assert all(t.grad is not None for t in tensors)
-        for i, t in enumerate(tensors):
+        interior.append(loss)
+        assert np.array_equal(upstream, seed)
+        assert all(t.grad is None for t in interior)
+        assert all(t.grad is not None for t in leaves)
+        for i, t in enumerate(leaves):
             assert not np.shares_memory(t.grad, upstream), i
-            for j, u in enumerate(tensors):
+            for j, u in enumerate(leaves + interior):
                 assert not np.shares_memory(t.grad, u.data), (i, j)
-                if j != i:
+                if u is not t and u.grad is not None:
                     assert not np.shares_memory(t.grad, u.grad), (i, j)
+
+    def test_graph_with_handed_on_gradients_matches_finite_differences(self):
+        shapes = [(3, 4), (3, 4), (4, 4), (4,), (3, 2), (6, 6), (3, 6)]
+        arrays = [RNG.normal(size=shape) * 0.5 for shape in shapes]
+        check_op_gradients(lambda ts: scalarize(self._graph(ts)[-1]), arrays)
 
     def test_two_layer_mlp_matches_finite_differences(self):
         w1 = RNG.normal(size=(5, 4)) * 0.5
@@ -328,11 +354,16 @@ class TestEmbeddingBag:
                      [1.0, 1.0, 0.0, 1.0]])
 
     def test_forward_equals_two_op_path(self):
-        table = Tensor(self.TABLE)
-        fused = embedding_bag(table, self.IDS, self.MASK)
-        two_op = masked_mean(embedding_lookup(table, self.IDS), self.MASK)
-        assert np.array_equal(fused.data, two_op.data)
-        assert np.array_equal(fused.data[1], np.zeros(3))  # all-pad row
+        def both(rows):
+            return (embedding_bag(rows, self.IDS, self.MASK).data,
+                    masked_mean(embedding_lookup(rows, self.IDS), self.MASK).data)
+
+        # on an integer-valued table every order of summation is exact
+        bag, two_op = both(Tensor(RNG.integers(-50, 50, size=(7, 3)).astype(np.float64)))
+        assert np.array_equal(bag, two_op)
+        bag, two_op = both(Tensor(self.TABLE))
+        np.testing.assert_allclose(bag, two_op, rtol=1e-12, atol=0)
+        assert np.array_equal(bag[1], np.zeros(3))  # all-pad row
 
     def test_table_gradient_matches_two_op_path(self):
         upstream = RNG.normal(size=(3, 3))

@@ -317,6 +317,19 @@ class TestAttribute:
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["category"] == "validation"
 
+    def test_renamed_metadata_key_is_a_validation_error(self, trained_run, capsys):
+        dataset, checkpoint, tmp_path = trained_run
+        flipped = tmp_path / "flipped.params"
+        raw = checkpoint.read_bytes()
+        assert raw.count(b'"architecture_id"') == 1
+        flipped.write_bytes(raw.replace(b'"architecture_id"', b'"brchitecture_id"'))
+        assert main(["attribute", "--checkpoint", str(flipped),
+                     "--dataset", str(dataset), "--records", ingest(dataset)[0].id,
+                     "--out", str(tmp_path / "x")]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["category"] == "validation"
+        assert "architecture_id" in err["error"]["message"]
+
     def test_rating_only_checkpoint_rejected(self, tmp_path, capsys):
         dataset = synth_dataset(tmp_path, n=40)
         cfg = quick_train_config(tmp_path, dataset, architecture=2)

@@ -11,7 +11,7 @@ from pcbnet.data import (APPRAISAL_COUNT, EMOTION_COUNT, Level, ReviewRecord,
                          segment_emotion, segment_labels,
                          segment_pcb, split_records, write_appraisal_names,
                          write_csv, write_jsonl)
-from pcbnet.errors import ConfigError, SizeError, ValidationError
+from pcbnet.errors import ConfigError, PcbnetError, SizeError, ValidationError
 from pcbnet.text import tokenize
 
 
@@ -132,6 +132,65 @@ class TestIngest:
         names = read_appraisal_names(path)
         assert len(names) == APPRAISAL_COUNT
         assert names[0] == "novelty"
+
+
+@pytest.fixture(scope="module")
+def ingest_fuzz_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("ingest_fuzz")
+    records = [make_record(i) for i in range(2)]
+    write_jsonl(records, d / "valid.jsonl")
+    write_csv(records, d / "valid.csv")
+    return d
+
+
+def load_or_pcbnet_error(path, raw):
+    """Ingest ``raw`` from ``path``; any exception but a PcbnetError fails the test."""
+    path.write_bytes(raw)
+    try:
+        ingest(path)
+    except PcbnetError:
+        pass
+
+
+class TestIngestNeverTracebacks:
+    @pytest.mark.parametrize("raw", [
+        b"\xff\xfe not utf-8\n",                 # invalid UTF-8
+        b"5\n", b"null\n", b'"text"\n', b"[1, 2]\n",  # JSON values that are not objects
+        b"[" * 100_000 + b"\n",                  # nesting deeper than the decoder's limit
+        b'{"id": ' + b"9" * 5000 + b"}\n",       # an integer too long to convert
+        b'{"id": "a", "text": "t", "appraisals": 4, "emotions": [], '
+        b'"pcb_repurchase": 4, "pcb_promote": 4}\n',
+    ])
+    def test_bad_jsonl_is_a_validation_error(self, tmp_path, raw):
+        path = tmp_path / "bad.jsonl"
+        path.write_bytes(raw)
+        with pytest.raises(ValidationError):
+            ingest(path)
+
+    def test_bad_csv_is_a_validation_error(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        for raw in (b"\xff,\n", b'"' + b"a" * 200_000 + b'"\n'):
+            path.write_bytes(raw)
+            with pytest.raises(ValidationError):
+                ingest(path)
+
+    def test_missing_file_is_a_config_error(self, tmp_path):
+        with pytest.raises(ConfigError, match="not found"):
+            ingest(tmp_path / "absent.jsonl")
+
+    @given(st.binary(max_size=512), st.sampled_from(["jsonl", "csv"]))
+    @settings(max_examples=300, deadline=None)
+    def test_fuzz_arbitrary_bytes(self, ingest_fuzz_dir, raw, fmt):
+        load_or_pcbnet_error(ingest_fuzz_dir / f"fuzz.{fmt}", raw)
+
+    @given(st.data(), st.sampled_from(["jsonl", "csv"]))
+    @settings(max_examples=300, deadline=None)
+    def test_fuzz_flipped_and_truncated_file(self, ingest_fuzz_dir, data, fmt):
+        raw = bytearray((ingest_fuzz_dir / f"valid.{fmt}").read_bytes())
+        i = data.draw(st.integers(0, len(raw) - 1))
+        raw[i] ^= data.draw(st.integers(1, 255))
+        cut = data.draw(st.integers(0, len(raw)))
+        load_or_pcbnet_error(ingest_fuzz_dir / f"fuzz.{fmt}", bytes(raw[:cut]))
 
 
 class TestGenerator:

@@ -5,10 +5,11 @@ import pytest
 
 from pcbnet.autodiff import backward, softmax
 from pcbnet.data import SyntheticGeneratorConfig, generate_synthetic
-from pcbnet.errors import ConfigError, InputError
+from pcbnet.errors import ConfigError, InputError, ValidationError
 from pcbnet.experiment import ExperimentConfig, compute_loss, featurize
 from pcbnet.models import (build, describe, describe_json, load_model,
                            save_model)
+from pcbnet.serialize import load_params, save_params
 from pcbnet.text import Vocabulary
 
 from architecture_fixtures import FIXTURES, INIT_SHA256, PARAMETER_SHAPES
@@ -267,3 +268,21 @@ class TestCheckpoint:
         loaded, meta = load_model(path)
         assert loaded.spec.id == 3
         assert meta["architecture"]["family"] == "Baseline"
+
+    @pytest.mark.parametrize("key, value", [
+        ("architecture_id", None), ("architecture_id", "12"), ("architecture_id", 12.0),
+        ("architecture_id", True), ("encoder_dim", [8]), ("encoder_dim", -8),
+        ("vocab", "<pad> <unk>"), ("vocab", ["<pad>", 1]), ("vocab", {"a": 1}),
+        ("max_sequence_length", "256"), ("max_sequence_length", 2.5),
+    ])
+    def test_bad_metadata_is_a_validation_error(self, tiny_data, tmp_path, key, value):
+        path = tmp_path / "model.params"
+        save_model(path, build(12, vocab=tiny_data.vocab, encoder_dim=8, seed=5))
+        tensors, meta = load_params(path)
+        if value is None:
+            del meta[key]
+        else:
+            meta[key] = value
+        save_params(path, tensors, meta)
+        with pytest.raises(ValidationError, match=key):
+            load_model(path)
