@@ -15,7 +15,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from pcbnet.attribution import (integrated_gradients, report_to_html,  # noqa: E402
                                 report_to_json, rank_tokens)
-from pcbnet.autodiff import softmax  # noqa: E402
 from pcbnet.data import (Level, SyntheticGeneratorConfig,  # noqa: E402
                          generate_synthetic, split_records)
 from pcbnet.experiment import (ExperimentConfig, build_vocab_for_split,  # noqa: E402
@@ -45,8 +44,9 @@ def main() -> int:
     model = build(1, vocab=vocab, seed=args.seed)
     train(model, data, split.train, cfg, seed=args.seed)
 
-    logits = model.forward(data.batch(split.test, "promote"))["pcb_logits"]
-    high_prob = softmax(logits).data[:, int(Level.HIGH)]
+    logits = model.forward(data.batch(split.test, "promote"))["pcb_logits"].data
+    probs = np.exp(logits - logits.max(axis=1, keepdims=True))
+    high_prob = probs[:, int(Level.HIGH)] / probs.sum(axis=1)
     extremes = {
         "most_promotable": split.test[int(np.argmax(high_prob))],
         "least_promotable": split.test[int(np.argmin(high_prob))],

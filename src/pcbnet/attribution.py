@@ -15,10 +15,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import Tensor, backward_from, embedding_bag
-from .data import ReviewRecord, segment_pcb
+from .data import ReviewRecord
 from .errors import CapabilityError, ConfigError
+from .experiment import PCB_TARGETS, featurize
 from .models import TEXT, Batch, ModelInstance
-from .text import EncodedBatch, TextEncoder, tokenize
+from .text import TextEncoder, tokenize
 
 
 @dataclass
@@ -50,23 +51,6 @@ class AttributionReport:
             "baseline": self.baseline,
             "pcb_target": self.pcb_target,
         }
-
-
-def _record_batch(model: ModelInstance,
-                  record: ReviewRecord) -> tuple[Batch, list[str]]:
-    encoder = model.encoder
-    tokens = tokenize(record.text)[:encoder.config.max_sequence_length]
-    width = max(len(tokens), 1)
-    ids = np.full((1, width), encoder.vocab.pad_id, dtype=np.int64)
-    mask = np.zeros((1, width), dtype=np.float64)
-    ids[0, :len(tokens)] = encoder.vocab.ids(tokens)
-    mask[0, :len(tokens)] = 1.0
-    return Batch(
-        record_ids=[record.id],
-        encoded=EncodedBatch(ids, mask),
-        appraisal_features=(np.array([record.appraisals], dtype=np.float64) - 4.0) / 3.0,
-        emotion_features=(np.array([record.emotions], dtype=np.float64) - 4.0) / 3.0,
-    ), tokens
 
 
 # α-steps per batched forward/backward; bounds memory for any ``steps``
@@ -121,6 +105,8 @@ def integrated_gradients(model: ModelInstance, record: ReviewRecord,
     per-token gradient follows from the pooled one. p, and the pad baseline's
     p' (all-pad ids, same mask), pool with ``encode``'s own ``embedding_bag``,
     so F(x) is the model's logit for the record; the zero baseline is zero.
+    The record's batch comes from ``featurize``, so its token ids, truncation
+    and rating features are the ones the model was trained on.
     """
     if TEXT not in model.spec.input_modalities:
         raise CapabilityError(
@@ -134,14 +120,19 @@ def integrated_gradients(model: ModelInstance, record: ReviewRecord,
         raise ConfigError(f"steps must be >= 1, got {steps}")
     if baseline not in ("pad", "zero"):
         raise ConfigError(f"baseline must be 'pad' or 'zero', got {baseline!r}")
+    if pcb_target not in PCB_TARGETS:
+        raise ConfigError(f"pcb_target must be one of {PCB_TARGETS}, got {pcb_target!r}")
 
-    batch, tokens = _record_batch(model, record)
     encoder = model.encoder
+    batch = featurize([record], encoder.vocab, encoder.max_sequence_length).batch(
+        [0], pcb_target)
     ids, mask = batch.encoded.token_ids, batch.encoded.attention_mask
+    tokens = tokenize(record.text)[:int(mask.sum())]
 
     # Only the pooled path needs a gradient. With every parameter flag off, no
     # other forward records a graph, backward skips the weight products, and
     # no gradient is left in the model for a later optimizer step to pick up.
+    # ``no_grad()`` cannot stand in: it would record no graph, not even the path's.
     trainable = [p for p in model.parameters().values() if p.requires_grad]
     for p in trainable:
         p.requires_grad = False
@@ -157,16 +148,16 @@ def integrated_gradients(model: ModelInstance, record: ReviewRecord,
         if target_class == "predicted":
             target_class = predicted
         elif target_class is None:
-            target_class = int(segment_pcb(record.pcb(pcb_target)))
+            target_class = int(batch.pcb_labels[0])
         if not isinstance(target_class, int) or not 0 <= target_class < 3:
             raise ConfigError(f"target_class must be in [0, 3), got {target_class!r}")
         logits_base = model.forward(batch, pooled_text=p_base)["pcb_logits"].data[0]
         grad_sum = _path_gradient_sum(model, batch, p_base.data,
                                       p_x.data - p_base.data, target_class, steps)
-        x = encoder.token_embeddings(batch.encoded).data  # [1, L, e]
     finally:
         for p in trainable:
             p.requires_grad = True
+    x = encoder.embedding.data[ids]  # [1, L, e]
     x_base = encoder.embedding.data[encoder.vocab.pad_id] if baseline == "pad" else 0.0
     counts = np.maximum(mask.sum(axis=1), 1.0)[:, None, None]
     # dF/dx_i summed over the path is (mask_i / n) grad_sum

@@ -19,9 +19,6 @@ from .errors import DimensionError, GraphError, LabelError, VocabularyError
 
 Array = np.ndarray
 
-_SIGMOID_LO = np.finfo(np.float64).tiny
-_SIGMOID_HI = float(np.nextafter(1.0, 0.0))
-
 
 class ComputationNode:
     """Backward record for one operation.
@@ -63,9 +60,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data)
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def __repr__(self) -> str:
         tag = f" path={self.path!r}" if self.path else ""
@@ -212,33 +206,6 @@ def relu(x: Tensor) -> Tensor:
     return _result(out, "relu", (x,), _back)
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    z = x.data
-    out = np.where(z >= 0, 1.0 / (1.0 + np.exp(-np.abs(z))),
-                   np.exp(-np.abs(z)) / (1.0 + np.exp(-np.abs(z))))
-    out = np.clip(out, _SIGMOID_LO, _SIGMOID_HI)  # keep outputs inside (0, 1)
-
-    def _back(g: Array) -> None:
-        _accumulate(x, g * out * (1.0 - out), owned=True)
-
-    return _result(out, "sigmoid", (x,), _back)
-
-
-def softmax(x: Tensor) -> Tensor:
-    """Softmax along the final axis of a 1-d or 2-d tensor."""
-    if x.data.ndim not in (1, 2):
-        raise DimensionError(f"softmax requires a 1-d or 2-d tensor, got {x.shape}")
-    z = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    out = e / e.sum(axis=-1, keepdims=True)
-
-    def _back(g: Array) -> None:
-        inner = (g * out).sum(axis=-1, keepdims=True)
-        _accumulate(x, out * (g - inner), owned=True)
-
-    return _result(out, "softmax", (x,), _back)
-
-
 def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
     if not tensors:
         raise DimensionError("concat of zero tensors")
@@ -356,6 +323,7 @@ def cross_entropy(logits: Tensor, targets: Array, weight: float = 1.0) -> Tensor
     """Mean over the batch of -log softmax(logits)[target].
 
     ``weight`` scales the loss (and its gradients), for joint objectives.
+    Past its own argument checks it is ``grouped_cross_entropy`` with one group.
     """
     targets = np.asarray(targets)
     if logits.data.ndim != 2:
@@ -371,15 +339,7 @@ def cross_entropy(logits: Tensor, targets: Array, weight: float = 1.0) -> Tensor
         i = int(bad[0])
         raise LabelError(
             f"target {int(targets[i])} at index {i} outside class range [0, {c})")
-    lsm = _log_softmax(logits.data)
-    out = np.asarray(-lsm[np.arange(b), targets].mean() * weight)
-
-    def _back(g: Array) -> None:
-        dz = np.exp(lsm)
-        dz[np.arange(b), targets] -= 1.0
-        _accumulate(logits, dz * (weight * float(g) / b), owned=True)
-
-    return _result(out, "cross_entropy", (logits,), _back)
+    return grouped_cross_entropy(logits, targets[:, None], groups=1, weight=weight)
 
 
 def grouped_cross_entropy(logits: Tensor, targets: Array, groups: int,

@@ -14,7 +14,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, fields
+from dataclasses import MISSING, asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +25,7 @@ from .data import (SyntheticGeneratorConfig, generate_synthetic, ingest,
                    segment_pcb, split_records, write_appraisal_names,
                    write_jsonl)
 from .errors import (CapabilityError, ConfigError, DatasetLookupError,
-                     PcbnetError)
+                     PcbnetError, ValidationError)
 from .experiment import (PCB_TARGETS, ExperimentConfig, MetricsSummary,
                          run_repetitions)
 from .models import ARCHITECTURES, TEXT, architecture_spec, load_model, save_model
@@ -57,14 +57,57 @@ def _load_json_config(path: str | None, allowed: set[str], what: str) -> dict:
         obj = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ConfigError(f"{what} config not found: {path}")
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{what} config {path} is not valid JSON: {exc.msg}")
+    except (ValueError, RecursionError) as exc:  # also not UTF-8, over-long integer, deep nesting
+        raise ConfigError(f"{what} config {path} is not valid JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise ConfigError(f"{what} config must be a JSON object")
     unknown = set(obj) - allowed
     if unknown:
         raise ConfigError(f"unknown {what} config keys: {sorted(unknown)}")
     return obj
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_number_array(value) -> bool:
+    """A rectangular JSON array of numbers, nested as deep as numpy allows."""
+    try:  # a ragged array's cells are lists; numpy refuses deep nesting
+        return isinstance(value, list) and all(
+            _is_number(v) for v in np.array(value, dtype=object).flat)
+    except (ValueError, RuntimeError):
+        return False
+
+
+# (type of a field's default, test of a JSON value for it, what the value must be);
+# bool comes before int, which it subclasses
+_JSON_TYPES = (
+    (bool, lambda v: isinstance(v, bool), "true or false"),
+    (int, lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
+    (float, _is_number, "a number"),
+    (str, lambda v: isinstance(v, str), "a string"),
+    (type(None), lambda v: v is None or isinstance(v, str), "a string or null"),
+    (tuple, lambda v: isinstance(v, list) and len(v) == 3 and all(map(_is_number, v)),
+     "three numbers"),
+    (np.ndarray, _is_number_array, "an array of numbers"),
+)
+
+
+def _field_defaults(cls) -> dict:
+    return {f.name: f.default if f.default_factory is MISSING else f.default_factory()
+            for f in fields(cls)}
+
+
+def _check_types(raw: dict, defaults: dict, what: str) -> None:
+    """Refuse any config value whose JSON type does not fit its field's default."""
+    for key, value in raw.items():
+        if key not in defaults:
+            continue
+        _, fits, want = next(t for t in _JSON_TYPES if isinstance(defaults[key], t[0]))
+        if not fits(value):
+            raise ConfigError(f"{what} config key {key!r} must be {want}, "
+                              f"got {json.dumps(value)[:40]}")
 
 
 def _format_float(x: float) -> str:
@@ -95,6 +138,7 @@ def _summary_rows(arch_id: int, pcb_target: str, summary: MetricsSummary) -> lis
 
 def cmd_synth(args: argparse.Namespace) -> int:
     raw = _load_json_config(args.config, _SYNTH_KEYS, "synth")
+    _check_types(raw, {**_field_defaults(SyntheticGeneratorConfig), "seed": 0}, "synth")
     seed = args.seed if args.seed is not None else raw.pop("seed", 0)
     raw.pop("seed", None)
     for key in _SYNTH_WEIGHT_KEYS:
@@ -145,6 +189,8 @@ def _class_distribution(records, cfg: ExperimentConfig) -> dict | list[dict]:
 
 def cmd_train(args: argparse.Namespace) -> int:
     raw = _load_json_config(args.config, _TRAIN_KEYS, "train")
+    _check_types(raw, {**_field_defaults(ExperimentConfig), "architecture": 0,
+                       "dataset": ""}, "train")
     if "dataset" not in raw:
         raise ConfigError("train config must name a 'dataset' file")
     dataset_path = raw.pop("dataset")
@@ -161,7 +207,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     else:
         if "architecture" not in raw:
             raise ConfigError("train config must set 'architecture' (or use --sweep)")
-        arch_ids = [int(raw.pop("architecture"))]
+        arch_ids = [raw.pop("architecture")]
         targets = [raw.pop("pcb_target", "promote")]
 
     records = ingest(dataset_path)
@@ -265,14 +311,37 @@ def render_report(rows: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _metrics_rows(csv_path: Path) -> list[dict]:
+    """The rows of a CSV that carry every metrics column, their numbers checked."""
+    raw = csv_path.read_bytes()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw[:exc.start].count(b"\n") + 1
+        raise ValidationError(f"{csv_path}: line {line}: not UTF-8 text") from None
+    reader = csv.DictReader(io.StringIO(text, newline=""))
+    rows = []
+    try:
+        for row in reader:
+            if not set(METRICS_COLUMNS) <= set(row):
+                continue
+            try:
+                int(row["architecture_id"]), float(row["accuracy"]), float(row["f1_weighted"])
+            except (TypeError, ValueError):  # a short row reads None
+                raise ValidationError(
+                    f"{csv_path}: line {reader.line_num}: architecture_id, accuracy "
+                    "and f1_weighted must be numbers") from None
+            rows.append(row)
+    except csv.Error as exc:
+        raise ValidationError(f"{csv_path}: line {reader.line_num}: {exc}") from None
+    return rows
+
+
 def cmd_report(args: argparse.Namespace) -> int:
     metrics_dir = Path(args.metrics_dir)
     rows: list[dict] = []
     for csv_path in sorted(metrics_dir.glob("*.csv")):
-        with csv_path.open(newline="", encoding="utf-8") as fh:
-            for row in csv.DictReader(fh):
-                if set(METRICS_COLUMNS) <= set(row):
-                    rows.append(row)
+        rows.extend(_metrics_rows(csv_path))
     if not rows:
         print("no results")
         return 0

@@ -69,14 +69,6 @@ class ReviewRecord:
         raise ConfigError(f"unknown PCB target {target!r}")
 
 
-@dataclass(frozen=True)
-class SegmentedLabels:
-    pcb_repurchase: Level
-    pcb_promote: Level
-    emotion_flags: tuple[int, ...]
-    appraisal_classes: tuple[Level, ...]
-
-
 @dataclass
 class DatasetSplit:
     train: list[int]
@@ -107,15 +99,6 @@ def segment_emotion(rating: int) -> int:
     """1-4 -> 0 (absent), 5-7 -> 1 (present)."""
     r = _check_rating(rating, "emotion rating")
     return 1 if r >= 5 else 0
-
-
-def segment_labels(record: ReviewRecord) -> SegmentedLabels:
-    return SegmentedLabels(
-        pcb_repurchase=segment_pcb(record.pcb_repurchase),
-        pcb_promote=segment_pcb(record.pcb_promote),
-        emotion_flags=tuple(segment_emotion(e) for e in record.emotions),
-        appraisal_classes=tuple(segment_pcb(a) for a in record.appraisals),
-    )
 
 
 def split_records(n_records: int, ratios: Sequence[float], seed: int) -> DatasetSplit:
@@ -401,6 +384,9 @@ class SyntheticGeneratorConfig:
             raise ConfigError(f"record_count must be positive, got {self.record_count}")
         if self.noise_scale < 0:
             raise ConfigError(f"noise_scale must be non-negative, got {self.noise_scale}")
+        if self.mean_review_length < 0:
+            raise ConfigError(
+                f"mean_review_length must be non-negative, got {self.mean_review_length}")
         if self.squash_scale <= 0:
             raise ConfigError(f"squash_scale must be positive, got {self.squash_scale}")
         if not 0.0 <= self.text_signal <= 1.0:

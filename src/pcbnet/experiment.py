@@ -61,8 +61,9 @@ class ExperimentConfig:
         if self.appraisal_loss not in ("bce", "ce"):
             raise ConfigError(f"appraisal_loss must be 'bce' or 'ce', "
                               f"got {self.appraisal_loss!r}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        for name in ("batch_size", "encoder_dim", "max_sequence_length"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         architecture_spec(self.architecture)  # validates the id
 
     def epochs_for(self, modalities: Sequence[str]) -> int:

@@ -30,8 +30,7 @@ from .data import APPRAISAL_COUNT, EMOTION_COUNT
 from .errors import ConfigError, InputError, ValidationError
 from .nn import FFNNHead
 from .serialize import load_params, save_params
-from .text import (EncodedBatch, PrecomputedEncoder, TextEncoder,
-                   TextEncoderConfig, Vocabulary)
+from .text import EncodedBatch, PrecomputedEncoder, TextEncoder, Vocabulary
 
 PCB_CLASSES = 3
 APPRAISAL_LOGITS = APPRAISAL_COUNT * 3  # 3-way block per dimension
@@ -299,9 +298,8 @@ def build(arch_id: int, encoder_dim: int = 128, vocab: Vocabulary | None = None,
                     model.encoder = precomputed
                 else:
                     v = vocab if vocab is not None else Vocabulary(["<pad>", "<unk>"])
-                    model.encoder = TextEncoder(
-                        v, TextEncoderConfig(encoder_dim, max_sequence_length),
-                        rng, path=f"{_prefix}encoder")
+                    model.encoder = TextEncoder(v, encoder_dim, rng, max_sequence_length,
+                                                path=f"{_prefix}encoder")
             elif source in _TOWERS:
                 tower_id, key, prefix = _TOWERS[source]
                 tower = build(tower_id, encoder_dim, vocab,
@@ -373,7 +371,7 @@ def save_model(path, model: ModelInstance, meta: dict | None = None) -> None:
                          else "trainable" if model.encoder is not None else None),
         "vocab": (model.encoder.vocab.tokens
                   if isinstance(model.encoder, TextEncoder) else None),
-        "max_sequence_length": (model.encoder.config.max_sequence_length
+        "max_sequence_length": (model.encoder.max_sequence_length
                                 if isinstance(model.encoder, TextEncoder) else None),
     }
     full_meta.update(meta or {})

@@ -17,9 +17,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .autodiff import Tensor, embedding_bag, embedding_lookup, parameter
-# not called here; perfbench/spans.py patches ``masked_mean`` in this module
-from .autodiff import masked_mean  # noqa: F401
+from .autodiff import Tensor, embedding_bag, parameter
+# The per-token reference ops are not called here: the benchmark's tracer
+# (perfbench/spans.py) patches both names in this module.
+from .autodiff import embedding_lookup, masked_mean  # noqa: F401
 from .errors import ConfigError, ValidationError
 from .nn import LinearLayer
 
@@ -67,15 +68,6 @@ class Vocabulary:
         unk = self.unk_id
         return [self.token_to_id.get(t, unk) for t in tokens]
 
-    def save(self, path: str | Path) -> None:
-        from .serialize import atomic_write_text
-        atomic_write_text(path, "\n".join(self.tokens) + "\n")
-
-    @classmethod
-    def load(cls, path: str | Path) -> "Vocabulary":
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-        return cls(lines)
-
 
 @dataclass
 class EncodedBatch:
@@ -99,36 +91,22 @@ def encode_texts(texts: Sequence[str], vocab: Vocabulary,
     return EncodedBatch(token_ids=ids, attention_mask=mask)
 
 
-@dataclass
-class TextEncoderConfig:
-    embedding_dim: int = 128
-    max_sequence_length: int = 256
-
-
 class TextEncoder:
     """Embedding table -> masked mean pooling -> linear projection.
 
     ``encode`` pools with ``embedding_bag``, the one pooling expression in
     the program; integrated-gradients attribution pools with the same op and
-    feeds its pooled vectors to ``projection``. ``token_embeddings`` gives
-    the per-token ``[b, L, e]`` rows that attribution scores.
+    feeds its pooled vectors to ``projection``. ``max_sequence_length`` is
+    the truncation of its texts, which checkpoints and attribution read.
     """
 
-    def __init__(self, vocab: Vocabulary, config: TextEncoderConfig,
-                 rng: np.random.Generator, path: str = "encoder"):
+    def __init__(self, vocab: Vocabulary, d: int, rng: np.random.Generator,
+                 max_sequence_length: int = 256, path: str = "encoder"):
         self.vocab = vocab
-        self.config = config
-        d = config.embedding_dim
+        self.max_sequence_length = max_sequence_length
         self.embedding = parameter(rng.normal(0.0, 0.1, size=(len(vocab), d)),
                                    f"{path}.embedding")
         self.projection = LinearLayer(d, d, f"{path}.projection", rng)
-
-    @property
-    def output_dim(self) -> int:
-        return self.config.embedding_dim
-
-    def token_embeddings(self, batch: EncodedBatch) -> Tensor:
-        return embedding_lookup(self.embedding, batch.token_ids)
 
     def encode(self, batch: EncodedBatch) -> Tensor:
         return self.projection(
@@ -151,22 +129,25 @@ class PrecomputedEncoder:
         self.table = table
         self.dim = dim
 
-    @property
-    def output_dim(self) -> int:
-        return self.dim
-
     @classmethod
     def load(cls, path: str | Path) -> "PrecomputedEncoder":
         table: dict[str, np.ndarray] = {}
         dim: int | None = None
-        for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except FileNotFoundError:
+            raise ConfigError(f"precomputed embeddings not found: {path}") from None
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"{path}: not UTF-8 text (byte offset {exc.start})") from None
+        for lineno, line in enumerate(text.splitlines(), 1):
             if not line.strip():
                 continue
             try:
                 obj = json.loads(line)
                 rid = str(obj["id"])
                 vec = np.asarray(obj["embedding"], dtype=np.float64)
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            # ValueError: bad JSON, an over-long integer, a non-numeric or ragged embedding
+            except (ValueError, KeyError, TypeError, RecursionError) as exc:
                 raise ValidationError(f"line {lineno}: bad embedding record ({exc})") from exc
             if vec.ndim != 1:
                 raise ValidationError(f"line {lineno}: embedding must be a flat vector")

@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from pcbnet.attribution import (AttributionReport, _record_batch,
-                                integrated_gradients, rank_tokens,
-                                report_to_html, report_to_json)
+from pcbnet.attribution import (AttributionReport, integrated_gradients,
+                                rank_tokens, report_to_html, report_to_json)
 from pcbnet.autodiff import (Tensor, backward_from, embedding_bag, embedding_lookup,
                              masked_mean)
 from pcbnet.data import (SyntheticGeneratorConfig, generate_synthetic,
-                         segment_labels, segment_pcb, split_records)
+                         segment_emotion, segment_pcb, split_records)
 from pcbnet.errors import CapabilityError, ConfigError
 from pcbnet.experiment import (ExperimentConfig, build_vocab_for_split,
                                featurize, train)
@@ -124,7 +123,7 @@ class TestContracts:
         _, records, split, model = trained_text_model
         record = records[split.test[0]]
         report = integrated_gradients(model, record, pcb_target="promote", steps=4)
-        assert report.target_class == int(segment_labels(record).pcb_promote)
+        assert report.target_class == int(segment_pcb(record.pcb_promote))
 
 
 class TestRankTokens:
@@ -151,24 +150,22 @@ class TestRankTokens:
     def test_probability_extremes_surface_their_planted_words(self, trained_text_model):
         # the most and least promotable test records (by predicted High
         # probability) must surface their own planted lexicon words
-        from pcbnet.autodiff import softmax
-        from pcbnet.experiment import featurize
         cfg, records, split, model = trained_text_model
         data = featurize(records, model.encoder.vocab)
-        logits = model.forward(data.batch(split.test, "promote"))["pcb_logits"]
-        high_prob = softmax(logits).data[:, 2]
+        logits = model.forward(data.batch(split.test, "promote"))["pcb_logits"].data
+        probs = np.exp(logits - logits.max(axis=1, keepdims=True))
+        high_prob = probs[:, 2] / probs.sum(axis=1)
         for pick in (split.test[int(np.argmax(high_prob))],
                      split.test[int(np.argmin(high_prob))]):
             record = records[pick]
-            labels = segment_labels(record)
             planted = set()
-            for k, cls in enumerate(labels.appraisal_classes):
-                if cls == 2:
+            for k, rating in enumerate(record.appraisals):
+                if segment_pcb(rating) == 2:
                     planted |= set(cfg.appraisal_high_words[k])
-                elif cls == 0:
+                elif segment_pcb(rating) == 0:
                     planted |= set(cfg.appraisal_low_words[k])
-            for e, flag in enumerate(labels.emotion_flags):
-                if flag:
+            for e, rating in enumerate(record.emotions):
+                if segment_emotion(rating):
                     planted |= set(cfg.emotion_words[e])
             report = integrated_gradients(model, record, steps=32,
                                           target_class="predicted")
@@ -180,15 +177,14 @@ class TestRankTokens:
         hits = total = 0
         for idx in split.test:
             record = records[idx]
-            labels = segment_labels(record)
             planted: set[str] = set()
-            for k, cls in enumerate(labels.appraisal_classes):
-                if cls == 2:
+            for k, rating in enumerate(record.appraisals):
+                if segment_pcb(rating) == 2:
                     planted |= set(cfg.appraisal_high_words[k])
-                elif cls == 0:
+                elif segment_pcb(rating) == 0:
                     planted |= set(cfg.appraisal_low_words[k])
-            for e, flag in enumerate(labels.emotion_flags):
-                if flag:
+            for e, rating in enumerate(record.emotions):
+                if segment_emotion(rating):
                     planted |= set(cfg.emotion_words[e])
             if not planted:
                 continue
@@ -267,9 +263,10 @@ def per_token_reference(model, record, target_class, steps, baseline):
 
     Returns (scores, F(x), F(x'), predicted class).
     """
-    batch, tokens = _record_batch(model, record)
-    encoder, mask = model.encoder, batch.encoded.attention_mask
-    ids = batch.encoded.token_ids
+    encoder = model.encoder
+    batch = featurize([record], encoder.vocab, encoder.max_sequence_length).batch(
+        [0], "promote")
+    ids, mask = batch.encoded.token_ids, batch.encoded.attention_mask
     x = embedding_lookup(encoder.embedding, ids).data
     if baseline == "pad":
         x_base = np.broadcast_to(encoder.embedding.data[encoder.vocab.pad_id],
@@ -301,7 +298,7 @@ def per_token_reference(model, record, target_class, steps, baseline):
     finally:
         for p in params:
             p.requires_grad = True
-    scores = ((x - x_base) * (grad_sum / steps))[0, :len(tokens)].sum(axis=1)
+    scores = ((x - x_base) * (grad_sum / steps))[0, :int(mask.sum())].sum(axis=1)
     return scores, f_x, f_base, predicted
 
 
@@ -331,7 +328,8 @@ class TestPooledAlphaBatch:
         model = build(arch_id, vocab=vocab, seed=0)
         for i in split.test[:3]:
             report = integrated_gradients(model, records[i], steps=4)
-            batch, _ = _record_batch(model, records[i])
+            batch = featurize([records[i]], vocab, model.encoder.max_sequence_length).batch(
+                [0], "promote")
             logits = model.forward(batch)["pcb_logits"].data[0]
             assert report.output_value == logits[report.target_class]
 

@@ -342,3 +342,102 @@ class TestAttribute:
                      "--out", str(tmp_path / "x")]) == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["category"] == "capability"
+
+
+# (command, config keys to set, error category); each value has the wrong type
+# or range for its key
+CONFIG_PROBES = [
+    ("synth", {"record_count": "x"}, "config"),
+    ("synth", {"record_count": 2.5}, "config"),
+    ("synth", {"record_count": None}, "config"),
+    ("synth", {"noise_scale": True}, "config"),
+    ("synth", {"mean_review_length": -5}, "config"),
+    ("synth", {"seed": "0"}, "config"),
+    ("synth", {"appraisal_emotion_weights": "abc"}, "config"),
+    ("synth", {"appraisal_emotion_weights": [[0.5, 1.0], [0.5]]}, "config"),
+    ("synth", {"promote_emotion_weights": [0.1] * 7 + ["0.1"]}, "config"),
+    ("train", {"architecture": "abc"}, "config"),
+    ("train", {"architecture": 2.7}, "config"),
+    ("train", {"text_epochs": "2"}, "config"),
+    ("train", {"repetitions": 1.5}, "config"),
+    ("train", {"split_ratios": 5}, "config"),
+    ("train", {"split_ratios": [0.8, "0.1", 0.1]}, "config"),
+    ("train", {"lr": "fast"}, "config"),
+    ("train", {"min_token_freq": None}, "config"),
+    ("train", {"finetune_fused": "yes"}, "config"),
+    ("train", {"precomputed_embeddings": 5}, "config"),
+    ("train", {"dataset": 5}, "config"),
+    ("train", {"encoder_dim": 0}, "config"),
+    ("train", {"max_sequence_length": 0}, "config"),
+    ("train", {"architecture": 1, "precomputed_embeddings": "missing.jsonl"}, "config"),
+    ("train", {"architecture": 1, "encoder_dim": 2,
+               "precomputed_embeddings": "latin1.jsonl"}, "validation"),
+]
+
+
+def one_error_line(capsys) -> dict:
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1, err
+    return json.loads(lines[0])["error"]
+
+
+@pytest.fixture(scope="module")
+def probe_dir(tmp_path_factory):
+    tmp_path = tmp_path_factory.mktemp("probes")
+    synth_dataset(tmp_path, n=20)
+    (tmp_path / "latin1.jsonl").write_bytes(
+        b'{"id": "caf\xe9", "embedding": [1.0, 2.0]}\n')
+    return tmp_path
+
+
+class TestBadInputs:
+    @pytest.mark.parametrize("command, values, category", CONFIG_PROBES,
+                             ids=[f"{c}-{json.dumps(v)}" for c, v, _ in CONFIG_PROBES])
+    def test_bad_config_value_is_one_json_line(self, probe_dir, tmp_path, capsys,
+                                               command, values, category):
+        values = {k: str(probe_dir / v) if k == "precomputed_embeddings"
+                  and isinstance(v, str) else v for k, v in values.items()}
+        out = tmp_path / "out"
+        if command == "synth":
+            cfg = write_config(tmp_path / "synth.json", {"record_count": 5, **values})
+            argv = ["synth", "--config", cfg, "--out", str(out / "d.jsonl")]
+        else:
+            base = quick_train_config(tmp_path, probe_dir / "dataset.jsonl")
+            cfg = write_config(tmp_path / "train.json",
+                               {**json.loads(Path(base).read_text()), **values})
+            argv = ["train", "--config", cfg, "--out", str(out)]
+        capsys.readouterr()
+        assert main(argv) == 1
+        error = one_error_line(capsys)
+        assert error["category"] == category
+        assert not out.exists() or not any(out.rglob("*.params")), "trained anyway"
+
+    @pytest.mark.parametrize("column, value", [("accuracy", "high"),
+                                               ("f1_weighted", ""),
+                                               ("architecture_id", "two")])
+    def test_non_numeric_report_cell_names_file_and_line(self, tmp_path, capsys,
+                                                         column, value):
+        good = {"architecture_id": "3", "family": "Baseline", "pcb_target": "promote",
+                "repetition": "0", "accuracy": "0.5", "f1_weighted": "0.4", "seed": "0"}
+        path = tmp_path / "metrics.csv"
+        with open(path, "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(good))
+            writer.writeheader()
+            writer.writerow(good)
+            writer.writerow({**good, column: value})
+        assert main(["report", str(tmp_path)]) == 1
+        error = one_error_line(capsys)
+        assert error["category"] == "validation"
+        assert str(path) in error["message"] and "line 3" in error["message"]
+
+    def test_undecodable_report_csv_names_file_and_line(self, tmp_path, capsys):
+        path = tmp_path / "metrics.csv"
+        path.write_bytes(b"architecture_id,family,pcb_target,repetition,accuracy,"
+                         b"f1_weighted,seed\n3,Baseline,promote,0,0.5,0.4,0\n"
+                         b"3,Basel\xefne,promote,1,0.5,0.4,1\n")
+        assert main(["report", str(tmp_path)]) == 1
+        error = one_error_line(capsys)
+        assert error["category"] == "validation"
+        assert str(path) in error["message"] and "line 3" in error["message"]

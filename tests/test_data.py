@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 from pcbnet.data import (APPRAISAL_COUNT, EMOTION_COUNT, Level, ReviewRecord,
                          SyntheticGeneratorConfig, generate_synthetic, ingest,
                          planted_emotions, planted_pcb, read_appraisal_names,
-                         segment_emotion, segment_labels,
-                         segment_pcb, split_records, write_appraisal_names,
-                         write_csv, write_jsonl)
+                         segment_emotion, segment_pcb, split_records,
+                         write_appraisal_names, write_csv, write_jsonl)
 from pcbnet.errors import ConfigError, PcbnetError, SizeError, ValidationError
 from pcbnet.text import tokenize
 
@@ -251,9 +250,8 @@ class TestGenerator:
                                        mean_review_length=60)
         for record in generate_synthetic(cfg, seed=13):
             tokens = set(tokenize(record.text))
-            labels = segment_labels(record)
-            for e, flag in enumerate(labels.emotion_flags):
-                if flag:
+            for e, rating in enumerate(record.emotions):
+                if segment_emotion(rating):
                     assert tokens & set(cfg.emotion_words[e]), (
                         f"record {record.id}: no lexicon token for emotion {e}")
 
@@ -272,6 +270,7 @@ class TestGenerator:
 
 class TestRecordValidation:
     def test_rating_bounds_enforced(self):
+        record = make_record(pcb_promote=4, pcb_repurchase=4,
+                             emotions=tuple([0] + [4] * 7))
         with pytest.raises(ValidationError):
-            segment_labels(make_record(pcb_promote=4, pcb_repurchase=4,
-                                       emotions=tuple([0] + [4] * 7)))
+            [segment_emotion(e) for e in record.emotions]

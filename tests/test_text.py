@@ -3,12 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pcbnet.autodiff import backward, masked_mean, mean
+from pcbnet.autodiff import backward, embedding_lookup, masked_mean, mean
 from pcbnet.data import SyntheticGeneratorConfig, generate_synthetic
 from pcbnet.errors import ValidationError
+from pcbnet.models import build
 from pcbnet.text import (PAD_TOKEN, UNK_TOKEN, PrecomputedEncoder, TextEncoder,
-                         TextEncoderConfig, Vocabulary, encode_texts,
-                         save_precomputed_embeddings, tokenize)
+                         Vocabulary, encode_texts, save_precomputed_embeddings,
+                         tokenize)
 
 
 class TestTokenize:
@@ -48,19 +49,10 @@ class TestVocabulary:
         vocab = Vocabulary.build(["a a"], min_freq=2)
         assert vocab.ids(["a", "zebra"]) == [vocab.token_to_id["a"], vocab.unk_id]
 
-    def test_save_load_round_trip(self, tmp_path):
-        vocab = Vocabulary.build(["x x y y z"], min_freq=1)
-        path = tmp_path / "vocab.txt"
-        vocab.save(path)
-        loaded = Vocabulary.load(path)
-        assert loaded.tokens == vocab.tokens
-        assert loaded.token_to_id == vocab.token_to_id
-
 
 def small_encoder(dim=6, seed=0, texts=("alpha beta gamma beta alpha",)):
     vocab = Vocabulary.build(texts, min_freq=1)
-    enc = TextEncoder(vocab, TextEncoderConfig(embedding_dim=dim),
-                      np.random.default_rng(seed))
+    enc = TextEncoder(vocab, dim, np.random.default_rng(seed))
     return vocab, enc
 
 
@@ -74,7 +66,7 @@ class TestEncoder:
 
     def test_default_width_contract(self):
         vocab = Vocabulary.build(["alpha beta gamma"], min_freq=1)
-        enc = TextEncoder(vocab, TextEncoderConfig(), np.random.default_rng(0))
+        enc = build(1, vocab=vocab, seed=0).encoder  # encoder_dim defaults to 128
         batch = encode_texts(["alpha", "beta gamma", "gamma", "alpha beta"], vocab)
         assert enc.encode(batch).shape == (4, 128)
 
@@ -131,7 +123,8 @@ class TestEncoder:
                              vocab)
 
         def both():
-            pooled = masked_mean(enc.token_embeddings(batch), batch.attention_mask)
+            pooled = masked_mean(embedding_lookup(enc.embedding, batch.token_ids),
+                                 batch.attention_mask)
             return enc.encode(batch).data, enc.projection(pooled).data
 
         via_bag, per_token = both()
@@ -147,7 +140,7 @@ class TestPrecomputedEncoder:
         save_precomputed_embeddings(path, {"r1": np.array([1.0, 2.0]),
                                            "r2": np.array([3.0, 4.0])})
         enc = PrecomputedEncoder.load(path)
-        assert enc.output_dim == 2
+        assert enc.dim == 2
         out = enc.embed_records(["r2", "r1"])
         assert np.array_equal(out.data, [[3.0, 4.0], [1.0, 2.0]])
         assert not out.requires_grad
@@ -158,6 +151,17 @@ class TestPrecomputedEncoder:
         enc = PrecomputedEncoder.load(path)
         with pytest.raises(ValidationError, match="r9"):
             enc.embed_records(["r9"])
+
+    @pytest.mark.parametrize("line", [
+        '{"id": "a", "embedding": ["x", 1.0]}',
+        '{"id": "a", "embedding": [[1.0], [1.0, 2.0]]}',
+        '{"id": "a", "embedding": [1' + "0" * 5000 + ']}',
+    ], ids=["non-numeric", "ragged", "over-long-integer"])
+    def test_malformed_record_is_a_validation_error(self, tmp_path, line):
+        path = tmp_path / "emb.jsonl"
+        path.write_text(line + "\n")
+        with pytest.raises(ValidationError, match="line 1"):
+            PrecomputedEncoder.load(path)
 
     def test_ragged_widths_rejected(self, tmp_path):
         path = tmp_path / "emb.jsonl"
