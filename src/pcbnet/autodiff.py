@@ -97,8 +97,9 @@ def _accumulate(t: Tensor, g: Array, owned: bool = False) -> None:
     # Ownership rule: ``backward_from`` takes an interior tensor's gradient off
     # it before its backward rule runs, so that ``g`` has one owner and a rule
     # may keep or hand it on (``owned``: a fresh product or sum, or the ``g``
-    # add and relu pass on); any other is copied, never aliased: ``concat``
-    # hands out views of ``g``, same-shape add reads it twice, the seed is the caller's
+    # add, relu and dense_epilogue pass on); any other is copied, never
+    # aliased: ``concat`` hands out views of ``g``, same-shape add reads it
+    # twice, the seed is the caller's
     if t.requires_grad:
         if t.grad is None:
             t.grad = g if owned else np.array(g, dtype=np.float64)
@@ -194,6 +195,32 @@ def add(a: Tensor, b: Tensor) -> Tensor:
             _accumulate(a, g, owned=True)
         return _result(a.data + b.data, "add", (a, b), _back_bias)
     raise DimensionError(f"add shapes incompatible: {a.shape} and {b.shape}")
+
+
+def dense_epilogue(z: Tensor, bias: Tensor, apply_relu: bool) -> Tensor:
+    """``relu(add(z, bias))``, or ``add(z, bias)`` without ``apply_relu``, bit for bit.
+
+    ``z`` must be the output of a ``matmul`` that nothing else reads: the op
+    takes over its buffer and writes the result into it. The backward reads
+    the relu mask back from that result (``out > 0`` exactly where
+    ``z + bias > 0``) and runs the chain's operations in the chain's order.
+    """
+    if z.data.ndim != 2 or bias.data.ndim != 1 or z.shape[1] != bias.shape[0]:
+        raise DimensionError(
+            f"dense_epilogue expects z [m, n] and bias [n], got {z.shape} and {bias.shape}")
+    out = z.data
+    out += bias.data
+    if apply_relu:
+        np.maximum(out, 0.0, out=out)
+
+    def _back(g: Array) -> None:
+        if apply_relu:
+            np.multiply(g, out > 0.0, out=g)  # relu'(0) := 0
+        if bias.requires_grad:
+            _accumulate(bias, g.sum(axis=0), owned=True)
+        _accumulate(z, g, owned=True)
+
+    return _result(out, "dense_epilogue", (z, bias), _back)
 
 
 def relu(x: Tensor) -> Tensor:

@@ -36,12 +36,18 @@ OUTPUT_ROOT_ENV = "PCBNET_OUT"
 METRICS_COLUMNS = ("architecture_id", "family", "pcb_target", "repetition",
                    "accuracy", "f1_weighted", "seed")
 
-_SYNTH_WEIGHT_KEYS = ("appraisal_emotion_weights", "repurchase_appraisal_weights",
-                      "repurchase_emotion_weights", "promote_appraisal_weights",
-                      "promote_emotion_weights")
 
-_SYNTH_KEYS = {"record_count", "noise_scale", "mean_review_length",
-               "text_signal", "squash_scale", "seed", *_SYNTH_WEIGHT_KEYS}
+def _field_defaults(cls) -> dict:
+    return {f.name: f.default if f.default_factory is MISSING else f.default_factory()
+            for f in fields(cls)}
+
+
+# The lexicon word lists are tuples of string tuples, and _check_types reads a
+# tuple default as three numbers (split_ratios), so JSON configs cannot set them.
+_SYNTH_WORD_LIST_KEYS = {"appraisal_high_words", "appraisal_low_words", "emotion_words"}
+_SYNTH_DEFAULTS = {**_field_defaults(SyntheticGeneratorConfig), "seed": 0}
+_SYNTH_KEYS = set(_SYNTH_DEFAULTS) - _SYNTH_WORD_LIST_KEYS
+_SYNTH_WEIGHT_KEYS = {k for k, v in _SYNTH_DEFAULTS.items() if isinstance(v, np.ndarray)}
 
 _TRAIN_KEYS = {f.name for f in fields(ExperimentConfig)} | {"dataset", "sweep"}
 
@@ -94,11 +100,6 @@ _JSON_TYPES = (
 )
 
 
-def _field_defaults(cls) -> dict:
-    return {f.name: f.default if f.default_factory is MISSING else f.default_factory()
-            for f in fields(cls)}
-
-
 def _check_types(raw: dict, defaults: dict, what: str) -> None:
     """Refuse any config value whose JSON type does not fit its field's default."""
     for key, value in raw.items():
@@ -138,7 +139,7 @@ def _summary_rows(arch_id: int, pcb_target: str, summary: MetricsSummary) -> lis
 
 def cmd_synth(args: argparse.Namespace) -> int:
     raw = _load_json_config(args.config, _SYNTH_KEYS, "synth")
-    _check_types(raw, {**_field_defaults(SyntheticGeneratorConfig), "seed": 0}, "synth")
+    _check_types(raw, _SYNTH_DEFAULTS, "synth")
     seed = args.seed if args.seed is not None else raw.pop("seed", 0)
     raw.pop("seed", None)
     for key in _SYNTH_WEIGHT_KEYS:

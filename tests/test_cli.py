@@ -6,8 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from pcbnet.cli import _SYNTH_KEYS, _TRAIN_KEYS, main, render_report
-from pcbnet.data import ingest
+from pcbnet.cli import (_SYNTH_KEYS, _SYNTH_WORD_LIST_KEYS, _TRAIN_KEYS, main,
+                        render_report)
+from pcbnet.data import SyntheticGeneratorConfig, ingest
 from pcbnet.experiment import ExperimentConfig
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -180,6 +181,11 @@ class TestReadmeConfigKeys:
         keys = readme_config_keys("synth")
         assert "record_count" in keys and "squash_scale" in keys
         assert set(keys) <= _SYNTH_KEYS
+
+    def test_synth_keys_are_the_generator_fields_and_seed(self):
+        names = {f.name for f in fields(SyntheticGeneratorConfig)}
+        assert _SYNTH_KEYS == (names | {"seed"}) - _SYNTH_WORD_LIST_KEYS
+        assert _SYNTH_WORD_LIST_KEYS < names
 
     def test_train_keys_are_accepted_and_cover_the_config(self):
         keys = readme_config_keys("train")
@@ -363,6 +369,11 @@ CONFIG_PROBES = [
     ("train", {"split_ratios": 5}, "config"),
     ("train", {"split_ratios": [0.8, "0.1", 0.1]}, "config"),
     ("train", {"lr": "fast"}, "config"),
+    ("train", {"lr": -0.01}, "config"),
+    ("train", {"lr": float("inf")}, "config"),
+    ("train", {"aux_loss_weight": -1.0}, "config"),
+    ("train", {"aux_loss_weight": float("nan")}, "config"),
+    ("train", {"split_ratios": [1.2, -0.1, -0.1]}, "config"),
     ("train", {"min_token_freq": None}, "config"),
     ("train", {"finetune_fused": "yes"}, "config"),
     ("train", {"precomputed_embeddings": 5}, "config"),

@@ -62,6 +62,12 @@ class TestSplit:
         with pytest.raises(ConfigError):
             split_records(10, (0.8, 0.1, 0.2), seed=0)
 
+    @pytest.mark.parametrize("ratios", [(1.2, -0.1, -0.1), (-0.5, 0.75, 0.75),
+                                        (float("nan"), 0.5, 0.5)])
+    def test_ratio_outside_unit_interval(self, ratios):
+        with pytest.raises(ConfigError, match=r"\[0, 1\]"):
+            split_records(10, ratios, seed=0)
+
     @given(st.integers(3, 400), st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=80)
     def test_disjoint_and_covering(self, n, seed):

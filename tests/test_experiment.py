@@ -45,6 +45,44 @@ class TestFeaturize:
                 segment_emotion(e) for e in record.emotions]
 
 
+class TestBatch:
+    def test_carries_only_the_inputs_of_the_given_modalities(self, prepared):
+        data, split = prepared
+        idx = split.train[:5]
+        full = data.batch(idx, "promote")
+        for modalities, present in [(("Appraisals",), "appraisal_features"),
+                                    (("Emotions",), "emotion_features"),
+                                    (("Text",), "encoded")]:
+            batch = data.batch(idx, "promote", modalities)
+            for name in ("encoded", "appraisal_features", "emotion_features"):
+                assert (getattr(batch, name) is None) == (name != present), name
+            for name in ("pcb_labels", "appraisal_target_flags",
+                         "appraisal_target_classes", "emotion_target_flags"):
+                assert np.array_equal(getattr(batch, name), getattr(full, name))
+        text = data.batch(idx, "promote", ("Text",)).encoded
+        assert np.array_equal(text.token_ids, full.encoded.token_ids)
+        assert np.array_equal(text.attention_mask, full.encoded.attention_mask)
+
+    def test_training_and_evaluation_read_only_the_models_inputs(self, prepared,
+                                                                 monkeypatch):
+        data, split = prepared
+        seen = []
+        batch = type(data).batch
+
+        def spy(self, idx, pcb_target, *modalities):
+            out = batch(self, idx, pcb_target, *modalities)
+            seen.append((out.encoded is None, out.appraisal_features is None,
+                         out.emotion_features is None))
+            return out
+
+        monkeypatch.setattr(type(data), "batch", spy)
+        cfg = ExperimentConfig(architecture=2, rating_epochs=2, lr=1e-3)
+        model = build(2, seed=0)
+        train(model, data, split.train, cfg, seed=0)
+        evaluate(model, data, split.test, "promote")
+        assert seen == [(True, False, True)] * 3
+
+
 class TestConfig:
     def test_validation(self):
         with pytest.raises(ConfigError):
@@ -53,6 +91,18 @@ class TestConfig:
             ExperimentConfig(architecture=2, pcb_target="likes")
         with pytest.raises(ConfigError):
             ExperimentConfig(architecture=99)
+
+    @pytest.mark.parametrize("key, value", [
+        ("lr", -0.01), ("lr", float("nan")), ("lr", float("inf")),
+        ("aux_loss_weight", -1.0), ("aux_loss_weight", float("nan")),
+        ("aux_loss_weight", float("-inf"))])
+    def test_lr_and_aux_weight_are_range_checked(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            ExperimentConfig(architecture=10, **{key: value})
+
+    def test_zero_lr_and_aux_weight_are_accepted(self):
+        cfg = ExperimentConfig(architecture=10, lr=0.0, aux_loss_weight=0.0)
+        assert cfg.lr == 0.0 and cfg.aux_loss_weight == 0.0
 
     def test_epoch_selection_by_modality(self):
         cfg = ExperimentConfig(architecture=1, text_epochs=10, rating_epochs=2000)

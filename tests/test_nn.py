@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -33,6 +35,21 @@ class TestLayers:
         x = np.array([[10.0, -10.0]])
         expected = x @ head.layers[0].weight.data + head.layers[0].bias.data
         assert np.allclose(head(Tensor(x)).data, expected)
+
+    def test_forward_holds_one_buffer_per_layer(self):
+        # a rating tower's full-batch forward, graph kept as training keeps it:
+        # bias and relu write into the matmul's output instead of two copies
+        widths = (1024, 512, 3)
+        head = FFNNHead(20, widths, "pcb_head", make_rng())
+        x = Tensor(make_rng(1).normal(size=(1120, 20)))
+        tracemalloc.start()
+        try:
+            out = head(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.node is not None
+        assert peak <= 1.05 * sum(1120 * w * 8 for w in widths)
 
     def test_init_is_seed_controlled(self):
         a = LinearLayer(6, 4, "l", make_rng(7)).weight.data
