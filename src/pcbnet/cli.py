@@ -14,7 +14,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import MISSING, asdict, fields
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +29,7 @@ from .errors import (CapabilityError, ConfigError, DatasetLookupError,
 from .experiment import (PCB_TARGETS, ExperimentConfig, MetricsSummary,
                          run_repetitions)
 from .models import ARCHITECTURES, TEXT, architecture_spec, load_model, save_model
+from .schema import Spec, specs
 from .serialize import atomic_write_text
 
 OUTPUT_ROOT_ENV = "PCBNET_OUT"
@@ -37,26 +38,16 @@ METRICS_COLUMNS = ("architecture_id", "family", "pcb_target", "repetition",
                    "accuracy", "f1_weighted", "seed")
 
 
-def _field_defaults(cls) -> dict:
-    return {f.name: f.default if f.default_factory is MISSING else f.default_factory()
-            for f in fields(cls)}
-
-
-# The lexicon word lists are tuples of string tuples, and _check_types reads a
-# tuple default as three numbers (split_ratios), so JSON configs cannot set them.
-_SYNTH_WORD_LIST_KEYS = {"appraisal_high_words", "appraisal_low_words", "emotion_words"}
-_SYNTH_DEFAULTS = {**_field_defaults(SyntheticGeneratorConfig), "seed": 0}
-_SYNTH_KEYS = set(_SYNTH_DEFAULTS) - _SYNTH_WORD_LIST_KEYS
-_SYNTH_WEIGHT_KEYS = {k for k, v in _SYNTH_DEFAULTS.items() if isinstance(v, np.ndarray)}
-
-_TRAIN_KEYS = {f.name for f in fields(ExperimentConfig)} | {"dataset", "sweep"}
+# A JSON config may set the declared config fields and the CLI's own keys.
+_SYNTH_SPECS = {**specs(SyntheticGeneratorConfig), "seed": Spec("int", ge=0)}
+_TRAIN_SPECS = {**specs(ExperimentConfig), "dataset": Spec("str"), "sweep": Spec("bool")}
 
 
 def _default_out() -> Path:
     return Path(os.environ.get(OUTPUT_ROOT_ENV, "runs"))
 
 
-def _load_json_config(path: str | None, allowed: set[str], what: str) -> dict:
+def _load_json_config(path: str | None, allowed: dict[str, Spec], what: str) -> dict:
     if path is None:
         return {}
     try:
@@ -67,48 +58,12 @@ def _load_json_config(path: str | None, allowed: set[str], what: str) -> dict:
         raise ConfigError(f"{what} config {path} is not valid JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise ConfigError(f"{what} config must be a JSON object")
-    unknown = set(obj) - allowed
+    unknown = set(obj) - set(allowed)
     if unknown:
         raise ConfigError(f"unknown {what} config keys: {sorted(unknown)}")
+    for key, value in obj.items():
+        allowed[key].check(key, value)
     return obj
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _is_number_array(value) -> bool:
-    """A rectangular JSON array of numbers, nested as deep as numpy allows."""
-    try:  # a ragged array's cells are lists; numpy refuses deep nesting
-        return isinstance(value, list) and all(
-            _is_number(v) for v in np.array(value, dtype=object).flat)
-    except (ValueError, RuntimeError):
-        return False
-
-
-# (type of a field's default, test of a JSON value for it, what the value must be);
-# bool comes before int, which it subclasses
-_JSON_TYPES = (
-    (bool, lambda v: isinstance(v, bool), "true or false"),
-    (int, lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
-    (float, _is_number, "a number"),
-    (str, lambda v: isinstance(v, str), "a string"),
-    (type(None), lambda v: v is None or isinstance(v, str), "a string or null"),
-    (tuple, lambda v: isinstance(v, list) and len(v) == 3 and all(map(_is_number, v)),
-     "three numbers"),
-    (np.ndarray, _is_number_array, "an array of numbers"),
-)
-
-
-def _check_types(raw: dict, defaults: dict, what: str) -> None:
-    """Refuse any config value whose JSON type does not fit its field's default."""
-    for key, value in raw.items():
-        if key not in defaults:
-            continue
-        _, fits, want = next(t for t in _JSON_TYPES if isinstance(defaults[key], t[0]))
-        if not fits(value):
-            raise ConfigError(f"{what} config key {key!r} must be {want}, "
-                              f"got {json.dumps(value)[:40]}")
 
 
 def _format_float(x: float) -> str:
@@ -138,13 +93,10 @@ def _summary_rows(arch_id: int, pcb_target: str, summary: MetricsSummary) -> lis
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    raw = _load_json_config(args.config, _SYNTH_KEYS, "synth")
-    _check_types(raw, _SYNTH_DEFAULTS, "synth")
-    seed = args.seed if args.seed is not None else raw.pop("seed", 0)
-    raw.pop("seed", None)
-    for key in _SYNTH_WEIGHT_KEYS:
-        if key in raw:
-            raw[key] = np.asarray(raw[key], dtype=np.float64)
+    raw = _load_json_config(args.config, _SYNTH_SPECS, "synth")
+    seed = raw.pop("seed", 0)
+    if args.seed is not None:
+        seed = _SYNTH_SPECS["seed"].check("--seed", args.seed)
     cfg = SyntheticGeneratorConfig(**raw)
     records = generate_synthetic(cfg, seed)
     out = Path(args.out)
@@ -174,14 +126,9 @@ def _class_distribution(records, cfg: ExperimentConfig) -> dict | list[dict]:
 
     def counts(seed: int) -> dict[str, list[int]]:
         split = split_records(len(records), cfg.split_ratios, seed)
-        out = {}
-        for name, idx in (("train", split.train), ("validation", split.validation),
-                          ("test", split.test)):
-            per_class = [0, 0, 0]
-            for i in idx:
-                per_class[labels[i]] += 1
-            out[name] = per_class
-        return out
+        return {name: [sum(labels[i] == c for i in idx) for c in range(3)]
+                for name, idx in (("train", split.train), ("validation", split.validation),
+                                  ("test", split.test))}
 
     if cfg.resplit_each_repetition:
         return [counts(cfg.base_seed + rep) for rep in range(cfg.repetitions)]
@@ -189,27 +136,20 @@ def _class_distribution(records, cfg: ExperimentConfig) -> dict | list[dict]:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    raw = _load_json_config(args.config, _TRAIN_KEYS, "train")
-    _check_types(raw, {**_field_defaults(ExperimentConfig), "architecture": 0,
-                       "dataset": ""}, "train")
+    raw = _load_json_config(args.config, _TRAIN_SPECS, "train")
     if "dataset" not in raw:
         raise ConfigError("train config must name a 'dataset' file")
     dataset_path = raw.pop("dataset")
-    sweep = bool(raw.pop("sweep", False)) or args.sweep
     if args.seed is not None:
         raw["base_seed"] = args.seed
-    if "split_ratios" in raw:
-        raw["split_ratios"] = tuple(raw["split_ratios"])
-    if sweep:
-        raw.pop("architecture", None)
-        raw.pop("pcb_target", None)
-        arch_ids = list(range(1, 13))
-        targets = list(PCB_TARGETS)
+    # every config is built, and so checked, before the dataset is read
+    if raw.pop("sweep", False) or args.sweep:
+        configs = [ExperimentConfig(**{**raw, "architecture": arch_id, "pcb_target": target})
+                   for arch_id in range(1, 13) for target in PCB_TARGETS]
+    elif "architecture" in raw:
+        configs = [ExperimentConfig(**raw)]
     else:
-        if "architecture" not in raw:
-            raise ConfigError("train config must set 'architecture' (or use --sweep)")
-        arch_ids = [raw.pop("architecture")]
-        targets = [raw.pop("pcb_target", "promote")]
+        raise ConfigError("train config must set 'architecture' (or use --sweep)")
 
     records = ingest(dataset_path)
     out_dir = Path(args.out) if args.out else _default_out()
@@ -220,32 +160,28 @@ def cmd_train(args: argparse.Namespace) -> int:
     summaries: dict[str, dict] = {}
     checkpoints: list[str] = []
     config_snapshots: list[dict] = []
-    for arch_id in arch_ids:
-        for target in targets:
-            cfg = ExperimentConfig(architecture=arch_id, pcb_target=target, **raw)
-            tag = f"arch{arch_id:02d}_{target}"
-            summary, checkpoint = _run_one_training(records, cfg, args.workers,
-                                                    out_dir, tag)
-            all_rows.extend(_summary_rows(arch_id, target, summary))
-            summaries[tag] = {
-                "architecture_id": arch_id,
-                "pcb_target": target,
-                "mean_accuracy": summary.mean_accuracy,
-                "std_accuracy": summary.std_accuracy,
-                "mean_f1": summary.mean_f1,
-                "std_f1": summary.std_f1,
-                "std_kind": "population",
-                "repetitions": cfg.repetitions,
-                "class_counts_low_moderate_high": _class_distribution(records, cfg),
-                "auxiliary_diagnostics": [r.diagnostics for r in summary.rows],
-            }
-            checkpoints.append(str(checkpoint))
-            snapshot = asdict(cfg)
-            snapshot["dataset"] = str(dataset_path)
-            config_snapshots.append(snapshot)
-            print(f"{tag}: accuracy {summary.mean_accuracy:.4f} "
-                  f"({summary.std_accuracy:.4f}), f1 {summary.mean_f1:.4f} "
-                  f"({summary.std_f1:.4f})")
+    for cfg in configs:
+        arch_id, target = cfg.architecture, cfg.pcb_target
+        tag = f"arch{arch_id:02d}_{target}"
+        summary, checkpoint = _run_one_training(records, cfg, args.workers, out_dir, tag)
+        all_rows.extend(_summary_rows(arch_id, target, summary))
+        summaries[tag] = {
+            "architecture_id": arch_id,
+            "pcb_target": target,
+            "mean_accuracy": summary.mean_accuracy,
+            "std_accuracy": summary.std_accuracy,
+            "mean_f1": summary.mean_f1,
+            "std_f1": summary.std_f1,
+            "std_kind": "population",
+            "repetitions": cfg.repetitions,
+            "class_counts_low_moderate_high": _class_distribution(records, cfg),
+            "auxiliary_diagnostics": [r.diagnostics for r in summary.rows],
+        }
+        checkpoints.append(str(checkpoint))
+        config_snapshots.append({**asdict(cfg), "dataset": str(dataset_path)})
+        print(f"{tag}: accuracy {summary.mean_accuracy:.4f} "
+              f"({summary.std_accuracy:.4f}), f1 {summary.mean_f1:.4f} "
+              f"({summary.std_f1:.4f})")
 
     metrics_path = out_dir / "metrics.csv"
     atomic_write_text(metrics_path, _metrics_csv(all_rows))

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -13,14 +12,18 @@ from .autodiff import (Tensor, add, backward, binary_cross_entropy, cross_entrop
                        grouped_cross_entropy, no_grad)
 from .data import (APPRAISAL_COUNT, DatasetSplit, ReviewRecord, segment_emotion,
                    segment_pcb, split_records)
-from .errors import ConfigError, SizeError, TrainingError
+from .errors import SizeError, TrainingError
 from .metrics import accuracy_score, weighted_f1
 from .models import (APPRAISALS, EMOTIONS, TEXT, Batch, ModelInstance,
                      architecture_spec, build)
 from .nn import Adam, LinearSchedule
+from .schema import Spec, check_fields, declared
 from .text import EncodedBatch, PrecomputedEncoder, Vocabulary, encode_texts
 
 PCB_TARGETS = ("repurchase", "promote")
+# A budget: a built text encoder trains a vocab x d table and a d x d projection, held four
+# times (weights, gradient, two Adam moments), so 0.5 GB for the projection at d = 4096.
+MAX_BUILT_ENCODER_DIM = 4096
 
 
 @dataclass
@@ -32,46 +35,34 @@ class ExperimentConfig:
     ``batch_size``.
     """
 
-    architecture: int
-    pcb_target: str = "promote"
-    text_epochs: int = 10
-    rating_epochs: int = 2000
-    lr: float = 1e-5
-    batch_size: int = 16
-    repetitions: int = 5
-    base_seed: int = 0
-    split_ratios: tuple[float, float, float] = (0.8, 0.1, 0.1)
-    appraisal_loss: str = "bce"  # "bce": one-hot blocks; "ce": per-dimension 3-way
-    aux_loss_weight: float = 1.0
-    encoder_dim: int = 128
-    max_sequence_length: int = 256
-    min_token_freq: int = 2
-    resplit_each_repetition: bool = False
-    precomputed_embeddings: str | None = None
-    finetune_fused: bool = False   # multi-modal: also train through frozen towers
-    track_validation: bool = False  # record a sampled validation-accuracy curve
+    architecture: int = declared("int")
+    pcb_target: str = declared("str", "promote", choices=PCB_TARGETS)
+    text_epochs: int = declared("int", 10, ge=1)
+    rating_epochs: int = declared("int", 2000, ge=1)
+    # lr 0 leaves every parameter as initialized; a negative lr would climb the loss
+    lr: float = declared("float", 1e-5, ge=0)
+    batch_size: int = declared("int", 16, ge=1)
+    repetitions: int = declared("int", 5, ge=1)
+    base_seed: int = declared("int", 0, ge=0)  # numpy seeds are non-negative
+    # the ratio rule (each in [0, 1], summing to 1) lives in data.split_records
+    split_ratios: tuple[float, float, float] = declared("floats", (0.8, 0.1, 0.1))
+    # "bce": one-hot blocks; "ce": per-dimension 3-way
+    appraisal_loss: str = declared("str", "bce", choices=("bce", "ce"))
+    aux_loss_weight: float = declared("float", 1.0, ge=0)
+    # at most MAX_BUILT_ENCODER_DIM unless precomputed_embeddings fixes the width
+    encoder_dim: int = declared("int", 128, ge=1)
+    max_sequence_length: int = declared("int", 256, ge=1)
+    min_token_freq: int = declared("int", 2, ge=1)
+    resplit_each_repetition: bool = declared("bool", False)
+    precomputed_embeddings: str | None = declared("str|null", None)
+    finetune_fused: bool = declared("bool", False)  # multi-modal: train through the towers
+    track_validation: bool = declared("bool", False)  # sample a validation-accuracy curve
 
     def __post_init__(self) -> None:
-        if self.repetitions < 1:
-            raise ConfigError(f"repetitions must be >= 1, got {self.repetitions}")
-        if self.text_epochs < 1 or self.rating_epochs < 1:
-            raise ConfigError("epoch counts must be >= 1")
-        if self.pcb_target not in PCB_TARGETS:
-            raise ConfigError(f"pcb_target must be one of {PCB_TARGETS}, "
-                              f"got {self.pcb_target!r}")
-        if self.appraisal_loss not in ("bce", "ce"):
-            raise ConfigError(f"appraisal_loss must be 'bce' or 'ce', "
-                              f"got {self.appraisal_loss!r}")
-        for name in ("batch_size", "encoder_dim", "max_sequence_length"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        # lr 0 is a run that leaves every parameter as initialized; a negative
-        # lr would climb the loss
-        for name in ("lr", "aux_loss_weight"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ConfigError(f"{name} must be finite and non-negative, got {value}")
+        check_fields(self)
         architecture_spec(self.architecture)  # validates the id
+        if self.precomputed_embeddings is None:  # else the embedding file fixes the width
+            Spec("int", le=MAX_BUILT_ENCODER_DIM).check("encoder_dim", self.encoder_dim)
 
     def epochs_for(self, modalities: Sequence[str]) -> int:
         return self.text_epochs if TEXT in modalities else self.rating_epochs

@@ -29,6 +29,7 @@ from .autodiff import Tensor, concat
 from .data import APPRAISAL_COUNT, EMOTION_COUNT
 from .errors import ConfigError, InputError, ValidationError
 from .nn import FFNNHead
+from .schema import shown
 from .serialize import load_params, save_params
 from .text import EncodedBatch, PrecomputedEncoder, TextEncoder, Vocabulary
 
@@ -154,7 +155,7 @@ _BY_ID = {spec.id: spec for spec in ARCHITECTURES}
 
 def architecture_spec(arch_id: int) -> ArchitectureSpec:
     if arch_id not in _BY_ID:
-        raise ConfigError(f"unknown architecture id {arch_id}; valid ids are 1..12")
+        raise ConfigError(f"unknown architecture id {shown(arch_id)}; valid ids are 1..12")
     return _BY_ID[arch_id]
 
 

@@ -6,8 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from pcbnet.cli import (_SYNTH_KEYS, _SYNTH_WORD_LIST_KEYS, _TRAIN_KEYS, main,
-                        render_report)
+from pcbnet.cli import _SYNTH_SPECS, _TRAIN_SPECS, main, render_report
 from pcbnet.data import SyntheticGeneratorConfig, ingest
 from pcbnet.experiment import ExperimentConfig
 
@@ -180,17 +179,21 @@ class TestReadmeConfigKeys:
     def test_synth_keys_are_accepted(self):
         keys = readme_config_keys("synth")
         assert "record_count" in keys and "squash_scale" in keys
-        assert set(keys) <= _SYNTH_KEYS
+        assert set(keys) <= set(_SYNTH_SPECS)
+
+    def test_every_synth_key_is_documented(self):
+        assert set(_SYNTH_SPECS) <= set(readme_config_keys("synth"))
 
     def test_synth_keys_are_the_generator_fields_and_seed(self):
         names = {f.name for f in fields(SyntheticGeneratorConfig)}
-        assert _SYNTH_KEYS == (names | {"seed"}) - _SYNTH_WORD_LIST_KEYS
-        assert _SYNTH_WORD_LIST_KEYS < names
+        word_lists = {"appraisal_high_words", "appraisal_low_words", "emotion_words"}
+        assert set(_SYNTH_SPECS) == (names | {"seed"}) - word_lists
+        assert word_lists < names
 
     def test_train_keys_are_accepted_and_cover_the_config(self):
         keys = readme_config_keys("train")
         assert "dataset" in keys and "track_validation" in keys
-        assert set(keys) <= _TRAIN_KEYS
+        assert set(keys) <= set(_TRAIN_SPECS)
         assert {f.name for f in fields(ExperimentConfig)} <= set(keys)
 
 
@@ -383,6 +386,21 @@ CONFIG_PROBES = [
     ("train", {"architecture": 1, "precomputed_embeddings": "missing.jsonl"}, "config"),
     ("train", {"architecture": 1, "encoder_dim": 2,
                "precomputed_embeddings": "latin1.jsonl"}, "validation"),
+    # every float key must be finite: NaN noise would silently mean no noise
+    ("synth", {"noise_scale": float("nan")}, "config"),
+    ("synth", {"noise_scale": float("inf")}, "config"),
+    ("synth", {"squash_scale": float("nan")}, "config"),
+    ("synth", {"squash_scale": float("inf")}, "config"),
+    ("train", {"min_token_freq": -5}, "config"),
+    ("train", {"min_token_freq": 0}, "config"),
+    # seeds are non-negative, as numpy requires
+    ("synth", {"seed": -1}, "config"),
+    ("train", {"base_seed": -1}, "config"),
+    # read as bool("no"), this would start all 24 combinations
+    ("train", {"sweep": "no"}, "config"),
+    # size budgets: a built encoder's width, a synth review's length
+    ("train", {"encoder_dim": 10**20}, "config"),
+    ("synth", {"mean_review_length": 10**20}, "config"),
 ]
 
 
@@ -424,6 +442,19 @@ class TestBadInputs:
         error = one_error_line(capsys)
         assert error["category"] == category
         assert not out.exists() or not any(out.rglob("*.params")), "trained anyway"
+
+    @pytest.mark.parametrize("command", ["synth", "train"])
+    def test_negative_seed_flag_is_one_json_line(self, probe_dir, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        if command == "synth":
+            argv = ["synth", "--out", str(out / "d.jsonl")]
+        else:
+            cfg = quick_train_config(tmp_path, probe_dir / "dataset.jsonl")
+            argv = ["train", "--config", cfg, "--out", str(out)]
+        capsys.readouterr()
+        assert main(argv + ["--seed", "-3"]) == 1
+        assert one_error_line(capsys)["category"] == "config"
+        assert not out.exists()
 
     @pytest.mark.parametrize("column, value", [("accuracy", "high"),
                                                ("f1_weighted", ""),

@@ -262,9 +262,9 @@ class TestGenerator:
                         f"record {record.id}: no lexicon token for emotion {e}")
 
     def test_empty_lexicon_rejected(self):
-        cfg = SyntheticGeneratorConfig(record_count=1,
-                                       emotion_words=((),) * EMOTION_COUNT)
         with pytest.raises(ConfigError):
+            cfg = SyntheticGeneratorConfig(record_count=1,
+                                           emotion_words=((),) * EMOTION_COUNT)
             generate_synthetic(cfg, seed=0)
 
     def test_filler_pool_disjoint_from_lexicon(self):

@@ -295,6 +295,23 @@ class TestEncoderSlot:
         summary = run_repetitions(small_records, cfg)
         assert 0.0 <= summary.mean_accuracy <= 1.0
 
+    def test_precomputed_width_may_exceed_the_built_encoder_ceiling(self, small_records,
+                                                                     tmp_path):
+        from pcbnet.experiment import MAX_BUILT_ENCODER_DIM
+        from pcbnet.text import save_precomputed_embeddings
+        width = MAX_BUILT_ENCODER_DIM + 1
+        rng = np.random.default_rng(0)
+        path = tmp_path / "embeddings.jsonl"
+        save_precomputed_embeddings(path, {r.id: rng.normal(size=width)
+                                           for r in small_records})
+        cfg = ExperimentConfig(architecture=1, repetitions=1, text_epochs=1,
+                               lr=1e-3, encoder_dim=width,
+                               precomputed_embeddings=str(path))
+        summary = run_repetitions(small_records, cfg)
+        assert 0.0 <= summary.mean_accuracy <= 1.0
+        with pytest.raises(ConfigError, match="encoder_dim"):
+            ExperimentConfig(architecture=1, encoder_dim=width)
+
     @pytest.mark.parametrize("arch_id", [1, 9])
     def test_precomputed_width_mismatch_fails_before_training(
             self, small_records, tmp_path, monkeypatch, arch_id):
