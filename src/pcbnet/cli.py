@@ -22,8 +22,7 @@ import numpy as np
 from . import __version__
 from .attribution import integrated_gradients, report_to_html, report_to_json
 from .data import (SyntheticGeneratorConfig, generate_synthetic, ingest,
-                   segment_pcb, split_records, write_appraisal_names,
-                   write_jsonl)
+                   write_appraisal_names, write_jsonl)
 from .errors import (CapabilityError, ConfigError, DatasetLookupError,
                      PcbnetError, ValidationError)
 from .experiment import (PCB_TARGETS, ExperimentConfig, MetricsSummary,
@@ -107,34 +106,6 @@ def cmd_synth(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_one_training(records, cfg: ExperimentConfig, workers: int,
-                      out_dir: Path, tag: str):
-    summary, model = run_repetitions(records, cfg, workers=workers,
-                                     return_last_model=True)
-    checkpoint = out_dir / f"checkpoint_{tag}.params"
-    save_model(checkpoint, model, meta={"pcb_target": cfg.pcb_target})
-    return summary, checkpoint
-
-
-def _class_distribution(records, cfg: ExperimentConfig) -> dict | list[dict]:
-    """Per-split PCB class counts (splits are plain shuffles, not stratified).
-
-    One set for the shared split; with ``resplit_each_repetition``, a list
-    with one set per repetition, in repetition order.
-    """
-    labels = [int(segment_pcb(r.pcb(cfg.pcb_target))) for r in records]
-
-    def counts(seed: int) -> dict[str, list[int]]:
-        split = split_records(len(records), cfg.split_ratios, seed)
-        return {name: [sum(labels[i] == c for i in idx) for c in range(3)]
-                for name, idx in (("train", split.train), ("validation", split.validation),
-                                  ("test", split.test))}
-
-    if cfg.resplit_each_repetition:
-        return [counts(cfg.base_seed + rep) for rep in range(cfg.repetitions)]
-    return counts(cfg.base_seed)
-
-
 def cmd_train(args: argparse.Namespace) -> int:
     raw = _load_json_config(args.config, _TRAIN_SPECS, "train")
     if "dataset" not in raw:
@@ -143,9 +114,10 @@ def cmd_train(args: argparse.Namespace) -> int:
     if args.seed is not None:
         raw["base_seed"] = args.seed
     # every config is built, and so checked, before the dataset is read
+    workers = Spec("int", ge=1).check("--workers", args.workers)
     if raw.pop("sweep", False) or args.sweep:
-        configs = [ExperimentConfig(**{**raw, "architecture": arch_id, "pcb_target": target})
-                   for arch_id in range(1, 13) for target in PCB_TARGETS]
+        configs = [ExperimentConfig(**{**raw, "architecture": spec.id, "pcb_target": target})
+                   for spec in ARCHITECTURES for target in PCB_TARGETS]
     elif "architecture" in raw:
         configs = [ExperimentConfig(**raw)]
     else:
@@ -163,7 +135,10 @@ def cmd_train(args: argparse.Namespace) -> int:
     for cfg in configs:
         arch_id, target = cfg.architecture, cfg.pcb_target
         tag = f"arch{arch_id:02d}_{target}"
-        summary, checkpoint = _run_one_training(records, cfg, args.workers, out_dir, tag)
+        summary, model = run_repetitions(records, cfg, workers=workers)
+        checkpoint = out_dir / f"checkpoint_{tag}.params"
+        save_model(checkpoint, model, meta={"pcb_target": cfg.pcb_target})
+        counts = [r.class_counts for r in summary.rows]  # the splits are not stratified
         all_rows.extend(_summary_rows(arch_id, target, summary))
         summaries[tag] = {
             "architecture_id": arch_id,
@@ -174,7 +149,8 @@ def cmd_train(args: argparse.Namespace) -> int:
             "std_f1": summary.std_f1,
             "std_kind": "population",
             "repetitions": cfg.repetitions,
-            "class_counts_low_moderate_high": _class_distribution(records, cfg),
+            "class_counts_low_moderate_high":
+                counts if cfg.resplit_each_repetition else counts[0],
             "auxiliary_diagnostics": [r.diagnostics for r in summary.rows],
         }
         checkpoints.append(str(checkpoint))

@@ -359,7 +359,7 @@ def _default_appraisal_emotion_weights() -> np.ndarray:
     return w * np.outer(APPRAISAL_VALENCE, EMOTION_VALENCE)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SyntheticGeneratorConfig:
     """Planted-signal generator settings; the defaults are the tested baseline."""
 

@@ -26,7 +26,7 @@ PCB_TARGETS = ("repurchase", "promote")
 MAX_BUILT_ENCODER_DIM = 4096
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     """One run: architecture, target, budgets, and the repetition protocol.
 
@@ -82,6 +82,8 @@ class RepetitionResult:
     accuracy: float
     f1_weighted: float
     diagnostics: dict = field(default_factory=dict)
+    # per split this repetition used: its [Low, Moderate, High] PCB label counts
+    class_counts: dict[str, list[int]] = field(default_factory=dict)
 
 
 @dataclass
@@ -114,7 +116,6 @@ class Dataset:
     appraisal_features: np.ndarray
     emotion_features: np.ndarray
     pcb_labels: dict[str, np.ndarray]
-    appraisal_target_flags: np.ndarray
     appraisal_target_classes: np.ndarray
     emotion_target_flags: np.ndarray
 
@@ -133,7 +134,6 @@ class Dataset:
             emotion_features=(self.emotion_features[idx]
                               if EMOTIONS in modalities else None),
             pcb_labels=self.pcb_labels[pcb_target][idx],
-            appraisal_target_flags=self.appraisal_target_flags[idx],
             appraisal_target_classes=self.appraisal_target_classes[idx],
             emotion_target_flags=self.emotion_target_flags[idx],
         )
@@ -151,11 +151,6 @@ def featurize(records: Sequence[ReviewRecord], vocab: Vocabulary | None,
     emotions = np.array([r.emotions for r in records], dtype=np.float64)
     app_classes = np.array([[segment_pcb(a) for a in r.appraisals]
                             for r in records], dtype=np.int64)
-    flags = np.zeros((len(records), APPRAISAL_COUNT * 3))
-    rows = np.repeat(np.arange(len(records)), APPRAISAL_COUNT)
-    cols = (np.tile(np.arange(APPRAISAL_COUNT), len(records)) * 3
-            + app_classes.reshape(-1))
-    flags[rows, cols] = 1.0
     token_ids = attention = None
     if vocab is not None:
         encoded = encode_texts([r.text for r in records], vocab, max_sequence_length)
@@ -169,7 +164,6 @@ def featurize(records: Sequence[ReviewRecord], vocab: Vocabulary | None,
         emotion_features=(emotions - 4.0) / 3.0,
         pcb_labels={t: np.array([int(segment_pcb(r.pcb(t))) for r in records],
                                 dtype=np.int64) for t in PCB_TARGETS},
-        appraisal_target_flags=flags,
         appraisal_target_classes=app_classes,
         emotion_target_flags=np.array([[segment_emotion(e) for e in r.emotions]
                                        for r in records], dtype=np.float64),
@@ -182,9 +176,10 @@ def compute_loss(model: ModelInstance, batch: Batch, cfg: ExperimentConfig,
     out = outputs if outputs is not None else model.forward(batch)
     loss = cross_entropy(out["pcb_logits"], batch.pcb_labels)
     if APPRAISALS in model.spec.auxiliary_targets:
-        if cfg.appraisal_loss == "bce":
+        if cfg.appraisal_loss == "bce":  # one-hot blocks: class c of dimension k at k*3 + c
+            classes = batch.appraisal_target_classes
             aux = binary_cross_entropy(out["appraisal_logits"],
-                                       batch.appraisal_target_flags,
+                                       np.eye(3)[classes].reshape(len(classes), -1),
                                        weight=cfg.aux_loss_weight)
         else:
             aux = grouped_cross_entropy(out["appraisal_logits"],
@@ -332,6 +327,11 @@ def run_repetition(records: Sequence[ReviewRecord], data: Dataset,
     result = evaluate(model, data, split.test, cfg.pcb_target)
     result.repetition = repetition
     result.seed = seed
+    labels = data.pcb_labels[cfg.pcb_target]
+    result.class_counts = {
+        name: np.bincount(labels[np.asarray(idx, dtype=np.int64)], minlength=3).tolist()
+        for name, idx in (("train", split.train), ("validation", split.validation),
+                          ("test", split.test))}
     if "validation_trace" in train_result.diagnostics:
         result.diagnostics["validation_trace"] = \
             train_result.diagnostics["validation_trace"]
@@ -339,30 +339,23 @@ def run_repetition(records: Sequence[ReviewRecord], data: Dataset,
 
 
 def run_repetitions(records: Sequence[ReviewRecord], cfg: ExperimentConfig,
-                    workers: int = 1, return_last_model: bool = False):
+                    workers: int = 1) -> tuple[MetricsSummary, ModelInstance]:
     """Run the repetition protocol: fixed split, fresh seed per repetition.
 
     With ``resplit_each_repetition`` the split is redrawn per repetition
     instead. Repetitions are independent; ``workers`` bounds how many run
-    concurrently.
+    concurrently. Returns the summary and the last repetition's model.
     """
     records = list(records)
-    base_split = split_records(len(records), cfg.split_ratios, cfg.base_seed)
-
-    def prepared(split: DatasetSplit) -> Dataset:
-        vocab = None
-        if _needs_text(cfg) and not cfg.precomputed_embeddings:
-            vocab = build_vocab_for_split(records, split, cfg.min_token_freq)
-        return featurize(records, vocab, cfg.max_sequence_length)
-
     jobs: list[tuple[Dataset, DatasetSplit, int]] = []
-    if cfg.resplit_each_repetition:
-        for rep in range(cfg.repetitions):
+    for rep in range(cfg.repetitions):
+        if rep == 0 or cfg.resplit_each_repetition:  # repetition r splits with base_seed + r
             split = split_records(len(records), cfg.split_ratios, cfg.base_seed + rep)
-            jobs.append((prepared(split), split, rep))
-    else:
-        data = prepared(base_split)
-        jobs = [(data, base_split, rep) for rep in range(cfg.repetitions)]
+            vocab = None
+            if _needs_text(cfg) and not cfg.precomputed_embeddings:
+                vocab = build_vocab_for_split(records, split, cfg.min_token_freq)
+            data = featurize(records, vocab, cfg.max_sequence_length)
+        jobs.append((data, split, rep))
 
     if workers > 1 and cfg.repetitions > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -370,7 +363,4 @@ def run_repetitions(records: Sequence[ReviewRecord], cfg: ExperimentConfig,
                 lambda job: run_repetition(records, job[0], job[1], cfg, job[2]), jobs))
     else:
         outcomes = [run_repetition(records, d, s, cfg, rep) for d, s, rep in jobs]
-    summary = MetricsSummary.aggregate([r for r, _ in outcomes])
-    if return_last_model:
-        return summary, outcomes[-1][1]
-    return summary
+    return MetricsSummary.aggregate([r for r, _ in outcomes]), outcomes[-1][1]

@@ -168,7 +168,6 @@ class Batch:
     appraisal_features: np.ndarray | None = None  # [b, 20] scaled ratings
     emotion_features: np.ndarray | None = None    # [b, 8] scaled ratings
     pcb_labels: np.ndarray | None = None          # [b] int class
-    appraisal_target_flags: np.ndarray | None = None    # [b, 60] one-hot blocks
     appraisal_target_classes: np.ndarray | None = None  # [b, 20] class indices
     emotion_target_flags: np.ndarray | None = None      # [b, 8] binary
 

@@ -88,6 +88,6 @@ def specs(cls) -> dict[str, Spec]:
 
 
 def check_fields(obj) -> None:
-    """Check every declared field of ``obj`` and store the value as converted."""
+    """Check every declared field of the frozen ``obj`` and store the value as converted."""
     for name, spec in specs(type(obj)).items():
-        setattr(obj, name, spec.check(name, getattr(obj, name)))
+        object.__setattr__(obj, name, spec.check(name, getattr(obj, name)))

@@ -257,10 +257,10 @@ def test_criterion_5_modality_ordering():
     cfg = SyntheticGeneratorConfig(record_count=500, noise_scale=0.0,
                                    text_signal=0.3)
     records = generate_synthetic(cfg, seed=23)
-    ratings = run_repetitions(records, ExperimentConfig(
+    ratings, _ = run_repetitions(records, ExperimentConfig(
         architecture=2, pcb_target="promote", repetitions=5,
         rating_epochs=120, lr=3e-3, base_seed=100))
-    text = run_repetitions(records, ExperimentConfig(
+    text, _ = run_repetitions(records, ExperimentConfig(
         architecture=1, pcb_target="promote", repetitions=5,
         text_epochs=10, lr=3e-3, base_seed=100))
     assert ratings.mean_accuracy > text.mean_accuracy, (

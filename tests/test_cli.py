@@ -456,6 +456,16 @@ class TestBadInputs:
         assert one_error_line(capsys)["category"] == "config"
         assert not out.exists()
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_is_one_json_line(self, probe_dir, tmp_path, capsys, workers):
+        out = tmp_path / "out"
+        cfg = quick_train_config(tmp_path, probe_dir / "dataset.jsonl")
+        capsys.readouterr()
+        assert main(["train", "--config", cfg, "--out", str(out), "--workers", workers]) == 1
+        error = one_error_line(capsys)
+        assert error["category"] == "config" and "--workers" in error["message"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("column, value", [("accuracy", "high"),
                                                ("f1_weighted", ""),
                                                ("architecture_id", "two")])

@@ -37,12 +37,32 @@ class TestFeaturize:
                                (np.array(record.appraisals) - 4.0) / 3.0)
             for t in ("promote", "repurchase"):
                 assert data.pcb_labels[t][i] == int(segment_pcb(record.pcb(t)))
-            flags = data.appraisal_target_flags[i].reshape(20, 3)
-            assert np.all(flags.sum(axis=1) == 1.0)
-            for k in range(20):
-                assert np.argmax(flags[k]) == int(segment_pcb(record.appraisals[k]))
+            assert data.appraisal_target_classes[i].tolist() == [
+                int(segment_pcb(a)) for a in record.appraisals]
             assert data.emotion_target_flags[i].tolist() == [
                 segment_emotion(e) for e in record.emotions]
+
+
+class TestLoss:
+    @pytest.mark.parametrize("arch_id", [4, 10])
+    def test_bce_appraisal_targets_are_one_hot_blocks(self, prepared, small_records,
+                                                      arch_id):
+        from pcbnet.autodiff import add, binary_cross_entropy, cross_entropy
+        from pcbnet.data import segment_pcb
+        data, split = prepared
+        idx = split.train[:6]
+        batch = data.batch(idx, "promote")
+        # dimension k's block is columns k*3 .. k*3+2, with a 1 at its Likert class
+        flags = np.zeros((len(idx), 60))
+        for row, i in enumerate(idx):
+            for k, rating in enumerate(small_records[i].appraisals):
+                flags[row, k * 3 + int(segment_pcb(rating))] = 1.0
+        model = build(arch_id, vocab=data.vocab, seed=0)
+        out = model.forward(batch)
+        cfg = ExperimentConfig(architecture=arch_id, aux_loss_weight=0.5)
+        expected = add(cross_entropy(out["pcb_logits"], batch.pcb_labels),
+                       binary_cross_entropy(out["appraisal_logits"], flags, weight=0.5))
+        assert compute_loss(model, batch, cfg, outputs=out).item() == expected.item()
 
 
 class TestBatch:
@@ -56,8 +76,7 @@ class TestBatch:
             batch = data.batch(idx, "promote", modalities)
             for name in ("encoded", "appraisal_features", "emotion_features"):
                 assert (getattr(batch, name) is None) == (name != present), name
-            for name in ("pcb_labels", "appraisal_target_flags",
-                         "appraisal_target_classes", "emotion_target_flags"):
+            for name in ("pcb_labels", "appraisal_target_classes", "emotion_target_flags"):
                 assert np.array_equal(getattr(batch, name), getattr(full, name))
         text = data.batch(idx, "promote", ("Text",)).encoded
         assert np.array_equal(text.token_ids, full.encoded.token_ids)
@@ -237,7 +256,7 @@ class TestRepetitions:
     def test_single_repetition_zero_std(self, small_records):
         cfg = ExperimentConfig(architecture=3, repetitions=1, rating_epochs=2,
                                lr=1e-3, base_seed=5)
-        summary = run_repetitions(small_records, cfg)
+        summary, _ = run_repetitions(small_records, cfg)
         assert summary.std_accuracy == 0.0
         assert summary.std_f1 == 0.0
         assert len(summary.rows) == 1
@@ -257,27 +276,49 @@ class TestRepetitions:
     def test_seeds_and_fixed_split(self, small_records):
         cfg = ExperimentConfig(architecture=3, repetitions=3, rating_epochs=2,
                                lr=1e-3, base_seed=10)
-        summary = run_repetitions(small_records, cfg)
+        summary, _ = run_repetitions(small_records, cfg)
         assert [r.seed for r in summary.rows] == [10, 11, 12]
 
     def test_workers_match_serial_results(self, small_records):
         cfg = ExperimentConfig(architecture=3, repetitions=3, rating_epochs=3,
                                lr=1e-3, base_seed=0)
-        serial = run_repetitions(small_records, cfg, workers=1)
-        threaded = run_repetitions(small_records, cfg, workers=3)
+        serial, _ = run_repetitions(small_records, cfg, workers=1)
+        threaded, _ = run_repetitions(small_records, cfg, workers=3)
         assert [r.accuracy for r in serial.rows] == [r.accuracy for r in threaded.rows]
         assert [r.f1_weighted for r in serial.rows] == [r.f1_weighted for r in threaded.rows]
+
+    @pytest.mark.parametrize("resplit, workers", [(False, 1), (True, 1), (False, 2)],
+                             ids=["fixed-split", "resplit", "workers-2"])
+    def test_returns_the_last_repetitions_model(self, small_records, resplit, workers):
+        from pcbnet.experiment import run_repetition
+        cfg = ExperimentConfig(architecture=12, repetitions=3, text_epochs=1, lr=1e-3,
+                               base_seed=4, min_token_freq=1,
+                               resplit_each_repetition=resplit)
+        summary, model = run_repetitions(small_records, cfg, workers=workers)
+        last = cfg.repetitions - 1
+        split = split_records(len(small_records), cfg.split_ratios,
+                              cfg.base_seed + (last if resplit else 0))
+        data = featurize(small_records, build_vocab_for_split(small_records, split, 1))
+        result, expected = run_repetition(small_records, data, split, cfg, last)
+        got, want = model.parameters(), expected.parameters()
+        assert list(got) == list(want)
+        for name, param in want.items():
+            assert got[name].data.tobytes() == param.data.tobytes(), name
+        assert summary.rows[-1].accuracy == result.accuracy
+        assert summary.rows[-1].class_counts == result.class_counts
+        assert [sum(c) for c in result.class_counts.values()] == [
+            len(split.train), len(split.validation), len(split.test)]
 
     def test_resplit_flag_changes_split(self, small_records):
         cfg = ExperimentConfig(architecture=3, repetitions=2, rating_epochs=2,
                                lr=1e-3, base_seed=0, resplit_each_repetition=True)
-        summary = run_repetitions(small_records, cfg)
+        summary, _ = run_repetitions(small_records, cfg)
         assert len(summary.rows) == 2
 
     def test_validation_curve_tracked_on_request(self, small_records):
         cfg = ExperimentConfig(architecture=3, repetitions=1, rating_epochs=6,
                                lr=1e-3, base_seed=0, track_validation=True)
-        summary = run_repetitions(small_records, cfg)
+        summary, _ = run_repetitions(small_records, cfg)
         trace = summary.rows[0].diagnostics["validation_trace"]
         assert trace and all(0.0 <= acc <= 1.0 for _, acc in trace)
 
@@ -292,7 +333,7 @@ class TestEncoderSlot:
         cfg = ExperimentConfig(architecture=1, repetitions=1, text_epochs=2,
                                lr=1e-3, encoder_dim=16,
                                precomputed_embeddings=str(path))
-        summary = run_repetitions(small_records, cfg)
+        summary, _ = run_repetitions(small_records, cfg)
         assert 0.0 <= summary.mean_accuracy <= 1.0
 
     def test_precomputed_width_may_exceed_the_built_encoder_ceiling(self, small_records,
@@ -307,7 +348,7 @@ class TestEncoderSlot:
         cfg = ExperimentConfig(architecture=1, repetitions=1, text_epochs=1,
                                lr=1e-3, encoder_dim=width,
                                precomputed_embeddings=str(path))
-        summary = run_repetitions(small_records, cfg)
+        summary, _ = run_repetitions(small_records, cfg)
         assert 0.0 <= summary.mean_accuracy <= 1.0
         with pytest.raises(ConfigError, match="encoder_dim"):
             ExperimentConfig(architecture=1, encoder_dim=width)

@@ -199,8 +199,8 @@ class TestGradientRouting:
         batch = batch_of(tiny_data)
         out = model.forward(batch)
         got = self.reachable_params(
-            model, binary_cross_entropy(out["appraisal_logits"],
-                                        batch.appraisal_target_flags))
+            model, binary_cross_entropy(out["appraisal_logits"], np.eye(3)[
+                batch.appraisal_target_classes].reshape(batch.size(), -1)))
         assert not any(p.startswith("pcb_head") for p in got)
         assert any(p.startswith("appraisal_head") for p in got)
 

@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -46,6 +48,16 @@ class TestDeclaredFields:
     @settings(max_examples=60, deadline=None, derandomize=True)
     def test_construction_succeeds_or_is_a_config_error(self, cls, key, value):
         construct_or_config_error(cls, key, value)
+
+    @pytest.mark.parametrize("cfg, key, value", [
+        (SyntheticGeneratorConfig(record_count=3), "noise_scale", float("nan")),
+        (ExperimentConfig(architecture=1), "lr", -1.0),
+    ], ids=["noise_scale", "lr"])
+    def test_a_built_config_refuses_assignment(self, cfg, key, value):
+        before = getattr(cfg, key)
+        with pytest.raises(FrozenInstanceError):
+            setattr(cfg, key, value)
+        assert getattr(cfg, key) == before
 
     def test_numpy_scalars_are_accepted(self):
         cfg = ExperimentConfig(architecture=np.int64(2), lr=np.float64(1e-3),
