@@ -17,9 +17,9 @@ import numpy as np
 from .autodiff import Tensor, backward_from, embedding_bag
 from .data import ReviewRecord
 from .errors import CapabilityError, ConfigError
-from .experiment import PCB_TARGETS, featurize
-from .models import TEXT, Batch, ModelInstance
-from .text import TextEncoder, tokenize
+from .experiment import PCB_TARGETS, Dataset, featurize
+from .models import TEXT, ModelInstance
+from .text import tokenize
 
 
 @dataclass
@@ -57,17 +57,17 @@ class AttributionReport:
 _ALPHA_BLOCK = 128
 
 
-def _repeat_rows(batch: Batch, rows: int) -> Batch:
-    """The one-record batch with its rating features repeated ``rows`` times."""
-    def repeat(features):
-        return None if features is None else np.repeat(features, rows, axis=0)
-    return Batch(record_ids=batch.record_ids * rows, encoded=batch.encoded,
-                 appraisal_features=repeat(batch.appraisal_features),
-                 emotion_features=repeat(batch.emotion_features))
+def _logits(model: ModelInstance, data: Dataset, pcb_target: str,
+            pooled_text: Tensor) -> Tensor:
+    """PCB logits of the one record in ``data``, once per row of ``pooled_text``."""
+    ratings = tuple(m for m in model.spec.input_modalities if m != TEXT)
+    batch = data.batch(np.zeros(len(pooled_text.data), np.int64), pcb_target, ratings)
+    return model.forward(batch, pooled_text=pooled_text)["pcb_logits"]
 
 
-def _path_gradient_sum(model: ModelInstance, batch: Batch, p_base: np.ndarray,
-                       p_delta: np.ndarray, target_class: int, steps: int) -> np.ndarray:
+def _path_gradient_sum(model: ModelInstance, data: Dataset, pcb_target: str,
+                       p_base: np.ndarray, p_delta: np.ndarray, target_class: int,
+                       steps: int) -> np.ndarray:
     """Sum over the midpoint α-grid of dF/dp at p' + α (p - p'), shape ``[e]``.
 
     Each block of α-steps is one batched forward and one backward; rows are
@@ -77,8 +77,7 @@ def _path_gradient_sum(model: ModelInstance, batch: Batch, p_base: np.ndarray,
     for first in range(0, steps, _ALPHA_BLOCK):
         alphas = (np.arange(first, min(first + _ALPHA_BLOCK, steps)) + 0.5) / steps
         path = Tensor(p_base + alphas[:, None] * p_delta, requires_grad=True)
-        logits = model.forward(_repeat_rows(batch, len(alphas)),
-                               pooled_text=path)["pcb_logits"]
+        logits = _logits(model, data, pcb_target, path)
         seed = np.zeros_like(logits.data)
         seed[:, target_class] = 1.0
         backward_from(logits, seed)
@@ -105,14 +104,14 @@ def integrated_gradients(model: ModelInstance, record: ReviewRecord,
     per-token gradient follows from the pooled one. p, and the pad baseline's
     p' (all-pad ids, same mask), pool with ``encode``'s own ``embedding_bag``,
     so F(x) is the model's logit for the record; the zero baseline is zero.
-    The record's batch comes from ``featurize``, so its token ids, truncation
+    The record is featurized by ``featurize``, so its token ids, truncation
     and rating features are the ones the model was trained on.
     """
     if TEXT not in model.spec.input_modalities:
         raise CapabilityError(
             f"architecture {model.spec.id} has no text input; attribution "
             "requires a text-input model")
-    if not isinstance(model.encoder, TextEncoder):
+    if model.encoder is None:
         raise CapabilityError(
             "attribution requires a differentiable path into token embeddings; "
             "this model uses precomputed embeddings")
@@ -124,9 +123,8 @@ def integrated_gradients(model: ModelInstance, record: ReviewRecord,
         raise ConfigError(f"pcb_target must be one of {PCB_TARGETS}, got {pcb_target!r}")
 
     encoder = model.encoder
-    batch = featurize([record], encoder.vocab, encoder.max_sequence_length).batch(
-        [0], pcb_target)
-    ids, mask = batch.encoded.token_ids, batch.encoded.attention_mask
+    data = featurize([record], encoder.vocab, encoder.max_sequence_length)
+    ids, mask = data.token_ids, data.attention_mask
     tokens = tokenize(record.text)[:int(mask.sum())]
 
     # Only the pooled path needs a gradient. With every parameter flag off, no
@@ -143,16 +141,16 @@ def integrated_gradients(model: ModelInstance, record: ReviewRecord,
                                    mask)
         else:
             p_base = Tensor(np.zeros_like(p_x.data))
-        logits_x = model.forward(batch, pooled_text=p_x)["pcb_logits"].data[0]
+        logits_x = _logits(model, data, pcb_target, p_x).data[0]
         predicted = int(np.argmax(logits_x))
         if target_class == "predicted":
             target_class = predicted
         elif target_class is None:
-            target_class = int(batch.pcb_labels[0])
+            target_class = int(data.pcb_labels[pcb_target][0])
         if not isinstance(target_class, int) or not 0 <= target_class < 3:
             raise ConfigError(f"target_class must be in [0, 3), got {target_class!r}")
-        logits_base = model.forward(batch, pooled_text=p_base)["pcb_logits"].data[0]
-        grad_sum = _path_gradient_sum(model, batch, p_base.data,
+        logits_base = _logits(model, data, pcb_target, p_base).data[0]
+        grad_sum = _path_gradient_sum(model, data, pcb_target, p_base.data,
                                       p_x.data - p_base.data, target_class, steps)
     finally:
         for p in trainable:

@@ -42,7 +42,8 @@ DEFAULT_APPRAISAL_NAMES = (
     "crispness", "swiftness", "tidiness", "warmth", "security",
 )
 
-PCB_FIELDS = ("pcb_repurchase", "pcb_promote")
+PCB_TARGETS = ("repurchase", "promote")
+PCB_FIELDS = tuple(f"pcb_{target}" for target in PCB_TARGETS)
 
 
 class Level(enum.IntEnum):

@@ -10,17 +10,16 @@ import numpy as np
 
 from .autodiff import (Tensor, add, backward, binary_cross_entropy, cross_entropy,
                        grouped_cross_entropy, no_grad)
-from .data import (APPRAISAL_COUNT, DatasetSplit, ReviewRecord, segment_emotion,
-                   segment_pcb, split_records)
-from .errors import SizeError, TrainingError
+from .data import (APPRAISAL_COUNT, PCB_TARGETS, DatasetSplit, ReviewRecord,
+                   segment_emotion, segment_pcb, split_records)
+from .errors import ConfigError, SizeError, TrainingError
 from .metrics import accuracy_score, weighted_f1
 from .models import (APPRAISALS, EMOTIONS, TEXT, Batch, ModelInstance,
                      architecture_spec, build)
 from .nn import Adam, LinearSchedule
 from .schema import Spec, check_fields, declared
-from .text import EncodedBatch, PrecomputedEncoder, Vocabulary, encode_texts
+from .text import EncodedBatch, Vocabulary, encode_texts, load_embeddings
 
-PCB_TARGETS = ("repurchase", "promote")
 # A budget: a built text encoder trains a vocab x d table and a d x d projection, held four
 # times (weights, gradient, two Adam moments), so 0.5 GB for the projection at d = 4096.
 MAX_BUILT_ENCODER_DIM = 4096
@@ -109,10 +108,10 @@ class MetricsSummary:
 class Dataset:
     """Featurized record set shared by every repetition of a run."""
 
-    records: list[ReviewRecord]
     vocab: Vocabulary | None
     token_ids: np.ndarray | None
     attention_mask: np.ndarray | None
+    text_features: np.ndarray | None  # [n, d] precomputed text embeddings
     appraisal_features: np.ndarray
     emotion_features: np.ndarray
     pcb_labels: dict[str, np.ndarray]
@@ -123,16 +122,17 @@ class Dataset:
               modalities: Sequence[str] = (TEXT, APPRAISALS, EMOTIONS)) -> Batch:
         """Rows ``idx`` with every target, and the inputs of ``modalities`` only."""
         idx = np.asarray(idx, dtype=np.int64)
-        encoded = None
-        if self.token_ids is not None and TEXT in modalities:
-            encoded = EncodedBatch(self.token_ids[idx], self.attention_mask[idx])
+
+        def gather(column: np.ndarray | None, modality: str) -> np.ndarray | None:
+            return None if column is None or modality not in modalities else column[idx]
+
+        token_ids = gather(self.token_ids, TEXT)
         return Batch(
-            record_ids=[self.records[i].id for i in idx],
-            encoded=encoded,
-            appraisal_features=(self.appraisal_features[idx]
-                                if APPRAISALS in modalities else None),
-            emotion_features=(self.emotion_features[idx]
-                              if EMOTIONS in modalities else None),
+            encoded=None if token_ids is None else EncodedBatch(token_ids,
+                                                                self.attention_mask[idx]),
+            text_features=gather(self.text_features, TEXT),
+            appraisal_features=gather(self.appraisal_features, APPRAISALS),
+            emotion_features=gather(self.emotion_features, EMOTIONS),
             pcb_labels=self.pcb_labels[pcb_target][idx],
             appraisal_target_classes=self.appraisal_target_classes[idx],
             emotion_target_flags=self.emotion_target_flags[idx],
@@ -140,11 +140,13 @@ class Dataset:
 
 
 def featurize(records: Sequence[ReviewRecord], vocab: Vocabulary | None,
-              max_sequence_length: int = 256) -> Dataset:
+              max_sequence_length: int = 256,
+              text_features: np.ndarray | None = None) -> Dataset:
     """Precompute model inputs and segmented targets for every record.
 
     Rating features are centered and scaled to [-1, 1]; targets follow the
-    Likert segmentation rules.
+    Likert segmentation rules. ``text_features`` are precomputed text
+    embeddings, one row per record.
     """
     records = list(records)
     appraisals = np.array([r.appraisals for r in records], dtype=np.float64)
@@ -156,10 +158,10 @@ def featurize(records: Sequence[ReviewRecord], vocab: Vocabulary | None,
         encoded = encode_texts([r.text for r in records], vocab, max_sequence_length)
         token_ids, attention = encoded.token_ids, encoded.attention_mask
     return Dataset(
-        records=records,
         vocab=vocab,
         token_ids=token_ids,
         attention_mask=attention,
+        text_features=text_features,
         appraisal_features=(appraisals - 4.0) / 3.0,
         emotion_features=(emotions - 4.0) / 3.0,
         pcb_labels={t: np.array([int(segment_pcb(r.pcb(t))) for r in records],
@@ -283,8 +285,7 @@ def evaluate(model: ModelInstance, data: Dataset, idx: Sequence[int],
             emo_correct += float((got == batch.emotion_target_flags).sum())
             emo_total += got.size
         if "appraisal_logits" in out:
-            blocks = out["appraisal_logits"].data.reshape(len(batch.record_ids),
-                                                          APPRAISAL_COUNT, 3)
+            blocks = out["appraisal_logits"].data.reshape(-1, APPRAISAL_COUNT, 3)
             got = np.argmax(blocks, axis=2)
             app_correct += float((got == batch.appraisal_target_classes).sum())
             app_total += got.size
@@ -316,12 +317,9 @@ def run_repetition(records: Sequence[ReviewRecord], data: Dataset,
                    split: DatasetSplit, cfg: ExperimentConfig,
                    repetition: int) -> tuple[RepetitionResult, ModelInstance]:
     seed = cfg.base_seed + repetition
-    precomputed = None
-    if cfg.precomputed_embeddings and _needs_text(cfg):
-        precomputed = PrecomputedEncoder.load(cfg.precomputed_embeddings)
     model = build(cfg.architecture, cfg.encoder_dim, data.vocab, seed=seed,
                   max_sequence_length=cfg.max_sequence_length,
-                  precomputed=precomputed)
+                  precomputed=bool(cfg.precomputed_embeddings))
     train_result = train(model, data, split.train, cfg, seed,
                          validation_idx=split.validation)
     result = evaluate(model, data, split.test, cfg.pcb_target)
@@ -344,17 +342,24 @@ def run_repetitions(records: Sequence[ReviewRecord], cfg: ExperimentConfig,
 
     With ``resplit_each_repetition`` the split is redrawn per repetition
     instead. Repetitions are independent; ``workers`` bounds how many run
-    concurrently. Returns the summary and the last repetition's model.
+    concurrently. A precomputed-embedding file is read once, before any
+    training. Returns the summary and the last repetition's model.
     """
     records = list(records)
+    text_features = None
+    if cfg.precomputed_embeddings and _needs_text(cfg):
+        text_features = load_embeddings(cfg.precomputed_embeddings, [r.id for r in records])
+        if text_features.shape[1] != cfg.encoder_dim:
+            raise ConfigError(f"precomputed embeddings are {text_features.shape[1]} wide "
+                              f"but encoder_dim is {cfg.encoder_dim}; they must be equal")
     jobs: list[tuple[Dataset, DatasetSplit, int]] = []
     for rep in range(cfg.repetitions):
         if rep == 0 or cfg.resplit_each_repetition:  # repetition r splits with base_seed + r
             split = split_records(len(records), cfg.split_ratios, cfg.base_seed + rep)
             vocab = None
-            if _needs_text(cfg) and not cfg.precomputed_embeddings:
+            if _needs_text(cfg) and text_features is None:
                 vocab = build_vocab_for_split(records, split, cfg.min_token_freq)
-            data = featurize(records, vocab, cfg.max_sequence_length)
+            data = featurize(records, vocab, cfg.max_sequence_length, text_features)
         jobs.append((data, split, rep))
 
     if workers > 1 and cfg.repetitions > 1:

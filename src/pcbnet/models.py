@@ -26,12 +26,12 @@ from functools import cached_property
 import numpy as np
 
 from .autodiff import Tensor, concat
-from .data import APPRAISAL_COUNT, EMOTION_COUNT
+from .data import APPRAISAL_COUNT, EMOTION_COUNT, PCB_TARGETS
 from .errors import ConfigError, InputError, ValidationError
 from .nn import FFNNHead
 from .schema import shown
 from .serialize import load_params, save_params
-from .text import EncodedBatch, PrecomputedEncoder, TextEncoder, Vocabulary
+from .text import EncodedBatch, TextEncoder, Vocabulary
 
 PCB_CLASSES = 3
 APPRAISAL_LOGITS = APPRAISAL_COUNT * 3  # 3-way block per dimension
@@ -163,25 +163,25 @@ def architecture_spec(arch_id: int) -> ArchitectureSpec:
 class Batch:
     """Model inputs for one minibatch; fields are None when a modality is absent."""
 
-    record_ids: list[str]
     encoded: EncodedBatch | None = None
+    text_features: np.ndarray | None = None       # [b, d] precomputed text embeddings
     appraisal_features: np.ndarray | None = None  # [b, 20] scaled ratings
     emotion_features: np.ndarray | None = None    # [b, 8] scaled ratings
     pcb_labels: np.ndarray | None = None          # [b] int class
     appraisal_target_classes: np.ndarray | None = None  # [b, 20] class indices
     emotion_target_flags: np.ndarray | None = None      # [b, 8] binary
 
-    def size(self) -> int:
-        return len(self.record_ids)
-
 
 class ModelInstance:
-    """One built architecture: encoder slot, heads, and optional frozen towers."""
+    """One built architecture: text encoder, heads, and optional frozen towers.
+
+    A text model without an encoder reads precomputed ``Batch.text_features``.
+    """
 
     def __init__(self, spec: ArchitectureSpec, encoder_dim: int):
         self.spec = spec
         self.encoder_dim = encoder_dim
-        self.encoder: TextEncoder | PrecomputedEncoder | None = None
+        self.encoder: TextEncoder | None = None
         self.heads: dict[str, FFNNHead] = {}
         self.components: dict[str, "ModelInstance"] = {}
 
@@ -217,27 +217,24 @@ class ModelInstance:
 
     # -- forward ----------------------------------------------------------
 
-    def _require(self, batch: Batch) -> None:
-        if TEXT in self.spec.input_modalities and batch.encoded is None \
-                and not isinstance(self.encoder, PrecomputedEncoder):
-            raise InputError("missing modality: Text")
-        if APPRAISALS in self.spec.input_modalities and batch.appraisal_features is None:
-            raise InputError("missing modality: Appraisals")
-        if EMOTIONS in self.spec.input_modalities and batch.emotion_features is None:
-            raise InputError("missing modality: Emotions")
+    def _require(self, batch: Batch, pooled_text: Tensor | None) -> None:
+        text = (batch.text_features if self.encoder is None
+                else batch.encoded if pooled_text is None else pooled_text)
+        for modality, value in ((TEXT, text), (APPRAISALS, batch.appraisal_features),
+                                (EMOTIONS, batch.emotion_features)):
+            if modality in self.spec.input_modalities and value is None:
+                raise InputError(f"missing modality: {modality}")
 
     def embed_text(self, batch: Batch, pooled_text: Tensor | None = None) -> Tensor:
         """Encoder output for the batch's text.
 
         ``pooled_text [b, e]`` stands in for the masked mean of the token
         embeddings: it goes straight to the encoder's projection, and the
-        batch's token ids are not read.
+        batch's token ids are not read. A model without an encoder reads the
+        batch's precomputed text features instead.
         """
-        if isinstance(self.encoder, PrecomputedEncoder):
-            if pooled_text is not None:
-                raise ConfigError("precomputed encoder cannot accept pooled text")
-            return self.encoder.embed_records(batch.record_ids)
-        assert isinstance(self.encoder, TextEncoder)
+        if self.encoder is None:
+            return Tensor(batch.text_features)
         if pooled_text is not None:
             return self.encoder.projection(pooled_text)
         return self.encoder.encode(batch.encoded)
@@ -266,7 +263,7 @@ class ModelInstance:
     def forward(self, batch: Batch,
                 pooled_text: Tensor | None = None) -> dict[str, Tensor]:
         """Compute pcb_logits plus whatever auxiliary logits the spec declares."""
-        self._require(batch)
+        self._require(batch, pooled_text)
         values: dict[str, Tensor] = {}
         out: dict[str, Tensor] = {}
         for head in self.spec.heads:
@@ -277,29 +274,24 @@ class ModelInstance:
 
 
 def build(arch_id: int, encoder_dim: int = 128, vocab: Vocabulary | None = None,
-          seed: int = 0, max_sequence_length: int = 256,
-          precomputed: PrecomputedEncoder | None = None,
+          seed: int = 0, max_sequence_length: int = 256, precomputed: bool = False,
           _prefix: str = "", _rng: np.random.Generator | None = None) -> ModelInstance:
     """Instantiate architecture ``arch_id`` with seed-controlled initialization.
 
     Heads are created in table order, each after the encoder or tower it is
-    the first to read, so the generator's draws keep one fixed order.
+    the first to read, so the generator's draws keep one fixed order. With
+    ``precomputed`` no encoder is built: the text input is
+    ``Batch.text_features``, ``encoder_dim`` wide.
     """
     spec = architecture_spec(arch_id)
-    if precomputed is not None and precomputed.dim != encoder_dim:
-        raise ConfigError(f"precomputed embeddings are {precomputed.dim} wide "
-                          f"but encoder_dim is {encoder_dim}; they must be equal")
     rng = _rng if _rng is not None else np.random.default_rng(seed)
     model = ModelInstance(spec, encoder_dim)
     for head in spec.heads:
         for source in head.inputs:
-            if source == TEXT_EMBEDDING and model.encoder is None:
-                if precomputed is not None:
-                    model.encoder = precomputed
-                else:
-                    v = vocab if vocab is not None else Vocabulary(["<pad>", "<unk>"])
-                    model.encoder = TextEncoder(v, encoder_dim, rng, max_sequence_length,
-                                                path=f"{_prefix}encoder")
+            if source == TEXT_EMBEDDING and model.encoder is None and not precomputed:
+                v = vocab if vocab is not None else Vocabulary(["<pad>", "<unk>"])
+                model.encoder = TextEncoder(v, encoder_dim, rng, max_sequence_length,
+                                            path=f"{_prefix}encoder")
             elif source in _TOWERS:
                 tower_id, key, prefix = _TOWERS[source]
                 tower = build(tower_id, encoder_dim, vocab,
@@ -363,16 +355,15 @@ def describe_json(model: ModelInstance) -> str:
 
 def save_model(path, model: ModelInstance, meta: dict | None = None) -> None:
     """Checkpoint parameters plus enough metadata to rebuild the model."""
+    encoder = model.encoder
     full_meta = {
         "architecture_id": model.spec.id,
         "architecture": describe(model),
         "encoder_dim": model.encoder_dim,
-        "encoder_kind": ("precomputed" if isinstance(model.encoder, PrecomputedEncoder)
-                         else "trainable" if model.encoder is not None else None),
-        "vocab": (model.encoder.vocab.tokens
-                  if isinstance(model.encoder, TextEncoder) else None),
-        "max_sequence_length": (model.encoder.max_sequence_length
-                                if isinstance(model.encoder, TextEncoder) else None),
+        "encoder_kind": (None if TEXT not in model.spec.input_modalities
+                         else "precomputed" if encoder is None else "trainable"),
+        "vocab": encoder.vocab.tokens if encoder is not None else None,
+        "max_sequence_length": encoder.max_sequence_length if encoder is not None else None,
     }
     full_meta.update(meta or {})
     tensors = {name: p.data for name, p in model.parameters().items()}
@@ -392,7 +383,10 @@ def _check_meta(meta: dict) -> None:
             ("vocab", vocab is None or (isinstance(vocab, list)
                                         and all(isinstance(t, str) for t in vocab)),
              "a list of strings or null"),
-            ("max_sequence_length", length is None or is_int(length), "an integer or null")):
+            ("max_sequence_length", length is None or is_int(length) and length >= 1,
+             "an integer >= 1 or null"),
+            ("pcb_target", "pcb_target" not in meta or meta["pcb_target"] in PCB_TARGETS,
+             f"one of {PCB_TARGETS} or absent")):
         if not ok:
             got = repr(meta[key])[:40] if key in meta else "nothing"
             raise ValidationError(f"checkpoint metadata {key!r} must be {want}, got {got}")

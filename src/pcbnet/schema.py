@@ -51,7 +51,10 @@ class Spec:
                 ok = cells.shape == self.shape and all(map(_is_finite, cells.flat))
             except (ValueError, RuntimeError):
                 ok = False
-            converted = np.asarray(value, dtype=np.float64) if ok else value
+            converted = value
+            if ok:  # a read-only copy, so the checked values cannot change later
+                converted = np.array(value, dtype=np.float64)
+                converted.flags.writeable = False
         else:
             fits, want = KINDS[self.kind]
             ok = fits(value)

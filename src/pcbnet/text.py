@@ -1,9 +1,10 @@
 """Tokenization, vocabulary, and the trainable mean-pooling text encoder.
 
 The default encoder is deliberately small: an embedding table, mean pooling
-over unmasked positions, and one linear projection. It fills the text-encoder
-slot behind a stable interface; externally computed embeddings can be slotted
-in via ``PrecomputedEncoder`` without touching downstream modules.
+over unmasked positions, and one linear projection. Externally computed
+embeddings take its place as data, not as a second encoder: ``load_embeddings``
+reads the file once per run into one row per record, which ``featurize``
+stores as the ``Dataset.text_features`` column.
 """
 
 from __future__ import annotations
@@ -118,59 +119,47 @@ class TextEncoder:
         return out
 
 
-class PrecomputedEncoder:
-    """Encoder slot fed from a file of externally computed embeddings.
+def load_embeddings(path: str | Path, ids: Sequence[str]) -> np.ndarray:
+    """Externally computed embeddings, one row per record id, in that order.
 
     File format: one JSON object per line, ``{"id": ..., "embedding": [...]}``.
-    Not differentiable into the text, so attribution is unavailable.
+    Every line must parse and share one width, and every id in ``ids``
+    must have a line; otherwise a ``ValidationError`` names the fault.
     """
-
-    def __init__(self, table: dict[str, np.ndarray], dim: int):
-        self.table = table
-        self.dim = dim
-
-    @classmethod
-    def load(cls, path: str | Path) -> "PrecomputedEncoder":
-        table: dict[str, np.ndarray] = {}
-        dim: int | None = None
+    table: dict[str, np.ndarray] = {}
+    dim: int | None = None
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise ConfigError(f"precomputed embeddings not found: {path}") from None
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text (byte offset {exc.start})") from None
+    for lineno, line in enumerate(text.splitlines(), 1):
+        if not line.strip():
+            continue
         try:
-            text = Path(path).read_text(encoding="utf-8")
-        except FileNotFoundError:
-            raise ConfigError(f"precomputed embeddings not found: {path}") from None
-        except UnicodeDecodeError as exc:
-            raise ValidationError(f"{path}: not UTF-8 text (byte offset {exc.start})") from None
-        for lineno, line in enumerate(text.splitlines(), 1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-                rid = str(obj["id"])
-                vec = np.asarray(obj["embedding"], dtype=np.float64)
-            # ValueError: bad JSON, an over-long integer, a non-numeric or ragged embedding
-            except (ValueError, KeyError, TypeError, RecursionError) as exc:
-                raise ValidationError(f"line {lineno}: bad embedding record ({exc})") from exc
-            if vec.ndim != 1:
-                raise ValidationError(f"line {lineno}: embedding must be a flat vector")
-            if dim is None:
-                dim = vec.shape[0]
-            elif vec.shape[0] != dim:
-                raise ValidationError(
-                    f"line {lineno}: embedding width {vec.shape[0]} != {dim}")
-            table[rid] = vec
+            obj = json.loads(line)
+            rid = str(obj["id"])
+            vec = np.asarray(obj["embedding"], dtype=np.float64)
+        # ValueError: bad JSON, an over-long integer, a non-numeric or ragged embedding
+        except (ValueError, KeyError, TypeError, RecursionError) as exc:
+            raise ValidationError(f"line {lineno}: bad embedding record ({exc})") from exc
+        if vec.ndim != 1:
+            raise ValidationError(f"line {lineno}: embedding must be a flat vector")
         if dim is None:
-            raise ValidationError(f"{path}: no embedding records found")
-        return cls(table, dim)
-
-    def embed_records(self, record_ids: Sequence[str]) -> Tensor:
-        rows = []
-        for rid in record_ids:
-            if rid not in self.table:
-                raise ValidationError(f"no precomputed embedding for record {rid!r}")
-            rows.append(self.table[rid])
-        return Tensor(np.stack(rows))
-
-    def parameters(self) -> dict[str, Tensor]:
-        return {}
+            dim = vec.shape[0]
+        elif vec.shape[0] != dim:
+            raise ValidationError(
+                f"line {lineno}: embedding width {vec.shape[0]} != {dim}")
+        table[rid] = vec
+    if dim is None:
+        raise ValidationError(f"{path}: no embedding records found")
+    rows = np.empty((len(ids), dim))
+    for i, rid in enumerate(ids):
+        if rid not in table:
+            raise ValidationError(f"{path}: no precomputed embedding for record {rid!r}")
+        rows[i] = table[rid]
+    return rows
 
 
 def save_precomputed_embeddings(path: str | Path,

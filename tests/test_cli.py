@@ -339,6 +339,24 @@ class TestAttribute:
         assert err["error"]["category"] == "validation"
         assert "architecture_id" in err["error"]["message"]
 
+    @pytest.mark.parametrize("key, value", [("pcb_target", "promot"),
+                                            ("max_sequence_length", -2)])
+    def test_bad_checkpoint_metadata_is_one_validation_line(self, trained_run, capsys,
+                                                            key, value):
+        from pcbnet.serialize import load_params, save_params
+        dataset, checkpoint, tmp_path = trained_run
+        tensors, meta = load_params(checkpoint)
+        bad = tmp_path / f"bad_{key}.params"
+        save_params(bad, tensors, {**meta, key: value})
+        out_dir = tmp_path / f"bad_{key}_out"
+        capsys.readouterr()
+        assert main(["attribute", "--checkpoint", str(bad), "--dataset", str(dataset),
+                     "--records", ingest(dataset)[0].id, "--out", str(out_dir)]) == 1
+        error = one_error_line(capsys)
+        assert error["category"] == "validation"
+        assert key in error["message"]
+        assert not out_dir.exists() or not any(out_dir.iterdir()), "wrote a report"
+
     def test_rating_only_checkpoint_rejected(self, tmp_path, capsys):
         dataset = synth_dataset(tmp_path, n=40)
         cfg = quick_train_config(tmp_path, dataset, architecture=2)

@@ -372,17 +372,65 @@ class TestEncoderSlot:
             run_repetitions(small_records, cfg)
         assert trained == []
 
-    def test_precomputed_encoder_rejects_attribution(self, small_records, tmp_path):
+    def test_precomputed_encoder_rejects_attribution(self, small_records):
         from pcbnet.attribution import integrated_gradients
         from pcbnet.errors import CapabilityError
-        from pcbnet.text import PrecomputedEncoder, save_precomputed_embeddings
-        rng = np.random.default_rng(0)
-        path = tmp_path / "embeddings.jsonl"
-        save_precomputed_embeddings(path, {r.id: rng.normal(size=8)
-                                           for r in small_records})
-        model = build(1, encoder_dim=8, precomputed=PrecomputedEncoder.load(path))
+        model = build(1, encoder_dim=8, precomputed=True)
         with pytest.raises(CapabilityError):
             integrated_gradients(model, small_records[0])
+
+    @staticmethod
+    def write_embeddings(path, records, width=8):
+        """One random row per record, written in reverse record order."""
+        from pcbnet.text import save_precomputed_embeddings
+        rng = np.random.default_rng(0)
+        table = {r.id: rng.normal(size=width) for r in records}
+        save_precomputed_embeddings(path, dict(reversed(table.items())))
+        return table
+
+    def test_batch_rows_follow_the_record_order(self, small_records, tmp_path):
+        from pcbnet.text import load_embeddings
+        path = tmp_path / "embeddings.jsonl"
+        table = self.write_embeddings(path, small_records)
+        rows = load_embeddings(path, [r.id for r in small_records])
+        data = featurize(small_records, None, 256, rows)
+        idx = [5, 0, 17]
+        batch = data.batch(idx, "promote")
+        assert np.array_equal(batch.text_features, [table[small_records[i].id] for i in idx])
+        assert batch.encoded is None
+        assert data.batch(idx, "promote", ("Appraisals",)).text_features is None
+
+    def test_a_record_without_an_embedding_fails_before_training(
+            self, small_records, tmp_path, monkeypatch):
+        from pcbnet import nn
+        from pcbnet.errors import ValidationError
+        path = tmp_path / "embeddings.jsonl"
+        cfg = ExperimentConfig(architecture=7, repetitions=1, text_epochs=1,
+                               rating_epochs=1, encoder_dim=8,
+                               precomputed_embeddings=str(path))
+        test_idx = split_records(len(small_records), cfg.split_ratios, cfg.base_seed).test
+        missing = small_records[test_idx[0]].id
+        self.write_embeddings(path, [r for r in small_records if r.id != missing])
+        steps = []
+        monkeypatch.setattr(nn.Adam, "step", lambda *args, **kwargs: steps.append(args))
+        with pytest.raises(ValidationError, match=missing):
+            run_repetitions(small_records, cfg)
+        assert steps == []
+
+    def test_the_file_is_read_once_per_run(self, small_records, tmp_path, monkeypatch):
+        from pcbnet import experiment
+        path = tmp_path / "embeddings.jsonl"
+        self.write_embeddings(path, small_records)
+        calls = []
+        load = experiment.load_embeddings
+        monkeypatch.setattr(experiment, "load_embeddings",
+                            lambda *args: calls.append(args) or load(*args))
+        cfg = ExperimentConfig(architecture=1, repetitions=3, text_epochs=1, lr=1e-3,
+                               encoder_dim=8, resplit_each_repetition=True,
+                               precomputed_embeddings=str(path))
+        summary, _ = run_repetitions(small_records, cfg)
+        assert len(summary.rows) == 3
+        assert len(calls) == 1
 
     def test_finetune_fused_leaves_towers_trainable(self, prepared):
         data, split = prepared

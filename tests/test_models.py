@@ -166,6 +166,16 @@ class TestForward:
         with pytest.raises(InputError, match="Text"):
             model.forward(batch)
 
+    @pytest.mark.parametrize("arch_id", [1, 9])
+    def test_missing_precomputed_text_named(self, tiny_data, arch_id):
+        model = build(arch_id, encoder_dim=8, precomputed=True)
+        batch = batch_of(tiny_data)  # token ids do not stand in for text features
+        assert batch.encoded is not None and batch.text_features is None
+        with pytest.raises(InputError, match="Text"):
+            model.forward(batch)
+        batch.text_features = np.ones((4, 8))
+        assert model.forward(batch)["pcb_logits"].shape == (4, 3)
+
     def test_multimodal_forward_shapes(self, tiny_data):
         model = build(9, vocab=tiny_data.vocab, seed=0)
         out = model.forward(batch_of(tiny_data))
@@ -200,7 +210,7 @@ class TestGradientRouting:
         out = model.forward(batch)
         got = self.reachable_params(
             model, binary_cross_entropy(out["appraisal_logits"], np.eye(3)[
-                batch.appraisal_target_classes].reshape(batch.size(), -1)))
+                batch.appraisal_target_classes].reshape(len(batch.pcb_labels), -1)))
         assert not any(p.startswith("pcb_head") for p in got)
         assert any(p.startswith("appraisal_head") for p in got)
 
@@ -275,6 +285,8 @@ class TestCheckpoint:
         ("architecture_id", True), ("encoder_dim", [8]), ("encoder_dim", -8),
         ("vocab", "<pad> <unk>"), ("vocab", ["<pad>", 1]), ("vocab", {"a": 1}),
         ("max_sequence_length", "256"), ("max_sequence_length", 2.5),
+        ("max_sequence_length", -2), ("max_sequence_length", 0),
+        ("pcb_target", "promot"), ("pcb_target", ["promote"]),
     ])
     def test_bad_metadata_is_a_validation_error(self, tiny_data, tmp_path, key, value):
         path = tmp_path / "model.params"

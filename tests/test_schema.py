@@ -59,6 +59,18 @@ class TestDeclaredFields:
             setattr(cfg, key, value)
         assert getattr(cfg, key) == before
 
+    def test_a_weight_array_is_a_read_only_copy(self):
+        w = np.full(8, 0.1)
+        gen = SyntheticGeneratorConfig(record_count=3, promote_emotion_weights=w)
+        stored = gen.promote_emotion_weights
+        assert stored is not w and not np.shares_memory(stored, w)
+        w[0] = float("nan")
+        assert np.array_equal(stored, np.full(8, 0.1))
+        for weights in (stored, gen.appraisal_emotion_weights):  # given and default
+            with pytest.raises(ValueError, match="read-only"):
+                weights.flat[0] = float("inf")
+        assert np.isfinite(gen.appraisal_emotion_weights).all()
+
     def test_numpy_scalars_are_accepted(self):
         cfg = ExperimentConfig(architecture=np.int64(2), lr=np.float64(1e-3),
                                batch_size=np.int32(8), aux_loss_weight=np.float32(0.5))

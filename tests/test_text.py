@@ -6,10 +6,9 @@ from hypothesis import strategies as st
 from pcbnet.autodiff import backward, embedding_lookup, masked_mean, mean
 from pcbnet.data import SyntheticGeneratorConfig, generate_synthetic
 from pcbnet.errors import ValidationError
-from pcbnet.models import build
-from pcbnet.text import (PAD_TOKEN, UNK_TOKEN, PrecomputedEncoder, TextEncoder,
-                         Vocabulary, encode_texts, save_precomputed_embeddings,
-                         tokenize)
+from pcbnet.models import Batch, build
+from pcbnet.text import (PAD_TOKEN, UNK_TOKEN, TextEncoder, Vocabulary, encode_texts,
+                         load_embeddings, save_precomputed_embeddings, tokenize)
 
 
 class TestTokenize:
@@ -135,22 +134,25 @@ class TestEncoder:
 
 
 class TestPrecomputedEncoder:
+    """The precomputed-embedding slot: ``load_embeddings`` and a model built without an
+    encoder."""
+
     def test_load_and_embed(self, tmp_path):
         path = tmp_path / "emb.jsonl"
         save_precomputed_embeddings(path, {"r1": np.array([1.0, 2.0]),
                                            "r2": np.array([3.0, 4.0])})
-        enc = PrecomputedEncoder.load(path)
-        assert enc.dim == 2
-        out = enc.embed_records(["r2", "r1"])
+        rows = load_embeddings(path, ["r2", "r1"])
+        assert rows.shape == (2, 2)
+        model = build(1, encoder_dim=2, precomputed=True)
+        out = model.embed_text(Batch(text_features=rows))
         assert np.array_equal(out.data, [[3.0, 4.0], [1.0, 2.0]])
         assert not out.requires_grad
 
     def test_missing_record_rejected(self, tmp_path):
         path = tmp_path / "emb.jsonl"
         save_precomputed_embeddings(path, {"r1": np.array([1.0])})
-        enc = PrecomputedEncoder.load(path)
         with pytest.raises(ValidationError, match="r9"):
-            enc.embed_records(["r9"])
+            load_embeddings(path, ["r1", "r9"])
 
     @pytest.mark.parametrize("line", [
         '{"id": "a", "embedding": ["x", 1.0]}',
@@ -161,11 +163,11 @@ class TestPrecomputedEncoder:
         path = tmp_path / "emb.jsonl"
         path.write_text(line + "\n")
         with pytest.raises(ValidationError, match="line 1"):
-            PrecomputedEncoder.load(path)
+            load_embeddings(path, ["a"])
 
     def test_ragged_widths_rejected(self, tmp_path):
         path = tmp_path / "emb.jsonl"
         path.write_text('{"id": "a", "embedding": [1.0]}\n'
                         '{"id": "b", "embedding": [1.0, 2.0]}\n')
         with pytest.raises(ValidationError):
-            PrecomputedEncoder.load(path)
+            load_embeddings(path, ["a", "b"])
