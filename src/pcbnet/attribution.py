@@ -124,7 +124,7 @@ def integrated_gradients(model: ModelInstance, record: ReviewRecord,
 
     encoder = model.encoder
     data = featurize([record], encoder.vocab, encoder.max_sequence_length)
-    ids, mask = data.token_ids, data.attention_mask
+    ids, mask = data.token_ids, data.attention_mask.astype(np.float64)
     tokens = tokenize(record.text)[:int(mask.sum())]
 
     # Only the pooled path needs a gradient. With every parameter flag off, no

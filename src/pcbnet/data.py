@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigError, SizeError, ValidationError
 from .schema import check_fields, declared
-from .serialize import atomic_write_text
+from .serialize import atomic_write_text, jsonl_lines
 from .text import tokenize
 
 APPRAISAL_COUNT = 20
@@ -189,9 +189,7 @@ def ingest(path: str | Path, fmt: str | None = None) -> list[ReviewRecord]:
     records: list[ReviewRecord] = []
     errors: list[str] = []
     if fmt == "jsonl":
-        for lineno, line in enumerate(text.splitlines(), 1):
-            if not line.strip():
-                continue
+        for lineno, line in jsonl_lines(text):
             try:
                 obj = json.loads(line)
                 records.append(_record_from_obj(obj, f"line {lineno}"))

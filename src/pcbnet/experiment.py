@@ -106,11 +106,15 @@ class MetricsSummary:
 
 @dataclass
 class Dataset:
-    """Featurized record set shared by every repetition of a run."""
+    """Featurized record set shared by every repetition of a run.
+
+    Text is stored as int64 ``token_ids`` and a bool ``attention_mask``;
+    ``batch`` hands models the float64 {0, 1} mask they read.
+    """
 
     vocab: Vocabulary | None
-    token_ids: np.ndarray | None
-    attention_mask: np.ndarray | None
+    token_ids: np.ndarray | None       # [n, L] int64
+    attention_mask: np.ndarray | None  # [n, L] bool, False exactly on pad positions
     text_features: np.ndarray | None  # [n, d] precomputed text embeddings
     appraisal_features: np.ndarray
     emotion_features: np.ndarray
@@ -128,8 +132,8 @@ class Dataset:
 
         token_ids = gather(self.token_ids, TEXT)
         return Batch(
-            encoded=None if token_ids is None else EncodedBatch(token_ids,
-                                                                self.attention_mask[idx]),
+            encoded=None if token_ids is None else EncodedBatch(
+                token_ids, self.attention_mask[idx].astype(np.float64)),
             text_features=gather(self.text_features, TEXT),
             appraisal_features=gather(self.appraisal_features, APPRAISALS),
             emotion_features=gather(self.emotion_features, EMOTIONS),
@@ -156,7 +160,7 @@ def featurize(records: Sequence[ReviewRecord], vocab: Vocabulary | None,
     token_ids = attention = None
     if vocab is not None:
         encoded = encode_texts([r.text for r in records], vocab, max_sequence_length)
-        token_ids, attention = encoded.token_ids, encoded.attention_mask
+        token_ids, attention = encoded.token_ids, encoded.attention_mask.astype(bool)
     return Dataset(
         vocab=vocab,
         token_ids=token_ids,

@@ -393,6 +393,12 @@ def _check_meta(meta: dict) -> None:
 
 
 def load_model(path) -> tuple[ModelInstance, dict]:
+    """Rebuild a saved model and return it with the checkpoint's metadata.
+
+    Malformed metadata, and tensors that do not fit the architecture the
+    checkpoint names, are a ``ValidationError``; a checkpoint trained on
+    precomputed embeddings is refused with a ``ConfigError``.
+    """
     tensors, meta = load_params(path)
     _check_meta(meta)
     if meta.get("encoder_kind") == "precomputed":
@@ -406,12 +412,12 @@ def load_model(path) -> tuple[ModelInstance, dict]:
     missing = set(params) - set(tensors)
     extra = set(tensors) - set(params)
     if missing or extra:
-        raise ConfigError(
+        raise ValidationError(
             f"checkpoint parameters do not match architecture: "
             f"missing={sorted(missing)[:3]} extra={sorted(extra)[:3]}")
     for name, p in params.items():
         if p.data.shape != tensors[name].shape:
-            raise ConfigError(
+            raise ValidationError(
                 f"checkpoint tensor {name} shape {tensors[name].shape} "
                 f"!= expected {p.data.shape}")
         p.data = tensors[name].copy()

@@ -4,7 +4,7 @@ Layout: magic line, 8-byte little-endian header length, UTF-8 JSON header,
 then the concatenated row-major float64 buffers. The header carries a format
 name, version, arbitrary metadata, and the tensor index (name, shape, offset
 in float64 elements). Writes are atomic (temp file + rename) and byte-stable
-for identical inputs.
+for identical inputs. ``jsonl_lines`` is the line rule of every JSONL reader.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import os
 import struct
 import tempfile
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -41,6 +42,19 @@ def atomic_write_bytes(path: str | Path, payload: bytes) -> None:
 
 def atomic_write_text(path: str | Path, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
+
+
+def jsonl_lines(text: str) -> Iterator[tuple[int, str]]:
+    """``(line number, line)`` for each non-blank physical line of a JSONL text.
+
+    Lines end at "\\n" only, and one trailing "\\r" is dropped. ``str.splitlines``
+    would also break at U+0085, U+2028, U+2029 and other separators, which a
+    JSON string may hold raw.
+    """
+    for lineno, line in enumerate(text.split("\n"), 1):
+        line = line.removesuffix("\r")
+        if line.strip():
+            yield lineno, line
 
 
 def save_params(path: str | Path, tensors: dict[str, np.ndarray],

@@ -5,6 +5,9 @@ over unmasked positions, and one linear projection. Externally computed
 embeddings take its place as data, not as a second encoder: ``load_embeddings``
 reads the file once per run into one row per record, which ``featurize``
 stores as the ``Dataset.text_features`` column.
+
+Encoding holds no per-token Python object past its own text: each text's
+token list becomes an int64 id row before the next text is tokenized.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from .autodiff import Tensor, embedding_bag, parameter
 from .autodiff import embedding_lookup, masked_mean  # noqa: F401
 from .errors import ConfigError, ValidationError
 from .nn import LinearLayer
+from .serialize import jsonl_lines
 
 PAD_TOKEN = "<pad>"
 UNK_TOKEN = "<unk>"
@@ -80,15 +84,20 @@ class EncodedBatch:
 
 def encode_texts(texts: Sequence[str], vocab: Vocabulary,
                  max_sequence_length: int = 256) -> EncodedBatch:
-    """Tokenize, truncate from the tail, and pad into a rectangular batch."""
-    token_lists = [tokenize(t)[:max_sequence_length] for t in texts]
-    width = max((len(ts) for ts in token_lists), default=0)
-    width = max(width, 1)
-    ids = np.full((len(texts), width), vocab.pad_id, dtype=np.int64)
-    mask = np.zeros((len(texts), width), dtype=np.float64)
-    for i, ts in enumerate(token_lists):
-        ids[i, :len(ts)] = vocab.ids(ts)
-        mask[i, :len(ts)] = 1.0
+    """Tokenize, truncate from the tail, and pad into a rectangular batch.
+
+    One text at a time: its token list lives only until its ids are an int64
+    row, so what is held while encoding is one row per text (about the size
+    of the output ids) and then the two outputs, never a token list per text.
+    """
+    rows = [np.array(vocab.ids(tokenize(t)[:max_sequence_length]), dtype=np.int64)
+            for t in texts]
+    width = max(max((len(r) for r in rows), default=0), 1)
+    ids = np.full((len(rows), width), vocab.pad_id, dtype=np.int64)
+    mask = np.zeros((len(rows), width), dtype=np.float64)
+    for i, row in enumerate(rows):
+        ids[i, :len(row)] = row
+        mask[i, :len(row)] = 1.0
     return EncodedBatch(token_ids=ids, attention_mask=mask)
 
 
@@ -134,9 +143,7 @@ def load_embeddings(path: str | Path, ids: Sequence[str]) -> np.ndarray:
         raise ConfigError(f"precomputed embeddings not found: {path}") from None
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path}: not UTF-8 text (byte offset {exc.start})") from None
-    for lineno, line in enumerate(text.splitlines(), 1):
-        if not line.strip():
-            continue
+    for lineno, line in jsonl_lines(text):
         try:
             obj = json.loads(line)
             rid = str(obj["id"])

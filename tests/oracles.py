@@ -88,3 +88,24 @@ def brute_force_weighted_f1(y_true, y_pred, n_classes: int = 3) -> float:
         f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
         total += (support / n) * f1
     return total
+
+
+# -- text encoding oracle ---------------------------------------------------
+
+def reference_encode_texts(texts, vocab, max_sequence_length: int = 256):
+    """``(token_ids, attention_mask)`` built from one token list per text, all held.
+
+    The list-based layout ``encode_texts`` must reproduce byte for byte: int64
+    ids padded with the pad id, a float64 {0, 1} mask, tail truncation, and a
+    width of at least 1. Tokenizing and id lookup are the program's own.
+    """
+    from pcbnet.text import tokenize
+
+    token_lists = [tokenize(t)[:max_sequence_length] for t in texts]
+    width = max(max((len(ts) for ts in token_lists), default=0), 1)
+    ids = np.full((len(texts), width), vocab.pad_id, dtype=np.int64)
+    mask = np.zeros((len(texts), width), dtype=np.float64)
+    for i, ts in enumerate(token_lists):
+        ids[i, :len(ts)] = vocab.ids(ts)
+        mask[i, :len(ts)] = 1.0
+    return ids, mask

@@ -357,6 +357,22 @@ class TestAttribute:
         assert key in error["message"]
         assert not out_dir.exists() or not any(out_dir.iterdir()), "wrote a report"
 
+    def test_checkpoint_tensors_that_do_not_fit_are_one_validation_line(self, trained_run,
+                                                                        capsys):
+        from pcbnet.serialize import load_params, save_params
+        dataset, checkpoint, tmp_path = trained_run
+        tensors, meta = load_params(checkpoint)
+        bad = tmp_path / "empty_vocab.params"
+        save_params(bad, tensors, {**meta, "vocab": []})
+        out_dir = tmp_path / "empty_vocab_out"
+        capsys.readouterr()
+        assert main(["attribute", "--checkpoint", str(bad), "--dataset", str(dataset),
+                     "--records", ingest(dataset)[0].id, "--out", str(out_dir)]) == 1
+        error = one_error_line(capsys)
+        assert error["category"] == "validation"
+        assert "encoder.embedding" in error["message"]
+        assert not out_dir.exists() or not any(out_dir.iterdir()), "wrote a report"
+
     def test_rating_only_checkpoint_rejected(self, tmp_path, capsys):
         dataset = synth_dataset(tmp_path, n=40)
         cfg = quick_train_config(tmp_path, dataset, architecture=2)

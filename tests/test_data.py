@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from pcbnet.data import (APPRAISAL_COUNT, EMOTION_COUNT, Level, ReviewRecord,
                          SyntheticGeneratorConfig, generate_synthetic, ingest,
-                         planted_emotions, planted_pcb, read_appraisal_names,
+                         planted_emotions, planted_pcb, read_appraisal_names, record_to_obj,
                          segment_emotion, segment_pcb, split_records,
                          write_appraisal_names, write_csv, write_jsonl)
 from pcbnet.errors import ConfigError, PcbnetError, SizeError, ValidationError
@@ -116,6 +116,25 @@ class TestIngest:
         path.write_text(bad + "\n" + "not json\n")
         with pytest.raises(ValidationError, match="2 invalid rows"):
             ingest(path)
+
+    @pytest.mark.parametrize("separator", ["\x85", "\u2028", "\u2029"])
+    def test_raw_unicode_line_separator_stays_inside_its_text(self, tmp_path, separator):
+        records = [make_record(0, text=f"fine{separator}visit ."), make_record(1)]
+        path = tmp_path / "data.jsonl"
+        path.write_text("".join(json.dumps(record_to_obj(r), ensure_ascii=False) + "\n"
+                                for r in records), encoding="utf-8")
+        assert ingest(path) == records
+
+    def test_rows_are_numbered_by_physical_line(self, tmp_path):
+        good = json.dumps(record_to_obj(make_record(0)))
+        path = tmp_path / "data.jsonl"
+        # \x0c and \x1e split a str.splitlines line; a raw one is bad JSON here
+        path.write_bytes(f"{good}\r\nnot\x0cjson\r\n\r\n{good[:-1]}\x1e}}\r\n".encode())
+        with pytest.raises(ValidationError) as info:
+            ingest(path)
+        message = str(info.value)
+        assert "2 invalid rows" in message
+        assert "\nline 2: invalid JSON" in message and "\nline 4: invalid JSON" in message
 
     def test_jsonl_round_trip_bit_exact(self, tmp_path):
         records = generate_synthetic(

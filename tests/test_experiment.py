@@ -12,6 +12,8 @@ from pcbnet.experiment import (ExperimentConfig, MetricsSummary,
                                run_repetitions, train)
 from pcbnet.models import build
 
+from oracles import reference_encode_texts
+
 
 @pytest.fixture(scope="module")
 def small_records():
@@ -81,6 +83,18 @@ class TestBatch:
         text = data.batch(idx, "promote", ("Text",)).encoded
         assert np.array_equal(text.token_ids, full.encoded.token_ids)
         assert np.array_equal(text.attention_mask, full.encoded.attention_mask)
+
+    def test_stores_a_bool_mask_and_hands_models_the_float_mask(self, prepared,
+                                                               small_records):
+        data, split = prepared
+        assert data.attention_mask.dtype == np.bool_
+        ids, mask = reference_encode_texts([r.text for r in small_records], data.vocab)
+        idx = split.test
+        got = data.batch(idx, "promote").encoded
+        assert got.attention_mask.dtype == np.float64
+        assert got.attention_mask.flags.c_contiguous
+        assert got.attention_mask.tobytes() == mask[idx].tobytes()
+        assert got.token_ids.tobytes() == ids[idx].tobytes()
 
     def test_training_and_evaluation_read_only_the_models_inputs(self, prepared,
                                                                  monkeypatch):

@@ -299,3 +299,25 @@ class TestCheckpoint:
         save_params(path, tensors, meta)
         with pytest.raises(ValidationError, match=key):
             load_model(path)
+
+    @pytest.mark.parametrize("change", ["drop_tensor", "add_tensor", "empty_vocab"])
+    def test_tensors_that_do_not_fit_are_a_validation_error(self, tiny_data, tmp_path,
+                                                             change):
+        path = tmp_path / "model.params"
+        save_model(path, build(12, vocab=tiny_data.vocab, encoder_dim=8, seed=5))
+        tensors, meta = load_params(path)
+        if change == "drop_tensor":
+            del tensors["pcb_head.layer0.bias"]
+        elif change == "add_tensor":
+            tensors["pcb_head.extra"] = np.zeros(3)
+        else:
+            meta["vocab"] = []
+        save_params(path, tensors, meta)
+        with pytest.raises(ValidationError, match="checkpoint"):
+            load_model(path)
+
+    def test_precomputed_checkpoint_is_a_config_refusal(self, tmp_path):
+        path = tmp_path / "model.params"
+        save_model(path, build(1, encoder_dim=8, precomputed=True))
+        with pytest.raises(ConfigError, match="externally computed embeddings"):
+            load_model(path)

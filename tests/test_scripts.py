@@ -1,3 +1,4 @@
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -13,3 +14,18 @@ def test_attribute_extremes_runs_at_a_small_size(tmp_path):
     assert result.returncode == 0, result.stderr
     for label in ("most_promotable", "least_promotable"):
         assert (tmp_path / f"{label}.json").exists() and (tmp_path / f"{label}.html").exists()
+
+
+def test_peak_rss_prints_one_line_per_phase(tmp_path):
+    result = subprocess.run(
+        [sys.executable, str(SCRIPTS / "peak_rss.py"), "--records", "60",
+         "--text-epochs", "1"],
+        capture_output=True, text=True, timeout=300, cwd=tmp_path)
+    assert result.returncode == 0, result.stderr
+    lines = [json.loads(line) for line in result.stdout.splitlines()]
+    assert [line["phase"] for line in lines] == [
+        "imports", "generate", "write", "ingest", "vocab", "featurize", "repetition"]
+    peaks = [line["maxrss_mb"] for line in lines]
+    assert peaks == sorted(peaks) and peaks[0] > 0
+    assert all(line["rss_mb"] is None or line["rss_mb"] > 0 for line in lines)
+    assert not any(tmp_path.iterdir()), "left files behind"

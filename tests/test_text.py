@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,8 @@ from pcbnet.errors import ValidationError
 from pcbnet.models import Batch, build
 from pcbnet.text import (PAD_TOKEN, UNK_TOKEN, TextEncoder, Vocabulary, encode_texts,
                          load_embeddings, save_precomputed_embeddings, tokenize)
+
+from oracles import reference_encode_texts
 
 
 class TestTokenize:
@@ -47,6 +51,50 @@ class TestVocabulary:
     def test_oov_maps_to_unk(self):
         vocab = Vocabulary.build(["a a"], min_freq=2)
         assert vocab.ids(["a", "zebra"]) == [vocab.token_to_id["a"], vocab.unk_id]
+
+
+# In-vocabulary words, out-of-vocabulary words, punctuation and separators
+_WORDS = ("alpha", "beta", "gamma", "Beta", "zebra", "qux9", "!", "'", ",.", "  ", "\t\n")
+
+
+class TestEncodeTexts:
+    vocab = Vocabulary.build(["alpha beta gamma beta alpha ! ,"], min_freq=1)
+
+    @given(st.lists(st.lists(st.sampled_from(_WORDS), max_size=12).map(" ".join),
+                    max_size=6),
+           st.integers(1, 10))
+    @settings(max_examples=300, deadline=None)
+    def test_bytes_match_the_list_based_reference(self, texts, max_sequence_length):
+        got = encode_texts(texts, self.vocab, max_sequence_length)
+        ids, mask = reference_encode_texts(texts, self.vocab, max_sequence_length)
+        for array, want in ((got.token_ids, ids), (got.attention_mask, mask)):
+            assert (array.dtype, array.shape) == (want.dtype, want.shape)
+            assert array.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("texts", [[], [""], ["", " ", "\n"]])
+    def test_all_empty_input_is_one_pad_column(self, texts):
+        got = encode_texts(texts, self.vocab)
+        assert got.token_ids.shape == got.attention_mask.shape == (len(texts), 1)
+        assert not got.token_ids.any() and not got.attention_mask.any()
+
+    def test_long_text_keeps_its_head(self):
+        got = encode_texts(["alpha beta gamma zebra", "beta"], self.vocab, 3)
+        ids = self.vocab.token_to_id
+        assert got.token_ids.tolist() == [[ids["alpha"], ids["beta"], ids["gamma"]],
+                                          [ids["beta"], 0, 0]]
+
+    def test_traced_peak_is_at_most_twice_the_output(self):
+        records = generate_synthetic(SyntheticGeneratorConfig(record_count=1400), seed=1)
+        texts = [r.text for r in records]
+        vocab = Vocabulary.build(texts)
+        tracemalloc.start()
+        try:
+            got = encode_texts(texts, vocab, 256)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        output = got.token_ids.nbytes + got.attention_mask.nbytes
+        assert peak <= 2 * output, f"peak {peak} bytes for {output} bytes of output"
 
 
 def small_encoder(dim=6, seed=0, texts=("alpha beta gamma beta alpha",)):
@@ -164,6 +212,17 @@ class TestPrecomputedEncoder:
         path.write_text(line + "\n")
         with pytest.raises(ValidationError, match="line 1"):
             load_embeddings(path, ["a"])
+
+    def test_raw_unicode_line_separators_stay_inside_an_id(self, tmp_path):
+        path = tmp_path / "emb.jsonl"
+        path.write_text('{"id": "a\x85b", "embedding": [1.0]}\r\n\n'
+                        '{"id": "c\u2028d", "embedding": [2.0]}\n'
+                        '{"id": "e", "embedding": [3.0, 4.0]}\n', encoding="utf-8")
+        with pytest.raises(ValidationError, match="line 4: embedding width 2 != 1"):
+            load_embeddings(path, ["a\x85b"])
+        path.write_text(path.read_text(encoding="utf-8").rsplit("{", 1)[0], encoding="utf-8")
+        rows = load_embeddings(path, ["c\u2028d", "a\x85b"])
+        assert rows.tolist() == [[2.0], [1.0]]
 
     def test_ragged_widths_rejected(self, tmp_path):
         path = tmp_path / "emb.jsonl"
