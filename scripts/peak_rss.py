@@ -1,13 +1,13 @@
 """Print the process's peak and current RSS after each set-up phase.
 
-Runs the benchmark's set-up (its corpus, split, sequence length and
-budgets) in one process: imports, generate, write, ingest, vocab, featurize,
-then one repetition. After each phase it prints one JSON line: the phase, its
-wall time, ``ru_maxrss`` (the high-water mark so far) and the current RSS,
-both in MB. The last phase whose ``maxrss_mb`` rises is the one that sets
+Runs the benchmark's text-train set-up in one process, taking its corpus,
+split and configuration from ``perfbench/workloads.py``: imports, generate,
+write, ingest, vocab, featurize, then one repetition. After each phase it
+prints one JSON line: the phase, its wall time, ``ru_maxrss`` (the
+high-water mark so far) and the current RSS, both in MB. The last phase whose ``maxrss_mb`` rises is the one that sets
 the peak.
 
-    python3 scripts/peak_rss.py --records 1400 --seed 1 --architecture 12
+    python3 scripts/peak_rss.py --records 1400 --seed 1
 """
 
 import time
@@ -19,13 +19,14 @@ import json  # noqa: E402
 import resource  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
+from dataclasses import replace  # noqa: E402
 from pathlib import Path  # noqa: E402
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 from pcbnet import data, experiment  # noqa: E402
-
-SPLIT = (0.8, 0.1, 0.1)
+from workloads import FULL, SPLIT, experiment_config  # noqa: E402
 
 
 def current_rss_mb() -> float | None:
@@ -50,14 +51,15 @@ def report(phase: str, start: float) -> float:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--records", type=int, default=1400)
+    parser.add_argument("--records", type=int, default=FULL.records)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--architecture", type=int, default=12)
-    parser.add_argument("--text-epochs", type=int, default=2)
     args = parser.parse_args()
+    scale = replace(FULL, records=args.records)
+    cfg = experiment_config("text-train", scale, args.seed)
 
     start = report("imports", T0)
-    gen = data.SyntheticGeneratorConfig(record_count=args.records)
+    gen = data.SyntheticGeneratorConfig(record_count=scale.records,
+                                        mean_review_length=scale.review_length)
     records = data.generate_synthetic(gen, args.seed)
     start = report("generate", start)
     with tempfile.TemporaryDirectory() as tmp:
@@ -70,12 +72,8 @@ def main() -> int:
     split = data.split_records(len(records), SPLIT, args.seed)
     vocab = experiment.build_vocab_for_split(records, split)
     start = report("vocab", start)
-    dataset = experiment.featurize(records, vocab, 256)
+    dataset = experiment.featurize(records, vocab, cfg.max_sequence_length)
     start = report("featurize", start)
-    cfg = experiment.ExperimentConfig(
-        architecture=args.architecture, text_epochs=args.text_epochs,
-        rating_epochs=30, lr=3e-3, batch_size=16, max_sequence_length=256,
-        base_seed=args.seed, split_ratios=SPLIT)
     experiment.run_repetition(records, dataset, split, cfg, 0)
     report("repetition", start)
     return 0

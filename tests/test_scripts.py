@@ -18,8 +18,7 @@ def test_attribute_extremes_runs_at_a_small_size(tmp_path):
 
 def test_peak_rss_prints_one_line_per_phase(tmp_path):
     result = subprocess.run(
-        [sys.executable, str(SCRIPTS / "peak_rss.py"), "--records", "60",
-         "--text-epochs", "1"],
+        [sys.executable, str(SCRIPTS / "peak_rss.py"), "--records", "60"],
         capture_output=True, text=True, timeout=300, cwd=tmp_path)
     assert result.returncode == 0, result.stderr
     lines = [json.loads(line) for line in result.stdout.splitlines()]
