@@ -1,15 +1,17 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pcbnet.data import (APPRAISAL_COUNT, EMOTION_COUNT, Level, ReviewRecord,
-                         SyntheticGeneratorConfig, generate_synthetic, ingest,
-                         planted_emotions, planted_pcb, read_appraisal_names, record_to_obj,
-                         segment_emotion, segment_pcb, split_records,
-                         write_appraisal_names, write_csv, write_jsonl)
+from pcbnet import data
+from pcbnet.data import (APPRAISAL_COUNT, DEFAULT_APPRAISAL_NAMES, EMOTION_COUNT, Level,
+                         ReviewRecord, SyntheticGeneratorConfig, generate_synthetic, ingest,
+                         planted_emotions, planted_pcb, record_to_obj, segment_emotion,
+                         segment_pcb, split_records, write_appraisal_names, write_csv,
+                         write_jsonl)
 from pcbnet.errors import ConfigError, PcbnetError, SizeError, ValidationError
 from pcbnet.text import tokenize
 
@@ -153,9 +155,64 @@ class TestIngest:
     def test_appraisal_names_sidecar(self, tmp_path):
         path = tmp_path / "names.txt"
         write_appraisal_names(path)
-        names = read_appraisal_names(path)
-        assert len(names) == APPRAISAL_COUNT
+        names = path.read_text(encoding="utf-8").split("\n")
+        assert names == [*DEFAULT_APPRAISAL_NAMES, ""]
         assert names[0] == "novelty"
+        # one name per "\n"-ended line, even with a raw U+2028 inside a name
+        write_appraisal_names(path, ("goal\u2028relevance",) + DEFAULT_APPRAISAL_NAMES[1:])
+        assert len(path.read_text(encoding="utf-8").split("\n")) == APPRAISAL_COUNT + 1
+        # the sidecar is for readers outside the program, which has none
+        assert not hasattr(data, "read_appraisal_names")
+
+
+@pytest.fixture(scope="module")
+def default_corpus():
+    return generate_synthetic(SyntheticGeneratorConfig(), seed=1)
+
+
+class Interrupted(Exception):
+    pass
+
+
+def interrupted_after(records, n):
+    yield from records[:n]
+    raise Interrupted
+
+
+class TestWriters:
+    """``write_jsonl`` and ``write_csv`` stream their rows into one atomic write."""
+
+    @pytest.mark.parametrize("write", [write_jsonl, write_csv])
+    def test_traced_peak_is_below_half_the_file(self, default_corpus, tmp_path, write):
+        path = tmp_path / "corpus"
+        tracemalloc.start()
+        try:
+            write(default_corpus, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = path.stat().st_size
+        assert peak < 0.5 * size, f"peak {peak} bytes for a {size}-byte file"
+
+    @pytest.mark.parametrize("write", [write_jsonl, write_csv])
+    def test_an_exception_mid_stream_leaves_the_target_untouched(self, default_corpus,
+                                                                 tmp_path, write):
+        path = tmp_path / "corpus"
+        with pytest.raises(Interrupted):
+            write(interrupted_after(default_corpus, 300), path)
+        assert list(tmp_path.iterdir()) == []
+        path.write_text("old\n")
+        with pytest.raises(Interrupted):
+            write(interrupted_after(default_corpus, 300), path)
+        assert list(tmp_path.iterdir()) == [path]
+        assert path.read_text() == "old\n"
+
+    def test_jsonl_bytes_are_one_sorted_json_object_per_line(self, tmp_path):
+        records = [make_record(i, text=f"caf\u00e9 {i}\u2028!") for i in range(3)]
+        path = tmp_path / "data.jsonl"
+        write_jsonl(records, path)
+        assert path.read_bytes() == "".join(
+            json.dumps(record_to_obj(r), sort_keys=True) + "\n" for r in records).encode()
 
 
 @pytest.fixture(scope="module")

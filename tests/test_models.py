@@ -300,6 +300,15 @@ class TestCheckpoint:
         with pytest.raises(ValidationError, match=key):
             load_model(path)
 
+    @pytest.mark.parametrize("arch_id", [0, 13, -1])
+    def test_out_of_range_architecture_id_is_a_validation_error(self, tmp_path, arch_id):
+        path = tmp_path / "model.params"
+        save_model(path, build(3, seed=5))
+        tensors, meta = load_params(path)
+        save_params(path, tensors, {**meta, "architecture_id": arch_id})
+        with pytest.raises(ValidationError, match="architecture_id"):
+            load_model(path)
+
     @pytest.mark.parametrize("change", ["drop_tensor", "add_tensor", "empty_vocab"])
     def test_tensors_that_do_not_fit_are_a_validation_error(self, tiny_data, tmp_path,
                                                              change):

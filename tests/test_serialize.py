@@ -82,6 +82,24 @@ class TestParamsFormat:
         save_params(path, {"w": np.zeros(3)}, meta={})
         assert [p.name for p in tmp_path.iterdir()] == ["m.params"]
 
+    def test_a_failed_write_leaves_the_target_and_closes_its_file(self, tmp_path):
+        from pcbnet.serialize import atomic_writer
+        path = tmp_path / "m.params"
+        save_params(path, {"w": np.zeros(3)}, meta={})
+        before = path.read_bytes()
+        for binary in (True, False):
+            with pytest.raises(KeyError):
+                with atomic_writer(path, binary=binary) as fh:
+                    fh.write(b"partial" if binary else "partial")
+                    raise KeyError("stop")
+            assert fh.closed
+            assert [p.name for p in tmp_path.iterdir()] == ["m.params"]
+            assert path.read_bytes() == before
+        with atomic_writer(path) as fh:
+            fh.write("caf\u00e9\n")
+        assert fh.closed
+        assert path.read_bytes() == "caf\u00e9\n".encode()
+
     def test_every_truncation_is_a_validation_error(self, tmp_path):
         path = tmp_path / "m.params"
         save_params(path, {"w": np.arange(6.0).reshape(2, 3)}, meta={"k": 1})
