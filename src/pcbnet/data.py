@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigError, SizeError, ValidationError
 from .schema import check_fields, declared
-from .serialize import atomic_write_text, jsonl_lines
+from .serialize import atomic_write_text, atomic_writer, jsonl_lines
 from .text import tokenize
 
 APPRAISAL_COUNT = 20
@@ -246,33 +246,28 @@ def record_to_obj(record: ReviewRecord) -> dict:
 
 
 def write_jsonl(records: Iterable[ReviewRecord], path: str | Path) -> None:
-    lines = [json.dumps(record_to_obj(r), sort_keys=True) for r in records]
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    """One sorted-key JSON object per line, written record by record."""
+    with atomic_writer(path) as fh:
+        for r in records:
+            fh.write(json.dumps(record_to_obj(r), sort_keys=True) + "\n")
 
 
 def write_csv(records: Iterable[ReviewRecord], path: str | Path) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_csv_header())
-    for r in records:
-        writer.writerow([r.id, r.text, *r.appraisals, *r.emotions,
-                         r.pcb_repurchase, r.pcb_promote])
-    atomic_write_text(path, buf.getvalue())
+    """The header row, then one row per record, written record by record."""
+    with atomic_writer(path) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(_csv_header())
+        for r in records:
+            writer.writerow([r.id, r.text, *r.appraisals, *r.emotions,
+                             r.pcb_repurchase, r.pcb_promote])
 
 
 def write_appraisal_names(path: str | Path,
                           names: Sequence[str] = DEFAULT_APPRAISAL_NAMES) -> None:
+    """The sidecar: one appraisal name per "\\n"-ended line, in feature order."""
     if len(names) != APPRAISAL_COUNT:
         raise ConfigError(f"expected {APPRAISAL_COUNT} appraisal names, got {len(names)}")
     atomic_write_text(path, "\n".join(names) + "\n")
-
-
-def read_appraisal_names(path: str | Path) -> tuple[str, ...]:
-    names = Path(path).read_text(encoding="utf-8").splitlines()
-    if len(names) != APPRAISAL_COUNT:
-        raise ValidationError(
-            f"{path}: sidecar must have exactly {APPRAISAL_COUNT} lines, got {len(names)}")
-    return tuple(names)
 
 
 # ---------------------------------------------------------------------------

@@ -375,9 +375,11 @@ def _check_meta(meta: dict) -> None:
     def is_int(value) -> bool:
         return isinstance(value, int) and not isinstance(value, bool)
 
+    arch_id = meta.get("architecture_id")
     vocab, length = meta.get("vocab"), meta.get("max_sequence_length")
     for key, ok, want in (
-            ("architecture_id", is_int(meta.get("architecture_id")), "an integer"),
+            ("architecture_id", is_int(arch_id) and arch_id in _BY_ID,
+             f"an integer in {ARCHITECTURES[0].id}..{ARCHITECTURES[-1].id}"),
             ("encoder_dim", is_int(meta.get("encoder_dim")) and meta["encoder_dim"] >= 0,
              "a non-negative integer"),
             ("vocab", vocab is None or (isinstance(vocab, list)

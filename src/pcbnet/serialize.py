@@ -3,8 +3,9 @@
 Layout: magic line, 8-byte little-endian header length, UTF-8 JSON header,
 then the concatenated row-major float64 buffers. The header carries a format
 name, version, arbitrary metadata, and the tensor index (name, shape, offset
-in float64 elements). Writes are atomic (temp file + rename) and byte-stable
-for identical inputs. ``jsonl_lines`` is the line rule of every JSONL reader.
+in float64 elements). Writes are atomic (temp file + rename, through
+``atomic_writer``) and byte-stable for identical inputs. ``jsonl_lines`` is
+the line rule of every JSONL reader.
 """
 
 from __future__ import annotations
@@ -14,8 +15,9 @@ import math
 import os
 import struct
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterator
+from typing import IO, Iterator
 
 import numpy as np
 
@@ -26,13 +28,21 @@ FORMAT_NAME = "pcbnet-params"
 FORMAT_VERSION = 1
 
 
-def atomic_write_bytes(path: str | Path, payload: bytes) -> None:
+@contextmanager
+def atomic_writer(path: str | Path, binary: bool = False) -> Iterator[IO]:
+    """A file to write ``path`` through, UTF-8 text unless ``binary``.
+
+    It is a temporary file in the same directory, closed and renamed over
+    ``path`` when the block ends. If the block raises, the temporary file is
+    closed and removed, and ``path`` is left as it was.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".tmp")
     try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(payload)
+        with (os.fdopen(fd, "wb") if binary
+              else os.fdopen(fd, "w", encoding="utf-8", newline="")) as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -40,8 +50,14 @@ def atomic_write_bytes(path: str | Path, payload: bytes) -> None:
         raise
 
 
+def atomic_write_bytes(path: str | Path, payload: bytes) -> None:
+    with atomic_writer(path, binary=True) as fh:
+        fh.write(payload)
+
+
 def atomic_write_text(path: str | Path, text: str) -> None:
-    atomic_write_bytes(path, text.encode("utf-8"))
+    with atomic_writer(path) as fh:
+        fh.write(text)
 
 
 def jsonl_lines(text: str) -> Iterator[tuple[int, str]]:

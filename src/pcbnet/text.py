@@ -27,7 +27,7 @@ from .autodiff import Tensor, embedding_bag, parameter
 from .autodiff import embedding_lookup, masked_mean  # noqa: F401
 from .errors import ConfigError, ValidationError
 from .nn import LinearLayer
-from .serialize import jsonl_lines
+from .serialize import atomic_writer, jsonl_lines
 
 PAD_TOKEN = "<pad>"
 UNK_TOKEN = "<unk>"
@@ -171,7 +171,6 @@ def load_embeddings(path: str | Path, ids: Sequence[str]) -> np.ndarray:
 
 def save_precomputed_embeddings(path: str | Path,
                                 table: dict[str, np.ndarray]) -> None:
-    from .serialize import atomic_write_text
-    lines = [json.dumps({"id": rid, "embedding": list(map(float, vec))})
-             for rid, vec in table.items()]
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    with atomic_writer(path) as fh:
+        for rid, vec in table.items():
+            fh.write(json.dumps({"id": rid, "embedding": list(map(float, vec))}) + "\n")
