@@ -19,7 +19,7 @@ from .data import ReviewRecord
 from .errors import CapabilityError, ConfigError
 from .experiment import PCB_TARGETS, Dataset, featurize
 from .models import TEXT, ModelInstance
-from .text import tokenize
+from .text import token_mask, tokenize
 
 
 @dataclass
@@ -124,7 +124,7 @@ def integrated_gradients(model: ModelInstance, record: ReviewRecord,
 
     encoder = model.encoder
     data = featurize([record], encoder.vocab, encoder.max_sequence_length)
-    ids, mask = data.token_ids, data.attention_mask.astype(np.float64)
+    ids, mask = data.token_ids, token_mask(data.token_ids, encoder.vocab.pad_id)
     tokens = tokenize(record.text)[:int(mask.sum())]
 
     # Only the pooled path needs a gradient. With every parameter flag off, no

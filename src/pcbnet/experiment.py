@@ -18,7 +18,7 @@ from .models import (APPRAISALS, EMOTIONS, TEXT, Batch, ModelInstance,
                      architecture_spec, build)
 from .nn import Adam, LinearSchedule
 from .schema import Spec, check_fields, declared
-from .text import EncodedBatch, Vocabulary, encode_texts, load_embeddings
+from .text import Vocabulary, encode_texts, load_embeddings
 
 # A budget: a built text encoder trains a vocab x d table and a d x d projection, held four
 # times (weights, gradient, two Adam moments), so 0.5 GB for the projection at d = 4096.
@@ -108,13 +108,12 @@ class MetricsSummary:
 class Dataset:
     """Featurized record set shared by every repetition of a run.
 
-    Text is stored as int64 ``token_ids`` and a bool ``attention_mask``;
-    ``batch`` hands models the float64 {0, 1} mask they read.
+    Text is stored as int64 ``token_ids`` alone, padded with the pad id; the
+    encoder derives the attention mask from them (``text.token_mask``).
     """
 
     vocab: Vocabulary | None
-    token_ids: np.ndarray | None       # [n, L] int64
-    attention_mask: np.ndarray | None  # [n, L] bool, False exactly on pad positions
+    token_ids: np.ndarray | None      # [n, L] int64
     text_features: np.ndarray | None  # [n, d] precomputed text embeddings
     appraisal_features: np.ndarray
     emotion_features: np.ndarray
@@ -130,10 +129,8 @@ class Dataset:
         def gather(column: np.ndarray | None, modality: str) -> np.ndarray | None:
             return None if column is None or modality not in modalities else column[idx]
 
-        token_ids = gather(self.token_ids, TEXT)
         return Batch(
-            encoded=None if token_ids is None else EncodedBatch(
-                token_ids, self.attention_mask[idx].astype(np.float64)),
+            token_ids=gather(self.token_ids, TEXT),
             text_features=gather(self.text_features, TEXT),
             appraisal_features=gather(self.appraisal_features, APPRAISALS),
             emotion_features=gather(self.emotion_features, EMOTIONS),
@@ -157,14 +154,10 @@ def featurize(records: Sequence[ReviewRecord], vocab: Vocabulary | None,
     emotions = np.array([r.emotions for r in records], dtype=np.float64)
     app_classes = np.array([[segment_pcb(a) for a in r.appraisals]
                             for r in records], dtype=np.int64)
-    token_ids = attention = None
-    if vocab is not None:
-        encoded = encode_texts([r.text for r in records], vocab, max_sequence_length)
-        token_ids, attention = encoded.token_ids, encoded.attention_mask.astype(bool)
     return Dataset(
         vocab=vocab,
-        token_ids=token_ids,
-        attention_mask=attention,
+        token_ids=(None if vocab is None
+                   else encode_texts([r.text for r in records], vocab, max_sequence_length)),
         text_features=text_features,
         appraisal_features=(appraisals - 4.0) / 3.0,
         emotion_features=(emotions - 4.0) / 3.0,

@@ -31,7 +31,7 @@ from .errors import ConfigError, InputError, ValidationError
 from .nn import FFNNHead
 from .schema import shown
 from .serialize import load_params, save_params
-from .text import EncodedBatch, TextEncoder, Vocabulary
+from .text import TextEncoder, Vocabulary
 
 PCB_CLASSES = 3
 APPRAISAL_LOGITS = APPRAISAL_COUNT * 3  # 3-way block per dimension
@@ -163,7 +163,7 @@ def architecture_spec(arch_id: int) -> ArchitectureSpec:
 class Batch:
     """Model inputs for one minibatch; fields are None when a modality is absent."""
 
-    encoded: EncodedBatch | None = None
+    token_ids: np.ndarray | None = None           # [b, L] int64, padded with the pad id
     text_features: np.ndarray | None = None       # [b, d] precomputed text embeddings
     appraisal_features: np.ndarray | None = None  # [b, 20] scaled ratings
     emotion_features: np.ndarray | None = None    # [b, 8] scaled ratings
@@ -219,7 +219,7 @@ class ModelInstance:
 
     def _require(self, batch: Batch, pooled_text: Tensor | None) -> None:
         text = (batch.text_features if self.encoder is None
-                else batch.encoded if pooled_text is None else pooled_text)
+                else batch.token_ids if pooled_text is None else pooled_text)
         for modality, value in ((TEXT, text), (APPRAISALS, batch.appraisal_features),
                                 (EMOTIONS, batch.emotion_features)):
             if modality in self.spec.input_modalities and value is None:
@@ -237,7 +237,7 @@ class ModelInstance:
             return Tensor(batch.text_features)
         if pooled_text is not None:
             return self.encoder.projection(pooled_text)
-        return self.encoder.encode(batch.encoded)
+        return self.encoder.encode(batch.token_ids)
 
     def _read(self, head: Head, batch: Batch, pooled_text: Tensor | None,
               values: dict[str, Tensor]) -> Tensor:
@@ -375,11 +375,10 @@ def _check_meta(meta: dict) -> None:
     def is_int(value) -> bool:
         return isinstance(value, int) and not isinstance(value, bool)
 
-    arch_id = meta.get("architecture_id")
     vocab, length = meta.get("vocab"), meta.get("max_sequence_length")
     for key, ok, want in (
-            ("architecture_id", is_int(arch_id) and arch_id in _BY_ID,
-             f"an integer in {ARCHITECTURES[0].id}..{ARCHITECTURES[-1].id}"),
+            ("architecture_id", is_int(meta.get("architecture_id"))
+             and meta["architecture_id"] in _BY_ID, f"an integer in 1..{len(_BY_ID)}"),
             ("encoder_dim", is_int(meta.get("encoder_dim")) and meta["encoder_dim"] >= 0,
              "a non-negative integer"),
             ("vocab", vocab is None or (isinstance(vocab, list)

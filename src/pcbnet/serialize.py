@@ -30,11 +30,9 @@ FORMAT_VERSION = 1
 
 @contextmanager
 def atomic_writer(path: str | Path, binary: bool = False) -> Iterator[IO]:
-    """A file to write ``path`` through, UTF-8 text unless ``binary``.
-
-    It is a temporary file in the same directory, closed and renamed over
-    ``path`` when the block ends. If the block raises, the temporary file is
-    closed and removed, and ``path`` is left as it was.
+    """A file to write ``path`` through, UTF-8 text unless ``binary``: a temporary
+    file in the same directory, renamed over ``path`` when the block ends. If the
+    block raises, the file is closed and removed and ``path`` is left as it was.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -48,11 +46,6 @@ def atomic_writer(path: str | Path, binary: bool = False) -> Iterator[IO]:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def atomic_write_bytes(path: str | Path, payload: bytes) -> None:
-    with atomic_writer(path, binary=True) as fh:
-        fh.write(payload)
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:
@@ -77,13 +70,13 @@ def save_params(path: str | Path, tensors: dict[str, np.ndarray],
                 meta: dict | None = None) -> None:
     """Write named arrays plus a metadata dict to a single binary file."""
     index = []
-    buffers = []
+    arrays = []
     offset = 0
     for name in sorted(tensors):
         src = np.asarray(tensors[name], dtype=np.float64)
         arr = np.ascontiguousarray(src)  # note: promotes 0-d to 1-d
         index.append({"name": name, "shape": list(src.shape), "offset": offset})
-        buffers.append(arr.tobytes())
+        arrays.append(arr)
         offset += arr.size
     header = {
         "format": FORMAT_NAME,
@@ -92,8 +85,10 @@ def save_params(path: str | Path, tensors: dict[str, np.ndarray],
         "tensors": index,
     }
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    payload = MAGIC + struct.pack("<Q", len(header_bytes)) + header_bytes + b"".join(buffers)
-    atomic_write_bytes(path, payload)
+    with atomic_writer(path, binary=True) as fh:
+        fh.write(MAGIC + struct.pack("<Q", len(header_bytes)) + header_bytes)
+        for arr in arrays:
+            fh.write(arr)  # straight from its buffer, no copy
 
 
 def load_params(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:

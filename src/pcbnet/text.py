@@ -6,8 +6,9 @@ embeddings take its place as data, not as a second encoder: ``load_embeddings``
 reads the file once per run into one row per record, which ``featurize``
 stores as the ``Dataset.text_features`` column.
 
-Encoding holds no per-token Python object past its own text: each text's
-token list becomes an int64 id row before the next text is tokenized.
+Text is int64 token ids alone, padded with the pad id, and ``token_mask``
+derives the attention mask from them. Encoding holds no per-token Python
+object past its own text: each becomes an id row before the next is tokenized.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from __future__ import annotations
 import json
 import re
 from collections import Counter
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -74,31 +74,30 @@ class Vocabulary:
         return [self.token_to_id.get(t, unk) for t in tokens]
 
 
-@dataclass
-class EncodedBatch:
-    """Padded token ids with an attention mask that is 0 exactly on pad positions."""
-
-    token_ids: np.ndarray       # [b, L] int64
-    attention_mask: np.ndarray  # [b, L] float64 in {0, 1}
-
-
 def encode_texts(texts: Sequence[str], vocab: Vocabulary,
-                 max_sequence_length: int = 256) -> EncodedBatch:
-    """Tokenize, truncate from the tail, and pad into a rectangular batch.
+                 max_sequence_length: int = 256) -> np.ndarray:
+    """Tokenize, truncate from the tail, and pad into ``[n, L]`` int64 token ids.
 
     One text at a time: its token list lives only until its ids are an int64
     row, so what is held while encoding is one row per text (about the size
-    of the output ids) and then the two outputs, never a token list per text.
+    of the output) and then the output, never a token list per text.
     """
     rows = [np.array(vocab.ids(tokenize(t)[:max_sequence_length]), dtype=np.int64)
             for t in texts]
     width = max(max((len(r) for r in rows), default=0), 1)
     ids = np.full((len(rows), width), vocab.pad_id, dtype=np.int64)
-    mask = np.zeros((len(rows), width), dtype=np.float64)
     for i, row in enumerate(rows):
         ids[i, :len(row)] = row
-        mask[i, :len(row)] = 1.0
-    return EncodedBatch(token_ids=ids, attention_mask=mask)
+    return ids
+
+
+def token_mask(token_ids: np.ndarray, pad_id: int) -> np.ndarray:
+    """The float64 {0, 1} mask of ``token_ids``: 0 exactly on pad positions.
+
+    No real token has the pad id: ``Vocabulary`` puts pad at 0 and refuses
+    duplicates, and ``tokenize`` cannot produce ``"<pad>"``.
+    """
+    return (token_ids != pad_id).astype(np.float64)
 
 
 class TextEncoder:
@@ -118,9 +117,9 @@ class TextEncoder:
                                    f"{path}.embedding")
         self.projection = LinearLayer(d, d, f"{path}.projection", rng)
 
-    def encode(self, batch: EncodedBatch) -> Tensor:
-        return self.projection(
-            embedding_bag(self.embedding, batch.token_ids, batch.attention_mask))
+    def encode(self, token_ids: np.ndarray) -> Tensor:
+        mask = token_mask(token_ids, self.vocab.pad_id)
+        return self.projection(embedding_bag(self.embedding, token_ids, mask))
 
     def parameters(self) -> dict[str, Tensor]:
         out = {self.embedding.path: self.embedding}

@@ -93,11 +93,12 @@ def brute_force_weighted_f1(y_true, y_pred, n_classes: int = 3) -> float:
 # -- text encoding oracle ---------------------------------------------------
 
 def reference_encode_texts(texts, vocab, max_sequence_length: int = 256):
-    """``(token_ids, attention_mask)`` built from one token list per text, all held.
+    """``(token_ids, mask)`` built from one token list per text, all held.
 
-    The list-based layout ``encode_texts`` must reproduce byte for byte: int64
-    ids padded with the pad id, a float64 {0, 1} mask, tail truncation, and a
-    width of at least 1. Tokenizing and id lookup are the program's own.
+    The list-based layout that ``encode_texts``, and ``token_mask`` on its ids,
+    must reproduce byte for byte: int64 ids padded with the pad id, a float64
+    {0, 1} mask, tail truncation, and a width of at least 1. Tokenizing and id
+    lookup are the program's own.
     """
     from pcbnet.text import tokenize
 

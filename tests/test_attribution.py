@@ -11,6 +11,7 @@ from pcbnet.errors import CapabilityError, ConfigError
 from pcbnet.experiment import (ExperimentConfig, build_vocab_for_split,
                                featurize, train)
 from pcbnet.models import ModelInstance, build
+from pcbnet.text import token_mask
 
 
 @pytest.fixture(scope="module")
@@ -266,7 +267,7 @@ def per_token_reference(model, record, target_class, steps, baseline):
     encoder = model.encoder
     batch = featurize([record], encoder.vocab, encoder.max_sequence_length).batch(
         [0], "promote")
-    ids, mask = batch.encoded.token_ids, batch.encoded.attention_mask
+    ids, mask = batch.token_ids, token_mask(batch.token_ids, encoder.vocab.pad_id)
     x = embedding_lookup(encoder.embedding, ids).data
     if baseline == "pad":
         x_base = np.broadcast_to(encoder.embedding.data[encoder.vocab.pad_id],

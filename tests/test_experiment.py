@@ -11,6 +11,7 @@ from pcbnet.experiment import (ExperimentConfig, MetricsSummary,
                                compute_loss, evaluate, featurize,
                                run_repetitions, train)
 from pcbnet.models import build
+from pcbnet.text import token_mask
 
 from oracles import reference_encode_texts
 
@@ -74,27 +75,27 @@ class TestBatch:
         full = data.batch(idx, "promote")
         for modalities, present in [(("Appraisals",), "appraisal_features"),
                                     (("Emotions",), "emotion_features"),
-                                    (("Text",), "encoded")]:
+                                    (("Text",), "token_ids")]:
             batch = data.batch(idx, "promote", modalities)
-            for name in ("encoded", "appraisal_features", "emotion_features"):
+            for name in ("token_ids", "appraisal_features", "emotion_features"):
                 assert (getattr(batch, name) is None) == (name != present), name
             for name in ("pcb_labels", "appraisal_target_classes", "emotion_target_flags"):
                 assert np.array_equal(getattr(batch, name), getattr(full, name))
-        text = data.batch(idx, "promote", ("Text",)).encoded
-        assert np.array_equal(text.token_ids, full.encoded.token_ids)
-        assert np.array_equal(text.attention_mask, full.encoded.attention_mask)
+        text = data.batch(idx, "promote", ("Text",)).token_ids
+        assert np.array_equal(text, full.token_ids)
 
-    def test_stores_a_bool_mask_and_hands_models_the_float_mask(self, prepared,
-                                                               small_records):
+    def test_stores_token_ids_alone_and_models_derive_the_float_mask(self, prepared,
+                                                                     small_records):
         data, split = prepared
-        assert data.attention_mask.dtype == np.bool_
+        assert not hasattr(data, "attention_mask")
         ids, mask = reference_encode_texts([r.text for r in small_records], data.vocab)
         idx = split.test
-        got = data.batch(idx, "promote").encoded
-        assert got.attention_mask.dtype == np.float64
-        assert got.attention_mask.flags.c_contiguous
-        assert got.attention_mask.tobytes() == mask[idx].tobytes()
-        assert got.token_ids.tobytes() == ids[idx].tobytes()
+        got = data.batch(idx, "promote").token_ids
+        derived = token_mask(got, data.vocab.pad_id)
+        for array, want in ((got, ids[idx]), (derived, mask[idx])):
+            assert array.dtype == want.dtype
+            assert array.flags.c_contiguous
+            assert array.tobytes() == want.tobytes()
 
     def test_training_and_evaluation_read_only_the_models_inputs(self, prepared,
                                                                  monkeypatch):
@@ -104,7 +105,7 @@ class TestBatch:
 
         def spy(self, idx, pcb_target, *modalities):
             out = batch(self, idx, pcb_target, *modalities)
-            seen.append((out.encoded is None, out.appraisal_features is None,
+            seen.append((out.token_ids is None, out.appraisal_features is None,
                          out.emotion_features is None))
             return out
 
@@ -411,7 +412,7 @@ class TestEncoderSlot:
         idx = [5, 0, 17]
         batch = data.batch(idx, "promote")
         assert np.array_equal(batch.text_features, [table[small_records[i].id] for i in idx])
-        assert batch.encoded is None
+        assert batch.token_ids is None
         assert data.batch(idx, "promote", ("Appraisals",)).text_features is None
 
     def test_a_record_without_an_embedding_fails_before_training(

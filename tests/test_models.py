@@ -162,7 +162,7 @@ class TestForward:
     def test_missing_text_named(self, tiny_data):
         model = build(1, vocab=tiny_data.vocab)
         batch = batch_of(tiny_data)
-        batch.encoded = None
+        batch.token_ids = None
         with pytest.raises(InputError, match="Text"):
             model.forward(batch)
 
@@ -170,7 +170,7 @@ class TestForward:
     def test_missing_precomputed_text_named(self, tiny_data, arch_id):
         model = build(arch_id, encoder_dim=8, precomputed=True)
         batch = batch_of(tiny_data)  # token ids do not stand in for text features
-        assert batch.encoded is not None and batch.text_features is None
+        assert batch.token_ids is not None and batch.text_features is None
         with pytest.raises(InputError, match="Text"):
             model.forward(batch)
         batch.text_features = np.ones((4, 8))

@@ -10,7 +10,7 @@ from pcbnet.data import SyntheticGeneratorConfig, generate_synthetic
 from pcbnet.errors import ValidationError
 from pcbnet.models import Batch, build
 from pcbnet.text import (PAD_TOKEN, UNK_TOKEN, TextEncoder, Vocabulary, encode_texts,
-                         load_embeddings, save_precomputed_embeddings, tokenize)
+                         load_embeddings, save_precomputed_embeddings, token_mask, tokenize)
 
 from oracles import reference_encode_texts
 
@@ -53,8 +53,10 @@ class TestVocabulary:
         assert vocab.ids(["a", "zebra"]) == [vocab.token_to_id["a"], vocab.unk_id]
 
 
-# In-vocabulary words, out-of-vocabulary words, punctuation and separators
-_WORDS = ("alpha", "beta", "gamma", "Beta", "zebra", "qux9", "!", "'", ",.", "  ", "\t\n")
+# In-vocabulary words, out-of-vocabulary words, punctuation, separators and
+# the literal special tokens
+_WORDS = ("alpha", "beta", "gamma", "Beta", "zebra", "qux9", "!", "'", ",.", "  ", "\t\n",
+          PAD_TOKEN, UNK_TOKEN)
 
 
 class TestEncodeTexts:
@@ -67,21 +69,39 @@ class TestEncodeTexts:
     def test_bytes_match_the_list_based_reference(self, texts, max_sequence_length):
         got = encode_texts(texts, self.vocab, max_sequence_length)
         ids, mask = reference_encode_texts(texts, self.vocab, max_sequence_length)
-        for array, want in ((got.token_ids, ids), (got.attention_mask, mask)):
+        for array, want in ((got, ids), (token_mask(got, self.vocab.pad_id), mask)):
             assert (array.dtype, array.shape) == (want.dtype, want.shape)
             assert array.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("texts", [[], [""], ["", " ", "\n"]])
     def test_all_empty_input_is_one_pad_column(self, texts):
         got = encode_texts(texts, self.vocab)
-        assert got.token_ids.shape == got.attention_mask.shape == (len(texts), 1)
-        assert not got.token_ids.any() and not got.attention_mask.any()
+        mask = token_mask(got, self.vocab.pad_id)
+        assert got.shape == mask.shape == (len(texts), 1)
+        assert not got.any() and not mask.any()
 
     def test_long_text_keeps_its_head(self):
         got = encode_texts(["alpha beta gamma zebra", "beta"], self.vocab, 3)
         ids = self.vocab.token_to_id
-        assert got.token_ids.tolist() == [[ids["alpha"], ids["beta"], ids["gamma"]],
-                                          [ids["beta"], 0, 0]]
+        assert got.tolist() == [[ids["alpha"], ids["beta"], ids["gamma"]],
+                                [ids["beta"], 0, 0]]
+        assert token_mask(got, self.vocab.pad_id).tolist() == [[1, 1, 1], [1, 0, 0]]
+
+    def test_a_literal_pad_token_is_not_padding(self):
+        got = encode_texts(["<pad>", "alpha <pad> <unk>"], self.vocab)
+        ids = self.vocab.token_to_id
+        assert "<" not in self.vocab and ">" not in self.vocab
+        assert got.tolist() == [[1, 1, 1, 0, 0, 0, 0],  # "<", "pad", ">"
+                                [ids["alpha"], 1, 1, 1, 1, 1, 1]]
+        assert token_mask(got, self.vocab.pad_id).tolist() == [[1, 1, 1, 0, 0, 0, 0],
+                                                               [1] * 7]
+
+    def test_out_of_vocabulary_tokens_are_unk_and_unmasked(self):
+        got = encode_texts(["zebra alpha", "qux9"], self.vocab)
+        assert got.tolist() == [[self.vocab.unk_id, self.vocab.token_to_id["alpha"]],
+                                [self.vocab.unk_id, self.vocab.pad_id]]
+        assert self.vocab.unk_id == 1
+        assert token_mask(got, self.vocab.pad_id).tolist() == [[1, 1], [1, 0]]
 
     def test_traced_peak_is_at_most_twice_the_output(self):
         records = generate_synthetic(SyntheticGeneratorConfig(record_count=1400), seed=1)
@@ -93,7 +113,7 @@ class TestEncodeTexts:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        output = got.token_ids.nbytes + got.attention_mask.nbytes
+        output = got.nbytes
         assert peak <= 2 * output, f"peak {peak} bytes for {output} bytes of output"
 
 
@@ -106,41 +126,40 @@ def small_encoder(dim=6, seed=0, texts=("alpha beta gamma beta alpha",)):
 class TestEncoder:
     def test_output_shape(self):
         vocab, enc = small_encoder()
-        batch = encode_texts(["alpha beta", "gamma", "beta beta alpha", "alpha"],
+        ids = encode_texts(["alpha beta", "gamma", "beta beta alpha", "alpha"],
                              vocab)
-        out = enc.encode(batch)
+        out = enc.encode(ids)
         assert out.shape == (4, 6)
 
     def test_default_width_contract(self):
         vocab = Vocabulary.build(["alpha beta gamma"], min_freq=1)
         enc = build(1, vocab=vocab, seed=0).encoder  # encoder_dim defaults to 128
-        batch = encode_texts(["alpha", "beta gamma", "gamma", "alpha beta"], vocab)
-        assert enc.encode(batch).shape == (4, 128)
+        ids = encode_texts(["alpha", "beta gamma", "gamma", "alpha beta"], vocab)
+        assert enc.encode(ids).shape == (4, 128)
 
     def test_mask_zero_exactly_on_pads(self):
         vocab, _ = small_encoder()
-        batch = encode_texts(["alpha beta gamma", "alpha"], vocab)
-        assert batch.attention_mask.tolist() == [[1, 1, 1], [1, 0, 0]]
-        assert batch.token_ids[1, 1] == vocab.pad_id
+        ids = encode_texts(["alpha beta gamma", "alpha"], vocab)
+        mask = token_mask(ids, vocab.pad_id)
+        assert mask.tolist() == [[1, 1, 1], [1, 0, 0]]
+        assert (mask.dtype, mask.flags.c_contiguous) == (np.float64, True)
+        assert ids[1, 1] == vocab.pad_id
 
     def test_repeated_token_with_identity_projection(self):
         vocab, enc = small_encoder()
         enc.projection.weight.data = np.eye(6)
         enc.projection.bias.data = np.zeros(6)
-        batch = encode_texts(["beta beta beta"], vocab)
-        out = enc.encode(batch)
+        ids = encode_texts(["beta beta beta"], vocab)
+        out = enc.encode(ids)
         row = enc.embedding.data[vocab.token_to_id["beta"]]
         assert np.allclose(out.data[0], row, atol=1e-12)
 
     def test_padding_does_not_change_embedding(self):
         vocab, enc = small_encoder()
         short = encode_texts(["alpha beta gamma"], vocab)
-        padded_ids = np.concatenate(
-            [short.token_ids, np.full((1, 5), vocab.pad_id)], axis=1)
-        padded_mask = np.concatenate([short.attention_mask, np.zeros((1, 5))], axis=1)
-        from pcbnet.text import EncodedBatch
+        padded_ids = np.concatenate([short, np.full((1, 5), vocab.pad_id)], axis=1)
         out_short = enc.encode(short)
-        out_padded = enc.encode(EncodedBatch(padded_ids, padded_mask))
+        out_padded = enc.encode(padded_ids)
         assert np.allclose(out_short.data, out_padded.data, atol=1e-12)
 
     def test_permutation_invariance_over_unmasked_tokens(self):
@@ -151,8 +170,8 @@ class TestEncoder:
 
     def test_gradients_reach_only_present_rows(self):
         vocab, enc = small_encoder()
-        batch = encode_texts(["alpha beta"], vocab)
-        backward(mean(enc.encode(batch)))
+        ids = encode_texts(["alpha beta"], vocab)
+        backward(mean(enc.encode(ids)))
         grad = enc.embedding.grad
         present = {vocab.token_to_id["alpha"], vocab.token_to_id["beta"]}
         for row in range(len(vocab)):
@@ -166,13 +185,13 @@ class TestEncoder:
         # for bit on an integer-valued table, where every summation order is
         # exact, and to rounding on the random one
         vocab, enc = small_encoder()
-        batch = encode_texts(["alpha gamma beta", "beta", "gamma gamma alpha beta"],
+        ids = encode_texts(["alpha gamma beta", "beta", "gamma gamma alpha beta"],
                              vocab)
 
         def both():
-            pooled = masked_mean(embedding_lookup(enc.embedding, batch.token_ids),
-                                 batch.attention_mask)
-            return enc.encode(batch).data, enc.projection(pooled).data
+            pooled = masked_mean(embedding_lookup(enc.embedding, ids),
+                                 token_mask(ids, vocab.pad_id))
+            return enc.encode(ids).data, enc.projection(pooled).data
 
         via_bag, per_token = both()
         np.testing.assert_allclose(via_bag, per_token, rtol=1e-12, atol=1e-14)
