@@ -108,8 +108,8 @@ class MetricsSummary:
 class Dataset:
     """Featurized record set shared by every repetition of a run.
 
-    Text is stored as int64 ``token_ids`` alone, padded with the pad id; the
-    encoder derives the attention mask from them (``text.token_mask``).
+    Text is stored as int64 ``token_ids`` alone, padded with the pad id; its
+    readers derive the attention mask from them with ``text.token_mask``.
     """
 
     vocab: Vocabulary | None
