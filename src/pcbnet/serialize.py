@@ -30,9 +30,10 @@ FORMAT_VERSION = 1
 
 @contextmanager
 def atomic_writer(path: str | Path, binary: bool = False) -> Iterator[IO]:
-    """A file to write ``path`` through, UTF-8 text unless ``binary``: a temporary
-    file in the same directory, renamed over ``path`` when the block ends. If the
-    block raises, the file is closed and removed and ``path`` is left as it was.
+    """A temporary file to write ``path`` through, UTF-8 text unless ``binary``.
+
+    It sits in ``path``'s directory and is renamed over ``path`` when the block
+    ends. If the block raises, it is closed and removed, and ``path`` is untouched.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
