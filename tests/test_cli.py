@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from pcbnet import experiment
 from pcbnet.cli import _SYNTH_SPECS, _TRAIN_SPECS, main, render_report
 from pcbnet.data import SyntheticGeneratorConfig, ingest
 from pcbnet.experiment import ExperimentConfig
@@ -528,3 +529,53 @@ class TestBadInputs:
         error = one_error_line(capsys)
         assert error["category"] == "validation"
         assert str(path) in error["message"] and "line 3" in error["message"]
+
+    @pytest.mark.parametrize("argv, wording", [
+        (lambda d, t: ["attribute", "--checkpoint", str(t / "missing.params"),
+                       "--dataset", str(d / "dataset.jsonl"), "--records", "r",
+                       "--out", str(t / "out")], "not found"),
+        (lambda d, t: ["attribute", "--checkpoint", str(t), "--dataset",
+                       str(d / "dataset.jsonl"), "--records", "r",
+                       "--out", str(t / "out")], "directory"),
+        (lambda d, t: ["synth", "--config", str(t), "--out", str(t / "out" / "d.jsonl")],
+         "directory"),
+        (lambda d, t: ["train", "--config", quick_train_config(t, t),
+                       "--out", str(t / "out")], "directory"),
+        (lambda d, t: ["train", "--config", quick_train_config(t, d / "dataset.jsonl"),
+                       "--out", str(t / "afile")], "afile"),
+        (lambda d, t: ["synth", "--out", str(t / "afile" / "x.jsonl")], "afile"),
+        (lambda d, t: ["synth", "--out", str(t / "adir")], "directory"),
+        (lambda d, t: ["report", str(t / "missing")], "not found"),
+    ], ids=["attribute-missing-checkpoint", "attribute-checkpoint-is-a-directory",
+            "synth-config-is-a-directory", "train-dataset-is-a-directory",
+            "train-out-is-a-file", "synth-out-under-a-file", "synth-out-is-a-directory",
+            "report-missing-directory"])
+    def test_path_that_cannot_be_read_or_created_is_one_config_line(
+            self, probe_dir, tmp_path, capsys, argv, wording):
+        (tmp_path / "afile").write_text("kept\n")
+        (tmp_path / "adir").mkdir()
+        argv = argv(probe_dir, tmp_path)
+        before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+        capsys.readouterr()
+        assert main(argv) == 1
+        error = one_error_line(capsys)
+        assert error["category"] == "config" and wording in error["message"], error
+        after = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+        assert after == before, "wrote output"
+
+    @pytest.mark.parametrize("architecture, ratios", [(2, [0.0, 0.5, 0.5]),
+                                                      (1, [0.0, 0.5, 0.5]),
+                                                      (1, [0.9, 0.1, 0.0])])
+    def test_empty_train_or_test_split_is_refused_before_training(
+            self, probe_dir, tmp_path, capsys, monkeypatch, architecture, ratios):
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained on a split that has no train or no test records")
+
+        monkeypatch.setattr(experiment, "train", no_training)
+        out = tmp_path / "out"
+        cfg = quick_train_config(tmp_path, probe_dir / "dataset.jsonl",
+                                 architecture=architecture, split_ratios=ratios)
+        capsys.readouterr()
+        assert main(["train", "--config", cfg, "--out", str(out)]) == 1
+        assert one_error_line(capsys)["category"] == "size"
+        assert not out.exists() or not any(out.rglob("*.params"))

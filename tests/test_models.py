@@ -176,6 +176,15 @@ class TestForward:
         batch.text_features = np.ones((4, 8))
         assert model.forward(batch)["pcb_logits"].shape == (4, 3)
 
+    @pytest.mark.parametrize("arch_id", [1, 9, 12])
+    def test_text_features_stand_in_for_token_ids(self, tiny_data, arch_id):
+        model = build(arch_id, vocab=tiny_data.vocab, seed=0)
+        batch = batch_of(tiny_data)
+        batch.text_features = np.random.default_rng(0).normal(size=(4, model.encoder_dim))
+        both = model.forward(batch)["pcb_logits"].data
+        batch.token_ids = None
+        assert np.array_equal(model.forward(batch)["pcb_logits"].data, both)
+
     def test_multimodal_forward_shapes(self, tiny_data):
         model = build(9, vocab=tiny_data.vocab, seed=0)
         out = model.forward(batch_of(tiny_data))
