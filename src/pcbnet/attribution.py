@@ -2,8 +2,9 @@
 
 Attributions are computed per embedding dimension as (x - x') times the mean
 gradient of the target-class logit along the straight path from baseline x'
-to input x, sampled on a midpoint grid, then summed per token. The report
-always carries the completeness gap |sum(attributions) - (F(x) - F(x'))|.
+to input x, sampled on a midpoint grid, then summed per token. The path is
+walked on the encoder output, which the model reads as ``Batch.text_features``.
+The report always carries the completeness gap |sum(attributions) - (F(x) - F(x'))|.
 """
 
 from __future__ import annotations
@@ -58,25 +59,26 @@ _ALPHA_BLOCK = 128
 
 
 def _logits(model: ModelInstance, data: Dataset, pcb_target: str,
-            pooled_text: Tensor) -> Tensor:
-    """PCB logits of the one record in ``data``, once per row of ``pooled_text``."""
+            text_features: Tensor) -> Tensor:
+    """PCB logits of the one record in ``data``, once per row of ``text_features``."""
     ratings = tuple(m for m in model.spec.input_modalities if m != TEXT)
-    batch = data.batch(np.zeros(len(pooled_text.data), np.int64), pcb_target, ratings)
-    return model.forward(batch, pooled_text=pooled_text)["pcb_logits"]
+    batch = data.batch(np.zeros(len(text_features.data), np.int64), pcb_target, ratings)
+    batch.text_features = text_features
+    return model.forward(batch)["pcb_logits"]
 
 
 def _path_gradient_sum(model: ModelInstance, data: Dataset, pcb_target: str,
-                       p_base: np.ndarray, p_delta: np.ndarray, target_class: int,
+                       q_base: np.ndarray, q_delta: np.ndarray, target_class: int,
                        steps: int) -> np.ndarray:
-    """Sum over the midpoint α-grid of dF/dp at p' + α (p - p'), shape ``[e]``.
+    """Sum over the midpoint α-grid of dF/dq at q' + α (q - q'), shape ``[d]``.
 
     Each block of α-steps is one batched forward and one backward; rows are
     independent, so row j's gradient is the one a batch-1 pass would give.
     """
-    grad_sum = np.zeros_like(p_base[0])
+    grad_sum = np.zeros_like(q_base[0])
     for first in range(0, steps, _ALPHA_BLOCK):
         alphas = (np.arange(first, min(first + _ALPHA_BLOCK, steps)) + 0.5) / steps
-        path = Tensor(p_base + alphas[:, None] * p_delta, requires_grad=True)
+        path = Tensor(q_base + alphas[:, None] * q_delta, requires_grad=True)
         logits = _logits(model, data, pcb_target, path)
         seed = np.zeros_like(logits.data)
         seed[:, target_class] = 1.0
@@ -97,15 +99,15 @@ def integrated_gradients(model: ModelInstance, record: ReviewRecord,
     ``baseline`` is the pad-token embedding sequence, or "zero" for the
     zero-vector baseline.
 
-    Every text model reads the token embeddings x only through their masked
-    mean p = sum_i mask_i x_i / n, which is linear. So the straight path
-    x' + α (x - x') pools to p' + α (p - p'), and dF/dx_i = (mask_i / n) dF/dp:
-    the α-steps run on the pooled ``[e]`` vector, all at once, and the
-    per-token gradient follows from the pooled one. p, and the pad baseline's
-    p' (all-pad ids, same mask), pool with ``encode``'s own ``embedding_bag``,
-    so F(x) is the model's logit for the record; the zero baseline is zero.
-    The record is featurized by ``featurize``, so its token ids, truncation
-    and rating features are the ones the model was trained on.
+    Every text model reads the token embeddings x only through the encoder
+    output q = p W + b of their masked mean p = sum_i mask_i x_i / n. Both maps
+    are affine, so the straight path x' + α (x - x') maps to q' + α (q - q'),
+    and dF/dx_i = (mask_i / n) dF/dq Wᵀ: the α-steps run on the ``[d]`` vector
+    q, all at once, as ``Batch.text_features``. p, and the pad baseline's p'
+    (all-pad ids, same mask), go through ``encode``'s own ``embedding_bag`` and
+    projection, so F(x) is the model's logit for the record; the zero
+    baseline's p' is zero. The record is featurized by ``featurize``, so its
+    token ids, truncation and rating features are the ones the model was trained on.
     """
     if TEXT not in model.spec.input_modalities:
         raise CapabilityError(
@@ -127,7 +129,7 @@ def integrated_gradients(model: ModelInstance, record: ReviewRecord,
     ids, mask = data.token_ids, token_mask(data.token_ids, encoder.vocab.pad_id)
     tokens = tokenize(record.text)[:int(mask.sum())]
 
-    # Only the pooled path needs a gradient. With every parameter flag off, no
+    # Only the α-path needs a gradient. With every parameter flag off, no
     # other forward records a graph, backward skips the weight products, and
     # no gradient is left in the model for a later optimizer step to pick up.
     # ``no_grad()`` cannot stand in: it would record no graph, not even the path's.
@@ -141,7 +143,8 @@ def integrated_gradients(model: ModelInstance, record: ReviewRecord,
                                    mask)
         else:
             p_base = Tensor(np.zeros_like(p_x.data))
-        logits_x = _logits(model, data, pcb_target, p_x).data[0]
+        q_x, q_base = encoder.projection(p_x), encoder.projection(p_base)
+        logits_x = _logits(model, data, pcb_target, q_x).data[0]
         predicted = int(np.argmax(logits_x))
         if target_class == "predicted":
             target_class = predicted
@@ -149,17 +152,18 @@ def integrated_gradients(model: ModelInstance, record: ReviewRecord,
             target_class = int(data.pcb_labels[pcb_target][0])
         if not isinstance(target_class, int) or not 0 <= target_class < 3:
             raise ConfigError(f"target_class must be in [0, 3), got {target_class!r}")
-        logits_base = _logits(model, data, pcb_target, p_base).data[0]
-        grad_sum = _path_gradient_sum(model, data, pcb_target, p_base.data,
-                                      p_x.data - p_base.data, target_class, steps)
+        logits_base = _logits(model, data, pcb_target, q_base).data[0]
+        grad_sum_q = _path_gradient_sum(model, data, pcb_target, q_base.data,
+                                        q_x.data - q_base.data, target_class, steps)
     finally:
         for p in trainable:
             p.requires_grad = True
     x = encoder.embedding.data[ids]  # [1, L, e]
     x_base = encoder.embedding.data[encoder.vocab.pad_id] if baseline == "pad" else 0.0
     counts = np.maximum(mask.sum(axis=1), 1.0)[:, None, None]
-    # dF/dx_i summed over the path is (mask_i / n) grad_sum
-    attributions = (x - x_base) * (mask[:, :, None] * grad_sum / counts) / steps
+    # dF/dx_i summed over the path is (mask_i / n) grad_sum_p
+    grad_sum_p = grad_sum_q @ encoder.projection.weight.data.T  # dF/dp = dF/dq Wᵀ
+    attributions = (x - x_base) * (mask[:, :, None] * grad_sum_p / counts) / steps
     f_x = float(logits_x[target_class])
     f_base = float(logits_base[target_class])
 

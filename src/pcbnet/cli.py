@@ -29,7 +29,7 @@ from .experiment import (PCB_TARGETS, ExperimentConfig, MetricsSummary,
                          run_repetitions)
 from .models import ARCHITECTURES, TEXT, architecture_spec, load_model, save_model
 from .schema import Spec, specs
-from .serialize import atomic_write_text
+from .serialize import atomic_write_text, output_dir, read_input
 
 OUTPUT_ROOT_ENV = "PCBNET_OUT"
 
@@ -50,9 +50,7 @@ def _load_json_config(path: str | None, allowed: dict[str, Spec], what: str) -> 
     if path is None:
         return {}
     try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise ConfigError(f"{what} config not found: {path}")
+        obj = json.loads(read_input(path, f"{what} config", binary=True).decode("utf-8"))
     except (ValueError, RecursionError) as exc:  # also not UTF-8, over-long integer, deep nesting
         raise ConfigError(f"{what} config {path} is not valid JSON: {exc}") from None
     if not isinstance(obj, dict):
@@ -124,8 +122,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         raise ConfigError("train config must set 'architecture' (or use --sweep)")
 
     records = ingest(dataset_path)
-    out_dir = Path(args.out) if args.out else _default_out()
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = output_dir(args.out or _default_out())
 
     started = time.time()
     all_rows: list[dict] = []
@@ -226,7 +223,7 @@ def render_report(rows: list[dict]) -> str:
 
 def _metrics_rows(csv_path: Path) -> list[dict]:
     """The rows of a CSV that carry every metrics column, their numbers checked."""
-    raw = csv_path.read_bytes()
+    raw = read_input(csv_path, "metrics CSV", binary=True)
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -252,6 +249,8 @@ def _metrics_rows(csv_path: Path) -> list[dict]:
 
 def cmd_report(args: argparse.Namespace) -> int:
     metrics_dir = Path(args.metrics_dir)
+    if not metrics_dir.is_dir():
+        raise ConfigError(f"metrics directory not found: {metrics_dir}")
     rows: list[dict] = []
     for csv_path in sorted(metrics_dir.glob("*.csv")):
         rows.extend(_metrics_rows(csv_path))
@@ -275,8 +274,7 @@ def cmd_attribute(args: argparse.Namespace) -> int:
     wanted = [rid for chunk in args.records for rid in chunk.split(",") if rid]
     if not wanted:
         raise ConfigError("no record ids given")
-    out_dir = Path(args.out) if args.out else _default_out() / "attributions"
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = output_dir(args.out or _default_out() / "attributions")
     pcb_target = meta.get("pcb_target", "promote")
     target_class = "predicted" if args.target == "predicted" else None
     for rid in wanted:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigError, SizeError, ValidationError
 from .schema import check_fields, declared
-from .serialize import atomic_write_text, atomic_writer, jsonl_lines
+from .serialize import atomic_write_text, atomic_writer, jsonl_lines, read_input
 from .text import tokenize
 
 APPRAISAL_COUNT = 20
@@ -180,12 +180,7 @@ def ingest(path: str | Path, fmt: str | None = None) -> list[ReviewRecord]:
         fmt = "csv" if path.suffix.lower() == ".csv" else "jsonl"
     if fmt not in ("jsonl", "csv"):
         raise ConfigError(f"unknown dataset format {fmt!r}")
-    try:
-        text = path.read_text(encoding="utf-8")
-    except FileNotFoundError:
-        raise ConfigError(f"dataset not found: {path}") from None
-    except UnicodeDecodeError as exc:
-        raise ValidationError(f"{path}: not UTF-8 text (byte offset {exc.start})") from None
+    text = read_input(path, "dataset")
     records: list[ReviewRecord] = []
     errors: list[str] = []
     if fmt == "jsonl":
@@ -374,18 +369,9 @@ class SyntheticGeneratorConfig:
         "array", default_factory=lambda: 0.07 * APPRAISAL_VALENCE, shape=(APPRAISAL_COUNT,))
     promote_emotion_weights: np.ndarray = declared(
         "array", default_factory=lambda: 0.19 * EMOTION_VALENCE, shape=(EMOTION_COUNT,))
-    # The word lists are Python-only: undeclared, so no JSON config sets them.
-    appraisal_high_words: tuple[tuple[str, ...], ...] = tuple(h for h, _ in APPRAISAL_WORDS)
-    appraisal_low_words: tuple[tuple[str, ...], ...] = tuple(l for _, l in APPRAISAL_WORDS)
-    emotion_words: tuple[tuple[str, ...], ...] = EMOTION_WORDS
 
     def __post_init__(self) -> None:
         check_fields(self)
-        for name, count in zip(("appraisal_high_words", "appraisal_low_words", "emotion_words"),
-                               (APPRAISAL_COUNT, APPRAISAL_COUNT, EMOTION_COUNT)):
-            lists = getattr(self, name)
-            if len(lists) != count or not all(lists):
-                raise ConfigError(f"{name} needs {count} nonempty word lists")
 
 
 def discretize_unit(x: float) -> int:
@@ -430,8 +416,7 @@ def _render_text(rng: np.random.Generator, appraisal_classes: Sequence[Level],
             continue
         if cfg.text_signal < 1.0 and rng.random() >= cfg.text_signal:
             continue
-        words = (cfg.appraisal_high_words[k] if cls == Level.HIGH
-                 else cfg.appraisal_low_words[k])
+        words = APPRAISAL_WORDS[k][0 if cls == Level.HIGH else 1]
         word = words[int(rng.integers(len(words)))]
         template = _APPRAISAL_TEMPLATES[int(rng.integers(len(_APPRAISAL_TEMPLATES)))]
         signal.append(template.format(word=word))
@@ -440,7 +425,7 @@ def _render_text(rng: np.random.Generator, appraisal_classes: Sequence[Level],
             continue
         if cfg.text_signal < 1.0 and rng.random() >= cfg.text_signal:
             continue
-        word = cfg.emotion_words[e][int(rng.integers(len(cfg.emotion_words[e])))]
+        word = EMOTION_WORDS[e][int(rng.integers(len(EMOTION_WORDS[e])))]
         template = _EMOTION_TEMPLATES[int(rng.integers(len(_EMOTION_TEMPLATES)))]
         signal.append(template.format(word=word))
 

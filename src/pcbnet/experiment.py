@@ -23,6 +23,8 @@ from .text import Vocabulary, encode_texts, load_embeddings
 # A budget: a built text encoder trains a vocab x d table and a d x d projection, held four
 # times (weights, gradient, two Adam moments), so 0.5 GB for the projection at d = 4096.
 MAX_BUILT_ENCODER_DIM = 4096
+# rows per evaluation forward pass; bounds its activations for any split size
+_EVAL_CHUNK = 512
 
 
 @dataclass(frozen=True)
@@ -169,10 +171,9 @@ def featurize(records: Sequence[ReviewRecord], vocab: Vocabulary | None,
     )
 
 
-def compute_loss(model: ModelInstance, batch: Batch, cfg: ExperimentConfig,
-                 outputs: dict[str, Tensor] | None = None) -> Tensor:
+def compute_loss(model: ModelInstance, batch: Batch, cfg: ExperimentConfig) -> Tensor:
     """PCB cross-entropy plus the declared auxiliary losses."""
-    out = outputs if outputs is not None else model.forward(batch)
+    out = model.forward(batch)
     loss = cross_entropy(out["pcb_logits"], batch.pcb_labels)
     if APPRAISALS in model.spec.auxiliary_targets:
         if cfg.appraisal_loss == "bce":  # one-hot blocks: class c of dimension k at k*3 + c
@@ -263,7 +264,7 @@ def train(model: ModelInstance, data: Dataset, train_idx: Sequence[int],
 
 
 def evaluate(model: ModelInstance, data: Dataset, idx: Sequence[int],
-             pcb_target: str, chunk: int = 512) -> RepetitionResult:
+             pcb_target: str) -> RepetitionResult:
     """Accuracy and weighted F1 of PCB predictions on the given index set."""
     idx = list(idx)
     if not idx:
@@ -271,8 +272,8 @@ def evaluate(model: ModelInstance, data: Dataset, idx: Sequence[int],
     preds = []
     aux_diag: dict[str, float] = {}
     emo_correct = emo_total = app_correct = app_total = 0
-    for start in range(0, len(idx), chunk):
-        batch = data.batch(idx[start:start + chunk], pcb_target,
+    for start in range(0, len(idx), _EVAL_CHUNK):
+        batch = data.batch(idx[start:start + _EVAL_CHUNK], pcb_target,
                            model.spec.input_modalities)
         with no_grad():
             out = model.forward(batch)
@@ -353,6 +354,9 @@ def run_repetitions(records: Sequence[ReviewRecord], cfg: ExperimentConfig,
     for rep in range(cfg.repetitions):
         if rep == 0 or cfg.resplit_each_repetition:  # repetition r splits with base_seed + r
             split = split_records(len(records), cfg.split_ratios, cfg.base_seed + rep)
+            if not split.train or not split.test:  # an empty validation split is allowed
+                raise SizeError(f"split_ratios {list(cfg.split_ratios)} leave no train or "
+                                f"no test record of {len(records)}")
             vocab = None
             if _needs_text(cfg) and text_features is None:
                 vocab = build_vocab_for_split(records, split, cfg.min_token_freq)

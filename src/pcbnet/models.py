@@ -164,7 +164,8 @@ class Batch:
     """Model inputs for one minibatch; fields are None when a modality is absent."""
 
     token_ids: np.ndarray | None = None           # [b, L] int64, padded with the pad id
-    text_features: np.ndarray | None = None       # [b, d] precomputed text embeddings
+    # [b, d] encoder output, given in place of token ids
+    text_features: np.ndarray | Tensor | None = None
     appraisal_features: np.ndarray | None = None  # [b, 20] scaled ratings
     emotion_features: np.ndarray | None = None    # [b, 8] scaled ratings
     pcb_labels: np.ndarray | None = None          # [b] int class
@@ -175,7 +176,7 @@ class Batch:
 class ModelInstance:
     """One built architecture: text encoder, heads, and optional frozen towers.
 
-    A text model without an encoder reads precomputed ``Batch.text_features``.
+    A text model without an encoder reads ``Batch.text_features`` alone.
     """
 
     def __init__(self, spec: ArchitectureSpec, encoder_dim: int):
@@ -217,57 +218,49 @@ class ModelInstance:
 
     # -- forward ----------------------------------------------------------
 
-    def _require(self, batch: Batch, pooled_text: Tensor | None) -> None:
-        text = (batch.text_features if self.encoder is None
-                else batch.token_ids if pooled_text is None else pooled_text)
+    def _require(self, batch: Batch) -> None:
+        text = (batch.text_features if batch.text_features is not None or self.encoder is None
+                else batch.token_ids)
         for modality, value in ((TEXT, text), (APPRAISALS, batch.appraisal_features),
                                 (EMOTIONS, batch.emotion_features)):
             if modality in self.spec.input_modalities and value is None:
                 raise InputError(f"missing modality: {modality}")
 
-    def embed_text(self, batch: Batch, pooled_text: Tensor | None = None) -> Tensor:
-        """Encoder output for the batch's text.
+    def embed_text(self, batch: Batch) -> Tensor:
+        """The ``[b, d]`` text embedding: ``batch.text_features`` when set, else
+        the encoder's output for ``batch.token_ids``."""
+        features = batch.text_features
+        if features is None:
+            return self.encoder.encode(batch.token_ids)
+        return features if isinstance(features, Tensor) else Tensor(features)
 
-        ``pooled_text [b, e]`` stands in for the masked mean of the token
-        embeddings: it goes straight to the encoder's projection, and the
-        batch's token ids are not read. A model without an encoder reads the
-        batch's precomputed text features instead.
-        """
-        if self.encoder is None:
-            return Tensor(batch.text_features)
-        if pooled_text is not None:
-            return self.encoder.projection(pooled_text)
-        return self.encoder.encode(batch.token_ids)
-
-    def _read(self, head: Head, batch: Batch, pooled_text: Tensor | None,
-              values: dict[str, Tensor]) -> Tensor:
+    def _read(self, head: Head, batch: Batch, values: dict[str, Tensor]) -> Tensor:
         """``head``'s sources, concatenated; each is computed once into ``values``."""
         for source in head.inputs:
             if source in values:
                 continue
             if source == TEXT_EMBEDDING:
-                values[source] = self.embed_text(batch, pooled_text)
+                values[source] = self.embed_text(batch)
             elif source in _RATINGS:
                 values[source] = Tensor(getattr(batch, _RATINGS[source][0]))
             else:
                 tower = self.components[_TOWERS[source][1]]
-                values[source] = tower.penultimate(batch, pooled_text)
+                values[source] = tower.penultimate(batch)
         parts = [values[source] for source in head.inputs]
         return parts[0] if len(parts) == 1 else concat(parts, axis=1)
 
-    def penultimate(self, batch: Batch, pooled_text: Tensor | None = None) -> Tensor:
+    def penultimate(self, batch: Batch) -> Tensor:
         """Second-to-last activation, excluding the final classification layer."""
         pcb = self.spec.heads[-1]
-        return self.heads[pcb.name].hidden(self._read(pcb, batch, pooled_text, {}))
+        return self.heads[pcb.name].hidden(self._read(pcb, batch, {}))
 
-    def forward(self, batch: Batch,
-                pooled_text: Tensor | None = None) -> dict[str, Tensor]:
+    def forward(self, batch: Batch) -> dict[str, Tensor]:
         """Compute pcb_logits plus whatever auxiliary logits the spec declares."""
-        self._require(batch, pooled_text)
+        self._require(batch)
         values: dict[str, Tensor] = {}
         out: dict[str, Tensor] = {}
         for head in self.spec.heads:
-            x = self._read(head, batch, pooled_text, values)
+            x = self._read(head, batch, values)
             values[head.name] = self.heads[head.name](x)
             out[head.name.replace("_head", "_logits")] = values[head.name]
         return out

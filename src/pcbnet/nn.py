@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -90,6 +90,7 @@ class LinearSchedule:
 # 35.8 ms per step whole-array, 27.9 ms at 4096, 23.1 ms at 8192 and
 # 21.2-21.8 ms from 16384 to 65536.
 _ADAM_BLOCK = 32768
+_BETA1, _BETA2, _EPSILON = 0.9, 0.999, 1e-8
 
 
 @dataclass
@@ -102,17 +103,11 @@ class Adam:
 
     params: dict[str, Tensor]
     lr: float = 1e-5
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-    step_count: int = 0
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        for path, p in self.params.items():
-            self.m[path] = np.zeros(p.data.shape)
-            self.v[path] = np.zeros(p.data.shape)
+        self.step_count = 0
+        self.m = {path: np.zeros(p.data.shape) for path, p in self.params.items()}
+        self.v = {path: np.zeros(p.data.shape) for path, p in self.params.items()}
 
     def step(self, lr: float | None = None) -> None:
         lr = self.lr if lr is None else lr
@@ -126,8 +121,8 @@ class Adam:
             if not p.data.flags.c_contiguous:
                 raise OptimizerError(f"parameter {path!r} is not C-contiguous")
         self.step_count += 1
-        bc1 = 1.0 - self.beta1 ** self.step_count
-        bc2 = 1.0 - self.beta2 ** self.step_count
+        bc1 = 1.0 - _BETA1 ** self.step_count
+        bc2 = 1.0 - _BETA2 ** self.step_count
         # In place, with the operations and their order of the textbook update
         #   m = beta1 * m + (1 - beta1) * g
         #   v = beta2 * v + (1 - beta2) * g * g
@@ -145,15 +140,15 @@ class Adam:
                 stop = min(start + _ADAM_BLOCK, theta.size)
                 g, m, v = grad[start:stop], m_all[start:stop], v_all[start:stop]
                 a, b = buf_a[:stop - start], buf_b[:stop - start]
-                m *= self.beta1
-                m += np.multiply(1.0 - self.beta1, g, out=a)
-                v *= self.beta2
-                np.multiply(1.0 - self.beta2, g, out=a)
+                m *= _BETA1
+                m += np.multiply(1.0 - _BETA1, g, out=a)
+                v *= _BETA2
+                np.multiply(1.0 - _BETA2, g, out=a)
                 v += np.multiply(a, g, out=a)
                 np.divide(m, bc1, out=a)
                 a *= lr
                 np.divide(v, bc2, out=b)
                 np.sqrt(b, out=b)
-                b += self.epsilon
+                b += _EPSILON
                 theta[start:stop] -= np.divide(a, b, out=a)
             p.grad = None

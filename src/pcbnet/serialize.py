@@ -21,11 +21,33 @@ from typing import IO, Iterator
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ConfigError, ValidationError
 
 MAGIC = b"PCBNET1\n"
 FORMAT_NAME = "pcbnet-params"
 FORMAT_VERSION = 1
+
+
+def read_input(path: str | Path, what: str, binary: bool = False) -> str | bytes:
+    """Input file ``path``, UTF-8 text unless ``binary``: a ``ConfigError`` if it
+    cannot be read, a ``ValidationError`` if it is not UTF-8."""
+    try:
+        return Path(path).read_bytes() if binary else Path(path).read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise ConfigError(f"{what} not found: {path}") from None
+    except OSError as exc:  # a directory, no permission
+        raise ConfigError(f"{what} cannot be read: {path} ({exc.strerror})") from None
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text (byte offset {exc.start})") from None
+
+
+def output_dir(path: str | Path) -> Path:
+    """``path``, made a directory with its parents; a ``ConfigError`` if it cannot be."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # an existing file, or a path under one
+        raise ConfigError(f"cannot create output directory {path} ({exc.strerror})") from None
+    return Path(path)
 
 
 @contextmanager
@@ -36,8 +58,9 @@ def atomic_writer(path: str | Path, binary: bool = False) -> Iterator[IO]:
     ends. If the block raises, it is closed and removed, and ``path`` is untouched.
     """
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".tmp")
+    if path.is_dir():
+        raise ConfigError(f"cannot write {path}: it is a directory")
+    fd, tmp = tempfile.mkstemp(dir=output_dir(path.parent), prefix=path.name + ".tmp")
     try:
         with (os.fdopen(fd, "wb") if binary
               else os.fdopen(fd, "w", encoding="utf-8", newline="")) as fh:
@@ -97,7 +120,7 @@ def load_params(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
 
     A truncated or otherwise corrupt file raises ``ValidationError``.
     """
-    raw = Path(path).read_bytes()
+    raw = read_input(path, "checkpoint", binary=True)
     if not raw.startswith(MAGIC):
         raise ValidationError(f"{path}: not a {FORMAT_NAME} file")
     pos = len(MAGIC)

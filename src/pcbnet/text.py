@@ -27,7 +27,7 @@ from .autodiff import Tensor, embedding_bag, parameter
 from .autodiff import embedding_lookup, masked_mean  # noqa: F401
 from .errors import ConfigError, ValidationError
 from .nn import LinearLayer
-from .serialize import atomic_writer, jsonl_lines
+from .serialize import atomic_writer, jsonl_lines, read_input
 
 PAD_TOKEN = "<pad>"
 UNK_TOKEN = "<unk>"
@@ -136,12 +136,7 @@ def load_embeddings(path: str | Path, ids: Sequence[str]) -> np.ndarray:
     """
     table: dict[str, np.ndarray] = {}
     dim: int | None = None
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except FileNotFoundError:
-        raise ConfigError(f"precomputed embeddings not found: {path}") from None
-    except UnicodeDecodeError as exc:
-        raise ValidationError(f"{path}: not UTF-8 text (byte offset {exc.start})") from None
+    text = read_input(path, "precomputed embeddings")
     for lineno, line in jsonl_lines(text):
         try:
             obj = json.loads(line)

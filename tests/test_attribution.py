@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,8 +7,8 @@ from pcbnet.attribution import (AttributionReport, integrated_gradients,
                                 rank_tokens, report_to_html, report_to_json)
 from pcbnet.autodiff import (Tensor, backward_from, embedding_bag, embedding_lookup,
                              masked_mean)
-from pcbnet.data import (SyntheticGeneratorConfig, generate_synthetic,
-                         segment_emotion, segment_pcb, split_records)
+from pcbnet.data import (APPRAISAL_WORDS, EMOTION_WORDS, SyntheticGeneratorConfig,
+                         generate_synthetic, segment_emotion, segment_pcb, split_records)
 from pcbnet.errors import CapabilityError, ConfigError
 from pcbnet.experiment import (ExperimentConfig, build_vocab_for_split,
                                featurize, train)
@@ -151,7 +153,7 @@ class TestRankTokens:
     def test_probability_extremes_surface_their_planted_words(self, trained_text_model):
         # the most and least promotable test records (by predicted High
         # probability) must surface their own planted lexicon words
-        cfg, records, split, model = trained_text_model
+        _, records, split, model = trained_text_model
         data = featurize(records, model.encoder.vocab)
         logits = model.forward(data.batch(split.test, "promote"))["pcb_logits"].data
         probs = np.exp(logits - logits.max(axis=1, keepdims=True))
@@ -162,31 +164,31 @@ class TestRankTokens:
             planted = set()
             for k, rating in enumerate(record.appraisals):
                 if segment_pcb(rating) == 2:
-                    planted |= set(cfg.appraisal_high_words[k])
+                    planted |= set(APPRAISAL_WORDS[k][0])
                 elif segment_pcb(rating) == 0:
-                    planted |= set(cfg.appraisal_low_words[k])
+                    planted |= set(APPRAISAL_WORDS[k][1])
             for e, rating in enumerate(record.emotions):
                 if segment_emotion(rating):
-                    planted |= set(cfg.emotion_words[e])
+                    planted |= set(EMOTION_WORDS[e])
             report = integrated_gradients(model, record, steps=32,
                                           target_class="predicted")
             top = {token for _, token, _ in rank_tokens(report, 10)}
             assert top & planted, record.id
 
     def test_planted_lexicon_words_surface_in_top10(self, trained_text_model):
-        cfg, records, split, model = trained_text_model
+        _, records, split, model = trained_text_model
         hits = total = 0
         for idx in split.test:
             record = records[idx]
             planted: set[str] = set()
             for k, rating in enumerate(record.appraisals):
                 if segment_pcb(rating) == 2:
-                    planted |= set(cfg.appraisal_high_words[k])
+                    planted |= set(APPRAISAL_WORDS[k][0])
                 elif segment_pcb(rating) == 0:
-                    planted |= set(cfg.appraisal_low_words[k])
+                    planted |= set(APPRAISAL_WORDS[k][1])
             for e, rating in enumerate(record.emotions):
                 if segment_emotion(rating):
-                    planted |= set(cfg.emotion_words[e])
+                    planted |= set(EMOTION_WORDS[e])
             if not planted:
                 continue
             report = integrated_gradients(model, record, steps=32)
@@ -256,11 +258,15 @@ class TestModelGradientsUntouched:
             assert np.array_equal(got[path].data, want[path].data), path
 
 
+TEXT_ARCHITECTURES = [1, 4, 5, 6, 7, 8, 9, 10, 11, 12]
+
+
 def per_token_reference(model, record, target_class, steps, baseline):
     """Integrated gradients as one batch-1 pass per α-step through the
-    per-token path: the gradient reaches every token embedding through
-    ``masked_mean``'s backward and is summed over the steps. F(x) and F(x')
-    come from ``embedding_bag``, the pooling the model itself runs.
+    per-token path: the gradient reaches every token embedding through the
+    encoder projection's and ``masked_mean``'s backward and is summed over the
+    steps. F(x) and F(x') come from ``embedding_bag``, the pooling the model
+    itself runs, and the projection.
 
     Returns (scores, F(x), F(x'), predicted class).
     """
@@ -279,7 +285,8 @@ def per_token_reference(model, record, target_class, steps, baseline):
         p_base = Tensor(np.zeros((1, x.shape[2])))
 
     def logits(pooled):
-        return model.forward(batch, pooled_text=pooled)["pcb_logits"]
+        features = encoder.projection(pooled)
+        return model.forward(replace(batch, text_features=features))["pcb_logits"]
 
     params = [p for p in model.parameters().values() if p.requires_grad]
     for p in params:
@@ -305,7 +312,7 @@ def per_token_reference(model, record, target_class, steps, baseline):
 
 class TestPooledAlphaBatch:
     @pytest.mark.parametrize("baseline", ["pad", "zero"])
-    @pytest.mark.parametrize("arch_id", [1, 9, 12])
+    @pytest.mark.parametrize("arch_id", TEXT_ARCHITECTURES)
     def test_matches_per_token_reference(self, small_corpus, arch_id, baseline):
         records, split, vocab, _ = small_corpus
         model = build(arch_id, vocab=vocab, seed=0)
@@ -323,7 +330,7 @@ class TestPooledAlphaBatch:
             assert report.baseline_value == f_base
             assert report.predicted_class == predicted
 
-    @pytest.mark.parametrize("arch_id", [1, 9, 12])
+    @pytest.mark.parametrize("arch_id", TEXT_ARCHITECTURES)
     def test_output_value_is_the_models_own_logit(self, small_corpus, arch_id):
         records, split, vocab, _ = small_corpus
         model = build(arch_id, vocab=vocab, seed=0)

@@ -7,11 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pcbnet import data
-from pcbnet.data import (APPRAISAL_COUNT, DEFAULT_APPRAISAL_NAMES, EMOTION_COUNT, Level,
-                         ReviewRecord, SyntheticGeneratorConfig, generate_synthetic, ingest,
-                         planted_emotions, planted_pcb, record_to_obj, segment_emotion,
-                         segment_pcb, split_records, write_appraisal_names, write_csv,
-                         write_jsonl)
+from pcbnet.data import (APPRAISAL_COUNT, DEFAULT_APPRAISAL_NAMES, EMOTION_COUNT,
+                         EMOTION_WORDS, Level, ReviewRecord, SyntheticGeneratorConfig,
+                         generate_synthetic, ingest, planted_emotions, planted_pcb,
+                         record_to_obj, segment_emotion, segment_pcb, split_records,
+                         write_appraisal_names, write_csv, write_jsonl)
 from pcbnet.errors import ConfigError, PcbnetError, SizeError, ValidationError
 from pcbnet.text import tokenize
 
@@ -334,14 +334,8 @@ class TestGenerator:
             tokens = set(tokenize(record.text))
             for e, rating in enumerate(record.emotions):
                 if segment_emotion(rating):
-                    assert tokens & set(cfg.emotion_words[e]), (
+                    assert tokens & set(EMOTION_WORDS[e]), (
                         f"record {record.id}: no lexicon token for emotion {e}")
-
-    def test_empty_lexicon_rejected(self):
-        with pytest.raises(ConfigError):
-            cfg = SyntheticGeneratorConfig(record_count=1,
-                                           emotion_words=((),) * EMOTION_COUNT)
-            generate_synthetic(cfg, seed=0)
 
     def test_filler_pool_disjoint_from_lexicon(self):
         from pcbnet.data import _FILLER_WORDS, APPRAISAL_WORDS, EMOTION_WORDS

@@ -65,7 +65,7 @@ class TestLoss:
         cfg = ExperimentConfig(architecture=arch_id, aux_loss_weight=0.5)
         expected = add(cross_entropy(out["pcb_logits"], batch.pcb_labels),
                        binary_cross_entropy(out["appraisal_logits"], flags, weight=0.5))
-        assert compute_loss(model, batch, cfg, outputs=out).item() == expected.item()
+        assert compute_loss(model, batch, cfg).item() == expected.item()
 
 
 class TestBatch:
