@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import html
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,7 +36,6 @@ class AttributionReport:
     steps: int
     baseline: str
     pcb_target: str
-    token_attributions: np.ndarray = field(repr=False, default=None)  # [L, e]
 
     def to_json_obj(self) -> dict:
         return {
@@ -167,9 +166,7 @@ def integrated_gradients(model: ModelInstance, record: ReviewRecord,
     f_x = float(logits_x[target_class])
     f_base = float(logits_base[target_class])
 
-    n_tokens = len(tokens)
-    token_attr = attributions[0, :n_tokens]
-    token_scores = token_attr.sum(axis=1)
+    token_scores = attributions[0, :len(tokens)].sum(axis=1)
     gap = abs(float(token_scores.sum()) - (f_x - f_base))
     return AttributionReport(
         record_id=record.id,
@@ -183,7 +180,6 @@ def integrated_gradients(model: ModelInstance, record: ReviewRecord,
         steps=steps,
         baseline=baseline,
         pcb_target=pcb_target,
-        token_attributions=token_attr,
     )
 
 

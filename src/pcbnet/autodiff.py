@@ -346,10 +346,9 @@ def _log_softmax(z: Array) -> Array:
     return z - m - np.log(np.exp(z - m).sum(axis=-1, keepdims=True))
 
 
-def cross_entropy(logits: Tensor, targets: Array, weight: float = 1.0) -> Tensor:
+def cross_entropy(logits: Tensor, targets: Array) -> Tensor:
     """Mean over the batch of -log softmax(logits)[target].
 
-    ``weight`` scales the loss (and its gradients), for joint objectives.
     Past its own argument checks it is ``grouped_cross_entropy`` with one group.
     """
     targets = np.asarray(targets)
@@ -366,7 +365,7 @@ def cross_entropy(logits: Tensor, targets: Array, weight: float = 1.0) -> Tensor
         i = int(bad[0])
         raise LabelError(
             f"target {int(targets[i])} at index {i} outside class range [0, {c})")
-    return grouped_cross_entropy(logits, targets[:, None], groups=1, weight=weight)
+    return grouped_cross_entropy(logits, targets[:, None], groups=1)
 
 
 def grouped_cross_entropy(logits: Tensor, targets: Array, groups: int,
@@ -375,7 +374,7 @@ def grouped_cross_entropy(logits: Tensor, targets: Array, groups: int,
 
     ``logits [b, groups*c]`` is reshaped to ``[b, groups, c]``; ``targets``
     is ``[b, groups]`` of class indices. Loss is the mean over all b*groups
-    sub-problems.
+    sub-problems. ``weight`` scales the loss (and its gradients), for joint objectives.
     """
     targets = np.asarray(targets)
     if logits.data.ndim != 2 or logits.shape[1] % groups != 0:
@@ -429,8 +428,8 @@ def binary_cross_entropy(logits: Tensor, targets: Array, weight: float = 1.0) ->
     out = np.asarray(per_elem.mean() * weight)
 
     def _back(g: Array) -> None:
-        sig = np.where(z >= 0, 1.0 / (1.0 + np.exp(-np.abs(z))),
-                       np.exp(-np.abs(z)) / (1.0 + np.exp(-np.abs(z))))
+        e = np.exp(-np.abs(z))
+        sig = np.where(z >= 0, 1.0, e) / (1.0 + e)
         _accumulate(logits, (sig - targets) * (weight * float(g) / n), owned=True)
 
     return _result(out, "binary_cross_entropy", (logits,), _back)

@@ -76,7 +76,6 @@ class DatasetSplit:
     train: list[int]
     validation: list[int]
     test: list[int]
-    seed: int
 
 
 def _check_rating(value: int, what: str) -> int:
@@ -123,7 +122,6 @@ def split_records(n_records: int, ratios: Sequence[float], seed: int) -> Dataset
         train=[int(i) for i in perm[:n_train]],
         validation=[int(i) for i in perm[n_train:n_train + n_val]],
         test=[int(i) for i in perm[n_train + n_val:]],
-        seed=seed,
     )
 
 
@@ -169,21 +167,17 @@ def _csv_header() -> list[str]:
             + list(PCB_FIELDS))
 
 
-def ingest(path: str | Path, fmt: str | None = None) -> list[ReviewRecord]:
-    """Load and validate records from JSONL or CSV.
+def ingest(path: str | Path) -> list[ReviewRecord]:
+    """Load and validate records from CSV (a ``.csv`` suffix) or else JSONL.
 
     Malformed rows are collected with their line numbers and the whole batch
     is rejected in one error.
     """
     path = Path(path)
-    if fmt is None:
-        fmt = "csv" if path.suffix.lower() == ".csv" else "jsonl"
-    if fmt not in ("jsonl", "csv"):
-        raise ConfigError(f"unknown dataset format {fmt!r}")
     text = read_input(path, "dataset")
     records: list[ReviewRecord] = []
     errors: list[str] = []
-    if fmt == "jsonl":
+    if path.suffix.lower() != ".csv":
         for lineno, line in jsonl_lines(text):
             try:
                 obj = json.loads(line)
@@ -257,12 +251,9 @@ def write_csv(records: Iterable[ReviewRecord], path: str | Path) -> None:
                              r.pcb_repurchase, r.pcb_promote])
 
 
-def write_appraisal_names(path: str | Path,
-                          names: Sequence[str] = DEFAULT_APPRAISAL_NAMES) -> None:
+def write_appraisal_names(path: str | Path) -> None:
     """The sidecar: one appraisal name per "\\n"-ended line, in feature order."""
-    if len(names) != APPRAISAL_COUNT:
-        raise ConfigError(f"expected {APPRAISAL_COUNT} appraisal names, got {len(names)}")
-    atomic_write_text(path, "\n".join(names) + "\n")
+    atomic_write_text(path, "\n".join(DEFAULT_APPRAISAL_NAMES) + "\n")
 
 
 # ---------------------------------------------------------------------------

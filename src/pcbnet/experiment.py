@@ -14,15 +14,12 @@ from .data import (APPRAISAL_COUNT, PCB_TARGETS, DatasetSplit, ReviewRecord,
                    segment_emotion, segment_pcb, split_records)
 from .errors import ConfigError, SizeError, TrainingError
 from .metrics import accuracy_score, weighted_f1
-from .models import (APPRAISALS, EMOTIONS, TEXT, Batch, ModelInstance,
-                     architecture_spec, build)
+from .models import (APPRAISALS, EMOTIONS, MAX_BUILT_ENCODER_DIM, PCB_HEAD, TEXT, Batch,
+                     ModelInstance, architecture_spec, build)
 from .nn import Adam, LinearSchedule
 from .schema import Spec, check_fields, declared
 from .text import Vocabulary, encode_texts, load_embeddings
 
-# A budget: a built text encoder trains a vocab x d table and a d x d projection, held four
-# times (weights, gradient, two Adam moments), so 0.5 GB for the projection at d = 4096.
-MAX_BUILT_ENCODER_DIM = 4096
 # rows per evaluation forward pass; bounds its activations for any split size
 _EVAL_CHUNK = 512
 
@@ -73,7 +70,7 @@ class ExperimentConfig:
 class TrainResult:
     loss_trace: list[float]
     steps: int
-    diagnostics: dict = field(default_factory=dict)
+    validation_trace: list[tuple[int, float]]  # (epoch, accuracy); empty unless tracked
 
 
 @dataclass
@@ -202,13 +199,14 @@ def _param_norms(params: dict[str, Tensor]) -> dict[str, float]:
 def _train_single(model: ModelInstance, data: Dataset, train_idx: Sequence[int],
                   cfg: ExperimentConfig, seed: int,
                   validation_idx: Sequence[int] | None = None) -> TrainResult:
+    n = len(train_idx)
+    if n == 0:
+        raise SizeError("cannot train on an empty train index")
     modalities = model.spec.input_modalities
     epochs = cfg.epochs_for(modalities)
-    n = len(train_idx)
     batch_size = cfg.batch_size if TEXT in modalities else n
-    batches_per_epoch = max(1, (n + batch_size - 1) // batch_size)
-    total_steps = epochs * batches_per_epoch
-    params = model.parameters(trainable_only=True)
+    total_steps = epochs * ((n + batch_size - 1) // batch_size)
+    params = {k: p for k, p in model.parameters().items() if p.requires_grad}
     optimizer = Adam(params, lr=cfg.lr)
     schedule = LinearSchedule(cfg.lr, total_steps)
     rng = np.random.default_rng(seed)
@@ -235,32 +233,24 @@ def _train_single(model: ModelInstance, data: Dataset, train_idx: Sequence[int],
         if cfg.track_validation and validation_idx and epoch % val_every == 0:
             acc = evaluate(model, data, validation_idx, cfg.pcb_target).accuracy
             val_trace.append((epoch, acc))
-    result = TrainResult(loss_trace=trace, steps=step)
-    if val_trace:
-        result.diagnostics["validation_trace"] = val_trace
-    return result
+    return TrainResult(loss_trace=trace, steps=step, validation_trace=val_trace)
 
 
 def train(model: ModelInstance, data: Dataset, train_idx: Sequence[int],
           cfg: ExperimentConfig, seed: int,
           validation_idx: Sequence[int] | None = None) -> TrainResult:
-    """Train a model; multi-modal models pretrain their towers first.
+    """Train a model; a multi-modal model first trains each tower, then freezes it.
 
-    Towers are frozen before the fusion phase unless ``cfg.finetune_fused``.
+    With ``cfg.finetune_fused`` only a tower's final classification layer is
+    frozen, so the fusion phase trains through the rest of the tower.
     """
-    if not model.components:
-        return _train_single(model, data, train_idx, cfg, seed, validation_idx)
-    diagnostics = {}
-    for i, (name, comp) in enumerate(sorted(model.components.items())):
-        comp_result = _train_single(comp, data, train_idx, cfg, seed + 101 * (i + 1))
-        diagnostics[f"component_{name}_steps"] = comp_result.steps
-    if cfg.finetune_fused:
-        model.freeze_component_classifiers()
-    else:
-        model.freeze_components()
-    result = _train_single(model, data, train_idx, cfg, seed, validation_idx)
-    result.diagnostics.update(diagnostics)
-    return result
+    for i, (_, tower) in enumerate(sorted(model.components.items())):
+        _train_single(tower, data, train_idx, cfg, seed + 101 * (i + 1))
+        # the fused path reads the tower's penultimate activation, never its final layer
+        frozen = tower.heads[PCB_HEAD].layers[-1] if cfg.finetune_fused else tower
+        for p in frozen.parameters().values():
+            p.requires_grad = False
+    return _train_single(model, data, train_idx, cfg, seed, validation_idx)
 
 
 def evaluate(model: ModelInstance, data: Dataset, idx: Sequence[int],
@@ -328,9 +318,8 @@ def run_repetition(records: Sequence[ReviewRecord], data: Dataset,
         name: np.bincount(labels[np.asarray(idx, dtype=np.int64)], minlength=3).tolist()
         for name, idx in (("train", split.train), ("validation", split.validation),
                           ("test", split.test))}
-    if "validation_trace" in train_result.diagnostics:
-        result.diagnostics["validation_trace"] = \
-            train_result.diagnostics["validation_trace"]
+    if train_result.validation_trace:
+        result.diagnostics["validation_trace"] = train_result.validation_trace
     return result, model
 
 

@@ -46,12 +46,3 @@ def weighted_f1(y_true, y_pred, n_classes: int = 3) -> float:
         f1 = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
         total += (support / n) * f1
     return float(total)
-
-
-def majority_class_accuracy(train_labels, eval_labels) -> float:
-    """Accuracy of always predicting the train-split majority class."""
-    train_labels = np.asarray(train_labels)
-    eval_labels = np.asarray(eval_labels)
-    values, counts = np.unique(train_labels, return_counts=True)
-    majority = values[np.argmax(counts)]
-    return float(np.mean(eval_labels == majority))

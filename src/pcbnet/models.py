@@ -19,7 +19,6 @@ representations fused for the final prediction.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -36,6 +35,9 @@ from .text import TextEncoder, Vocabulary
 PCB_CLASSES = 3
 APPRAISAL_LOGITS = APPRAISAL_COUNT * 3  # 3-way block per dimension
 TEXT, APPRAISALS, EMOTIONS = "Text", "Appraisals", "Emotions"
+# A budget: a built text encoder trains a vocab x d table and a d x d projection, held four
+# times (weights, gradient, two Adam moments), so 0.5 GB for the projection at d = 4096.
+MAX_BUILT_ENCODER_DIM = 4096
 
 FAMILY_BASELINE = "Baseline"
 FAMILY_CONSTRAINED = "Constrained"
@@ -188,7 +190,7 @@ class ModelInstance:
 
     # -- parameters -------------------------------------------------------
 
-    def parameters(self, trainable_only: bool = False) -> dict[str, Tensor]:
+    def parameters(self) -> dict[str, Tensor]:
         out: dict[str, Tensor] = {}
         if self.encoder is not None:
             out.update(self.encoder.parameters())
@@ -196,25 +198,7 @@ class ModelInstance:
             out.update(head.parameters())
         for comp in self.components.values():
             out.update(comp.parameters())
-        if trainable_only:
-            out = {k: v for k, v in out.items() if v.requires_grad}
         return out
-
-    def freeze_components(self) -> None:
-        for comp in self.components.values():
-            for p in comp.parameters().values():
-                p.requires_grad = False
-
-    def freeze_component_classifiers(self) -> None:
-        """Freeze only the component layers excluded from the fused path.
-
-        The fused forward consumes each component's second-to-last activation,
-        so its final classification layer (the whole single-layer head for the
-        text model) never receives gradients and must not sit in the optimizer.
-        """
-        for comp in self.components.values():
-            for p in comp.heads[PCB_HEAD].layers[-1].parameters().values():
-                p.requires_grad = False
 
     # -- forward ----------------------------------------------------------
 
@@ -339,10 +323,6 @@ def describe(model: ModelInstance) -> dict:
     }
 
 
-def describe_json(model: ModelInstance) -> str:
-    return json.dumps(describe(model), sort_keys=True, separators=(",", ":"))
-
-
 # ---------------------------------------------------------------------------
 # Checkpoints
 
@@ -363,8 +343,9 @@ def save_model(path, model: ModelInstance, meta: dict | None = None) -> None:
     save_params(path, tensors, full_meta)
 
 
-def _check_meta(meta: dict) -> None:
-    """Refuse checkpoint metadata that ``load_model`` cannot rebuild a model from."""
+def _check_meta(meta: dict, held: int) -> None:
+    """Refuse checkpoint metadata that ``load_model`` cannot rebuild a model from,
+    before ``build`` allocates anything; ``held`` is the file's float64 count."""
     def is_int(value) -> bool:
         return isinstance(value, int) and not isinstance(value, bool)
 
@@ -372,8 +353,8 @@ def _check_meta(meta: dict) -> None:
     for key, ok, want in (
             ("architecture_id", is_int(meta.get("architecture_id"))
              and meta["architecture_id"] in _BY_ID, f"an integer in 1..{len(_BY_ID)}"),
-            ("encoder_dim", is_int(meta.get("encoder_dim")) and meta["encoder_dim"] >= 0,
-             "a non-negative integer"),
+            ("encoder_dim", is_int(meta.get("encoder_dim")) and meta["encoder_dim"] >= 1,
+             "an integer >= 1"),
             ("vocab", vocab is None or (isinstance(vocab, list)
                                         and all(isinstance(t, str) for t in vocab)),
              "a list of strings or null"),
@@ -384,6 +365,13 @@ def _check_meta(meta: dict) -> None:
         if not ok:
             got = repr(meta[key])[:40] if key in meta else "nothing"
             raise ValidationError(f"checkpoint metadata {key!r} must be {want}, got {got}")
+    dim = meta["encoder_dim"]
+    if TEXT in _BY_ID[meta["architecture_id"]].input_modalities and dim > MAX_BUILT_ENCODER_DIM:
+        raise ValidationError(f"checkpoint metadata 'encoder_dim' must be at most "
+                              f"{MAX_BUILT_ENCODER_DIM} for a text architecture, got {dim}")
+    if len(vocab or ()) * dim > held:
+        raise ValidationError(f"checkpoint metadata 'vocab' and 'encoder_dim' describe a "
+                              f"{len(vocab)} x {dim} embedding; the file holds {held} values")
 
 
 def load_model(path) -> tuple[ModelInstance, dict]:
@@ -394,11 +382,11 @@ def load_model(path) -> tuple[ModelInstance, dict]:
     precomputed embeddings is refused with a ``ConfigError``.
     """
     tensors, meta = load_params(path)
-    _check_meta(meta)
     if meta.get("encoder_kind") == "precomputed":
         raise ConfigError(
             "checkpoint was trained with externally computed embeddings; "
             "rebuild it in-process with the same embedding file instead")
+    _check_meta(meta, sum(t.size for t in tensors.values()))
     vocab = Vocabulary(meta["vocab"]) if meta.get("vocab") else None
     model = build(meta["architecture_id"], meta["encoder_dim"], vocab,
                   max_sequence_length=meta.get("max_sequence_length") or 256)
@@ -414,5 +402,5 @@ def load_model(path) -> tuple[ModelInstance, dict]:
             raise ValidationError(
                 f"checkpoint tensor {name} shape {tensors[name].shape} "
                 f"!= expected {p.data.shape}")
-        p.data = tensors[name].copy()
+        p.data = tensors[name]
     return model, meta

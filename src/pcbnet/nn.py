@@ -27,8 +27,6 @@ class LinearLayer:
     """
 
     def __init__(self, in_dim: int, out_dim: int, path: str, rng: np.random.Generator):
-        self.in_dim = in_dim
-        self.out_dim = out_dim
         self.weight = parameter(kaiming_uniform(rng, in_dim, (in_dim, out_dim)),
                                 f"{path}.weight")
         self.bias = parameter(np.zeros(out_dim), f"{path}.bias")
@@ -45,7 +43,6 @@ class FFNNHead:
 
     def __init__(self, in_dim: int, widths: list[int], path: str,
                  rng: np.random.Generator):
-        self.widths = list(widths)
         self.layers: list[LinearLayer] = []
         prev = in_dim
         for i, w in enumerate(widths):

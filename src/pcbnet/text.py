@@ -56,9 +56,6 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self.tokens)
 
-    def __contains__(self, token: str) -> bool:
-        return token in self.token_to_id
-
     @classmethod
     def build(cls, texts: Iterable[str], min_freq: int = 2) -> "Vocabulary":
         """Build from training-split texts only; tokens under min_freq are dropped."""

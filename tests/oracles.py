@@ -90,6 +90,15 @@ def brute_force_weighted_f1(y_true, y_pred, n_classes: int = 3) -> float:
     return total
 
 
+def majority_class_accuracy(train_labels, eval_labels) -> float:
+    """Accuracy of always predicting the train-split majority class."""
+    train_labels = np.asarray(train_labels)
+    eval_labels = np.asarray(eval_labels)
+    values, counts = np.unique(train_labels, return_counts=True)
+    majority = values[np.argmax(counts)]
+    return float(np.mean(eval_labels == majority))
+
+
 # -- text encoding oracle ---------------------------------------------------
 
 def reference_encode_texts(texts, vocab, max_sequence_length: int = 256):

@@ -24,12 +24,12 @@ from pcbnet.data import (Level, SyntheticGeneratorConfig, generate_synthetic,
                          segment_emotion, segment_pcb, split_records)
 from pcbnet.experiment import (ExperimentConfig, build_vocab_for_split,
                                evaluate, featurize, run_repetitions, train)
-from pcbnet.metrics import accuracy_score, majority_class_accuracy, weighted_f1
+from pcbnet.metrics import accuracy_score, weighted_f1
 from pcbnet.models import build, describe
 
 from architecture_fixtures import FIXTURES
 from oracles import (brute_force_accuracy, brute_force_weighted_f1,
-                     check_op_gradients)
+                     check_op_gradients, majority_class_accuracy)
 
 
 def criterion(number, title):

@@ -158,9 +158,6 @@ class TestIngest:
         names = path.read_text(encoding="utf-8").split("\n")
         assert names == [*DEFAULT_APPRAISAL_NAMES, ""]
         assert names[0] == "novelty"
-        # one name per "\n"-ended line, even with a raw U+2028 inside a name
-        write_appraisal_names(path, ("goal\u2028relevance",) + DEFAULT_APPRAISAL_NAMES[1:])
-        assert len(path.read_text(encoding="utf-8").split("\n")) == APPRAISAL_COUNT + 1
         # the sidecar is for readers outside the program, which has none
         assert not hasattr(data, "read_appraisal_names")
 

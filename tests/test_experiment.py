@@ -194,12 +194,21 @@ class TestTrain:
         cfg = ExperimentConfig(architecture=7, text_epochs=1, rating_epochs=2,
                                lr=1e-3, batch_size=16)
         model = build(7, vocab=data.vocab, seed=0)
+        init = {k: p.data.copy() for k, p in model.parameters().items()}
         result = train(model, data, split.train, cfg, seed=0)
-        assert result.diagnostics["component_appraisals_steps"] == 2
-        # components end frozen
-        frozen = [p for k, p in model.parameters().items()
-                  if k.startswith(("text_model.", "appraisal_model."))]
-        assert frozen and all(not p.requires_grad for p in frozen)
+        assert result.steps == (len(split.train) + 15) // 16  # the fusion phase alone
+        # each tower trained, then ends frozen
+        towers = {k: p for k, p in model.parameters().items()
+                  if k.startswith(("text_model.", "appraisal_model."))}
+        assert towers and all(not p.requires_grad for p in towers.values())
+        assert all(not np.array_equal(p.data, init[k]) for k, p in towers.items())
+
+    @pytest.mark.parametrize("arch_id", [1, 2, 9])
+    def test_empty_train_index_is_a_size_error(self, prepared, arch_id):
+        data, _ = prepared
+        cfg = ExperimentConfig(architecture=arch_id, text_epochs=1, rating_epochs=2)
+        with pytest.raises(SizeError, match="empty train index"):
+            train(build(arch_id, vocab=data.vocab), data, [], cfg, seed=0)
 
 
 class TestEvaluate:

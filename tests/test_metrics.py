@@ -4,10 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pcbnet.errors import SizeError
-from pcbnet.metrics import (accuracy_score, confusion_matrix,
-                            majority_class_accuracy, weighted_f1)
+from pcbnet.metrics import accuracy_score, confusion_matrix, weighted_f1
 
-from oracles import brute_force_accuracy, brute_force_weighted_f1
+from oracles import (brute_force_accuracy, brute_force_weighted_f1,
+                     majority_class_accuracy)
 
 labels = st.lists(st.integers(0, 2), min_size=1, max_size=40)
 

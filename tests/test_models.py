@@ -1,4 +1,5 @@
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -6,9 +7,9 @@ import pytest
 from pcbnet.autodiff import backward
 from pcbnet.data import SyntheticGeneratorConfig, generate_synthetic
 from pcbnet.errors import ConfigError, InputError, ValidationError
-from pcbnet.experiment import ExperimentConfig, compute_loss, featurize
-from pcbnet.models import (build, describe, describe_json, load_model,
-                           save_model)
+from pcbnet.experiment import ExperimentConfig, compute_loss, featurize, train
+from pcbnet.models import build, describe, load_model, save_model
+from pcbnet.nn import Adam
 from pcbnet.serialize import load_params, save_params
 from pcbnet.text import Vocabulary
 
@@ -34,7 +35,7 @@ class TestDescribe:
         assert describe(build(arch_id, encoder_dim=128)) == FIXTURES[arch_id]
 
     def test_all_twelve_distinct(self):
-        blobs = {describe_json(build(k)) for k in range(1, 13)}
+        blobs = {json.dumps(describe(build(k)), sort_keys=True) for k in range(1, 13)}
         assert len(blobs) == 12
 
     def test_stable_across_seeds(self):
@@ -257,16 +258,16 @@ class TestFreezeAndPenultimate:
     def test_frozen_components_receive_no_gradient(self, tiny_data):
         from pcbnet.autodiff import cross_entropy
         model = build(7, vocab=tiny_data.vocab, seed=0)
-        model.freeze_components()
+        cfg = ExperimentConfig(architecture=7, text_epochs=1, rating_epochs=1)
+        train(model, tiny_data, range(8), cfg, seed=0)  # towers train, then freeze
         batch = batch_of(tiny_data)
         out = model.forward(batch)
         backward(cross_entropy(out["pcb_logits"], batch.pcb_labels))
         for path, p in model.parameters().items():
             if path.startswith(("text_model.", "appraisal_model.")):
                 assert p.grad is None, path
-        trainable = model.parameters(trainable_only=True)
-        assert set(trainable) == {p for p in model.parameters()
-                                  if p.startswith("pcb_head")}
+        trainable = {k for k, p in model.parameters().items() if p.requires_grad}
+        assert trainable == {p for p in model.parameters() if p.startswith("pcb_head")}
 
 
 class TestCheckpoint:
@@ -280,6 +281,12 @@ class TestCheckpoint:
         assert meta["pcb_target"] == "promote"
         after = loaded.forward(batch)["pcb_logits"].data
         assert np.array_equal(before, after)
+        params = loaded.parameters()
+        assert all(p.data.flags.writeable and p.data.flags.c_contiguous
+                   for p in params.values())
+        backward(compute_loss(loaded, batch, ExperimentConfig(architecture=12)))
+        Adam(params, lr=1e-3).step()
+        assert not np.array_equal(loaded.forward(batch)["pcb_logits"].data, after)
 
     def test_checkpoint_carries_architecture(self, tiny_data, tmp_path):
         model = build(3, seed=5)
@@ -297,6 +304,7 @@ class TestCheckpoint:
         ("max_sequence_length", -2), ("max_sequence_length", 0),
         ("pcb_target", "promot"), ("pcb_target", ["promote"]),
         ("architecture_id", 13), ("architecture_id", 0), ("architecture_id", -1),
+        ("encoder_dim", 0), ("encoder_dim", 10**6), ("encoder_dim", 4096),
     ])
     def test_bad_metadata_is_a_validation_error(self, tiny_data, tmp_path, key, value):
         path = tmp_path / "model.params"

@@ -90,7 +90,7 @@ class TestEncodeTexts:
     def test_a_literal_pad_token_is_not_padding(self):
         got = encode_texts(["<pad>", "alpha <pad> <unk>"], self.vocab)
         ids = self.vocab.token_to_id
-        assert "<" not in self.vocab and ">" not in self.vocab
+        assert "<" not in ids and ">" not in ids
         assert got.tolist() == [[1, 1, 1, 0, 0, 0, 0],  # "<", "pad", ">"
                                 [ids["alpha"], 1, 1, 1, 1, 1, 1]]
         assert token_mask(got, self.vocab.pad_id).tolist() == [[1, 1, 1, 0, 0, 0, 0],
