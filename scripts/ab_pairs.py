@@ -1,0 +1,90 @@
+"""Run the benchmark in alternating pairs on two checkouts and compare them.
+
+Pair i (from 0) runs ``perfbench/run.py --workload W --seed i+1 --seconds S``
+in each checkout, each in its own process: even pairs run the parent first,
+odd pairs the change first, so neither side always meets a warmer or a
+busier machine. Each run prints one JSON line: pair, side, seed, ``correct``,
+``failed`` and the end-to-end metrics. The last line is the summary: per
+end-to-end metric of ``BENCHMARK.json``, both sides' median and quartiles,
+the pairs in which the change was better, and each run's ``correct``.
+
+    python3 scripts/ab_pairs.py --parent ../parent --change . \\
+        --workload text-train --pairs 8 --seconds 20
+"""
+
+import argparse
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+SIDES = ("parent", "change")
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One benchmark process; its result line, or ``correct: false`` with the error."""
+    proc = subprocess.run(
+        [sys.executable, str(checkout / "perfbench" / "run.py"), "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+        cwd=checkout, capture_output=True, text=True)
+    lines = proc.stdout.splitlines()
+    if proc.returncode != 0 or not lines:
+        return {"correct": False, "failed": None, "metrics": {},
+                "error": (proc.stderr.strip().splitlines() or ["no output"])[-1]}
+    result = json.loads(lines[-1])
+    return {"correct": result["correct"], "failed": result["failed"],
+            "metrics": {k: m["value"] for k, m in result["metrics"].items()}}
+
+
+def summarize(runs: list[dict], workload: str, pairs: int) -> dict:
+    """Median and quartiles per side, and the pairs the change won, per metric."""
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    by = {(r["pair"], r["side"]): r for r in runs}
+    metrics = {}
+    for spec in declared:
+        name, lower = spec["name"], spec["better"] == "lower"
+        stats = {}
+        for side in SIDES:
+            values = [by[p, side]["metrics"][name] for p in range(pairs)
+                      if name in by[p, side]["metrics"]]
+            q1, median, q3 = np.percentile(values, [25, 50, 75]) if values else [None] * 3
+            stats[side] = {"median": median, "q1": q1, "q3": q3, "runs": len(values)}
+        better = []
+        for p in range(pairs):
+            a = by[p, "parent"]["metrics"].get(name)
+            b = by[p, "change"]["metrics"].get(name)
+            if a is not None and b is not None and (b < a if lower else b > a):
+                better.append(p)
+        metrics[name] = {"better": spec["better"], **stats, "change_better_pairs": better}
+    return {"summary": {"workload": workload, "pairs": pairs, "metrics": metrics,
+                        "correct": {side: [by[p, side]["correct"] for p in range(pairs)]
+                                    for side in SIDES}}}
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", type=Path, required=True)
+    parser.add_argument("--change", type=Path, required=True)
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, required=True)
+    parser.add_argument("--seconds", type=float, required=True)
+    args = parser.parse_args()
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+    checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    runs = []
+    for pair in range(args.pairs):
+        for side in (SIDES if pair % 2 == 0 else SIDES[::-1]):
+            run = {"pair": pair, "side": side, "seed": pair + 1,
+                   **run_once(checkouts[side], args.workload, pair + 1, args.seconds)}
+            print(json.dumps(run), flush=True)
+            runs.append(run)
+    print(json.dumps(summarize(runs, args.workload, args.pairs)))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

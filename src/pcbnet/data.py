@@ -15,6 +15,7 @@ import csv
 import enum
 import io
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -86,6 +87,15 @@ def _check_rating(value: int, what: str) -> int:
     return int(value)
 
 
+def check_ratings(values: Iterable, what: str) -> None:
+    """Refuse the first value that ``segment_pcb``/``segment_emotion`` would refuse."""
+    values = list(values)
+    if not (set(map(type, values)) <= {int}  # a plain int, so never a bool
+            and 1 <= min(values, default=1) and max(values, default=7) <= 7):
+        for value in values:
+            _check_rating(value, what)
+
+
 def segment_pcb(rating: int) -> Level:
     """1-2 -> Low, 3-5 -> Moderate, 6-7 -> High; appraisals share these boundaries."""
     r = _check_rating(rating, "PCB rating")
@@ -100,6 +110,11 @@ def segment_emotion(rating: int) -> int:
     """1-4 -> 0 (absent), 5-7 -> 1 (present)."""
     r = _check_rating(rating, "emotion rating")
     return 1 if r >= 5 else 0
+
+
+# The two rules as tables, entry r - 1 for rating r, for code that has checked its ratings.
+PCB_LEVELS = tuple(segment_pcb(r) for r in range(1, 8))
+EMOTION_FLAGS = tuple(segment_emotion(r) for r in range(1, 8))
 
 
 def split_records(n_records: int, ratios: Sequence[float], seed: int) -> DatasetSplit:
@@ -345,7 +360,7 @@ class SyntheticGeneratorConfig:
 
     record_count: int = declared("int", 1400, ge=1)
     noise_scale: float = declared("float", 0.25, ge=0)
-    # a budget: rendering time is linear in it, 26 s for 1400 records of 10000 on a 2-core Xeon
+    # a budget: rendering time is linear in it, 21-25 s for 1400 records of 10000 on a 2-core Xeon
     mean_review_length: int = declared("int", 190, ge=0, le=10_000)
     text_signal: float = declared("float", 1.0, ge=0, le=1)
     squash_scale: float = declared("float", 3.0, gt=0)
@@ -367,8 +382,8 @@ class SyntheticGeneratorConfig:
 
 def discretize_unit(x: float) -> int:
     """Affine-map a squashed latent in (-1, 1) onto [1, 7], rounding half-up."""
-    y = 4.0 + 3.0 * float(np.clip(x, -1.0, 1.0))
-    return int(min(7, max(1, np.floor(y + 0.5))))
+    # max(-1.0, nan) is -1.0, so NaN maps to 1
+    return math.floor(4.0 + 3.0 * min(1.0, max(-1.0, float(x))) + 0.5)
 
 
 def planted_emotions(appraisals: Sequence[int],
@@ -379,7 +394,7 @@ def planted_emotions(appraisals: Sequence[int],
     latent = centered @ cfg.appraisal_emotion_weights
     if noise is not None:
         latent = latent + noise
-    return tuple(discretize_unit(v) for v in np.tanh(latent / cfg.squash_scale))
+    return tuple(discretize_unit(v) for v in np.tanh(latent / cfg.squash_scale).tolist())
 
 
 def planted_pcb(appraisals: Sequence[int], emotions: Sequence[int],
@@ -401,32 +416,36 @@ def planted_pcb(appraisals: Sequence[int], emotions: Sequence[int],
 def _render_text(rng: np.random.Generator, appraisal_classes: Sequence[Level],
                  emotion_flags: Sequence[int], cfg: SyntheticGeneratorConfig,
                  target_tokens: int) -> str:
-    signal: list[str] = []
-    for k, cls in enumerate(appraisal_classes):
-        if cls == Level.MODERATE:
-            continue
-        if cfg.text_signal < 1.0 and rng.random() >= cfg.text_signal:
-            continue
-        words = APPRAISAL_WORDS[k][0 if cls == Level.HIGH else 1]
-        word = words[int(rng.integers(len(words)))]
-        template = _APPRAISAL_TEMPLATES[int(rng.integers(len(_APPRAISAL_TEMPLATES)))]
-        signal.append(template.format(word=word))
-    for e, flag in enumerate(emotion_flags):
-        if not flag:
-            continue
-        if cfg.text_signal < 1.0 and rng.random() >= cfg.text_signal:
-            continue
-        word = EMOTION_WORDS[e][int(rng.integers(len(EMOTION_WORDS[e])))]
-        template = _EMOTION_TEMPLATES[int(rng.integers(len(_EMOTION_TEMPLATES)))]
-        signal.append(template.format(word=word))
+    candidates = [(APPRAISAL_WORDS[k][0 if cls == Level.HIGH else 1], _APPRAISAL_TEMPLATES)
+                  for k, cls in enumerate(appraisal_classes) if cls != Level.MODERATE]
+    candidates += [(EMOTION_WORDS[e], _EMOTION_TEMPLATES)
+                   for e, flag in enumerate(emotion_flags) if flag]
+    # Each kept sentence draws a word, then a template. One rng.integers call over an
+    # array of bounds yields the values and the generator state of drawing them one at
+    # a time, so the bounds are queued and drawn together; the queue is drawn before
+    # each keep-or-drop draw, which keeps the stream's order.
+    kept: list[tuple[tuple[str, ...], tuple[str, ...]]] = []
+    bounds: list[int] = []
+    picks: list[int] = []
+    for words, templates in candidates:
+        if cfg.text_signal < 1.0:
+            if bounds:
+                picks += rng.integers(0, bounds).tolist()
+                bounds = []
+            if rng.random() >= cfg.text_signal:
+                continue
+        kept.append((words, templates))
+        bounds += (len(words), len(templates))
+    picks += rng.integers(0, bounds + [len(_OPENINGS)]).tolist()
 
-    sentences = [_OPENINGS[int(rng.integers(len(_OPENINGS)))]]
-    sentences.extend(signal)
+    sentences = [_OPENINGS[picks[-1]]]
+    sentences += [templates[t].format(word=words[w])
+                  for (words, templates), w, t in zip(kept, picks[0::2], picks[1::2])]
     count = len(tokenize(" ".join(sentences)))
     while count < target_tokens:
         n_words = int(rng.integers(6, 13))
         idx = rng.integers(len(_FILLER_WORDS), size=n_words)
-        filler = " ".join(_FILLER_WORDS[int(i)] for i in idx) + " ."
+        filler = " ".join([_FILLER_WORDS[i] for i in idx.tolist()]) + " ."
         # splice filler between signal sentences so signal position varies
         pos = int(rng.integers(1, len(sentences) + 1))
         sentences.insert(pos, filler)
@@ -439,7 +458,7 @@ def generate_synthetic(cfg: SyntheticGeneratorConfig, seed: int) -> list[ReviewR
     rng = np.random.default_rng(seed)
     records: list[ReviewRecord] = []
     for i in range(cfg.record_count):
-        appraisals = tuple(int(v) for v in rng.integers(1, 8, size=APPRAISAL_COUNT))
+        appraisals = tuple(rng.integers(1, 8, size=APPRAISAL_COUNT).tolist())
         emo_noise = rng.normal(0.0, cfg.noise_scale, size=EMOTION_COUNT) \
             if cfg.noise_scale > 0 else None
         emotions = planted_emotions(appraisals, cfg, noise=emo_noise)
@@ -449,12 +468,11 @@ def generate_synthetic(cfg: SyntheticGeneratorConfig, seed: int) -> list[ReviewR
                                  noise=float(pcb_noise[0]))
         promote = planted_pcb(appraisals, emotions, cfg, "promote",
                               noise=float(pcb_noise[1]))
-        target_tokens = int(np.clip(rng.normal(cfg.mean_review_length,
-                                               cfg.mean_review_length * 0.12),
-                                    30, 2 * cfg.mean_review_length))
+        length = rng.normal(cfg.mean_review_length, cfg.mean_review_length * 0.12)
+        target_tokens = int(min(max(length, 30), 2 * cfg.mean_review_length))
         text = _render_text(rng,
-                            [segment_pcb(a) for a in appraisals],
-                            [segment_emotion(e) for e in emotions],
+                            [PCB_LEVELS[a - 1] for a in appraisals],
+                            [EMOTION_FLAGS[e - 1] for e in emotions],
                             cfg, target_tokens)
         records.append(ReviewRecord(
             id=f"synth-{i:05d}",

@@ -4,14 +4,15 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
 
 from .autodiff import (Tensor, add, backward, binary_cross_entropy, cross_entropy,
                        grouped_cross_entropy, no_grad)
-from .data import (APPRAISAL_COUNT, PCB_TARGETS, DatasetSplit, ReviewRecord,
-                   segment_emotion, segment_pcb, split_records)
+from .data import (APPRAISAL_COUNT, EMOTION_FLAGS, PCB_LEVELS, PCB_TARGETS, DatasetSplit,
+                   ReviewRecord, check_ratings, split_records)
 from .errors import ConfigError, SizeError, TrainingError
 from .metrics import accuracy_score, weighted_f1
 from .models import (APPRAISALS, EMOTIONS, MAX_BUILT_ENCODER_DIM, PCB_HEAD, TEXT, Batch,
@@ -149,10 +150,15 @@ def featurize(records: Sequence[ReviewRecord], vocab: Vocabulary | None,
     embeddings, one row per record.
     """
     records = list(records)
-    appraisals = np.array([r.appraisals for r in records], dtype=np.float64)
-    emotions = np.array([r.emotions for r in records], dtype=np.float64)
-    app_classes = np.array([[segment_pcb(a) for a in r.appraisals]
-                            for r in records], dtype=np.int64)
+    pcb = {t: [r.pcb(t) for r in records] for t in PCB_TARGETS}
+    # every rating is checked before the tables are indexed with it
+    check_ratings(chain.from_iterable(r.appraisals for r in records), "PCB rating")
+    for column in pcb.values():
+        check_ratings(column, "PCB rating")
+    check_ratings(chain.from_iterable(r.emotions for r in records), "emotion rating")
+    appraisals = np.array([r.appraisals for r in records], dtype=np.int64)
+    emotions = np.array([r.emotions for r in records], dtype=np.int64)
+    levels = np.array(PCB_LEVELS, dtype=np.int64)
     return Dataset(
         vocab=vocab,
         token_ids=(None if vocab is None
@@ -160,11 +166,10 @@ def featurize(records: Sequence[ReviewRecord], vocab: Vocabulary | None,
         text_features=text_features,
         appraisal_features=(appraisals - 4.0) / 3.0,
         emotion_features=(emotions - 4.0) / 3.0,
-        pcb_labels={t: np.array([int(segment_pcb(r.pcb(t))) for r in records],
-                                dtype=np.int64) for t in PCB_TARGETS},
-        appraisal_target_classes=app_classes,
-        emotion_target_flags=np.array([[segment_emotion(e) for e in r.emotions]
-                                       for r in records], dtype=np.float64),
+        pcb_labels={t: levels[np.array(column, dtype=np.int64) - 1]
+                    for t, column in pcb.items()},
+        appraisal_target_classes=levels[appraisals - 1],
+        emotion_target_flags=np.array(EMOTION_FLAGS, dtype=np.float64)[emotions - 1],
     )
 
 

@@ -343,9 +343,10 @@ def save_model(path, model: ModelInstance, meta: dict | None = None) -> None:
     save_params(path, tensors, full_meta)
 
 
-def _check_meta(meta: dict, held: int) -> None:
+def _check_meta(meta: dict, held: int) -> Vocabulary | None:
     """Refuse checkpoint metadata that ``load_model`` cannot rebuild a model from,
-    before ``build`` allocates anything; ``held`` is the file's float64 count."""
+    before ``build`` allocates anything; ``held`` is the file's float64 count.
+    Returns the checkpoint's vocabulary, if it has one."""
     def is_int(value) -> bool:
         return isinstance(value, int) and not isinstance(value, bool)
 
@@ -372,6 +373,10 @@ def _check_meta(meta: dict, held: int) -> None:
     if len(vocab or ()) * dim > held:
         raise ValidationError(f"checkpoint metadata 'vocab' and 'encoder_dim' describe a "
                               f"{len(vocab)} x {dim} embedding; the file holds {held} values")
+    try:
+        return Vocabulary(vocab) if vocab else None
+    except ConfigError as exc:  # the file, not the configuration, is at fault
+        raise ValidationError(f"checkpoint metadata 'vocab' is not a vocabulary: {exc}") from None
 
 
 def load_model(path) -> tuple[ModelInstance, dict]:
@@ -386,8 +391,7 @@ def load_model(path) -> tuple[ModelInstance, dict]:
         raise ConfigError(
             "checkpoint was trained with externally computed embeddings; "
             "rebuild it in-process with the same embedding file instead")
-    _check_meta(meta, sum(t.size for t in tensors.values()))
-    vocab = Vocabulary(meta["vocab"]) if meta.get("vocab") else None
+    vocab = _check_meta(meta, sum(t.size for t in tensors.values()))
     model = build(meta["architecture_id"], meta["encoder_dim"], vocab,
                   max_sequence_length=meta.get("max_sequence_length") or 256)
     params = model.parameters()

@@ -341,7 +341,8 @@ class TestAttribute:
     @pytest.mark.parametrize("key, value", [("pcb_target", "promot"),
                                             ("max_sequence_length", -2),
                                             ("architecture_id", 13),
-                                            ("encoder_dim", 10**6)])
+                                            ("encoder_dim", 10**6),
+                                            ("vocab", ["<pad>", "<unk>", "a", "a"])])
     def test_bad_checkpoint_metadata_is_one_validation_line(self, trained_run, capsys,
                                                             key, value):
         from pcbnet.serialize import load_params, save_params

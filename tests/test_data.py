@@ -1,4 +1,6 @@
+import hashlib
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -9,8 +11,8 @@ from hypothesis import strategies as st
 from pcbnet import data
 from pcbnet.data import (APPRAISAL_COUNT, DEFAULT_APPRAISAL_NAMES, EMOTION_COUNT,
                          EMOTION_WORDS, Level, ReviewRecord, SyntheticGeneratorConfig,
-                         generate_synthetic, ingest, planted_emotions, planted_pcb,
-                         record_to_obj, segment_emotion, segment_pcb, split_records,
+                         discretize_unit, generate_synthetic, ingest, planted_emotions,
+                         planted_pcb, record_to_obj, segment_emotion, segment_pcb, split_records,
                          write_appraisal_names, write_csv, write_jsonl)
 from pcbnet.errors import ConfigError, PcbnetError, SizeError, ValidationError
 from pcbnet.text import tokenize
@@ -339,6 +341,39 @@ class TestGenerator:
         signal = {w for pair in APPRAISAL_WORDS for ws in pair for w in ws}
         signal |= {w for ws in EMOTION_WORDS for w in ws}
         assert not signal & set(_FILLER_WORDS)
+
+    # Any change to the generator's draw order changes these digests; update them only
+    # for a deliberate change of the corpus. Below the signal sentences' own length no
+    # filler is drawn, so mean_review_length 0 and 30 give the same corpus.
+    @pytest.mark.parametrize("overrides, digest", [
+        ({}, "2f1b104dfde67875a7e845220635fb73433ab0fce6d43cbaa4c88ef23547f6eb"),
+        ({"text_signal": 0.3},
+         "a4b36152acf88f9be6a2e6393f57002c71e270e6348223914cc1ae6f20ec1681"),
+        ({"noise_scale": 0.0},
+         "410c35133a29560bae84a89bed2a272448bad960d2373d403f46258cb6aeb79d"),
+        ({"mean_review_length": 0},
+         "6f35b0aea3f054e7954afa47331e34321a8ec5a67ee906544f48dfec762986c5"),
+        ({"mean_review_length": 30},
+         "6f35b0aea3f054e7954afa47331e34321a8ec5a67ee906544f48dfec762986c5"),
+        ({"record_count": 1},
+         "a7d0d864a97889c4046f79bff2a12ef60df209129f77556d8d80c3a362293f59"),
+    ], ids=["defaults", "text_signal_0.3", "noise_0", "length_0", "length_30", "one_record"])
+    def test_corpus_bytes_are_pinned(self, tmp_path, overrides, digest):
+        cfg = SyntheticGeneratorConfig(**{"record_count": 40, **overrides})
+        path = tmp_path / "corpus.jsonl"
+        write_jsonl(generate_synthetic(cfg, seed=7), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("x, rating", [
+        (math.nan, 1), (math.inf, 7), (-math.inf, 1), (0.0, 4), (-0.0, 4),
+        (1 / 6, 5), (-1 / 6, 4), (0.5, 6), (-0.5, 3),  # y = 4.5, 3.5, 5.5, 2.5: half-up
+        (math.nextafter(1.0, 2.0), 7), (math.nextafter(1.0, 0.0), 7),
+        (-math.nextafter(1.0, 2.0), 1), (-math.nextafter(1.0, 0.0), 1),
+    ])
+    def test_discretize_unit_edges(self, x, rating):
+        for value in (x, np.float64(x)):
+            got = discretize_unit(value)
+            assert type(got) is int and got == rating
 
 
 class TestRecordValidation:

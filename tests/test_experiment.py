@@ -1,11 +1,15 @@
+import dataclasses
 import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pcbnet.autodiff import backward
-from pcbnet.data import SyntheticGeneratorConfig, generate_synthetic, split_records
-from pcbnet.errors import ConfigError, SizeError
+from pcbnet.data import (ReviewRecord, SyntheticGeneratorConfig, generate_synthetic,
+                         split_records)
+from pcbnet.errors import ConfigError, SizeError, ValidationError
 from pcbnet.experiment import (ExperimentConfig, MetricsSummary,
                                RepetitionResult, build_vocab_for_split,
                                compute_loss, evaluate, featurize,
@@ -44,6 +48,41 @@ class TestFeaturize:
                 int(segment_pcb(a)) for a in record.appraisals]
             assert data.emotion_target_flags[i].tolist() == [
                 segment_emotion(e) for e in record.emotions]
+
+    @given(st.lists(st.lists(st.integers(1, 7), min_size=30, max_size=30),
+                    min_size=1, max_size=12),
+           st.booleans())
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    def test_targets_follow_the_per_value_rules(self, rows, numpy_ints):
+        from pcbnet.data import segment_emotion, segment_pcb
+        to_int = np.int64 if numpy_ints else int
+        records = [ReviewRecord(
+            id=f"r{i}", text="fine .", appraisals=tuple(to_int(v) for v in row[:20]),
+            emotions=tuple(to_int(v) for v in row[20:28]),
+            pcb_repurchase=to_int(row[28]), pcb_promote=to_int(row[29]))
+            for i, row in enumerate(rows)]
+        data = featurize(records, None)
+        assert data.appraisal_target_classes.dtype == np.int64
+        assert data.appraisal_target_classes.tolist() == [
+            [int(segment_pcb(a)) for a in row[:20]] for row in rows]
+        assert data.emotion_target_flags.dtype == np.float64
+        assert data.emotion_target_flags.tolist() == [
+            [segment_emotion(e) for e in row[20:28]] for row in rows]
+        for t, col in (("repurchase", 28), ("promote", 29)):
+            assert data.pcb_labels[t].dtype == np.int64
+            assert data.pcb_labels[t].tolist() == [int(segment_pcb(row[col])) for row in rows]
+
+    @pytest.mark.parametrize("field", ["appraisals", "emotions", "pcb_repurchase",
+                                       "pcb_promote"])
+    @pytest.mark.parametrize("bad", [0, 8, 3.5, True])
+    def test_invalid_rating_is_a_validation_error(self, small_records, field, bad):
+        record = small_records[0]
+        value = getattr(record, field)
+        if isinstance(value, tuple):
+            bad = value[:3] + (bad,) + value[4:]
+        records = [small_records[1], dataclasses.replace(record, **{field: bad})]
+        with pytest.raises(ValidationError):
+            featurize(records, None)
 
 
 class TestLoss:

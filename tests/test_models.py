@@ -305,6 +305,7 @@ class TestCheckpoint:
         ("pcb_target", "promot"), ("pcb_target", ["promote"]),
         ("architecture_id", 13), ("architecture_id", 0), ("architecture_id", -1),
         ("encoder_dim", 0), ("encoder_dim", 10**6), ("encoder_dim", 4096),
+        ("vocab", ["a", "b", "<pad>", "<unk>"]), ("vocab", ["<pad>", "<unk>", "a", "a"]),
     ])
     def test_bad_metadata_is_a_validation_error(self, tiny_data, tmp_path, key, value):
         path = tmp_path / "model.params"

@@ -28,3 +28,28 @@ def test_peak_rss_prints_one_line_per_phase(tmp_path):
     assert peaks == sorted(peaks) and peaks[0] > 0
     assert all(line["rss_mb"] is None or line["rss_mb"] > 0 for line in lines)
     assert not any(tmp_path.iterdir()), "left files behind"
+
+
+def test_ab_pairs_runs_both_sides_and_sums_up():
+    root = SCRIPTS.parent
+    result = subprocess.run(
+        [sys.executable, str(SCRIPTS / "ab_pairs.py"), "--parent", str(root),
+         "--change", str(root), "--workload", "text-train", "--pairs", "1",
+         "--seconds", "0.1"],
+        capture_output=True, text=True, timeout=600)
+    assert result.returncode == 0, result.stderr
+    *runs, last = [json.loads(line) for line in result.stdout.splitlines()]
+    assert [(r["pair"], r["side"], r["seed"]) for r in runs] == [
+        (0, "parent", 1), (0, "change", 1)]
+    assert all(r["correct"] and r["failed"] == 0 for r in runs)
+    summary = last["summary"]
+    assert summary["correct"] == {"parent": [True], "change": [True]}
+    declared = json.loads((root / "BENCHMARK.json").read_text())["end_to_end"]
+    assert set(summary["metrics"]) == {m["name"] for m in declared}
+    for name, stats in summary["metrics"].items():
+        for side in ("parent", "change"):
+            assert stats[side]["runs"] == 1
+            assert stats[side]["q1"] == stats[side]["median"] == stats[side]["q3"]
+        assert set(stats["change_better_pairs"]) <= {0}
+    # one corpus, split and model seed on both sides: the same accuracy
+    assert runs[0]["metrics"]["test_acc"] == runs[1]["metrics"]["test_acc"]
