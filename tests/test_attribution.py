@@ -122,6 +122,12 @@ class TestContracts:
         with pytest.raises(ConfigError):
             integrated_gradients(model, records[0], baseline="noise")
 
+    @pytest.mark.parametrize("target_class", [True, False, -1, 3, 1.0, "high"])
+    def test_bad_target_class(self, trained_text_model, target_class):
+        _, records, _, model = trained_text_model
+        with pytest.raises(ConfigError, match="target_class"):
+            integrated_gradients(model, records[0], target_class=target_class, steps=2)
+
     def test_gold_class_default_target(self, trained_text_model):
         _, records, split, model = trained_text_model
         record = records[split.test[0]]
@@ -145,6 +151,12 @@ class TestRankTokens:
         report = self.make_report(["a", "b", "c"], [0.2, -0.1, 0.3])
         top = rank_tokens(report, 3)
         assert sorted(t[1] for t in top) == ["a", "b", "c"]
+
+    def test_negative_k_is_refused(self):
+        report = self.make_report(["a", "b", "c"], [0.2, -0.1, 0.3])
+        assert rank_tokens(report, 0) == []
+        with pytest.raises(ConfigError, match="k must be"):
+            rank_tokens(report, -1)
 
     def test_ties_broken_by_earlier_position(self):
         report = self.make_report(["a", "b", "c"], [0.5, -0.5, 0.5])

@@ -422,6 +422,8 @@ CONFIG_PROBES = [
     ("train", {"architecture": 1, "precomputed_embeddings": "missing.jsonl"}, "config"),
     ("train", {"architecture": 1, "encoder_dim": 2,
                "precomputed_embeddings": "latin1.jsonl"}, "validation"),
+    ("train", {"architecture": 1, "encoder_dim": 2,
+               "precomputed_embeddings": "huge.jsonl"}, "validation"),
     # every float key must be finite: NaN noise would silently mean no noise
     ("synth", {"noise_scale": float("nan")}, "config"),
     ("synth", {"noise_scale": float("inf")}, "config"),
@@ -454,6 +456,7 @@ def probe_dir(tmp_path_factory):
     synth_dataset(tmp_path, n=20)
     (tmp_path / "latin1.jsonl").write_bytes(
         b'{"id": "caf\xe9", "embedding": [1.0, 2.0]}\n')
+    (tmp_path / "huge.jsonl").write_text('{"id": "a", "embedding": [1' + "0" * 400 + ', 2]}\n')
     return tmp_path
 
 

@@ -121,6 +121,25 @@ class TestIngest:
         with pytest.raises(ValidationError, match="2 invalid rows"):
             ingest(path)
 
+    @pytest.mark.parametrize("field, value", [
+        ("text", None), ("text", ["a", "b"]), ("text", 5),
+        ("id", None), ("id", True), ("id", 1.5), ("id", ["a"])])
+    def test_non_string_text_or_id_cites_row(self, tmp_path, field, value):
+        bad = record_to_obj(make_record(1))
+        bad[field] = value
+        path = tmp_path / "data.jsonl"
+        path.write_text(json.dumps(record_to_obj(make_record(0))) + "\n"
+                        + json.dumps(bad) + "\n")
+        with pytest.raises(ValidationError, match=f"1 invalid rows\nline 2: {field} must be"):
+            ingest(path)
+
+    def test_integer_id_is_its_decimal_string(self, tmp_path):
+        obj = record_to_obj(make_record(0))
+        obj["id"] = 42
+        path = tmp_path / "data.jsonl"
+        path.write_text(json.dumps(obj) + "\n")
+        assert ingest(path)[0].id == "42"
+
     @pytest.mark.parametrize("separator", ["\x85", "\u2028", "\u2029"])
     def test_raw_unicode_line_separator_stays_inside_its_text(self, tmp_path, separator):
         records = [make_record(0, text=f"fine{separator}visit ."), make_record(1)]

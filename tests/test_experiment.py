@@ -107,6 +107,27 @@ class TestLoss:
         assert compute_loss(model, batch, cfg).item() == expected.item()
 
 
+    @pytest.mark.parametrize("arch_id", [4, 10])
+    def test_ce_appraisal_targets_are_per_dimension_classes(self, prepared, small_records,
+                                                            arch_id):
+        from pcbnet.autodiff import add, cross_entropy, grouped_cross_entropy
+        from pcbnet.data import segment_pcb
+        data, split = prepared
+        idx = split.train[:6]
+        batch = data.batch(idx, "promote")
+        # dimension k's 3-way logits are columns k*3 .. k*3+2, its target its Likert class
+        classes = np.array([[int(segment_pcb(rating)) for rating in small_records[i].appraisals]
+                            for i in idx])
+        model = build(arch_id, vocab=data.vocab, seed=0)
+        out = model.forward(batch)
+        cfg = ExperimentConfig(architecture=arch_id, appraisal_loss="ce", aux_loss_weight=0.5)
+        expected = add(cross_entropy(out["pcb_logits"], batch.pcb_labels),
+                       grouped_cross_entropy(out["appraisal_logits"], classes, groups=20,
+                                             weight=0.5))
+        got = compute_loss(model, batch, cfg)
+        assert got.data.tobytes() == expected.data.tobytes()
+
+
 class TestBatch:
     def test_carries_only_the_inputs_of_the_given_modalities(self, prepared):
         data, split = prepared
@@ -255,6 +276,13 @@ class TestEvaluate:
         data, _ = prepared
         with pytest.raises(SizeError):
             evaluate(build(2), data, [], "promote")
+
+    def test_unknown_pcb_target_is_a_config_error(self, prepared):
+        data, split = prepared
+        with pytest.raises(ConfigError, match="unknown PCB target 'loyalty'"):
+            data.batch(split.test, "loyalty")
+        with pytest.raises(ConfigError, match="unknown PCB target 'loyalty'"):
+            evaluate(build(2), data, split.test, "loyalty")
 
     def test_perfect_predictions(self, prepared):
         data, split = prepared

@@ -8,7 +8,7 @@ from pcbnet.autodiff import backward
 from pcbnet.data import SyntheticGeneratorConfig, generate_synthetic
 from pcbnet.errors import ConfigError, InputError, ValidationError
 from pcbnet.experiment import ExperimentConfig, compute_loss, featurize, train
-from pcbnet.models import build, describe, load_model, save_model
+from pcbnet.models import Batch, build, describe, load_model, save_model
 from pcbnet.nn import Adam
 from pcbnet.serialize import load_params, save_params
 from pcbnet.text import Vocabulary
@@ -254,6 +254,19 @@ class TestFreezeAndPenultimate:
         app_pen = model.components["appraisals"].penultimate(batch)
         assert text_pen.shape == (4, 128)
         assert app_pen.shape == (4, 512)
+
+    @pytest.mark.parametrize("arch_id", range(1, 13))
+    def test_penultimate_is_what_the_pcb_head_reads_last(self, tiny_data, arch_id):
+        model = build(arch_id, vocab=tiny_data.vocab, seed=0)
+        batch = batch_of(tiny_data)
+        hidden = model.penultimate(batch)
+        assert hidden.shape == (4, model.spec.penultimate_width(model.encoder_dim))
+        logits = model.heads["pcb_head"].layers[-1](hidden)
+        assert logits.data.tobytes() == model.forward(batch)["pcb_logits"].data.tobytes()
+
+    def test_penultimate_refuses_a_missing_modality(self):
+        with pytest.raises(InputError, match="Appraisals"):
+            build(2).penultimate(Batch())
 
     def test_frozen_components_receive_no_gradient(self, tiny_data):
         from pcbnet.autodiff import cross_entropy

@@ -225,12 +225,27 @@ class TestPrecomputedEncoder:
         '{"id": "a", "embedding": ["x", 1.0]}',
         '{"id": "a", "embedding": [[1.0], [1.0, 2.0]]}',
         '{"id": "a", "embedding": [1' + "0" * 5000 + ']}',
-    ], ids=["non-numeric", "ragged", "over-long-integer"])
+        '{"id": "a", "embedding": [1' + "0" * 400 + ']}',
+        '{"id": "a", "embedding": [true, 1.0]}',
+        '{"id": "a", "embedding": ["1.5"]}',
+        '{"id": "a", "embedding": [NaN]}',
+        '{"id": "a", "embedding": [-Infinity, 1.0]}',
+        '{"id": "a", "embedding": 1.0}',
+        '{"id": null, "embedding": [1.0]}',
+        '{"id": true, "embedding": [1.0]}',
+        '{"id": ["a"], "embedding": [1.0]}',
+    ], ids=["non-numeric", "ragged", "over-long-integer", "integer-past-float64", "bool",
+            "numeric-string", "nan", "infinity", "scalar", "null-id", "bool-id", "list-id"])
     def test_malformed_record_is_a_validation_error(self, tmp_path, line):
         path = tmp_path / "emb.jsonl"
         path.write_text(line + "\n")
         with pytest.raises(ValidationError, match="line 1"):
             load_embeddings(path, ["a"])
+
+    def test_integer_id_is_its_decimal_string(self, tmp_path):
+        path = tmp_path / "emb.jsonl"
+        path.write_text('{"id": 7, "embedding": [1, 2.5]}\n')
+        assert load_embeddings(path, ["7"]).tolist() == [[1.0, 2.5]]
 
     def test_raw_unicode_line_separators_stay_inside_an_id(self, tmp_path):
         path = tmp_path / "emb.jsonl"
