@@ -15,11 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, backward_from, embedding_bag
+from .autodiff import Tensor, backward_from, embedding_bag, frozen
 from .data import ReviewRecord
 from .errors import CapabilityError, ConfigError
 from .experiment import PCB_TARGETS, Dataset, featurize
 from .models import TEXT, ModelInstance
+from .serialize import is_int
 from .text import token_mask, tokenize
 
 
@@ -128,14 +129,10 @@ def integrated_gradients(model: ModelInstance, record: ReviewRecord,
     ids, mask = data.token_ids, token_mask(data.token_ids, encoder.vocab.pad_id)
     tokens = tokenize(record.text)[:int(mask.sum())]
 
-    # Only the α-path needs a gradient. With every parameter flag off, no
-    # other forward records a graph, backward skips the weight products, and
-    # no gradient is left in the model for a later optimizer step to pick up.
-    # ``no_grad()`` cannot stand in: it would record no graph, not even the path's.
-    trainable = [p for p in model.parameters().values() if p.requires_grad]
-    for p in trainable:
-        p.requires_grad = False
-    try:
+    # Only the α-path needs a gradient. With every parameter frozen, no other
+    # forward records a graph, backward skips the weight products, and no
+    # gradient is left in the model for a later optimizer step to pick up.
+    with frozen(model.parameters().values()):
         p_x = embedding_bag(encoder.embedding, ids, mask)
         if baseline == "pad":
             p_base = embedding_bag(encoder.embedding, np.full_like(ids, encoder.vocab.pad_id),
@@ -149,14 +146,11 @@ def integrated_gradients(model: ModelInstance, record: ReviewRecord,
             target_class = predicted
         elif target_class is None:
             target_class = int(data.pcb_labels[pcb_target][0])
-        if not isinstance(target_class, int) or not 0 <= target_class < 3:
+        if not is_int(target_class) or not 0 <= target_class < 3:
             raise ConfigError(f"target_class must be in [0, 3), got {target_class!r}")
         logits_base = _logits(model, data, pcb_target, q_base).data[0]
         grad_sum_q = _path_gradient_sum(model, data, pcb_target, q_base.data,
                                         q_x.data - q_base.data, target_class, steps)
-    finally:
-        for p in trainable:
-            p.requires_grad = True
     x = encoder.embedding.data[ids]  # [1, L, e]
     x_base = encoder.embedding.data[encoder.vocab.pad_id] if baseline == "pad" else 0.0
     counts = np.maximum(mask.sum(axis=1), 1.0)[:, None, None]
@@ -185,6 +179,8 @@ def integrated_gradients(model: ModelInstance, record: ReviewRecord,
 
 def rank_tokens(report: AttributionReport, k: int) -> list[tuple[int, str, float]]:
     """Top-k (position, token, score) by |score| descending, earlier position wins ties."""
+    if k < 0:
+        raise ConfigError(f"k must be >= 0, got {k}")
     k = min(k, len(report.tokens))
     order = sorted(range(len(report.tokens)),
                    key=lambda i: (-abs(report.scores[i]), i))

@@ -9,9 +9,8 @@ of silent bugs.
 
 from __future__ import annotations
 
-import threading
 from contextlib import contextmanager
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -71,26 +70,21 @@ def parameter(data, path: str) -> Tensor:
     return Tensor(data, requires_grad=True, path=path)
 
 
-class _GradMode(threading.local):
-    enabled = True  # the class attribute is every thread's default
-
-
-_grad_mode = _GradMode()
-
-
 @contextmanager
-def no_grad() -> Iterator[None]:
-    """Record no graph for operations run in this thread inside the block.
+def frozen(tensors: Iterable[Tensor]) -> Iterator[None]:
+    """Clear ``requires_grad`` on ``tensors`` for the block, then restore it.
 
-    Thread-local, so a forward evaluated here leaves other threads'
-    training graphs intact.
+    Operations on them alone record no graph; a tensor made in the block with
+    ``requires_grad`` still records its own.
     """
-    prev = _grad_mode.enabled
-    _grad_mode.enabled = False
+    cleared = [t for t in tensors if t.requires_grad]
+    for t in cleared:
+        t.requires_grad = False
     try:
         yield
     finally:
-        _grad_mode.enabled = prev
+        for t in cleared:
+            t.requires_grad = True
 
 
 def _accumulate(t: Tensor, g: Array, owned: bool = False) -> None:
@@ -109,7 +103,7 @@ def _accumulate(t: Tensor, g: Array, owned: bool = False) -> None:
 
 def _result(data: Array, op_kind: str, inputs: Sequence[Tensor],
             backward_fn: Callable[[Array], None]) -> Tensor:
-    if _grad_mode.enabled and any(t.requires_grad for t in inputs):
+    if any(t.requires_grad for t in inputs):
         node = ComputationNode(op_kind, inputs, backward_fn)
         return Tensor(data, requires_grad=True, node=node)
     return Tensor(data)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ConfigError, SizeError, ValidationError
 from .schema import check_fields, declared
-from .serialize import atomic_write_text, atomic_writer, jsonl_lines, read_input
+from .serialize import atomic_write_text, atomic_writer, jsonl_lines, read_input, record_id
 from .text import tokenize
 
 APPRAISAL_COUNT = 20
@@ -162,10 +162,12 @@ def _record_from_obj(obj: dict, where: str) -> ReviewRecord:
     if len(emotions) != EMOTION_COUNT:
         raise ValidationError(
             f"{where}: expected {EMOTION_COUNT} emotion ratings, got {len(emotions)}")
+    if not isinstance(obj["text"], str):
+        raise ValidationError(f"{where}: text must be a string, got {type(obj['text']).__name__}")
     try:
         return ReviewRecord(
-            id=str(obj["id"]),
-            text=str(obj["text"]),
+            id=record_id(obj["id"]),
+            text=obj["text"],
             appraisals=tuple(_check_rating(a, "appraisal rating") for a in appraisals),
             emotions=tuple(_check_rating(e, "emotion rating") for e in emotions),
             pcb_repurchase=_check_rating(obj["pcb_repurchase"], "pcb_repurchase"),

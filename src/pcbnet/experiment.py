@@ -9,8 +9,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .autodiff import (Tensor, add, backward, binary_cross_entropy, cross_entropy,
-                       grouped_cross_entropy, no_grad)
+from .autodiff import (Tensor, add, backward, binary_cross_entropy, cross_entropy, frozen,
+                       grouped_cross_entropy)
 from .data import (APPRAISAL_COUNT, EMOTION_FLAGS, PCB_LEVELS, PCB_TARGETS, DatasetSplit,
                    ReviewRecord, check_ratings, split_records)
 from .errors import ConfigError, SizeError, TrainingError
@@ -124,6 +124,8 @@ class Dataset:
     def batch(self, idx: Sequence[int], pcb_target: str,
               modalities: Sequence[str] = (TEXT, APPRAISALS, EMOTIONS)) -> Batch:
         """Rows ``idx`` with every target, and the inputs of ``modalities`` only."""
+        if pcb_target not in self.pcb_labels:
+            raise ConfigError(f"unknown PCB target {pcb_target!r}")
         idx = np.asarray(idx, dtype=np.int64)
 
         def gather(column: np.ndarray | None, modality: str) -> np.ndarray | None:
@@ -252,8 +254,8 @@ def train(model: ModelInstance, data: Dataset, train_idx: Sequence[int],
     for i, (_, tower) in enumerate(sorted(model.components.items())):
         _train_single(tower, data, train_idx, cfg, seed + 101 * (i + 1))
         # the fused path reads the tower's penultimate activation, never its final layer
-        frozen = tower.heads[PCB_HEAD].layers[-1] if cfg.finetune_fused else tower
-        for p in frozen.parameters().values():
+        fixed = tower.heads[PCB_HEAD].layers[-1] if cfg.finetune_fused else tower
+        for p in fixed.parameters().values():
             p.requires_grad = False
     return _train_single(model, data, train_idx, cfg, seed, validation_idx)
 
@@ -267,21 +269,21 @@ def evaluate(model: ModelInstance, data: Dataset, idx: Sequence[int],
     preds = []
     aux_diag: dict[str, float] = {}
     emo_correct = emo_total = app_correct = app_total = 0
-    for start in range(0, len(idx), _EVAL_CHUNK):
-        batch = data.batch(idx[start:start + _EVAL_CHUNK], pcb_target,
-                           model.spec.input_modalities)
-        with no_grad():
+    with frozen(model.parameters().values()):
+        for start in range(0, len(idx), _EVAL_CHUNK):
+            batch = data.batch(idx[start:start + _EVAL_CHUNK], pcb_target,
+                               model.spec.input_modalities)
             out = model.forward(batch)
-        preds.append(np.argmax(out["pcb_logits"].data, axis=1))
-        if "emotion_logits" in out:
-            got = (out["emotion_logits"].data > 0).astype(np.float64)
-            emo_correct += float((got == batch.emotion_target_flags).sum())
-            emo_total += got.size
-        if "appraisal_logits" in out:
-            blocks = out["appraisal_logits"].data.reshape(-1, APPRAISAL_COUNT, 3)
-            got = np.argmax(blocks, axis=2)
-            app_correct += float((got == batch.appraisal_target_classes).sum())
-            app_total += got.size
+            preds.append(np.argmax(out["pcb_logits"].data, axis=1))
+            if "emotion_logits" in out:
+                got = (out["emotion_logits"].data > 0).astype(np.float64)
+                emo_correct += float((got == batch.emotion_target_flags).sum())
+                emo_total += got.size
+            if "appraisal_logits" in out:
+                blocks = out["appraisal_logits"].data.reshape(-1, APPRAISAL_COUNT, 3)
+                got = np.argmax(blocks, axis=2)
+                app_correct += float((got == batch.appraisal_target_classes).sum())
+                app_total += got.size
     y_pred = np.concatenate(preds)
     y_true = data.pcb_labels[pcb_target][np.asarray(idx, dtype=np.int64)]
     if emo_total:

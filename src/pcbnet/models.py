@@ -29,7 +29,7 @@ from .data import APPRAISAL_COUNT, EMOTION_COUNT, PCB_TARGETS
 from .errors import ConfigError, InputError, ValidationError
 from .nn import FFNNHead
 from .schema import shown
-from .serialize import load_params, save_params
+from .serialize import is_int, load_params, save_params
 from .text import TextEncoder, Vocabulary
 
 PCB_CLASSES = 3
@@ -233,21 +233,25 @@ class ModelInstance:
         parts = [values[source] for source in head.inputs]
         return parts[0] if len(parts) == 1 else concat(parts, axis=1)
 
+    def _walk(self, batch: Batch) -> tuple[dict[str, Tensor], Tensor]:
+        """Every head before the PCB head, by name, and the PCB head's hidden activation."""
+        self._require(batch)
+        *earlier, pcb = self.spec.heads
+        values: dict[str, Tensor] = {}
+        for head in earlier:
+            values[head.name] = self.heads[head.name](self._read(head, batch, values))
+        return values, self.heads[pcb.name].hidden(self._read(pcb, batch, values))
+
     def penultimate(self, batch: Batch) -> Tensor:
         """Second-to-last activation, excluding the final classification layer."""
-        pcb = self.spec.heads[-1]
-        return self.heads[pcb.name].hidden(self._read(pcb, batch, {}))
+        return self._walk(batch)[1]
 
     def forward(self, batch: Batch) -> dict[str, Tensor]:
         """Compute pcb_logits plus whatever auxiliary logits the spec declares."""
-        self._require(batch)
-        values: dict[str, Tensor] = {}
-        out: dict[str, Tensor] = {}
-        for head in self.spec.heads:
-            x = self._read(head, batch, values)
-            values[head.name] = self.heads[head.name](x)
-            out[head.name.replace("_head", "_logits")] = values[head.name]
-        return out
+        values, hidden = self._walk(batch)
+        values[PCB_HEAD] = self.heads[PCB_HEAD].layers[-1](hidden)
+        return {head.name.replace("_head", "_logits"): values[head.name]
+                for head in self.spec.heads}
 
 
 def build(arch_id: int, encoder_dim: int = 128, vocab: Vocabulary | None = None,
@@ -347,9 +351,6 @@ def _check_meta(meta: dict, held: int) -> Vocabulary | None:
     """Refuse checkpoint metadata that ``load_model`` cannot rebuild a model from,
     before ``build`` allocates anything; ``held`` is the file's float64 count.
     Returns the checkpoint's vocabulary, if it has one."""
-    def is_int(value) -> bool:
-        return isinstance(value, int) and not isinstance(value, bool)
-
     vocab, length = meta.get("vocab"), meta.get("max_sequence_length")
     for key, ok, want in (
             ("architecture_id", is_int(meta.get("architecture_id"))

@@ -5,7 +5,7 @@ then the concatenated row-major float64 buffers. The header carries a format
 name, version, arbitrary metadata, and the tensor index (name, shape, offset
 in float64 elements). Writes are atomic (temp file + rename, through
 ``atomic_writer``) and byte-stable for identical inputs. ``jsonl_lines`` is
-the line rule of every JSONL reader.
+the line rule of every JSONL reader, and ``record_id`` their id rule.
 """
 
 from __future__ import annotations
@@ -90,6 +90,13 @@ def jsonl_lines(text: str) -> Iterator[tuple[int, str]]:
             yield lineno, line
 
 
+def record_id(value) -> str:
+    """A record's JSON ``id``: a string, or an integer read as its decimal string."""
+    if isinstance(value, str) or is_int(value):
+        return str(value)
+    raise ValidationError(f"id must be a string or an integer, got {type(value).__name__}")
+
+
 def save_params(path: str | Path, tensors: dict[str, np.ndarray],
                 meta: dict | None = None) -> None:
     """Write named arrays plus a metadata dict to a single binary file."""
@@ -168,6 +175,10 @@ def load_params(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
     return tensors, meta
 
 
+def is_int(value) -> bool:
+    """A JSON integer (``bool`` is an ``int`` subclass in Python)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _is_count(value) -> bool:
-    """A non-negative JSON integer (``bool`` is an ``int`` subclass in Python)."""
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+    return is_int(value) and value >= 0

@@ -27,7 +27,7 @@ from .autodiff import Tensor, embedding_bag, parameter
 from .autodiff import embedding_lookup, masked_mean  # noqa: F401
 from .errors import ConfigError, ValidationError
 from .nn import LinearLayer
-from .serialize import atomic_writer, jsonl_lines, read_input
+from .serialize import atomic_writer, jsonl_lines, read_input, record_id
 
 PAD_TOKEN = "<pad>"
 UNK_TOKEN = "<unk>"
@@ -128,8 +128,9 @@ def load_embeddings(path: str | Path, ids: Sequence[str]) -> np.ndarray:
     """Externally computed embeddings, one row per record id, in that order.
 
     File format: one JSON object per line, ``{"id": ..., "embedding": [...]}``.
-    Every line must parse and share one width, and every id in ``ids``
-    must have a line; otherwise a ``ValidationError`` names the fault.
+    Every line must parse, hold finite JSON numbers and share one width, and
+    every id in ``ids`` must have a line; otherwise a ``ValidationError``
+    names the fault.
     """
     table: dict[str, np.ndarray] = {}
     dim: int | None = None
@@ -137,13 +138,18 @@ def load_embeddings(path: str | Path, ids: Sequence[str]) -> np.ndarray:
     for lineno, line in jsonl_lines(text):
         try:
             obj = json.loads(line)
-            rid = str(obj["id"])
-            vec = np.asarray(obj["embedding"], dtype=np.float64)
-        # ValueError: bad JSON, an over-long integer, a non-numeric or ragged embedding
-        except (ValueError, KeyError, TypeError, RecursionError) as exc:
+            rid, values = record_id(obj["id"]), obj["embedding"]
+            # a flat list of JSON numbers; a bool or a string would convert silently
+            if not (isinstance(values, list) and set(map(type, values)) <= {int, float}):
+                raise ValidationError("embedding must be a flat list of numbers")
+            vec = np.array(values, dtype=np.float64)
+        # ValueError: bad JSON or an over-long integer; OverflowError: one past float64
+        except (ValueError, OverflowError, KeyError, TypeError, RecursionError) as exc:
             raise ValidationError(f"line {lineno}: bad embedding record ({exc})") from exc
-        if vec.ndim != 1:
-            raise ValidationError(f"line {lineno}: embedding must be a flat vector")
+        except ValidationError as exc:
+            raise ValidationError(f"line {lineno}: {exc}") from None
+        if not np.isfinite(vec).all():
+            raise ValidationError(f"line {lineno}: embedding values must be finite")
         if dim is None:
             dim = vec.shape[0]
         elif vec.shape[0] != dim:

@@ -1,5 +1,3 @@
-import threading
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,8 +6,8 @@ from hypothesis import strategies as st
 from pcbnet.autodiff import (Tensor, add, backward, backward_from,
                              binary_cross_entropy, concat, cross_entropy,
                              dense_epilogue, embedding_bag, embedding_lookup,
-                             grouped_cross_entropy, masked_mean, matmul, mean,
-                             no_grad, relu)
+                             frozen, grouped_cross_entropy, masked_mean, matmul,
+                             mean, relu)
 from pcbnet.errors import (DimensionError, GraphError, LabelError,
                            VocabularyError)
 
@@ -148,14 +146,16 @@ class TestDenseEpilogue:
         grads = fused[1]
         assert (grads[0] is not None) == x_grad and None not in grads[1:]
 
-    def test_no_grad_values_are_the_chains_bytes(self):
+    def test_frozen_values_are_the_chains_bytes(self):
         for integer in (False, True):
             leaves = [Tensor(a, requires_grad=True) for a in self._arrays(integer)]
-            with no_grad():
+            recorded = [v.data.tobytes() for v in self._net(leaves, True)]
+            with frozen(leaves):
                 fused = self._net(leaves, True)
                 chain = self._net(leaves, False)
-            assert all(v.node is None for v in fused)
-            assert [v.data.tobytes() for v in fused] == [v.data.tobytes() for v in chain]
+            assert all(v.node is None and not v.requires_grad for v in fused + chain)
+            assert [v.data.tobytes() for v in fused] == recorded
+            assert [v.data.tobytes() for v in chain] == recorded
 
     def test_takes_over_the_matmul_output(self):
         x = Tensor(RNG.normal(size=(3, 2)), requires_grad=True)
@@ -335,52 +335,48 @@ class TestBackwardContract:
         assert np.array_equal(g1, g2)
 
 
-class TestNoGrad:
+class TestFrozen:
     def test_records_no_graph_inside_and_restores_after(self):
         x = Tensor(RNG.normal(size=(2, 3)), requires_grad=True)
-        with no_grad():
-            with no_grad():
-                inner = relu(x)
-            out = matmul(relu(x), Tensor(np.ones((3, 1))))
-        assert inner.node is None and not inner.requires_grad
+        w = Tensor(RNG.normal(size=(3, 1)), requires_grad=True)
+        with_graph = matmul(relu(x), w)
+        with frozen([x, w]):
+            out = matmul(relu(x), w)
         assert out.node is None and not out.requires_grad
-        after = relu(x)
-        assert after.node is not None and after.requires_grad
-        with_graph = matmul(relu(x), Tensor(np.ones((3, 1))))
-        assert np.array_equal(out.data, with_graph.data)
+        assert out.data.tobytes() == with_graph.data.tobytes()
+        assert x.requires_grad and w.requires_grad
+        backward(mean(matmul(relu(x), w)))
+        assert x.grad is not None and w.grad is not None
+
+    def test_leaves_a_cleared_flag_cleared(self):
+        x, c = Tensor(np.ones(2), requires_grad=True), Tensor(np.ones(2))
+        with frozen([x, c]):
+            assert not x.requires_grad
+        assert x.requires_grad and not c.requires_grad
+
+    def test_nested_blocks_restore_at_their_own_exit(self):
+        x = Tensor(np.ones(2), requires_grad=True)
+        y = Tensor(np.ones(2), requires_grad=True)
+        with frozen([x]):
+            with frozen([x, y]):
+                assert relu(x).node is None and relu(y).node is None
+            assert not x.requires_grad and y.requires_grad
+            assert relu(x).node is None and relu(y).node is not None
+        assert x.requires_grad and y.requires_grad
 
     def test_restored_when_the_block_raises(self):
         x = Tensor(np.ones(2), requires_grad=True)
         with pytest.raises(RuntimeError):
-            with no_grad():
+            with frozen([x]):
                 raise RuntimeError
-        assert relu(x).node is not None
+        assert x.requires_grad and relu(x).node is not None
 
-    def test_other_threads_keep_their_graphs(self):
-        x = Tensor(RNG.normal(size=(2, 3)), requires_grad=True)
-        inside, release = threading.Event(), threading.Event()
-        seen = []
-
-        def hold_no_grad():
-            with no_grad():
-                inside.set()
-                release.wait(timeout=60)
-                seen.append(relu(x).node)
-
-        worker = threading.Thread(target=hold_no_grad)
-        worker.start()
-        try:
-            assert inside.wait(timeout=60)
-            loss = mean(relu(x))
-            assert loss.node is not None
-            backward(loss)
-            assert x.grad is not None
-        finally:
-            release.set()
-            worker.join(timeout=60)
-        assert not worker.is_alive()
-        assert seen == [None]
-
+    def test_a_tensor_made_inside_still_records(self):
+        w = Tensor(RNG.normal(size=(3, 2)), requires_grad=True)
+        with frozen([w]):
+            path = Tensor(RNG.normal(size=(4, 3)), requires_grad=True)
+            backward(mean(matmul(path, w)))
+        assert path.grad is not None and w.grad is None
 
 class TestPoolingAndLookup:
     def test_mean_scalar(self):
