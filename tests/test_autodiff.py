@@ -348,7 +348,7 @@ class TestFrozen:
         backward(mean(matmul(relu(x), w)))
         assert x.grad is not None and w.grad is not None
 
-    def test_leaves_a_cleared_flag_cleared(self):
+    def test_a_flag_that_was_off_stays_off(self):
         x, c = Tensor(np.ones(2), requires_grad=True), Tensor(np.ones(2))
         with frozen([x, c]):
             assert not x.requires_grad
