@@ -18,7 +18,7 @@ import numpy as np
 from .autodiff import Tensor, backward_from, embedding_bag, frozen
 from .data import ReviewRecord
 from .errors import CapabilityError, ConfigError
-from .experiment import PCB_TARGETS, Dataset, featurize
+from .experiment import Dataset, featurize
 from .models import TEXT, ModelInstance
 from .serialize import is_int
 from .text import token_mask, tokenize
@@ -121,8 +121,6 @@ def integrated_gradients(model: ModelInstance, record: ReviewRecord,
         raise ConfigError(f"steps must be >= 1, got {steps}")
     if baseline not in ("pad", "zero"):
         raise ConfigError(f"baseline must be 'pad' or 'zero', got {baseline!r}")
-    if pcb_target not in PCB_TARGETS:
-        raise ConfigError(f"pcb_target must be one of {PCB_TARGETS}, got {pcb_target!r}")
 
     encoder = model.encoder
     data = featurize([record], encoder.vocab, encoder.max_sequence_length)
@@ -179,8 +177,8 @@ def integrated_gradients(model: ModelInstance, record: ReviewRecord,
 
 def rank_tokens(report: AttributionReport, k: int) -> list[tuple[int, str, float]]:
     """Top-k (position, token, score) by |score| descending, earlier position wins ties."""
-    if k < 0:
-        raise ConfigError(f"k must be >= 0, got {k}")
+    if not is_int(k) or k < 0:
+        raise ConfigError(f"k must be an integer >= 0, got {k!r}")
     k = min(k, len(report.tokens))
     order = sorted(range(len(report.tokens)),
                    key=lambda i: (-abs(report.scores[i]), i))

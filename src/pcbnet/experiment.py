@@ -123,10 +123,21 @@ class Dataset:
 
     def batch(self, idx: Sequence[int], pcb_target: str,
               modalities: Sequence[str] = (TEXT, APPRAISALS, EMOTIONS)) -> Batch:
-        """Rows ``idx`` with every target, and the inputs of ``modalities`` only."""
+        """Rows ``idx`` with every target, and the inputs of ``modalities`` only.
+
+        ``idx`` holds integers in ``[0, n)``; anything else is a ``ConfigError``.
+        """
         if pcb_target not in self.pcb_labels:
             raise ConfigError(f"unknown PCB target {pcb_target!r}")
-        idx = np.asarray(idx, dtype=np.int64)
+        idx, n = np.asarray(idx), len(self.appraisal_features)
+        if idx.size == 0:
+            idx = idx.astype(np.int64)  # an empty list arrives as float64
+        if idx.ndim != 1 or idx.dtype.kind not in "iu":
+            raise ConfigError(f"row indices must be a list of integers, got {idx.dtype} "
+                              f"of shape {idx.shape}")
+        if idx.size and (idx.min() < 0 or idx.max() >= n):
+            bad = idx[(idx < 0) | (idx >= n)][0]
+            raise ConfigError(f"row index {bad} is outside [0, {n})")
 
         def gather(column: np.ndarray | None, modality: str) -> np.ndarray | None:
             return None if column is None or modality not in modalities else column[idx]
@@ -217,7 +228,7 @@ def _train_single(model: ModelInstance, data: Dataset, train_idx: Sequence[int],
     optimizer = Adam(params, lr=cfg.lr)
     schedule = LinearSchedule(cfg.lr, total_steps)
     rng = np.random.default_rng(seed)
-    idx = np.asarray(train_idx, dtype=np.int64)
+    idx = np.asarray(train_idx)
     trace: list[float] = []
     val_trace: list[tuple[int, float]] = []
     val_every = max(1, epochs // 20)
@@ -251,8 +262,8 @@ def train(model: ModelInstance, data: Dataset, train_idx: Sequence[int],
     With ``cfg.finetune_fused`` only a tower's final classification layer is
     frozen, so the fusion phase trains through the rest of the tower.
     """
-    for i, (_, tower) in enumerate(sorted(model.components.items())):
-        _train_single(tower, data, train_idx, cfg, seed + 101 * (i + 1))
+    for tower in model.components.values():
+        _train_single(tower, data, train_idx, cfg, seed)
         # the fused path reads the tower's penultimate activation, never its final layer
         fixed = tower.heads[PCB_HEAD].layers[-1] if cfg.finetune_fused else tower
         for p in fixed.parameters().values():
@@ -266,7 +277,7 @@ def evaluate(model: ModelInstance, data: Dataset, idx: Sequence[int],
     idx = list(idx)
     if not idx:
         raise SizeError("cannot evaluate on an empty split")
-    preds = []
+    preds, labels = [], []
     aux_diag: dict[str, float] = {}
     emo_correct = emo_total = app_correct = app_total = 0
     with frozen(model.parameters().values()):
@@ -275,6 +286,7 @@ def evaluate(model: ModelInstance, data: Dataset, idx: Sequence[int],
                                model.spec.input_modalities)
             out = model.forward(batch)
             preds.append(np.argmax(out["pcb_logits"].data, axis=1))
+            labels.append(batch.pcb_labels)
             if "emotion_logits" in out:
                 got = (out["emotion_logits"].data > 0).astype(np.float64)
                 emo_correct += float((got == batch.emotion_target_flags).sum())
@@ -284,8 +296,7 @@ def evaluate(model: ModelInstance, data: Dataset, idx: Sequence[int],
                 got = np.argmax(blocks, axis=2)
                 app_correct += float((got == batch.appraisal_target_classes).sum())
                 app_total += got.size
-    y_pred = np.concatenate(preds)
-    y_true = data.pcb_labels[pcb_target][np.asarray(idx, dtype=np.int64)]
+    y_pred, y_true = np.concatenate(preds), np.concatenate(labels)
     if emo_total:
         aux_diag["emotion_flag_accuracy"] = emo_correct / emo_total
     if app_total:

@@ -256,16 +256,16 @@ class ModelInstance:
 
 def build(arch_id: int, encoder_dim: int = 128, vocab: Vocabulary | None = None,
           seed: int = 0, max_sequence_length: int = 256, precomputed: bool = False,
-          _prefix: str = "", _rng: np.random.Generator | None = None) -> ModelInstance:
+          _prefix: str = "") -> ModelInstance:
     """Instantiate architecture ``arch_id`` with seed-controlled initialization.
 
-    Heads are created in table order, each after the encoder or tower it is
-    the first to read, so the generator's draws keep one fixed order. With
-    ``precomputed`` no encoder is built: the text input is
-    ``Batch.text_features``, ``encoder_dim`` wide.
+    Heads are created in table order, each after the encoder it is the first
+    to read. A tower is built as its architecture 1, 2 or 3 baseline is, from
+    its own generator on the same ``seed``. With ``precomputed`` no encoder is
+    built: the text input is ``Batch.text_features``, ``encoder_dim`` wide.
     """
     spec = architecture_spec(arch_id)
-    rng = _rng if _rng is not None else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     model = ModelInstance(spec, encoder_dim)
     for head in spec.heads:
         for source in head.inputs:
@@ -275,9 +275,8 @@ def build(arch_id: int, encoder_dim: int = 128, vocab: Vocabulary | None = None,
                                             path=f"{_prefix}encoder")
             elif source in _TOWERS:
                 tower_id, key, prefix = _TOWERS[source]
-                tower = build(tower_id, encoder_dim, vocab,
-                              max_sequence_length=max_sequence_length,
-                              precomputed=precomputed, _prefix=_prefix + prefix, _rng=rng)
+                tower = build(tower_id, encoder_dim, vocab, seed, max_sequence_length,
+                              precomputed, _prefix + prefix)
                 model.components[key] = tower
                 if tower.encoder is not None:
                     model.encoder = tower.encoder

@@ -122,6 +122,16 @@ class TestContracts:
         with pytest.raises(ConfigError):
             integrated_gradients(model, records[0], baseline="noise")
 
+    def test_unknown_pcb_target_is_refused_and_flags_are_restored(self,
+                                                                  trained_text_model):
+        _, records, _, trained = trained_text_model
+        model = build(1, vocab=trained.encoder.vocab, seed=0)
+        model.heads["pcb_head"].layers[0].weight.requires_grad = False
+        before = {path: p.requires_grad for path, p in model.parameters().items()}
+        with pytest.raises(ConfigError, match="unknown PCB target 'loyalty'"):
+            integrated_gradients(model, records[0], pcb_target="loyalty")
+        assert {path: p.requires_grad for path, p in model.parameters().items()} == before
+
     @pytest.mark.parametrize("target_class", [True, False, -1, 3, 1.0, "high"])
     def test_bad_target_class(self, trained_text_model, target_class):
         _, records, _, model = trained_text_model
@@ -155,8 +165,9 @@ class TestRankTokens:
     def test_negative_k_is_refused(self):
         report = self.make_report(["a", "b", "c"], [0.2, -0.1, 0.3])
         assert rank_tokens(report, 0) == []
-        with pytest.raises(ConfigError, match="k must be"):
-            rank_tokens(report, -1)
+        for k in (-1, 1.5, "2", None, True):
+            with pytest.raises(ConfigError, match="k must be"):
+                rank_tokens(report, k)
 
     def test_ties_broken_by_earlier_position(self):
         report = self.make_report(["a", "b", "c"], [0.5, -0.5, 0.5])

@@ -144,6 +144,24 @@ class TestBatch:
         text = data.batch(idx, "promote", ("Text",)).token_ids
         assert np.array_equal(text, full.token_ids)
 
+    @pytest.mark.parametrize("rows", [lambda n: [1.5], lambda n: [-5], lambda n: [True, False],
+                                      lambda n: [n + 5], lambda n: [-n - 10]],
+                             ids=["float", "negative", "bool", "past-end", "before-start"])
+    def test_reads_only_integer_rows_in_range(self, prepared, rows):
+        data, _ = prepared
+        idx = rows(len(data.appraisal_features))
+        cfg = ExperimentConfig(architecture=2, rating_epochs=1)
+        for call in (lambda: data.batch(idx, "promote"),
+                     lambda: train(build(2), data, idx, cfg, seed=0),
+                     lambda: evaluate(build(2), data, idx, "promote")):
+            with pytest.raises(ConfigError, match="row ind"):
+                call()
+
+    def test_an_empty_index_gives_an_empty_batch(self, prepared):
+        data, _ = prepared
+        batch = data.batch([], "promote")
+        assert batch.pcb_labels.shape == (0,) and batch.token_ids.shape[0] == 0
+
     def test_stores_token_ids_alone_and_models_derive_the_float_mask(self, prepared,
                                                                      small_records):
         data, split = prepared
@@ -262,6 +280,21 @@ class TestTrain:
                   if k.startswith(("text_model.", "appraisal_model."))}
         assert towers and all(not p.requires_grad for p in towers.values())
         assert all(not np.array_equal(p.data, init[k]) for k, p in towers.items())
+
+    def test_towers_and_fusion_train_with_the_repetitions_seed(self, small_records,
+                                                                 monkeypatch):
+        from pcbnet import experiment
+        calls = []
+        monkeypatch.setattr(experiment, "_train_single",
+                            lambda model, data, idx, cfg, seed, validation_idx=None:
+                            calls.append((model.spec.id, seed)) or experiment.TrainResult(
+                                [], 0, []))
+        cfg = ExperimentConfig(architecture=9, repetitions=2, base_seed=3, min_token_freq=1)
+        run_repetitions(small_records, cfg)
+        for seed, trained in ((3, calls[:4]), (4, calls[4:])):
+            assert sorted(trained[:3]) == [(1, seed), (2, seed), (3, seed)]
+            assert trained[3] == (9, seed)
+        assert len(calls) == 8
 
     @pytest.mark.parametrize("arch_id", [1, 2, 9])
     def test_empty_train_index_is_a_size_error(self, prepared, arch_id):
@@ -412,6 +445,41 @@ class TestRepetitions:
         summary, _ = run_repetitions(small_records, cfg)
         trace = summary.rows[0].diagnostics["validation_trace"]
         assert trace and all(0.0 <= acc <= 1.0 for _, acc in trace)
+
+
+class TestTowers:
+    @pytest.mark.parametrize("resplit", [False, True], ids=["fixed-split", "resplit"])
+    def test_each_tower_is_its_same_repetition_baseline(self, small_records, resplit):
+        from pcbnet.experiment import run_repetition
+        base_seed = 5
+        for rep in range(2):
+            split = split_records(len(small_records), (0.8, 0.1, 0.1),
+                                  base_seed + (rep if resplit else 0))
+            data = featurize(small_records, build_vocab_for_split(small_records, split, 1))
+
+            def trained(arch_id, finetune=False):
+                cfg = ExperimentConfig(architecture=arch_id, repetitions=2, text_epochs=1,
+                                       rating_epochs=3, lr=1e-3, base_seed=base_seed,
+                                       min_token_freq=1, resplit_each_repetition=resplit,
+                                       finetune_fused=finetune)
+                return run_repetition(small_records, data, split, cfg, rep)[1]
+
+            baselines = {arch_id: trained(arch_id) for arch_id in (1, 2, 3)}
+            for fused in (7, 8, 9):
+                for finetune in (False, True):
+                    towers = trained(fused, finetune).components.values()
+                    assert len(towers) == (3 if fused == 9 else 2)
+                    for tower in towers:
+                        baseline = baselines[tower.spec.id]
+                        if finetune:  # the fusion phase trains the rest of the tower
+                            got = tower.heads["pcb_head"].layers[-1].parameters()
+                            want = baseline.heads["pcb_head"].layers[-1].parameters()
+                        else:
+                            got, want = tower.parameters(), baseline.parameters()
+                        assert [path.split(".", 1)[1] for path in got] == list(want)
+                        for (path, param), expected in zip(got.items(), want.values()):
+                            assert param.data.tobytes() == expected.data.tobytes(), (
+                                rep, finetune, path)
 
 
 class TestEncoderSlot:
