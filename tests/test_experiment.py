@@ -285,10 +285,12 @@ class TestTrain:
                                                                  monkeypatch):
         from pcbnet import experiment
         calls = []
-        monkeypatch.setattr(experiment, "_train_single",
-                            lambda model, data, idx, cfg, seed, validation_idx=None:
-                            calls.append((model.spec.id, seed)) or experiment.TrainResult(
-                                [], 0, []))
+
+        def record(model, data, train_idx, cfg, seed, validation_idx=None):
+            calls.append((model.spec.id, seed))
+            return experiment.TrainResult([], 0, [])
+
+        monkeypatch.setattr(experiment, "_train_single", record)
         cfg = ExperimentConfig(architecture=9, repetitions=2, base_seed=3, min_token_freq=1)
         run_repetitions(small_records, cfg)
         for seed, trained in ((3, calls[:4]), (4, calls[4:])):
