@@ -50,8 +50,8 @@ def _load_json_config(path: str | None, allowed: dict[str, Spec], what: str) -> 
     if path is None:
         return {}
     try:
-        obj = json.loads(read_input(path, f"{what} config", binary=True).decode("utf-8"))
-    except (ValueError, RecursionError) as exc:  # also not UTF-8, over-long integer, deep nesting
+        obj = json.loads(read_input(path, f"{what} config"))
+    except (ValueError, RecursionError) as exc:  # also an over-long integer, deep nesting
         raise ConfigError(f"{what} config {path} is not valid JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise ConfigError(f"{what} config must be a JSON object")
@@ -223,13 +223,7 @@ def render_report(rows: list[dict]) -> str:
 
 def _metrics_rows(csv_path: Path) -> list[dict]:
     """The rows of a CSV that carry every metrics column, their numbers checked."""
-    raw = read_input(csv_path, "metrics CSV", binary=True)
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = raw[:exc.start].count(b"\n") + 1
-        raise ValidationError(f"{csv_path}: line {line}: not UTF-8 text") from None
-    reader = csv.DictReader(io.StringIO(text, newline=""))
+    reader = csv.DictReader(io.StringIO(read_input(csv_path, "metrics CSV"), newline=""))
     rows = []
     try:
         for row in reader:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ConfigError, SizeError, ValidationError
 from .schema import check_fields, declared
-from .serialize import atomic_write_text, atomic_writer, jsonl_lines, read_input, record_id
+from .serialize import atomic_write_text, atomic_writer, read_input, read_jsonl, record_id
 from .text import tokenize
 
 APPRAISAL_COUNT = 20
@@ -45,6 +45,8 @@ DEFAULT_APPRAISAL_NAMES = (
 
 PCB_TARGETS = ("repurchase", "promote")
 PCB_FIELDS = tuple(f"pcb_{target}" for target in PCB_TARGETS)
+_FIELDS = ("id", "text", "appraisals", "emotions", *PCB_FIELDS)
+_RATINGS = frozenset(range(1, 8))
 
 
 class Level(enum.IntEnum):
@@ -55,7 +57,12 @@ class Level(enum.IntEnum):
 
 @dataclass(frozen=True)
 class ReviewRecord:
-    """One consumer record; all ratings are integers on a 1-7 scale."""
+    """One consumer record; all ratings are integers on a 1-7 scale.
+
+    A record checks itself when it is made: the ``id`` follows ``record_id``,
+    the text is a string, and there are 20 appraisal and 8 emotion ratings
+    (stored as tuples) and two PCB ratings; anything else is a ``ValidationError``.
+    """
 
     id: str
     text: str
@@ -63,6 +70,22 @@ class ReviewRecord:
     emotions: tuple[int, ...]
     pcb_repurchase: int
     pcb_promote: int
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "id", record_id(self.id))
+        if not isinstance(self.text, str):
+            raise ValidationError(f"text must be a string, got {type(self.text).__name__}")
+        for name, count in (("appraisals", APPRAISAL_COUNT), ("emotions", EMOTION_COUNT)):
+            values = getattr(self, name)
+            if not isinstance(values, (list, tuple)):
+                raise ValidationError(f"{name} must be a list of ratings")
+            if len(values) != count:
+                raise ValidationError(f"expected {count} {name[:-1]} ratings, got {len(values)}")
+            object.__setattr__(self, name, tuple(values))
+        check_ratings(self.appraisals, "appraisal rating")
+        check_ratings(self.emotions, "emotion rating")
+        check_ratings((self.pcb_repurchase,), "pcb_repurchase")
+        check_ratings((self.pcb_promote,), "pcb_promote")
 
     def pcb(self, target: str) -> int:
         if target == "repurchase":
@@ -87,11 +110,10 @@ def _check_rating(value: int, what: str) -> int:
     return int(value)
 
 
-def check_ratings(values: Iterable, what: str) -> None:
+def check_ratings(values: Sequence, what: str) -> None:
     """Refuse the first value that ``segment_pcb``/``segment_emotion`` would refuse."""
-    values = list(values)
-    if not (set(map(type, values)) <= {int}  # a plain int, so never a bool
-            and 1 <= min(values, default=1) and max(values, default=7) <= 7):
+    # a plain int, so never a bool, and hashable before the set lookup
+    if not ({int}.issuperset(map(type, values)) and _RATINGS.issuperset(values)):
         for value in values:
             _check_rating(value, what)
 
@@ -143,38 +165,13 @@ def split_records(n_records: int, ratios: Sequence[float], seed: int) -> Dataset
 # ---------------------------------------------------------------------------
 # Ingestion and export
 
-def _record_from_obj(obj: dict, where: str) -> ReviewRecord:
+def _record_from_obj(obj) -> ReviewRecord:
     if not isinstance(obj, dict):
-        raise ValidationError(f"{where}: expected a JSON object, got {type(obj).__name__}")
-    problems = []
-    for key in ("id", "text", "appraisals", "emotions", *PCB_FIELDS):
-        if key not in obj:
-            problems.append(f"missing field {key!r}")
-    if problems:
-        raise ValidationError(f"{where}: " + "; ".join(problems))
-    appraisals = obj["appraisals"]
-    emotions = obj["emotions"]
-    if not isinstance(appraisals, list) or not isinstance(emotions, list):
-        raise ValidationError(f"{where}: appraisals and emotions must be lists of ratings")
-    if len(appraisals) != APPRAISAL_COUNT:
-        raise ValidationError(
-            f"{where}: expected {APPRAISAL_COUNT} appraisal ratings, got {len(appraisals)}")
-    if len(emotions) != EMOTION_COUNT:
-        raise ValidationError(
-            f"{where}: expected {EMOTION_COUNT} emotion ratings, got {len(emotions)}")
-    if not isinstance(obj["text"], str):
-        raise ValidationError(f"{where}: text must be a string, got {type(obj['text']).__name__}")
-    try:
-        return ReviewRecord(
-            id=record_id(obj["id"]),
-            text=obj["text"],
-            appraisals=tuple(_check_rating(a, "appraisal rating") for a in appraisals),
-            emotions=tuple(_check_rating(e, "emotion rating") for e in emotions),
-            pcb_repurchase=_check_rating(obj["pcb_repurchase"], "pcb_repurchase"),
-            pcb_promote=_check_rating(obj["pcb_promote"], "pcb_promote"),
-        )
-    except ValidationError as exc:
-        raise ValidationError(f"{where}: {exc}") from None
+        raise ValidationError(f"expected a JSON object, got {type(obj).__name__}")
+    missing = [key for key in _FIELDS if key not in obj]
+    if missing:
+        raise ValidationError("; ".join(f"missing field {key!r}" for key in missing))
+    return ReviewRecord(**{key: obj[key] for key in _FIELDS})
 
 
 def _csv_header() -> list[str]:
@@ -191,64 +188,39 @@ def ingest(path: str | Path) -> list[ReviewRecord]:
     is rejected in one error.
     """
     path = Path(path)
-    text = read_input(path, "dataset")
+    if path.suffix.lower() != ".csv":
+        return [record for _, record in read_jsonl(path, "dataset", _record_from_obj)]
+    reader = csv.reader(io.StringIO(read_input(path, "dataset"), newline=""))
+    try:
+        rows = list(reader)
+    except csv.Error as exc:  # e.g. a field over the csv module's size limit
+        raise ValidationError(f"{path}: line {reader.line_num}: {exc}") from None
+    header = _csv_header()
+    if not rows or rows[0] != header:
+        raise ValidationError(f"{path}: CSV header must be {','.join(header)}")
     records: list[ReviewRecord] = []
     errors: list[str] = []
-    if path.suffix.lower() != ".csv":
-        for lineno, line in jsonl_lines(text):
-            try:
-                obj = json.loads(line)
-                records.append(_record_from_obj(obj, f"line {lineno}"))
-            except json.JSONDecodeError as exc:
-                errors.append(f"line {lineno}: invalid JSON ({exc.msg})")
-            except (ValueError, RecursionError) as exc:  # over-long integer, deep nesting
-                errors.append(f"line {lineno}: invalid JSON ({exc})")
-            except ValidationError as exc:
-                errors.append(str(exc))
-    else:
-        reader = csv.reader(io.StringIO(text))
+    for lineno, row in enumerate(rows[1:], 2):
+        if not row:
+            continue
+        if len(row) != len(header):
+            errors.append(f"line {lineno}: expected {len(header)} columns, got {len(row)}")
+            continue
         try:
-            rows = list(reader)
-        except csv.Error as exc:  # e.g. a field over the csv module's size limit
-            raise ValidationError(f"{path}: line {reader.line_num}: {exc}") from None
-        header = _csv_header()
-        if not rows or rows[0] != header:
-            raise ValidationError(f"{path}: CSV header must be {','.join(header)}")
-        for lineno, row in enumerate(rows[1:], 2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                errors.append(f"line {lineno}: expected {len(header)} columns, got {len(row)}")
-                continue
-            try:
-                obj = {
-                    "id": row[0],
-                    "text": row[1],
-                    "appraisals": [int(v) for v in row[2:2 + APPRAISAL_COUNT]],
-                    "emotions": [int(v) for v in
-                                 row[2 + APPRAISAL_COUNT:2 + APPRAISAL_COUNT + EMOTION_COUNT]],
-                    "pcb_repurchase": int(row[-2]),
-                    "pcb_promote": int(row[-1]),
-                }
-                records.append(_record_from_obj(obj, f"line {lineno}"))
-            except ValueError:
-                errors.append(f"line {lineno}: non-integer rating value")
-            except ValidationError as exc:
-                errors.append(str(exc))
+            ratings = [int(v) for v in row[2:]]
+            records.append(ReviewRecord(row[0], row[1], ratings[:APPRAISAL_COUNT],
+                                        ratings[APPRAISAL_COUNT:-2], *ratings[-2:]))
+        except ValueError:
+            errors.append(f"line {lineno}: non-integer rating value")
+        except ValidationError as exc:
+            errors.append(f"line {lineno}: {exc}")
     if errors:
         raise ValidationError(f"{path}: {len(errors)} invalid rows\n" + "\n".join(errors))
     return records
 
 
 def record_to_obj(record: ReviewRecord) -> dict:
-    return {
-        "id": record.id,
-        "text": record.text,
-        "appraisals": list(record.appraisals),
-        "emotions": list(record.emotions),
-        "pcb_repurchase": record.pcb_repurchase,
-        "pcb_promote": record.pcb_promote,
-    }
+    return {key: getattr(record, key) for key in _FIELDS}  # a tuple dumps as a JSON list
 
 
 def write_jsonl(records: Iterable[ReviewRecord], path: str | Path) -> None:
@@ -259,13 +231,16 @@ def write_jsonl(records: Iterable[ReviewRecord], path: str | Path) -> None:
 
 
 def write_csv(records: Iterable[ReviewRecord], path: str | Path) -> None:
-    """The header row, then one row per record, written record by record."""
+    """The header row, then one row per record, written record by record. The csv
+    module quotes a field for "\\n" but not for a bare "\\r", so a row with one is
+    quoted whole."""
     with atomic_writer(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
+        quoted = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL)
         writer.writerow(_csv_header())
         for r in records:
-            writer.writerow([r.id, r.text, *r.appraisals, *r.emotions,
-                             r.pcb_repurchase, r.pcb_promote])
+            (quoted if "\r" in r.id or "\r" in r.text else writer).writerow(
+                [r.id, r.text, *r.appraisals, *r.emotions, r.pcb_repurchase, r.pcb_promote])
 
 
 def write_appraisal_names(path: str | Path) -> None:

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -12,7 +11,7 @@ import numpy as np
 from .autodiff import (Tensor, add, backward, binary_cross_entropy, cross_entropy, frozen,
                        grouped_cross_entropy)
 from .data import (APPRAISAL_COUNT, EMOTION_FLAGS, PCB_LEVELS, PCB_TARGETS, DatasetSplit,
-                   ReviewRecord, check_ratings, split_records)
+                   ReviewRecord, split_records)
 from .errors import ConfigError, SizeError, TrainingError
 from .metrics import accuracy_score, weighted_f1
 from .models import (APPRAISALS, EMOTIONS, MAX_BUILT_ENCODER_DIM, PCB_HEAD, TEXT, Batch,
@@ -125,19 +124,11 @@ class Dataset:
               modalities: Sequence[str] = (TEXT, APPRAISALS, EMOTIONS)) -> Batch:
         """Rows ``idx`` with every target, and the inputs of ``modalities`` only.
 
-        ``idx`` holds integers in ``[0, n)``; anything else is a ``ConfigError``.
+        ``idx`` follows the rule of ``rows``.
         """
         if pcb_target not in self.pcb_labels:
             raise ConfigError(f"unknown PCB target {pcb_target!r}")
-        idx, n = np.asarray(idx), len(self.appraisal_features)
-        if idx.size == 0:
-            idx = idx.astype(np.int64)  # an empty list arrives as float64
-        if idx.ndim != 1 or idx.dtype.kind not in "iu":
-            raise ConfigError(f"row indices must be a list of integers, got {idx.dtype} "
-                              f"of shape {idx.shape}")
-        if idx.size and (idx.min() < 0 or idx.max() >= n):
-            bad = idx[(idx < 0) | (idx >= n)][0]
-            raise ConfigError(f"row index {bad} is outside [0, {n})")
+        idx = self.rows(idx)
 
         def gather(column: np.ndarray | None, modality: str) -> np.ndarray | None:
             return None if column is None or modality not in modalities else column[idx]
@@ -152,6 +143,22 @@ class Dataset:
             emotion_target_flags=self.emotion_target_flags[idx],
         )
 
+    def rows(self, idx: Sequence[int]) -> np.ndarray:
+        """``idx`` as an integer array, if it holds integers in ``[0, n)`` alone;
+        anything else is a ``ConfigError``."""
+        rows, n = np.asarray(idx), len(self.appraisal_features)
+        if rows.size == 0:
+            rows = rows.astype(np.int64)  # an empty list arrives as float64
+        # asarray reads a list that mixes bools and integers as integers
+        if rows.ndim != 1 or rows.dtype.kind not in "iu" or (
+                not isinstance(idx, np.ndarray)
+                and any(isinstance(i, (bool, np.bool_)) for i in idx)):
+            raise ConfigError(f"row indices must be a list of integers, got {idx!r:.60}")
+        if rows.size and (rows.min() < 0 or rows.max() >= n):
+            bad = rows[(rows < 0) | (rows >= n)][0]
+            raise ConfigError(f"row index {bad} is outside [0, {n})")
+        return rows
+
 
 def featurize(records: Sequence[ReviewRecord], vocab: Vocabulary | None,
               max_sequence_length: int = 256,
@@ -164,11 +171,7 @@ def featurize(records: Sequence[ReviewRecord], vocab: Vocabulary | None,
     """
     records = list(records)
     pcb = {t: [r.pcb(t) for r in records] for t in PCB_TARGETS}
-    # every rating is checked before the tables are indexed with it
-    check_ratings(chain.from_iterable(r.appraisals for r in records), "PCB rating")
-    for column in pcb.values():
-        check_ratings(column, "PCB rating")
-    check_ratings(chain.from_iterable(r.emotions for r in records), "emotion rating")
+    # a record checked its ratings when it was made, so they index the tables
     appraisals = np.array([r.appraisals for r in records], dtype=np.int64)
     emotions = np.array([r.emotions for r in records], dtype=np.int64)
     levels = np.array(PCB_LEVELS, dtype=np.int64)
@@ -228,7 +231,7 @@ def _train_single(model: ModelInstance, data: Dataset, train_idx: Sequence[int],
     optimizer = Adam(params, lr=cfg.lr)
     schedule = LinearSchedule(cfg.lr, total_steps)
     rng = np.random.default_rng(seed)
-    idx = np.asarray(train_idx)
+    idx = data.rows(train_idx)
     trace: list[float] = []
     val_trace: list[tuple[int, float]] = []
     val_every = max(1, epochs // 20)

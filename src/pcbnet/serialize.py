@@ -4,8 +4,9 @@ Layout: magic line, 8-byte little-endian header length, UTF-8 JSON header,
 then the concatenated row-major float64 buffers. The header carries a format
 name, version, arbitrary metadata, and the tensor index (name, shape, offset
 in float64 elements). Writes are atomic (temp file + rename, through
-``atomic_writer``) and byte-stable for identical inputs. ``jsonl_lines`` is
-the line rule of every JSONL reader, and ``record_id`` their id rule.
+``atomic_writer``) and byte-stable for identical inputs. ``read_jsonl`` is
+the loop of every JSONL reader, ``jsonl_lines`` its line rule, and
+``record_id`` their id rule.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import struct
 import tempfile
 from contextlib import contextmanager
 from pathlib import Path
-from typing import IO, Iterator
+from typing import IO, Callable, Iterator
 
 import numpy as np
 
@@ -29,16 +30,23 @@ FORMAT_VERSION = 1
 
 
 def read_input(path: str | Path, what: str, binary: bool = False) -> str | bytes:
-    """Input file ``path``, UTF-8 text unless ``binary``: a ``ConfigError`` if it
-    cannot be read, a ``ValidationError`` if it is not UTF-8."""
+    """Input file ``path``, its bytes decoded as UTF-8 unless ``binary``: a
+    ``ConfigError`` if it cannot be read, a ``ValidationError`` naming the line if
+    it is not UTF-8. Newlines are not translated: line rules are the reader's."""
     try:
-        return Path(path).read_bytes() if binary else Path(path).read_text(encoding="utf-8")
+        raw = Path(path).read_bytes()
     except FileNotFoundError:
         raise ConfigError(f"{what} not found: {path}") from None
     except OSError as exc:  # a directory, no permission
         raise ConfigError(f"{what} cannot be read: {path} ({exc.strerror})") from None
+    if binary:
+        return raw
+    try:
+        return raw.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise ValidationError(f"{path}: not UTF-8 text (byte offset {exc.start})") from None
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise ValidationError(f"{path}: line {line}: not UTF-8 text "
+                              f"(byte offset {exc.start})") from None
 
 
 def output_dir(path: str | Path) -> Path:
@@ -88,6 +96,27 @@ def jsonl_lines(text: str) -> Iterator[tuple[int, str]]:
         line = line.removesuffix("\r")
         if line.strip():
             yield lineno, line
+
+
+def read_jsonl(path: str | Path, what: str, parse: Callable) -> list[tuple[int, object]]:
+    """``(line number, parse(value))`` for each JSON line of input file ``path``.
+
+    ``parse`` refuses a value with a ``ValidationError``. Every line that is
+    not JSON, or that ``parse`` refuses, is listed in one ``ValidationError``.
+    """
+    values: list[tuple[int, object]] = []
+    errors: list[str] = []
+    for lineno, line in jsonl_lines(read_input(path, what)):
+        try:
+            values.append((lineno, parse(json.loads(line))))
+        except json.JSONDecodeError as exc:
+            errors.append(f"line {lineno}: invalid JSON ({exc.msg})")
+        # also an over-long integer, deep nesting, a number past float64
+        except (ValidationError, ValueError, OverflowError, RecursionError) as exc:
+            errors.append(f"line {lineno}: {exc}")
+    if errors:
+        raise ValidationError(f"{path}: {len(errors)} invalid rows\n" + "\n".join(errors))
+    return values
 
 
 def record_id(value) -> str:

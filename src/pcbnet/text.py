@@ -27,7 +27,7 @@ from .autodiff import Tensor, embedding_bag, parameter
 from .autodiff import embedding_lookup, masked_mean  # noqa: F401
 from .errors import ConfigError, ValidationError
 from .nn import LinearLayer
-from .serialize import atomic_writer, jsonl_lines, read_input, record_id
+from .serialize import atomic_writer, read_jsonl, record_id
 
 PAD_TOKEN = "<pad>"
 UNK_TOKEN = "<unk>"
@@ -124,40 +124,35 @@ class TextEncoder:
         return out
 
 
+def _embedding(obj) -> tuple[str, np.ndarray]:
+    if not (isinstance(obj, dict) and "id" in obj and "embedding" in obj):
+        raise ValidationError("expected an object with an id and an embedding")
+    values = obj["embedding"]
+    # a flat list of JSON numbers; a bool or a string would convert silently
+    if not (isinstance(values, list) and set(map(type, values)) <= {int, float}):
+        raise ValidationError("embedding must be a flat list of numbers")
+    vec = np.array(values, dtype=np.float64)  # an integer past float64 is an OverflowError
+    if not np.isfinite(vec).all():
+        raise ValidationError("embedding values must be finite")
+    return record_id(obj["id"]), vec
+
+
 def load_embeddings(path: str | Path, ids: Sequence[str]) -> np.ndarray:
     """Externally computed embeddings, one row per record id, in that order.
 
     File format: one JSON object per line, ``{"id": ..., "embedding": [...]}``.
-    Every line must parse, hold finite JSON numbers and share one width, and
-    every id in ``ids`` must have a line; otherwise a ``ValidationError``
-    names the fault.
+    A ``ValidationError`` lists every line that is not JSON or not finite
+    numbers (``serialize.read_jsonl``), else names the first line whose width
+    differs from the first line's, or an id in ``ids`` with no line.
     """
-    table: dict[str, np.ndarray] = {}
-    dim: int | None = None
-    text = read_input(path, "precomputed embeddings")
-    for lineno, line in jsonl_lines(text):
-        try:
-            obj = json.loads(line)
-            rid, values = record_id(obj["id"]), obj["embedding"]
-            # a flat list of JSON numbers; a bool or a string would convert silently
-            if not (isinstance(values, list) and set(map(type, values)) <= {int, float}):
-                raise ValidationError("embedding must be a flat list of numbers")
-            vec = np.array(values, dtype=np.float64)
-        # ValueError: bad JSON or an over-long integer; OverflowError: one past float64
-        except (ValueError, OverflowError, KeyError, TypeError, RecursionError) as exc:
-            raise ValidationError(f"line {lineno}: bad embedding record ({exc})") from exc
-        except ValidationError as exc:
-            raise ValidationError(f"line {lineno}: {exc}") from None
-        if not np.isfinite(vec).all():
-            raise ValidationError(f"line {lineno}: embedding values must be finite")
-        if dim is None:
-            dim = vec.shape[0]
-        elif vec.shape[0] != dim:
-            raise ValidationError(
-                f"line {lineno}: embedding width {vec.shape[0]} != {dim}")
-        table[rid] = vec
-    if dim is None:
+    lines = read_jsonl(path, "precomputed embeddings", _embedding)
+    if not lines:
         raise ValidationError(f"{path}: no embedding records found")
+    dim = len(lines[0][1][1])  # each line holds (id, vector)
+    for lineno, (_, vec) in lines:
+        if len(vec) != dim:
+            raise ValidationError(f"{path}: line {lineno}: embedding width {len(vec)} != {dim}")
+    table = dict(row for _, row in lines)
     rows = np.empty((len(ids), dim))
     for i, rid in enumerate(ids):
         if rid not in table:

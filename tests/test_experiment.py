@@ -52,7 +52,7 @@ class TestFeaturize:
     @given(st.lists(st.lists(st.integers(1, 7), min_size=30, max_size=30),
                     min_size=1, max_size=12),
            st.booleans())
-    @settings(derandomize=True, max_examples=60, deadline=None)
+    @settings(max_examples=60, deadline=None)
     def test_targets_follow_the_per_value_rules(self, rows, numpy_ints):
         from pcbnet.data import segment_emotion, segment_pcb
         to_int = np.int64 if numpy_ints else int
@@ -80,8 +80,15 @@ class TestFeaturize:
         value = getattr(record, field)
         if isinstance(value, tuple):
             bad = value[:3] + (bad,) + value[4:]
-        records = [small_records[1], dataclasses.replace(record, **{field: bad})]
         with pytest.raises(ValidationError):
+            records = [small_records[1], dataclasses.replace(record, **{field: bad})]
+            featurize(records, None)
+
+    def test_a_library_record_with_ragged_ratings_is_refused_when_made(self, small_records):
+        with pytest.raises(ValidationError, match="expected 20 appraisal ratings, got 19"):
+            records = [small_records[1],
+                       dataclasses.replace(small_records[0],
+                                           appraisals=small_records[0].appraisals[:19])]
             featurize(records, None)
 
 
@@ -145,8 +152,10 @@ class TestBatch:
         assert np.array_equal(text, full.token_ids)
 
     @pytest.mark.parametrize("rows", [lambda n: [1.5], lambda n: [-5], lambda n: [True, False],
-                                      lambda n: [n + 5], lambda n: [-n - 10]],
-                             ids=["float", "negative", "bool", "past-end", "before-start"])
+                                      lambda n: [n + 5], lambda n: [-n - 10],
+                                      lambda n: [True, 3]],
+                             ids=["float", "negative", "bool", "past-end", "before-start",
+                                  "bool-and-int"])
     def test_reads_only_integer_rows_in_range(self, prepared, rows):
         data, _ = prepared
         idx = rows(len(data.appraisal_features))

@@ -45,7 +45,7 @@ class TestDeclaredFields:
 
     @pytest.mark.parametrize("cls, key", DECLARED, ids=[k for _, k in DECLARED])
     @given(value=VALUES)
-    @settings(max_examples=60, deadline=None, derandomize=True)
+    @settings(max_examples=60, deadline=None)
     def test_construction_succeeds_or_is_a_config_error(self, cls, key, value):
         construct_or_config_error(cls, key, value)
 

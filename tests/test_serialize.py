@@ -13,12 +13,7 @@ from pcbnet.serialize import (FORMAT_NAME, FORMAT_VERSION, MAGIC, load_params,
 
 @pytest.fixture(scope="module")
 def fuzz_dir(tmp_path_factory):
-    d = tmp_path_factory.mktemp("fuzz")
-    save_params(d / "valid.params",
-                {"head.weight": np.arange(6.0).reshape(2, 3), "head.bias": np.ones(3),
-                 "s": np.array(2.5)},
-                meta={"architecture_id": 12, "vocab": ["<pad>", "good"]})
-    return d
+    return tmp_path_factory.mktemp("fuzz")
 
 
 def load_or_validation_error(path, raw):
@@ -109,20 +104,6 @@ class TestParamsFormat:
             cut.write_bytes(raw[:n])
             with pytest.raises(ValidationError):
                 load_params(cut)
-
-    @given(st.binary(max_size=256), st.booleans())
-    @settings(max_examples=200, deadline=None)
-    def test_fuzz_arbitrary_bytes(self, fuzz_dir, tail, with_magic):
-        load_or_validation_error(fuzz_dir / "fuzz.params", (MAGIC if with_magic else b"") + tail)
-
-    @given(st.data())
-    @settings(max_examples=300, deadline=None)
-    def test_fuzz_flipped_and_truncated_checkpoint(self, fuzz_dir, data):
-        raw = bytearray((fuzz_dir / "valid.params").read_bytes())
-        i = data.draw(st.integers(0, len(raw) - 1))
-        raw[i] ^= data.draw(st.integers(1, 255))
-        cut = data.draw(st.integers(0, len(raw)))
-        load_or_validation_error(fuzz_dir / "fuzz.params", bytes(raw[:cut]))
 
     @given(st.lists(index_entries | json_values, max_size=3), st.integers(0, 8))
     @settings(max_examples=200, deadline=None)

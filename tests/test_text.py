@@ -264,3 +264,28 @@ class TestPrecomputedEncoder:
                         '{"id": "b", "embedding": [1.0, 2.0]}\n')
         with pytest.raises(ValidationError):
             load_embeddings(path, ["a", "b"])
+
+    def test_a_carriage_return_between_json_tokens_is_whitespace(self, tmp_path):
+        path = tmp_path / "emb.jsonl"
+        path.write_bytes(b'{"id":\r"a",\r"embedding":\r[1.0,\r2.0]}\r\n{"id": "b", '
+                         b'"embedding": [3.0, 4.0]}\r')
+        assert load_embeddings(path, ["b", "a"]).tolist() == [[3.0, 4.0], [1.0, 2.0]]
+
+    def test_every_bad_line_is_listed(self, tmp_path):
+        path = tmp_path / "emb.jsonl"
+        path.write_text('{"id": "a", "embedding": [1.0]}\n'
+                        'not json\n'
+                        '{"id": "b", "embedding": [true]}\n'
+                        '{"id": "c"}\n')
+        with pytest.raises(ValidationError) as info:
+            load_embeddings(path, ["a"])
+        lines = str(info.value).split("\n")
+        assert lines[0] == f"{path}: 3 invalid rows"
+        assert [line.split(":")[0] for line in lines[1:]] == ["line 2", "line 3", "line 4"]
+
+    def test_bad_utf8_names_its_line(self, tmp_path):
+        path = tmp_path / "emb.jsonl"
+        path.write_bytes(b'{"id": "a", "embedding": [1.0]}\r\n'
+                         b'{"id": "caf\xe9", "embedding": [1.0]}\n')
+        with pytest.raises(ValidationError, match=f"{path}: line 2: not UTF-8 text"):
+            load_embeddings(path, ["a"])
