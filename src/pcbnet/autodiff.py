@@ -1,4 +1,7 @@
-"""Reverse-mode automatic differentiation over dense float64 tensors.
+"""Reverse-mode automatic differentiation over dense float tensors.
+
+A tensor keeps a float32 or float64 array as given and converts anything
+else to float64; every operation computes in its inputs' dtype.
 
 Operations eagerly record a closure graph as they execute; ``backward`` walks
 it once in reverse topological order and accumulates gradients additively.
@@ -36,8 +39,14 @@ class ComputationNode:
         self.backward_fn = backward_fn
 
 
+def _as_float(data) -> Array:
+    """``data`` as an array: float32 stays float32, anything else is float64."""
+    data = np.asarray(data)
+    return data if data.dtype == np.float32 else data.astype(np.float64, copy=False)
+
+
 class Tensor:
-    """Dense float64 array with an optional gradient buffer.
+    """Dense float32 or float64 array with an optional gradient buffer.
 
     Tensors produced by recorded operations carry a ``node`` linking them to
     their parents; leaves (parameters, inputs) have ``node is None``.
@@ -47,7 +56,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False,
                  node: ComputationNode | None = None, path: str | None = None):
-        self.data = np.asarray(data, dtype=np.float64)
+        self.data = _as_float(data)
         self.grad: Array | None = None
         self.requires_grad = bool(requires_grad)
         self.node = node
@@ -96,7 +105,7 @@ def _accumulate(t: Tensor, g: Array, owned: bool = False) -> None:
     # twice, the seed is the caller's
     if t.requires_grad:
         if t.grad is None:
-            t.grad = g if owned else np.array(g, dtype=np.float64)
+            t.grad = g if owned else g.copy()
         else:
             t.grad += g
 
@@ -133,7 +142,7 @@ def backward_from(output: Tensor, upstream: Array) -> None:
 
     As in PyTorch, only leaves keep a gradient: every interior ``grad`` ends None.
     """
-    upstream = np.asarray(upstream, dtype=np.float64)
+    upstream = np.asarray(upstream, dtype=output.data.dtype)
     if upstream.shape != output.data.shape:
         raise DimensionError(
             f"upstream gradient shape {upstream.shape} does not match "
@@ -301,15 +310,16 @@ def embedding_bag(table: Tensor, ids: Array, mask: Array) -> Tensor:
     gradient ``bags.T @ (g / counts)``; no ``[b, L, e]`` tensor is built.
     """
     ids = np.asarray(ids)
-    mask = np.asarray(mask, dtype=np.float64)
+    mask = _as_float(mask)
     _check_ids(table, ids)
     if ids.ndim != 2 or mask.shape != ids.shape:
         raise DimensionError(
             f"embedding_bag expects ids [b, L] and mask [b, L], got {ids.shape} and {mask.shape}")
     b, vocab_size = ids.shape[0], table.shape[0]
     rows = (np.arange(b)[:, None] * vocab_size + ids).ravel()
-    bags = np.bincount(rows, weights=mask.ravel(),
-                       minlength=b * vocab_size).reshape(b, vocab_size)
+    # bincount sums in float64; the counts are small integers, exact in float32
+    bags = np.bincount(rows, weights=mask.ravel(), minlength=b * vocab_size).reshape(
+        b, vocab_size).astype(mask.dtype, copy=False)
     counts = np.maximum(mask.sum(axis=1), 1.0)[:, None]
     out = (bags @ table.data) / counts
 
@@ -403,7 +413,7 @@ def grouped_cross_entropy(logits: Tensor, targets: Array, groups: int,
 
 def binary_cross_entropy(logits: Tensor, targets: Array, weight: float = 1.0) -> Tensor:
     """Mean over all entries of the stable logits-form binary cross-entropy."""
-    targets = np.asarray(targets, dtype=np.float64)
+    targets = np.asarray(targets, dtype=logits.data.dtype)
     if logits.data.ndim != 2:
         raise DimensionError(
             f"binary_cross_entropy expects logits [b, k], got {logits.shape}")

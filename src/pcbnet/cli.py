@@ -259,24 +259,27 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_attribute(args: argparse.Namespace) -> int:
+    # the arguments, then the inputs, are checked before any output is made
+    steps = Spec("int", ge=1).check("--steps", args.steps)
+    wanted = [rid for chunk in args.records for rid in chunk.split(",") if rid]
+    if not wanted:
+        raise ConfigError("no record ids given")
     model, meta = load_model(args.checkpoint)
     if TEXT not in model.spec.input_modalities:
         raise CapabilityError(
             f"checkpoint is architecture {model.spec.id} "
             f"({model.spec.name}), which has no text input")
     records = {r.id: r for r in ingest(args.dataset)}
-    wanted = [rid for chunk in args.records for rid in chunk.split(",") if rid]
-    if not wanted:
-        raise ConfigError("no record ids given")
+    for rid in wanted:
+        if rid not in records:
+            raise DatasetLookupError(f"record id {rid!r} not found in {args.dataset}")
     out_dir = output_dir(args.out or _default_out() / "attributions")
     pcb_target = meta.get("pcb_target", "promote")
     target_class = "predicted" if args.target == "predicted" else None
     for rid in wanted:
-        if rid not in records:
-            raise DatasetLookupError(f"record id {rid!r} not found in {args.dataset}")
         report = integrated_gradients(model, records[rid], pcb_target=pcb_target,
                                       target_class=target_class,
-                                      steps=args.steps, baseline=args.baseline)
+                                      steps=steps, baseline=args.baseline)
         atomic_write_text(out_dir / f"{rid}.json", report_to_json(report) + "\n")
         atomic_write_text(out_dir / f"{rid}.html", report_to_html(report))
         print(f"wrote {out_dir / rid}.json and .html "

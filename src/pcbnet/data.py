@@ -191,16 +191,20 @@ def ingest(path: str | Path) -> list[ReviewRecord]:
     if path.suffix.lower() != ".csv":
         return [record for _, record in read_jsonl(path, "dataset", _record_from_obj)]
     reader = csv.reader(io.StringIO(read_input(path, "dataset"), newline=""))
+    rows: list[tuple[int, list[str]]] = []  # each row with the line it starts on
+    start = 1
     try:
-        rows = list(reader)
+        for row in reader:  # a quoted field may span lines
+            rows.append((start, row))
+            start = reader.line_num + 1
     except csv.Error as exc:  # e.g. a field over the csv module's size limit
         raise ValidationError(f"{path}: line {reader.line_num}: {exc}") from None
     header = _csv_header()
-    if not rows or rows[0] != header:
+    if not rows or rows[0][1] != header:
         raise ValidationError(f"{path}: CSV header must be {','.join(header)}")
     records: list[ReviewRecord] = []
     errors: list[str] = []
-    for lineno, row in enumerate(rows[1:], 2):
+    for lineno, row in rows[1:]:
         if not row:
             continue
         if len(row) != len(header):

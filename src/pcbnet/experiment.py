@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from typing import Sequence
 
 import numpy as np
@@ -217,9 +217,24 @@ def _param_norms(params: dict[str, Tensor]) -> dict[str, float]:
     return {k: float(np.linalg.norm(p.data)) for k, p in params.items()}
 
 
+def _float32(batch: Batch) -> Batch:
+    """``batch`` with each float array cast to float32."""
+    return replace(batch, **{f.name: value.astype(np.float32) for f in fields(batch)
+                             if isinstance(value := getattr(batch, f.name), np.ndarray)
+                             and value.dtype.kind == "f"})
+
+
 def _train_single(model: ModelInstance, data: Dataset, train_idx: Sequence[int],
                   cfg: ExperimentConfig, seed: int,
                   validation_idx: Sequence[int] | None = None) -> TrainResult:
+    """Train ``model``'s parameters that have ``requires_grad``.
+
+    Every step computes in float32: on entry each parameter, frozen ones too,
+    is swapped for a float32 copy, and each batch's float inputs are cast. On
+    the way out, even on an error, each trained parameter's float64 value
+    gains its copy's float32 change, so one that did not move keeps every
+    bit, and the float64 arrays go back.
+    """
     n = len(train_idx)
     if n == 0:
         raise SizeError("cannot train on an empty train index")
@@ -227,8 +242,6 @@ def _train_single(model: ModelInstance, data: Dataset, train_idx: Sequence[int],
     epochs = cfg.epochs_for(modalities)
     batch_size = cfg.batch_size if TEXT in modalities else n
     total_steps = epochs * ((n + batch_size - 1) // batch_size)
-    params = {k: p for k, p in model.parameters().items() if p.requires_grad}
-    optimizer = Adam(params, lr=cfg.lr)
     schedule = LinearSchedule(cfg.lr, total_steps)
     rng = np.random.default_rng(seed)
     idx = data.rows(train_idx)
@@ -236,24 +249,36 @@ def _train_single(model: ModelInstance, data: Dataset, train_idx: Sequence[int],
     val_trace: list[tuple[int, float]] = []
     val_every = max(1, epochs // 20)
     step = 0
-    for epoch in range(epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, batch_size):
-            batch = data.batch(idx[order[start:start + batch_size]], cfg.pcb_target,
-                               modalities)
-            loss = compute_loss(model, batch, cfg)
-            value = loss.item()
-            if not np.isfinite(value):
-                raise TrainingError(
-                    f"non-finite loss at step {step}; parameter norms: "
-                    f"{_param_norms(params)}")
-            backward(loss)
-            optimizer.step(lr=schedule.lr_at(step))
-            trace.append(value)
-            step += 1
-        if cfg.track_validation and validation_idx and epoch % val_every == 0:
-            acc = evaluate(model, data, validation_idx, cfg.pcb_target).accuracy
-            val_trace.append((epoch, acc))
+    all_params = model.parameters()
+    values = {k: p.data for k, p in all_params.items()}
+    params = {k: p for k, p in all_params.items() if p.requires_grad}
+    for p in all_params.values():
+        p.data = p.data.astype(np.float32)
+    try:
+        optimizer = Adam(params, lr=cfg.lr)
+        for epoch in range(epochs):
+            order = rng.permutation(n)
+            for start in range(0, n, batch_size):
+                batch = _float32(data.batch(idx[order[start:start + batch_size]],
+                                            cfg.pcb_target, modalities))
+                loss = compute_loss(model, batch, cfg)
+                value = loss.item()
+                if not np.isfinite(value):
+                    raise TrainingError(
+                        f"non-finite loss at step {step}; parameter norms: "
+                        f"{_param_norms(params)}")
+                backward(loss)
+                optimizer.step(lr=schedule.lr_at(step))
+                trace.append(value)
+                step += 1
+            if cfg.track_validation and validation_idx and epoch % val_every == 0:
+                acc = evaluate(model, data, validation_idx, cfg.pcb_target).accuracy
+                val_trace.append((epoch, acc))
+    finally:
+        for k, p in all_params.items():
+            if k in params:
+                values[k] += p.data - values[k].astype(np.float32)
+            p.data = values[k]
     return TrainResult(loss_trace=trace, steps=step, validation_trace=val_trace)
 
 

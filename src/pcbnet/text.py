@@ -115,8 +115,9 @@ class TextEncoder:
         self.projection = LinearLayer(d, d, f"{path}.projection", rng)
 
     def encode(self, token_ids: np.ndarray) -> Tensor:
-        mask = token_mask(token_ids, self.vocab.pad_id)
-        return self.projection(embedding_bag(self.embedding, token_ids, mask))
+        table = self.embedding
+        mask = token_mask(token_ids, self.vocab.pad_id).astype(table.data.dtype, copy=False)
+        return self.projection(embedding_bag(table, token_ids, mask))
 
     def parameters(self) -> dict[str, Tensor]:
         out = {self.embedding.path: self.embedding}

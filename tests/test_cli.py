@@ -303,6 +303,25 @@ class TestAttribute:
         assert err["error"]["category"] == "lookup"
         assert "nope-123" in err["error"]["message"]
 
+    # an unknown id after a known one: no report is written before every id is found
+    @pytest.mark.parametrize("steps, unknown, category, wording", [
+        ("0", False, "config", "--steps must be an integer >= 1, got 0"),
+        ("-3", False, "config", "--steps must be an integer >= 1, got -3"),
+        ("8", True, "lookup", "'nope-123' not found"),
+    ])
+    def test_bad_arguments_make_no_output_directory(self, trained_run, capsys, steps,
+                                                    unknown, category, wording):
+        dataset, checkpoint, tmp_path = trained_run
+        rid = ingest(dataset)[0].id
+        out_dir = tmp_path / f"attr_refused_{steps}"
+        capsys.readouterr()
+        assert main(["attribute", "--checkpoint", str(checkpoint), "--dataset", str(dataset),
+                     "--records", rid + (",nope-123" if unknown else ""),
+                     "--steps", steps, "--out", str(out_dir)]) == 1
+        error = one_error_line(capsys)
+        assert error["category"] == category and wording in error["message"], error
+        assert not out_dir.exists()
+
     def test_predicted_target_flag(self, trained_run):
         dataset, checkpoint, tmp_path = trained_run
         rid = ingest(dataset)[1].id

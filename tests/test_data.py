@@ -159,6 +159,17 @@ class TestIngest:
         assert "2 invalid rows" in message
         assert "\nline 2: invalid JSON" in message and "\nline 4: invalid JSON" in message
 
+    def test_csv_rows_are_numbered_by_the_line_they_start_on(self, tmp_path):
+        path = tmp_path / "data.csv"
+        write_csv([make_record(0, text="x\ny\nz"), make_record(1)], path)
+        # a record refuses an appraisal of 9, so the second row gets it as text
+        raw = path.read_text(encoding="utf-8")
+        path.write_text(raw.replace("r1,fine visit overall .,4,", "r1,fine visit overall .,9,"),
+                        encoding="utf-8")
+        assert raw.split("\n")[4].startswith("r1,")  # the header, then "x / y / z" on 2-4
+        with pytest.raises(ValidationError, match="1 invalid rows\nline 5: appraisal rating"):
+            ingest(path)
+
     def test_jsonl_round_trip_bit_exact(self, tmp_path):
         records = generate_synthetic(
             SyntheticGeneratorConfig(record_count=40, mean_review_length=50), seed=3)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from pcbnet.autodiff import backward
 from pcbnet.data import (ReviewRecord, SyntheticGeneratorConfig, generate_synthetic,
                          split_records)
-from pcbnet.errors import ConfigError, SizeError, ValidationError
+from pcbnet.errors import ConfigError, SizeError, TrainingError, ValidationError
 from pcbnet.experiment import (ExperimentConfig, MetricsSummary,
                                RepetitionResult, build_vocab_for_split,
                                compute_loss, evaluate, featurize,
@@ -306,6 +306,50 @@ class TestTrain:
             assert sorted(trained[:3]) == [(1, seed), (2, seed), (3, seed)]
             assert trained[3] == (9, seed)
         assert len(calls) == 8
+
+    @pytest.mark.parametrize("arch_id", [2, 9, 12])
+    def test_steps_compute_in_float32_and_parameters_stay_float64(self, prepared,
+                                                                  arch_id, monkeypatch):
+        # a numpy float64 scalar in a step would widen it to float64 silently
+        from pcbnet import autodiff, nn
+        data, split = prepared
+        seen: list[tuple[str, np.dtype]] = []
+        result, step = autodiff._result, nn.Adam.step
+
+        def spy_result(out, op_kind, inputs, backward_fn):
+            seen.append((op_kind, out.dtype))
+
+            def spy_backward(g):
+                seen.append((f"{op_kind} gradient", g.dtype))
+                backward_fn(g)
+            return result(out, op_kind, inputs, spy_backward)
+
+        def spy_step(self, lr=None):
+            seen.extend((f"{k} gradient", p.grad.dtype) for k, p in self.params.items())
+            step(self, lr)
+            seen.extend((f"{k} moment", m.dtype)
+                        for moments in (self.m, self.v) for k, m in moments.items())
+
+        monkeypatch.setattr(autodiff, "_result", spy_result)
+        monkeypatch.setattr(nn.Adam, "step", spy_step)
+        cfg = ExperimentConfig(architecture=arch_id, text_epochs=1, rating_epochs=1,
+                               batch_size=len(split.train), lr=1e-3)
+        model = build(arch_id, vocab=data.vocab, seed=0)
+        train(model, data, split.train, cfg, seed=0)
+        assert any("moment" in name for name, _ in seen)
+        assert [(name, dt) for name, dt in seen if dt != np.float32] == []
+        assert {p.data.dtype for p in model.parameters().values()} == {np.dtype(np.float64)}
+
+    def test_a_non_finite_loss_leaves_float64_parameters(self, prepared):
+        data, split = prepared
+        poisoned = dataclasses.replace(
+            data, appraisal_features=np.full_like(data.appraisal_features, np.nan))
+        model = build(2, seed=0)
+        before = {k: p.data.copy() for k, p in model.parameters().items()}
+        with pytest.raises(TrainingError, match="non-finite loss at step 0"):
+            train(model, poisoned, split.train, ExperimentConfig(architecture=2), seed=0)
+        for k, p in model.parameters().items():
+            assert p.data.dtype == np.float64 and np.array_equal(p.data, before[k]), k
 
     @pytest.mark.parametrize("arch_id", [1, 2, 9])
     def test_empty_train_index_is_a_size_error(self, prepared, arch_id):
