@@ -22,11 +22,14 @@ def main() -> int:
     parser.add_argument("--noise", type=float, default=0.25)
     parser.add_argument("--repetitions", type=int, default=5)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--lr", type=float, default=1e-3)
+    parser.add_argument("--lr", type=float, default=None,
+                        help="learning rate of the reduced budget (default 1e-3)")
     parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--full-budgets", action="store_true",
                         help="10 text / 2000 rating epochs at lr 1e-5")
     args = parser.parse_args()
+    if args.full_budgets and args.lr is not None:
+        parser.error("--lr sets the reduced budget's rate; --full-budgets fixes lr 1e-5")
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -45,7 +48,8 @@ def main() -> int:
     train_cfg = out / "train_config.json"
     budgets = ({"text_epochs": 10, "rating_epochs": 2000, "lr": 1e-5}
                if args.full_budgets
-               else {"text_epochs": 10, "rating_epochs": 300, "lr": args.lr})
+               else {"text_epochs": 10, "rating_epochs": 300,
+                     "lr": 1e-3 if args.lr is None else args.lr})
     atomic_write_text(train_cfg, _json({
         "dataset": str(dataset),
         "repetitions": args.repetitions,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import html
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -37,21 +37,6 @@ class AttributionReport:
     steps: int
     baseline: str
     pcb_target: str
-
-    def to_json_obj(self) -> dict:
-        return {
-            "record_id": self.record_id,
-            "tokens": self.tokens,
-            "scores": self.scores,
-            "target_class": self.target_class,
-            "predicted_class": self.predicted_class,
-            "completeness_gap": self.completeness_gap,
-            "output_value": self.output_value,
-            "baseline_value": self.baseline_value,
-            "steps": self.steps,
-            "baseline": self.baseline,
-            "pcb_target": self.pcb_target,
-        }
 
 
 # α-steps per batched forward/backward; bounds memory for any ``steps``
@@ -186,7 +171,7 @@ def rank_tokens(report: AttributionReport, k: int) -> list[tuple[int, str, float
 
 
 def report_to_json(report: AttributionReport) -> str:
-    return json.dumps(report.to_json_obj(), sort_keys=True, indent=2)
+    return json.dumps(asdict(report), sort_keys=True, indent=2)
 
 
 def report_to_html(report: AttributionReport) -> str:

@@ -25,8 +25,7 @@ from .data import (SyntheticGeneratorConfig, generate_synthetic, ingest,
                    write_appraisal_names, write_jsonl)
 from .errors import (CapabilityError, ConfigError, DatasetLookupError,
                      PcbnetError, ValidationError)
-from .experiment import (PCB_TARGETS, ExperimentConfig, MetricsSummary,
-                         run_repetitions)
+from .experiment import PCB_TARGETS, ExperimentConfig, MetricsSummary, run_sweep
 from .models import ARCHITECTURES, TEXT, architecture_spec, load_model, save_model
 from .schema import Spec, specs
 from .serialize import atomic_write_text, output_dir, read_input
@@ -111,7 +110,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     dataset_path = raw.pop("dataset")
     if args.seed is not None:
         raw["base_seed"] = args.seed
-    # every config is built, and so checked, before the dataset is read
+    # every config is built, and so checked, before the dataset is read; the
+    # dataset, every split and every embedding file before the output directory is made
     workers = Spec("int", ge=1).check("--workers", args.workers)
     if raw.pop("sweep", False) or args.sweep:
         configs = [ExperimentConfig(**{**raw, "architecture": spec.id, "pcb_target": target})
@@ -121,18 +121,16 @@ def cmd_train(args: argparse.Namespace) -> int:
     else:
         raise ConfigError("train config must set 'architecture' (or use --sweep)")
 
-    records = ingest(dataset_path)
-    out_dir = output_dir(args.out or _default_out())
-
     started = time.time()
+    results = run_sweep(ingest(dataset_path), configs, workers)
+    out_dir = output_dir(args.out or _default_out())
     all_rows: list[dict] = []
     summaries: dict[str, dict] = {}
     checkpoints: list[str] = []
     config_snapshots: list[dict] = []
-    for cfg in configs:
+    for cfg, (summary, model) in zip(configs, results):
         arch_id, target = cfg.architecture, cfg.pcb_target
         tag = f"arch{arch_id:02d}_{target}"
-        summary, model = run_repetitions(records, cfg, workers=workers)
         checkpoint = out_dir / f"checkpoint_{tag}.params"
         save_model(checkpoint, model, meta={"pcb_target": cfg.pcb_target})
         counts = [r.class_counts for r in summary.rows]  # the splits are not stratified

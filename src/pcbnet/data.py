@@ -24,7 +24,8 @@ import numpy as np
 
 from .errors import ConfigError, SizeError, ValidationError
 from .schema import check_fields, declared
-from .serialize import atomic_write_text, atomic_writer, read_input, read_jsonl, record_id
+from .serialize import (atomic_write_text, atomic_writer, read_input, read_jsonl, record_id,
+                        unique_id)
 from .text import tokenize
 
 APPRAISAL_COUNT = 20
@@ -184,12 +185,13 @@ def _csv_header() -> list[str]:
 def ingest(path: str | Path) -> list[ReviewRecord]:
     """Load and validate records from CSV (a ``.csv`` suffix) or else JSONL.
 
-    Malformed rows are collected with their line numbers and the whole batch
-    is rejected in one error.
+    Malformed rows, and rows that repeat an earlier row's id, are collected
+    with their line numbers and the whole batch is rejected in one error.
     """
     path = Path(path)
     if path.suffix.lower() != ".csv":
-        return [record for _, record in read_jsonl(path, "dataset", _record_from_obj)]
+        return [record for _, record in read_jsonl(path, "dataset", _record_from_obj,
+                                                   lambda record: record.id)]
     reader = csv.reader(io.StringIO(read_input(path, "dataset"), newline=""))
     rows: list[tuple[int, list[str]]] = []  # each row with the line it starts on
     start = 1
@@ -204,6 +206,7 @@ def ingest(path: str | Path) -> list[ReviewRecord]:
         raise ValidationError(f"{path}: CSV header must be {','.join(header)}")
     records: list[ReviewRecord] = []
     errors: list[str] = []
+    seen: dict[str, int] = {}
     for lineno, row in rows[1:]:
         if not row:
             continue
@@ -212,8 +215,10 @@ def ingest(path: str | Path) -> list[ReviewRecord]:
             continue
         try:
             ratings = [int(v) for v in row[2:]]
-            records.append(ReviewRecord(row[0], row[1], ratings[:APPRAISAL_COUNT],
-                                        ratings[APPRAISAL_COUNT:-2], *ratings[-2:]))
+            record = ReviewRecord(row[0], row[1], ratings[:APPRAISAL_COUNT],
+                                  ratings[APPRAISAL_COUNT:-2], *ratings[-2:])
+            unique_id(seen, record.id, lineno)
+            records.append(record)
         except ValueError:
             errors.append(f"line {lineno}: non-integer rating value")
         except ValidationError as exc:

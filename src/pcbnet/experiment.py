@@ -4,7 +4,8 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
-from typing import Sequence
+from itertools import starmap
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -337,10 +338,6 @@ def evaluate(model: ModelInstance, data: Dataset, idx: Sequence[int],
     )
 
 
-def _needs_text(cfg: ExperimentConfig) -> bool:
-    return TEXT in architecture_spec(cfg.architecture).input_modalities
-
-
 def build_vocab_for_split(records: Sequence[ReviewRecord], split: DatasetSplit,
                           min_token_freq: int = 2) -> Vocabulary:
     return Vocabulary.build((records[i].text for i in split.train),
@@ -369,39 +366,55 @@ def run_repetition(records: Sequence[ReviewRecord], data: Dataset,
     return result, model
 
 
-def run_repetitions(records: Sequence[ReviewRecord], cfg: ExperimentConfig,
-                    workers: int = 1) -> tuple[MetricsSummary, ModelInstance]:
-    """Run the repetition protocol: fixed split, fresh seed per repetition.
+def run_sweep(records: Sequence[ReviewRecord], configs: Sequence[ExperimentConfig],
+              workers: int = 1) -> Iterator[tuple[MetricsSummary, ModelInstance]]:
+    """Run the repetition protocol for each config: a fixed split, a fresh seed
+    per repetition, or with ``resplit_each_repetition`` a split per repetition.
 
-    With ``resplit_each_repetition`` the split is redrawn per repetition
-    instead. Repetitions are independent; ``workers`` bounds how many run
-    concurrently. A precomputed-embedding file is read once, before any
-    training. Returns the summary and the last repetition's model.
+    Every split, vocabulary, featurized ``Dataset`` and embedding file the
+    configs need is made first, once for all the configs that share it, so a
+    bad input is refused before anything trains. Returns an iterator of each
+    config's summary and last repetition's model, in the order given; a config
+    trains when it is drawn. ``workers`` bounds how many of a config's
+    repetitions run concurrently.
     """
     records = list(records)
-    text_features = None
-    if cfg.precomputed_embeddings and _needs_text(cfg):
-        text_features = load_embeddings(cfg.precomputed_embeddings, [r.id for r in records])
-        if text_features.shape[1] != cfg.encoder_dim:
-            raise ConfigError(f"precomputed embeddings are {text_features.shape[1]} wide "
-                              f"but encoder_dim is {cfg.encoder_dim}; they must be equal")
-    jobs: list[tuple[Dataset, DatasetSplit, int]] = []
-    for rep in range(cfg.repetitions):
-        if rep == 0 or cfg.resplit_each_repetition:  # repetition r splits with base_seed + r
-            split = split_records(len(records), cfg.split_ratios, cfg.base_seed + rep)
-            if not split.train or not split.test:  # an empty validation split is allowed
-                raise SizeError(f"split_ratios {list(cfg.split_ratios)} leave no train or "
-                                f"no test record of {len(records)}")
-            vocab = None
-            if _needs_text(cfg) and text_features is None:
-                vocab = build_vocab_for_split(records, split, cfg.min_token_freq)
-            data = featurize(records, vocab, cfg.max_sequence_length, text_features)
-        jobs.append((data, split, rep))
+    embeddings: dict[str, np.ndarray] = {}
+    prepared: dict[tuple, tuple[Dataset, DatasetSplit]] = {}
+    runs: list[list[tuple]] = []  # per config, run_repetition's arguments per repetition
+    for cfg in configs:
+        text = TEXT in architecture_spec(cfg.architecture).input_modalities
+        path = cfg.precomputed_embeddings if text else None
+        if path is not None:
+            if path not in embeddings:
+                embeddings[path] = load_embeddings(path, [r.id for r in records])
+            if (width := embeddings[path].shape[1]) != cfg.encoder_dim:
+                raise ConfigError(f"precomputed embeddings are {width} wide but "
+                                  f"encoder_dim is {cfg.encoder_dim}; they must be equal")
+        jobs = []
+        for rep in range(cfg.repetitions):
+            seed = cfg.base_seed + (rep if cfg.resplit_each_repetition else 0)
+            key = (seed, cfg.split_ratios, text, path, cfg.min_token_freq,
+                   cfg.max_sequence_length)
+            if key not in prepared:
+                split = split_records(len(records), cfg.split_ratios, seed)
+                if not split.train or not split.test:  # an empty validation split is allowed
+                    raise SizeError(f"split_ratios {list(cfg.split_ratios)} leave no train or "
+                                    f"no test record of {len(records)}")
+                vocab = (build_vocab_for_split(records, split, cfg.min_token_freq)
+                         if text and path is None else None)
+                prepared[key] = (featurize(records, vocab, cfg.max_sequence_length,
+                                           embeddings.get(path)), split)
+            jobs.append((records, *prepared[key], cfg, rep))
+        runs.append(jobs)
+    return (_repetitions(jobs, workers) for jobs in runs)
 
-    if workers > 1 and cfg.repetitions > 1:
+
+def _repetitions(jobs: list[tuple], workers: int) -> tuple[MetricsSummary, ModelInstance]:
+    """A config's summary and last model, from ``run_repetition``'s arguments per repetition."""
+    if workers > 1 and len(jobs) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(
-                lambda job: run_repetition(records, job[0], job[1], cfg, job[2]), jobs))
+            outcomes = list(pool.map(run_repetition, *zip(*jobs)))
     else:
-        outcomes = [run_repetition(records, d, s, cfg, rep) for d, s, rep in jobs]
+        outcomes = list(starmap(run_repetition, jobs))
     return MetricsSummary.aggregate([r for r, _ in outcomes]), outcomes[-1][1]

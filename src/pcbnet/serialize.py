@@ -6,7 +6,7 @@ name, version, arbitrary metadata, and the tensor index (name, shape, offset
 in float64 elements). Writes are atomic (temp file + rename, through
 ``atomic_writer``) and byte-stable for identical inputs. ``read_jsonl`` is
 the loop of every JSONL reader, ``jsonl_lines`` its line rule, and
-``record_id`` their id rule.
+``record_id`` and ``unique_id`` their id rules.
 """
 
 from __future__ import annotations
@@ -98,17 +98,22 @@ def jsonl_lines(text: str) -> Iterator[tuple[int, str]]:
             yield lineno, line
 
 
-def read_jsonl(path: str | Path, what: str, parse: Callable) -> list[tuple[int, object]]:
+def read_jsonl(path: str | Path, what: str, parse: Callable,
+               id_of: Callable) -> list[tuple[int, object]]:
     """``(line number, parse(value))`` for each JSON line of input file ``path``.
 
     ``parse`` refuses a value with a ``ValidationError``. Every line that is
-    not JSON, or that ``parse`` refuses, is listed in one ``ValidationError``.
+    not JSON, that ``parse`` refuses, or whose ``id_of(parsed)`` repeats an
+    earlier line's (``unique_id``), is listed in one ``ValidationError``.
     """
     values: list[tuple[int, object]] = []
     errors: list[str] = []
+    seen: dict[str, int] = {}
     for lineno, line in jsonl_lines(read_input(path, what)):
         try:
-            values.append((lineno, parse(json.loads(line))))
+            value = parse(json.loads(line))
+            unique_id(seen, id_of(value), lineno)
+            values.append((lineno, value))
         except json.JSONDecodeError as exc:
             errors.append(f"line {lineno}: invalid JSON ({exc.msg})")
         # also an over-long integer, deep nesting, a number past float64
@@ -124,6 +129,14 @@ def record_id(value) -> str:
     if isinstance(value, str) or is_int(value):
         return str(value)
     raise ValidationError(f"id must be a string or an integer, got {type(value).__name__}")
+
+
+def unique_id(seen: dict[str, int], rid: str, lineno: int) -> None:
+    """Record that line ``lineno`` holds id ``rid``; a ``ValidationError`` if an
+    earlier line in ``seen`` holds it, since an id names one record of an input."""
+    first = seen.setdefault(rid, lineno)
+    if first != lineno:
+        raise ValidationError(f"id {rid!r} repeats line {first}")
 
 
 def save_params(path: str | Path, tensors: dict[str, np.ndarray],

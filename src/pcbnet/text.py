@@ -142,11 +142,11 @@ def load_embeddings(path: str | Path, ids: Sequence[str]) -> np.ndarray:
     """Externally computed embeddings, one row per record id, in that order.
 
     File format: one JSON object per line, ``{"id": ..., "embedding": [...]}``.
-    A ``ValidationError`` lists every line that is not JSON or not finite
-    numbers (``serialize.read_jsonl``), else names the first line whose width
+    A ``ValidationError`` lists every line that is not JSON, not finite
+    numbers or a repeated id (``serialize.read_jsonl``), else names the first line whose width
     differs from the first line's, or an id in ``ids`` with no line.
     """
-    lines = read_jsonl(path, "precomputed embeddings", _embedding)
+    lines = read_jsonl(path, "precomputed embeddings", _embedding, lambda row: row[0])
     if not lines:
         raise ValidationError(f"{path}: no embedding records found")
     dim = len(lines[0][1][1])  # each line holds (id, vector)

@@ -23,7 +23,7 @@ from pcbnet.cli import main
 from pcbnet.data import (Level, SyntheticGeneratorConfig, generate_synthetic,
                          segment_emotion, segment_pcb, split_records)
 from pcbnet.experiment import (ExperimentConfig, build_vocab_for_split,
-                               evaluate, featurize, run_repetitions, train)
+                               evaluate, featurize, run_sweep, train)
 from pcbnet.metrics import accuracy_score, weighted_f1
 from pcbnet.models import build, describe
 
@@ -257,12 +257,12 @@ def test_criterion_5_modality_ordering():
     cfg = SyntheticGeneratorConfig(record_count=500, noise_scale=0.0,
                                    text_signal=0.3)
     records = generate_synthetic(cfg, seed=23)
-    ratings, _ = run_repetitions(records, ExperimentConfig(
+    ratings, _ = next(run_sweep(records, [ExperimentConfig(
         architecture=2, pcb_target="promote", repetitions=5,
-        rating_epochs=120, lr=3e-3, base_seed=100))
-    text, _ = run_repetitions(records, ExperimentConfig(
+        rating_epochs=120, lr=3e-3, base_seed=100)]))
+    text, _ = next(run_sweep(records, [ExperimentConfig(
         architecture=1, pcb_target="promote", repetitions=5,
-        text_epochs=10, lr=3e-3, base_seed=100))
+        text_epochs=10, lr=3e-3, base_seed=100)]))
     assert ratings.mean_accuracy > text.mean_accuracy, (
         f"ratings {ratings.mean_accuracy:.3f} !> text {text.mean_accuracy:.3f}")
     return (f"ratings {ratings.mean_accuracy:.3f} "

@@ -106,7 +106,7 @@ class TestCompleteness:
         b = integrated_gradients(model, record, steps=32)
         assert a.scores == b.scores
         assert a.completeness_gap == b.completeness_gap
-        assert a.to_json_obj() == b.to_json_obj()
+        assert a == b
 
 
 class TestContracts:

@@ -601,3 +601,24 @@ class TestBadInputs:
         assert main(["train", "--config", cfg, "--out", str(out)]) == 1
         assert one_error_line(capsys)["category"] == "size"
         assert not out.exists() or not any(out.rglob("*.params"))
+
+    @pytest.mark.parametrize("values, category", [
+        ({"split_ratios": [0.5, 0.5, 0.5]}, "config"),
+        ({"split_ratios": [1.0, 0.0, 0.0]}, "size"),
+        ({"architecture": 1, "precomputed_embeddings": "missing.jsonl"}, "config"),
+        ({"architecture": 1, "precomputed_embeddings": "narrow.jsonl", "encoder_dim": 8},
+         "config"),
+    ], ids=["ratios-over-one", "no-test-record", "missing-embeddings", "width-mismatch"])
+    def test_a_refused_input_makes_no_output_directory(self, probe_dir, tmp_path, capsys,
+                                                       values, category):
+        from pcbnet.text import save_precomputed_embeddings
+        save_precomputed_embeddings(tmp_path / "narrow.jsonl", {
+            r.id: [0.0, 1.0] for r in ingest(probe_dir / "dataset.jsonl")})
+        values = {k: str(tmp_path / v) if k == "precomputed_embeddings" else v
+                  for k, v in values.items()}
+        out = tmp_path / "out"
+        cfg = quick_train_config(tmp_path, probe_dir / "dataset.jsonl", **values)
+        capsys.readouterr()
+        assert main(["train", "--config", cfg, "--out", str(out)]) == 1
+        assert one_error_line(capsys)["category"] == category
+        assert not out.exists()

@@ -140,6 +140,22 @@ class TestIngest:
         path.write_text(json.dumps(obj) + "\n")
         assert ingest(path)[0].id == "42"
 
+    def test_a_repeated_id_is_listed_with_the_line_it_repeats(self, tmp_path):
+        objs = [record_to_obj(make_record(i)) for i in range(4)]
+        objs[0]["id"], objs[2]["id"], objs[3]["id"] = 7, "7", "r1"  # 7 reads as "7"
+        path = tmp_path / "data.jsonl"
+        path.write_text("".join(json.dumps(obj) + "\n" for obj in objs))
+        with pytest.raises(ValidationError, match=(
+                "2 invalid rows\nline 3: id '7' repeats line 1\n"
+                "line 4: id 'r1' repeats line 2$")):
+            ingest(path)
+
+    def test_a_repeated_csv_id_is_listed_with_the_line_it_repeats(self, tmp_path):
+        path = tmp_path / "data.csv"
+        write_csv([make_record(0), make_record(1), make_record(0, text="other .")], path)
+        with pytest.raises(ValidationError, match="1 invalid rows\nline 4: id 'r0' repeats line 2$"):
+            ingest(path)
+
     @pytest.mark.parametrize("separator", ["\x85", "\u2028", "\u2029"])
     def test_raw_unicode_line_separator_stays_inside_its_text(self, tmp_path, separator):
         records = [make_record(0, text=f"fine{separator}visit ."), make_record(1)]

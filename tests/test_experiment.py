@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import threading
 
 import numpy as np
@@ -13,7 +14,7 @@ from pcbnet.errors import ConfigError, SizeError, TrainingError, ValidationError
 from pcbnet.experiment import (ExperimentConfig, MetricsSummary,
                                RepetitionResult, build_vocab_for_split,
                                compute_loss, evaluate, featurize,
-                               run_repetitions, train)
+                               run_sweep, train)
 from pcbnet.models import build
 from pcbnet.text import token_mask
 
@@ -301,7 +302,7 @@ class TestTrain:
 
         monkeypatch.setattr(experiment, "_train_single", record)
         cfg = ExperimentConfig(architecture=9, repetitions=2, base_seed=3, min_token_freq=1)
-        run_repetitions(small_records, cfg)
+        next(run_sweep(small_records, [cfg]))
         for seed, trained in ((3, calls[:4]), (4, calls[4:])):
             assert sorted(trained[:3]) == [(1, seed), (2, seed), (3, seed)]
             assert trained[3] == (9, seed)
@@ -435,7 +436,7 @@ class TestRepetitions:
     def test_single_repetition_zero_std(self, small_records):
         cfg = ExperimentConfig(architecture=3, repetitions=1, rating_epochs=2,
                                lr=1e-3, base_seed=5)
-        summary, _ = run_repetitions(small_records, cfg)
+        summary, _ = next(run_sweep(small_records, [cfg]))
         assert summary.std_accuracy == 0.0
         assert summary.std_f1 == 0.0
         assert len(summary.rows) == 1
@@ -455,14 +456,14 @@ class TestRepetitions:
     def test_seeds_and_fixed_split(self, small_records):
         cfg = ExperimentConfig(architecture=3, repetitions=3, rating_epochs=2,
                                lr=1e-3, base_seed=10)
-        summary, _ = run_repetitions(small_records, cfg)
+        summary, _ = next(run_sweep(small_records, [cfg]))
         assert [r.seed for r in summary.rows] == [10, 11, 12]
 
     def test_workers_match_serial_results(self, small_records):
         cfg = ExperimentConfig(architecture=3, repetitions=3, rating_epochs=3,
                                lr=1e-3, base_seed=0)
-        serial, _ = run_repetitions(small_records, cfg, workers=1)
-        threaded, _ = run_repetitions(small_records, cfg, workers=3)
+        serial, _ = next(run_sweep(small_records, [cfg], workers=1))
+        threaded, _ = next(run_sweep(small_records, [cfg], workers=3))
         assert [r.accuracy for r in serial.rows] == [r.accuracy for r in threaded.rows]
         assert [r.f1_weighted for r in serial.rows] == [r.f1_weighted for r in threaded.rows]
 
@@ -473,7 +474,7 @@ class TestRepetitions:
         cfg = ExperimentConfig(architecture=12, repetitions=3, text_epochs=1, lr=1e-3,
                                base_seed=4, min_token_freq=1,
                                resplit_each_repetition=resplit)
-        summary, model = run_repetitions(small_records, cfg, workers=workers)
+        summary, model = next(run_sweep(small_records, [cfg], workers=workers))
         last = cfg.repetitions - 1
         split = split_records(len(small_records), cfg.split_ratios,
                               cfg.base_seed + (last if resplit else 0))
@@ -491,15 +492,91 @@ class TestRepetitions:
     def test_resplit_flag_changes_split(self, small_records):
         cfg = ExperimentConfig(architecture=3, repetitions=2, rating_epochs=2,
                                lr=1e-3, base_seed=0, resplit_each_repetition=True)
-        summary, _ = run_repetitions(small_records, cfg)
+        summary, _ = next(run_sweep(small_records, [cfg]))
         assert len(summary.rows) == 2
 
     def test_validation_curve_tracked_on_request(self, small_records):
         cfg = ExperimentConfig(architecture=3, repetitions=1, rating_epochs=6,
                                lr=1e-3, base_seed=0, track_validation=True)
-        summary, _ = run_repetitions(small_records, cfg)
+        summary, _ = next(run_sweep(small_records, [cfg]))
         trace = summary.rows[0].diagnostics["validation_trace"]
         assert trace and all(0.0 <= acc <= 1.0 for _, acc in trace)
+
+
+class TestSweep:
+    """``run_sweep`` prepares each split once, keyed on everything that makes it."""
+
+    SETUP = ("build_vocab_for_split", "featurize", "load_embeddings")
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """The name of each set-up or repetition call, in call order."""
+        from pcbnet import experiment
+        calls = []
+        for name in (*self.SETUP, "run_repetition"):
+            def counted(*args, _name=name, _fn=getattr(experiment, name), **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(experiment, name, counted)
+        return calls
+
+    def test_a_sweep_prepares_every_split_once_before_it_trains(self, tmp_path, calls):
+        from pcbnet.cli import main
+        from pcbnet.data import write_jsonl
+        write_jsonl(generate_synthetic(SyntheticGeneratorConfig(
+            record_count=60, mean_review_length=20), seed=2), tmp_path / "data.jsonl")
+        (tmp_path / "train.json").write_text(json.dumps({
+            "dataset": str(tmp_path / "data.jsonl"), "repetitions": 1, "text_epochs": 1,
+            "rating_epochs": 1, "encoder_dim": 4}))
+        assert main(["train", "--config", str(tmp_path / "train.json"), "--sweep",
+                     "--out", str(tmp_path / "out")]) == 0
+        assert calls == ["build_vocab_for_split", "featurize", "featurize",
+                         *["run_repetition"] * 24]
+
+    @pytest.mark.parametrize("resplit, embeddings, counts", [
+        (False, False, (1, 2, 0)), (True, False, (2, 4, 0)),
+        (False, True, (0, 2, 1)), (True, True, (0, 4, 1))],
+        ids=["fixed", "resplit", "fixed-embeddings", "resplit-embeddings"])
+    def test_set_up_calls_per_sweep(self, small_records, tmp_path, calls,
+                                    resplit, embeddings, counts):
+        from pcbnet.data import PCB_TARGETS
+        from pcbnet.models import ARCHITECTURES
+        path = None
+        if embeddings:
+            path = str(tmp_path / "emb.jsonl")
+            TestEncoderSlot.write_embeddings(path, small_records, width=4)
+        run_sweep(small_records, [
+            ExperimentConfig(architecture=spec.id, pcb_target=target, repetitions=2,
+                             resplit_each_repetition=resplit, encoder_dim=4,
+                             precomputed_embeddings=path)
+            for spec in ARCHITECTURES for target in PCB_TARGETS])
+        assert tuple(map(calls.count, self.SETUP)) == counts
+        assert "run_repetition" not in calls  # nothing trains until it is drawn
+
+    @pytest.mark.parametrize("field, value", [
+        ("base_seed", 1), ("split_ratios", (0.6, 0.2, 0.2)), ("min_token_freq", 10),
+        ("max_sequence_length", 8), ("resplit_each_repetition", True),
+        ("precomputed_embeddings", "emb.jsonl")])
+    def test_configs_that_differ_in_a_key_field_run_as_if_alone(
+            self, small_records, tmp_path, field, value):
+        from pcbnet.models import save_model
+        if field == "precomputed_embeddings":
+            value = str(tmp_path / value)
+            TestEncoderSlot.write_embeddings(value, small_records)
+        cfg = ExperimentConfig(architecture=1, repetitions=2, text_epochs=1, lr=1e-3,
+                               encoder_dim=8, min_token_freq=1)
+        configs = [cfg, dataclasses.replace(cfg, **{field: value})]
+
+        def outputs(summary, model, name):
+            save_model(tmp_path / name, model)
+            return summary.rows, (tmp_path / name).read_bytes()
+
+        together = [outputs(*result, f"together{i}")
+                    for i, result in enumerate(run_sweep(small_records, configs))]
+        alone = [outputs(*next(run_sweep(small_records, [c])), f"alone{i}")
+                 for i, c in enumerate(configs)]
+        assert together == alone
+        assert alone[0] != alone[1]
 
 
 class TestTowers:
@@ -547,7 +624,7 @@ class TestEncoderSlot:
         cfg = ExperimentConfig(architecture=1, repetitions=1, text_epochs=2,
                                lr=1e-3, encoder_dim=16,
                                precomputed_embeddings=str(path))
-        summary, _ = run_repetitions(small_records, cfg)
+        summary, _ = next(run_sweep(small_records, [cfg]))
         assert 0.0 <= summary.mean_accuracy <= 1.0
 
     def test_precomputed_width_may_exceed_the_built_encoder_ceiling(self, small_records,
@@ -562,7 +639,7 @@ class TestEncoderSlot:
         cfg = ExperimentConfig(architecture=1, repetitions=1, text_epochs=1,
                                lr=1e-3, encoder_dim=width,
                                precomputed_embeddings=str(path))
-        summary, _ = run_repetitions(small_records, cfg)
+        summary, _ = next(run_sweep(small_records, [cfg]))
         assert 0.0 <= summary.mean_accuracy <= 1.0
         with pytest.raises(ConfigError, match="encoder_dim"):
             ExperimentConfig(architecture=1, encoder_dim=width)
@@ -583,7 +660,7 @@ class TestEncoderSlot:
                                rating_epochs=1, encoder_dim=128,
                                precomputed_embeddings=str(path))
         with pytest.raises(ConfigError, match=r"\b64\b.*\b128\b"):
-            run_repetitions(small_records, cfg)
+            next(run_sweep(small_records, [cfg]))
         assert trained == []
 
     def test_precomputed_encoder_rejects_attribution(self, small_records):
@@ -628,7 +705,7 @@ class TestEncoderSlot:
         steps = []
         monkeypatch.setattr(nn.Adam, "step", lambda *args, **kwargs: steps.append(args))
         with pytest.raises(ValidationError, match=missing):
-            run_repetitions(small_records, cfg)
+            next(run_sweep(small_records, [cfg]))
         assert steps == []
 
     def test_the_file_is_read_once_per_run(self, small_records, tmp_path, monkeypatch):
@@ -642,7 +719,7 @@ class TestEncoderSlot:
         cfg = ExperimentConfig(architecture=1, repetitions=3, text_epochs=1, lr=1e-3,
                                encoder_dim=8, resplit_each_repetition=True,
                                precomputed_embeddings=str(path))
-        summary, _ = run_repetitions(small_records, cfg)
+        summary, _ = next(run_sweep(small_records, [cfg]))
         assert len(summary.rows) == 3
         assert len(calls) == 1
 

@@ -53,3 +53,14 @@ def test_ab_pairs_runs_both_sides_and_sums_up():
         assert set(stats["change_better_pairs"]) <= {0}
     # one corpus, split and model seed on both sides: the same accuracy
     assert runs[0]["metrics"]["test_acc"] == runs[1]["metrics"]["test_acc"]
+
+
+def test_full_sweep_refuses_lr_with_full_budgets(tmp_path):
+    out = tmp_path / "sweep"
+    result = subprocess.run(
+        [sys.executable, str(SCRIPTS / "run_full_sweep.py"), "--full-budgets", "--lr", "1e-3",
+         "--records", "3", "--out", str(out)],
+        capture_output=True, text=True, timeout=300)
+    assert result.returncode == 2, result.stderr
+    assert "--lr" in result.stderr and "--full-budgets" in result.stderr
+    assert not out.exists()

@@ -247,6 +247,14 @@ class TestPrecomputedEncoder:
         path.write_text('{"id": 7, "embedding": [1, 2.5]}\n')
         assert load_embeddings(path, ["7"]).tolist() == [[1.0, 2.5]]
 
+    def test_a_repeated_id_is_listed_with_the_line_it_repeats(self, tmp_path):
+        path = tmp_path / "emb.jsonl"
+        path.write_text('{"id": 7, "embedding": [1.0]}\n'
+                        '{"id": "a", "embedding": [2.0]}\n'
+                        '{"id": "7", "embedding": [3.0]}\n')
+        with pytest.raises(ValidationError, match="1 invalid rows\nline 3: id '7' repeats line 1$"):
+            load_embeddings(path, ["7", "a"])
+
     def test_raw_unicode_line_separators_stay_inside_an_id(self, tmp_path):
         path = tmp_path / "emb.jsonl"
         path.write_text('{"id": "a\x85b", "embedding": [1.0]}\r\n\n'
