@@ -4,9 +4,10 @@ Pair i (from 0) runs ``perfbench/run.py --workload W --seed i+1 --seconds S``
 in each checkout, each in its own process: even pairs run the parent first,
 odd pairs the change first, so neither side always meets a warmer or a
 busier machine. Each run prints one JSON line: pair, side, seed, ``correct``,
-``failed`` and the end-to-end metrics. The last line is the summary: per
-end-to-end metric of ``BENCHMARK.json``, both sides' median and quartiles,
-the pairs in which the change was better, and each run's ``correct``.
+``failed``, ``attempted`` and the end-to-end metrics. The last line is the
+summary: per end-to-end metric of ``BENCHMARK.json``, both sides' median and
+quartiles, the pairs in which the change was better, and each run's
+``correct``, ``failed`` and ``attempted`` operations per side.
 
     python3 scripts/ab_pairs.py --parent ../parent --change . \\
         --workload text-train --pairs 8 --seconds 20
@@ -32,10 +33,11 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
         cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.splitlines()
     if proc.returncode != 0 or not lines:
-        return {"correct": False, "failed": None, "metrics": {},
+        return {"correct": False, "failed": None, "attempted": None, "metrics": {},
                 "error": (proc.stderr.strip().splitlines() or ["no output"])[-1]}
     result = json.loads(lines[-1])
     return {"correct": result["correct"], "failed": result["failed"],
+            "attempted": result["attempted"],
             "metrics": {k: m["value"] for k, m in result["metrics"].items()}}
 
 
@@ -60,8 +62,9 @@ def summarize(runs: list[dict], workload: str, pairs: int) -> dict:
                 better.append(p)
         metrics[name] = {"better": spec["better"], **stats, "change_better_pairs": better}
     return {"summary": {"workload": workload, "pairs": pairs, "metrics": metrics,
-                        "correct": {side: [by[p, side]["correct"] for p in range(pairs)]
-                                    for side in SIDES}}}
+                        **{key: {side: [by[p, side][key] for p in range(pairs)]
+                                 for side in SIDES}
+                           for key in ("correct", "failed", "attempted")}}}
 
 
 def main() -> int:

@@ -1,17 +1,25 @@
 """Generate a synthetic dataset and sweep all 12 architectures on both PCB targets.
 
-Writes the dataset, per-repetition metrics CSV, checkpoints, manifest, and the
-grouped results table under --out. Defaults use the reduced desk-scale budget;
-pass --full-budgets for the 10 / 2000 epoch, lr 1e-5 schedule (slow).
+Writes under --out: ``synth_config.json``, ``dataset.jsonl`` and its sidecar,
+what ``pcbnet train --sweep`` writes (``cli.write_run``), and ``results_table.txt``.
+The sweep goes through ``run_sweep`` as ``train`` does: a refused run prints one
+JSON error line, exits 1 and writes nothing. Defaults use the reduced desk-scale
+budget; --full-budgets uses the 10 / 2000 epoch, lr 1e-5 schedule (slow).
 """
 
 import argparse
+import json
 import sys
+import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from pcbnet.cli import main as cli_main  # noqa: E402
+from pcbnet import SyntheticGeneratorConfig, generate_synthetic, run_sweep  # noqa: E402
+from pcbnet.cli import print_error, render_report, sweep_configs, write_run  # noqa: E402
+from pcbnet.data import write_appraisal_names, write_jsonl  # noqa: E402
+from pcbnet.errors import PcbnetError  # noqa: E402
+from pcbnet.schema import Spec  # noqa: E402
 from pcbnet.serialize import atomic_write_text  # noqa: E402
 
 
@@ -30,43 +38,31 @@ def main() -> int:
     args = parser.parse_args()
     if args.full_budgets and args.lr is not None:
         parser.error("--lr sets the reduced budget's rate; --full-budgets fixes lr 1e-5")
+    try:
+        return sweep(args)
+    except PcbnetError as exc:
+        return print_error(exc)
 
+
+def sweep(args: argparse.Namespace) -> int:
+    # every input is checked, and every split made, before --out is created
+    workers = Spec("int", ge=1).check("--workers", args.workers)
+    configs = sweep_configs({
+        "repetitions": args.repetitions, "base_seed": args.seed, "batch_size": 16,
+        "text_epochs": 10, "rating_epochs": 2000 if args.full_budgets else 300,
+        "lr": 1e-5 if args.full_budgets else 1e-3 if args.lr is None else args.lr})
+    started = time.time()
+    synth = {"record_count": args.records, "noise_scale": args.noise}
+    records = generate_synthetic(SyntheticGeneratorConfig(**synth), args.seed)
+    results = run_sweep(records, configs, workers)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    dataset = out / "dataset.jsonl"
-
-    synth_cfg = out / "synth_config.json"
-    atomic_write_text(synth_cfg, _json({
-        "record_count": args.records,
-        "noise_scale": args.noise,
-    }))
-    rc = cli_main(["synth", "--config", str(synth_cfg), "--seed", str(args.seed),
-                   "--out", str(dataset)])
-    if rc != 0:
-        return rc
-
-    train_cfg = out / "train_config.json"
-    budgets = ({"text_epochs": 10, "rating_epochs": 2000, "lr": 1e-5}
-               if args.full_budgets
-               else {"text_epochs": 10, "rating_epochs": 300,
-                     "lr": 1e-3 if args.lr is None else args.lr})
-    atomic_write_text(train_cfg, _json({
-        "dataset": str(dataset),
-        "repetitions": args.repetitions,
-        "base_seed": args.seed,
-        "batch_size": 16,
-        **budgets,
-    }))
-    rc = cli_main(["train", "--config", str(train_cfg), "--out", str(out),
-                   "--workers", str(args.workers), "--sweep"])
-    if rc != 0:
-        return rc
-    return cli_main(["report", str(out), "--out", str(out / "results_table.txt")])
-
-
-def _json(obj) -> str:
-    import json
-    return json.dumps(obj, indent=2) + "\n"
+    atomic_write_text(out / "synth_config.json", json.dumps(synth, indent=2) + "\n")
+    write_jsonl(records, out / "dataset.jsonl")
+    write_appraisal_names(out / "dataset.appraisal_names.txt")
+    table = render_report(write_run(out, out / "dataset.jsonl", configs, results, started))
+    print(table, end="")
+    atomic_write_text(out / "results_table.txt", table)
+    return 0
 
 
 if __name__ == "__main__":

@@ -16,6 +16,7 @@ import sys
 import time
 from dataclasses import asdict
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -26,9 +27,10 @@ from .data import (SyntheticGeneratorConfig, generate_synthetic, ingest,
 from .errors import (CapabilityError, ConfigError, DatasetLookupError,
                      PcbnetError, ValidationError)
 from .experiment import PCB_TARGETS, ExperimentConfig, MetricsSummary, run_sweep
-from .models import ARCHITECTURES, TEXT, architecture_spec, load_model, save_model
+from .models import (ARCHITECTURES, TEXT, ModelInstance, architecture_spec, load_model,
+                     save_model)
 from .schema import Spec, specs
-from .serialize import atomic_write_text, output_dir, read_input
+from .serialize import atomic_write_text, atomic_writer, output_dir, read_input
 
 OUTPUT_ROOT_ENV = "PCBNET_OUT"
 
@@ -62,32 +64,6 @@ def _load_json_config(path: str | None, allowed: dict[str, Spec], what: str) -> 
     return obj
 
 
-def _format_float(x: float) -> str:
-    return repr(float(x))
-
-
-def _metrics_csv(rows: list[dict]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(METRICS_COLUMNS)
-    for row in rows:
-        writer.writerow([row[c] for c in METRICS_COLUMNS])
-    return buf.getvalue()
-
-
-def _summary_rows(arch_id: int, pcb_target: str, summary: MetricsSummary) -> list[dict]:
-    family = architecture_spec(arch_id).family
-    return [{
-        "architecture_id": arch_id,
-        "family": family,
-        "pcb_target": pcb_target,
-        "repetition": r.repetition,
-        "accuracy": _format_float(r.accuracy),
-        "f1_weighted": _format_float(r.f1_weighted),
-        "seed": r.seed,
-    } for r in summary.rows]
-
-
 def cmd_synth(args: argparse.Namespace) -> int:
     raw = _load_json_config(args.config, _SYNTH_SPECS, "synth")
     seed = raw.pop("seed", 0)
@@ -103,6 +79,12 @@ def cmd_synth(args: argparse.Namespace) -> int:
     return 0
 
 
+def sweep_configs(keys: dict) -> list[ExperimentConfig]:
+    """The sweep: every architecture on every PCB target, with the fields ``keys`` sets."""
+    return [ExperimentConfig(**{**keys, "architecture": spec.id, "pcb_target": target})
+            for spec in ARCHITECTURES for target in PCB_TARGETS]
+
+
 def cmd_train(args: argparse.Namespace) -> int:
     raw = _load_json_config(args.config, _TRAIN_SPECS, "train")
     if "dataset" not in raw:
@@ -114,8 +96,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     # dataset, every split and every embedding file before the output directory is made
     workers = Spec("int", ge=1).check("--workers", args.workers)
     if raw.pop("sweep", False) or args.sweep:
-        configs = [ExperimentConfig(**{**raw, "architecture": spec.id, "pcb_target": target})
-                   for spec in ARCHITECTURES for target in PCB_TARGETS]
+        configs = sweep_configs(raw)
     elif "architecture" in raw:
         configs = [ExperimentConfig(**raw)]
     else:
@@ -123,7 +104,17 @@ def cmd_train(args: argparse.Namespace) -> int:
 
     started = time.time()
     results = run_sweep(ingest(dataset_path), configs, workers)
-    out_dir = output_dir(args.out or _default_out())
+    write_run(args.out or _default_out(), dataset_path, configs, results, started)
+    return 0
+
+
+def write_run(out: str | Path, dataset_path: str | Path, configs: list[ExperimentConfig],
+              results: Iterable[tuple[MetricsSummary, ModelInstance]],
+              started: float) -> list[dict]:
+    """A run's files under directory ``out``, which it makes: each config's
+    checkpoint as ``results`` yields it, then ``metrics.csv``, ``summary.json``
+    and ``manifest.json``. Returns the metrics rows."""
+    out_dir = output_dir(out)
     all_rows: list[dict] = []
     summaries: dict[str, dict] = {}
     checkpoints: list[str] = []
@@ -134,7 +125,10 @@ def cmd_train(args: argparse.Namespace) -> int:
         checkpoint = out_dir / f"checkpoint_{tag}.params"
         save_model(checkpoint, model, meta={"pcb_target": cfg.pcb_target})
         counts = [r.class_counts for r in summary.rows]  # the splits are not stratified
-        all_rows.extend(_summary_rows(arch_id, target, summary))
+        all_rows.extend({"architecture_id": arch_id, "family": architecture_spec(arch_id).family,
+                         "pcb_target": target, "repetition": r.repetition,
+                         "accuracy": repr(r.accuracy), "f1_weighted": repr(r.f1_weighted),
+                         "seed": r.seed} for r in summary.rows)
         summaries[tag] = {
             "architecture_id": arch_id,
             "pcb_target": target,
@@ -155,7 +149,10 @@ def cmd_train(args: argparse.Namespace) -> int:
               f"({summary.std_f1:.4f})")
 
     metrics_path = out_dir / "metrics.csv"
-    atomic_write_text(metrics_path, _metrics_csv(all_rows))
+    with atomic_writer(metrics_path) as fh:
+        writer = csv.DictWriter(fh, METRICS_COLUMNS, lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(all_rows)
     summary_path = out_dir / "summary.json"
     atomic_write_text(summary_path, json.dumps(summaries, sort_keys=True, indent=2) + "\n")
     manifest = {
@@ -172,7 +169,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     atomic_write_text(out_dir / "manifest.json",
                       json.dumps(manifest, sort_keys=True, indent=2) + "\n")
     print(f"wrote {metrics_path} ({len(all_rows)} rows)")
-    return 0
+    return all_rows
 
 
 _FAMILY_ORDER = tuple(dict.fromkeys(spec.family for spec in ARCHITECTURES))
@@ -331,9 +328,14 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except PcbnetError as exc:
-        print(json.dumps({"error": {"category": exc.category, "message": str(exc)}}),
-              file=sys.stderr)
-        return 1
+        return print_error(exc)
+
+
+def print_error(exc: PcbnetError) -> int:
+    """``exc`` as the one JSON line a refused command prints on stderr; exit code 1."""
+    print(json.dumps({"error": {"category": exc.category, "message": str(exc)}}),
+          file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

@@ -24,8 +24,8 @@ import numpy as np
 
 from .errors import ConfigError, SizeError, ValidationError
 from .schema import check_fields, declared
-from .serialize import (atomic_write_text, atomic_writer, read_input, read_jsonl, record_id,
-                        unique_id)
+from .serialize import (atomic_write_text, atomic_writer, read_input, read_items, read_jsonl,
+                        record_id)
 from .text import tokenize
 
 APPRAISAL_COUNT = 20
@@ -175,11 +175,10 @@ def _record_from_obj(obj) -> ReviewRecord:
     return ReviewRecord(**{key: obj[key] for key in _FIELDS})
 
 
-def _csv_header() -> list[str]:
-    return (["id", "text"]
-            + [f"appraisal_{i + 1}" for i in range(APPRAISAL_COUNT)]
-            + [f"emotion_{name}" for name in EMOTION_NAMES]
-            + list(PCB_FIELDS))
+_CSV_HEADER = (["id", "text"]
+               + [f"appraisal_{i + 1}" for i in range(APPRAISAL_COUNT)]
+               + [f"emotion_{name}" for name in EMOTION_NAMES]
+               + list(PCB_FIELDS))
 
 
 def ingest(path: str | Path) -> list[ReviewRecord]:
@@ -201,31 +200,23 @@ def ingest(path: str | Path) -> list[ReviewRecord]:
             start = reader.line_num + 1
     except csv.Error as exc:  # e.g. a field over the csv module's size limit
         raise ValidationError(f"{path}: line {reader.line_num}: {exc}") from None
-    header = _csv_header()
-    if not rows or rows[0][1] != header:
-        raise ValidationError(f"{path}: CSV header must be {','.join(header)}")
-    records: list[ReviewRecord] = []
-    errors: list[str] = []
-    seen: dict[str, int] = {}
-    for lineno, row in rows[1:]:
-        if not row:
-            continue
-        if len(row) != len(header):
-            errors.append(f"line {lineno}: expected {len(header)} columns, got {len(row)}")
-            continue
-        try:
-            ratings = [int(v) for v in row[2:]]
-            record = ReviewRecord(row[0], row[1], ratings[:APPRAISAL_COUNT],
-                                  ratings[APPRAISAL_COUNT:-2], *ratings[-2:])
-            unique_id(seen, record.id, lineno)
-            records.append(record)
-        except ValueError:
-            errors.append(f"line {lineno}: non-integer rating value")
-        except ValidationError as exc:
-            errors.append(f"line {lineno}: {exc}")
-    if errors:
-        raise ValidationError(f"{path}: {len(errors)} invalid rows\n" + "\n".join(errors))
-    return records
+    if not rows or rows[0][1] != _CSV_HEADER:
+        raise ValidationError(f"{path}: CSV header must be {','.join(_CSV_HEADER)}")
+    records = read_items(path, ((n, row) for n, row in rows[1:] if row), _record_from_row,
+                         lambda record: record.id)
+    return [record for _, record in records]
+
+
+def _record_from_row(row: list[str]) -> ReviewRecord:
+    """A record from a CSV row of ``_CSV_HEADER``'s columns."""
+    if len(row) != len(_CSV_HEADER):
+        raise ValidationError(f"expected {len(_CSV_HEADER)} columns, got {len(row)}")
+    try:
+        ratings = [int(v) for v in row[2:]]
+    except ValueError:
+        raise ValidationError("non-integer rating value") from None
+    return ReviewRecord(row[0], row[1], ratings[:APPRAISAL_COUNT],
+                        ratings[APPRAISAL_COUNT:-2], *ratings[-2:])
 
 
 def record_to_obj(record: ReviewRecord) -> dict:
@@ -246,7 +237,7 @@ def write_csv(records: Iterable[ReviewRecord], path: str | Path) -> None:
     with atomic_writer(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         quoted = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL)
-        writer.writerow(_csv_header())
+        writer.writerow(_CSV_HEADER)
         for r in records:
             (quoted if "\r" in r.id or "\r" in r.text else writer).writerow(
                 [r.id, r.text, *r.appraisals, *r.emotions, r.pcb_repurchase, r.pcb_promote])

@@ -306,30 +306,24 @@ def evaluate(model: ModelInstance, data: Dataset, idx: Sequence[int],
     idx = list(idx)
     if not idx:
         raise SizeError("cannot evaluate on an empty split")
-    preds, labels = [], []
-    aux_diag: dict[str, float] = {}
-    emo_correct = emo_total = app_correct = app_total = 0
+    chunks: dict[str, list[np.ndarray]] = {}
     with frozen(model.parameters().values()):
         for start in range(0, len(idx), _EVAL_CHUNK):
-            batch = data.batch(idx[start:start + _EVAL_CHUNK], pcb_target,
-                               model.spec.input_modalities)
-            out = model.forward(batch)
-            preds.append(np.argmax(out["pcb_logits"].data, axis=1))
-            labels.append(batch.pcb_labels)
-            if "emotion_logits" in out:
-                got = (out["emotion_logits"].data > 0).astype(np.float64)
-                emo_correct += float((got == batch.emotion_target_flags).sum())
-                emo_total += got.size
-            if "appraisal_logits" in out:
-                blocks = out["appraisal_logits"].data.reshape(-1, APPRAISAL_COUNT, 3)
-                got = np.argmax(blocks, axis=2)
-                app_correct += float((got == batch.appraisal_target_classes).sum())
-                app_total += got.size
-    y_pred, y_true = np.concatenate(preds), np.concatenate(labels)
-    if emo_total:
-        aux_diag["emotion_flag_accuracy"] = emo_correct / emo_total
-    if app_total:
-        aux_diag["appraisal_class_accuracy"] = app_correct / app_total
+            out = model.forward(data.batch(idx[start:start + _EVAL_CHUNK], pcb_target,
+                                           model.spec.input_modalities))
+            for name, value in out.items():
+                chunks.setdefault(name, []).append(value.data)
+    logits = {name: np.concatenate(parts) for name, parts in chunks.items()}
+    rows = data.rows(idx)
+    y_pred, y_true = np.argmax(logits["pcb_logits"], axis=1), data.pcb_labels[pcb_target][rows]
+    aux_diag: dict[str, float] = {}
+    if "emotion_logits" in logits:
+        got = logits["emotion_logits"] > 0
+        aux_diag["emotion_flag_accuracy"] = float(np.mean(got == data.emotion_target_flags[rows]))
+    if "appraisal_logits" in logits:
+        got = np.argmax(logits["appraisal_logits"].reshape(-1, APPRAISAL_COUNT, 3), axis=2)
+        aux_diag["appraisal_class_accuracy"] = float(
+            np.mean(got == data.appraisal_target_classes[rows]))
     return RepetitionResult(
         repetition=-1, seed=-1,
         accuracy=accuracy_score(y_true, y_pred),

@@ -4,9 +4,9 @@ Layout: magic line, 8-byte little-endian header length, UTF-8 JSON header,
 then the concatenated row-major float64 buffers. The header carries a format
 name, version, arbitrary metadata, and the tensor index (name, shape, offset
 in float64 elements). Writes are atomic (temp file + rename, through
-``atomic_writer``) and byte-stable for identical inputs. ``read_jsonl`` is
-the loop of every JSONL reader, ``jsonl_lines`` its line rule, and
-``record_id`` and ``unique_id`` their id rules.
+``atomic_writer``) and byte-stable for identical inputs. ``read_items`` is
+the loop of every record reader, ``read_jsonl`` and ``jsonl_lines`` its JSONL
+form and line rule, and ``record_id`` and ``unique_id`` their id rules.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import struct
 import tempfile
 from contextlib import contextmanager
 from pathlib import Path
-from typing import IO, Callable, Iterator
+from typing import IO, Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -100,18 +100,26 @@ def jsonl_lines(text: str) -> Iterator[tuple[int, str]]:
 
 def read_jsonl(path: str | Path, what: str, parse: Callable,
                id_of: Callable) -> list[tuple[int, object]]:
-    """``(line number, parse(value))`` for each JSON line of input file ``path``.
+    """``read_items`` of input file ``path``'s JSON lines, each value handed to ``parse``."""
+    return read_items(path, jsonl_lines(read_input(path, what)),
+                      lambda line: parse(json.loads(line)), id_of)
 
-    ``parse`` refuses a value with a ``ValidationError``. Every line that is
-    not JSON, that ``parse`` refuses, or whose ``id_of(parsed)`` repeats an
-    earlier line's (``unique_id``), is listed in one ``ValidationError``.
+
+def read_items(path: str | Path, items: Iterable[tuple[int, object]], parse: Callable,
+               id_of: Callable) -> list[tuple[int, object]]:
+    """``(line number, parse(item))`` for each ``(line number, item)`` of input ``path``.
+
+    ``parse`` refuses an item with a ``ValidationError`` (or ``json.loads``'s
+    error, for a line that is not JSON). Every item that
+    ``parse`` refuses, or whose ``id_of(parsed)`` repeats an earlier item's
+    (``unique_id``), is listed with its line in one ``ValidationError``.
     """
     values: list[tuple[int, object]] = []
     errors: list[str] = []
     seen: dict[str, int] = {}
-    for lineno, line in jsonl_lines(read_input(path, what)):
+    for lineno, item in items:
         try:
-            value = parse(json.loads(line))
+            value = parse(item)
             unique_id(seen, id_of(value), lineno)
             values.append((lineno, value))
         except json.JSONDecodeError as exc:

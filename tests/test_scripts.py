@@ -3,7 +3,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+SIDES = ("parent", "change")
 
 
 def test_attribute_extremes_runs_at_a_small_size(tmp_path):
@@ -44,6 +47,9 @@ def test_ab_pairs_runs_both_sides_and_sums_up():
     assert all(r["correct"] and r["failed"] == 0 for r in runs)
     summary = last["summary"]
     assert summary["correct"] == {"parent": [True], "change": [True]}
+    assert summary["failed"] == {"parent": [0], "change": [0]}
+    assert [r["attempted"] for r in runs] == [summary["attempted"][s][0] for s in SIDES]
+    assert all(summary["attempted"][s][0] >= 1 for s in SIDES)
     declared = json.loads((root / "BENCHMARK.json").read_text())["end_to_end"]
     assert set(summary["metrics"]) == {m["name"] for m in declared}
     for name, stats in summary["metrics"].items():
@@ -63,4 +69,21 @@ def test_full_sweep_refuses_lr_with_full_budgets(tmp_path):
         capture_output=True, text=True, timeout=300)
     assert result.returncode == 2, result.stderr
     assert "--lr" in result.stderr and "--full-budgets" in result.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args, category", [
+    (["--records", "3"], "size"),  # a 3-record split has no test record
+    (["--records", "60", "--workers", "0"], "config"),
+    (["--records", "60", "--repetitions", "0"], "config"),
+])
+def test_a_refused_full_sweep_writes_nothing(tmp_path, args, category):
+    out = tmp_path / "sweep"
+    result = subprocess.run(
+        [sys.executable, str(SCRIPTS / "run_full_sweep.py"), *args, "--out", str(out)],
+        capture_output=True, text=True, timeout=300)
+    assert result.returncode == 1, result.stderr
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1, result.stderr
+    assert json.loads(lines[0])["error"]["category"] == category
     assert not out.exists()
