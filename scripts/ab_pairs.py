@@ -6,8 +6,15 @@ odd pairs the change first, so neither side always meets a warmer or a
 busier machine. Each run prints one JSON line: pair, side, seed, ``correct``,
 ``failed``, ``attempted`` and the end-to-end metrics. The last line is the
 summary: per end-to-end metric of ``BENCHMARK.json``, both sides' median and
-quartiles, the pairs in which the change was better, and each run's
-``correct``, ``failed`` and ``attempted`` operations per side.
+quartiles, the pairs in which the change was better and their number (a tie
+counts for neither side), the verdicts ``claim_met`` and ``within_bound``, and
+each run's ``correct``, ``failed`` and ``attempted`` operations per side.
+
+``claim_met``: the change won at least 9 of 10 pairs, and its median is better
+than the parent's by more than the parent's q3 - q1. ``within_bound``: the
+change's median is no worse than the parent's by more than the metric's
+``BENCHMARK.json`` bound, as a fraction of the parent's median. Both are null
+when a side has no value for the metric.
 
     python3 scripts/ab_pairs.py --parent ../parent --change . \\
         --workload text-train --pairs 8 --seconds 20
@@ -42,7 +49,8 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
 
 
 def summarize(runs: list[dict], workload: str, pairs: int) -> dict:
-    """Median and quartiles per side, and the pairs the change won, per metric."""
+    """Per metric: median and quartiles per side, the pairs the change won, and
+    the verdicts ``claim_met`` and ``within_bound``."""
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     by = {(r["pair"], r["side"]): r for r in runs}
     metrics = {}
@@ -60,7 +68,16 @@ def summarize(runs: list[dict], workload: str, pairs: int) -> dict:
             b = by[p, "change"]["metrics"].get(name)
             if a is not None and b is not None and (b < a if lower else b > a):
                 better.append(p)
-        metrics[name] = {"better": spec["better"], **stats, "change_better_pairs": better}
+        parent, change = stats["parent"], stats["change"]
+        claim_met = within_bound = None
+        if parent["median"] is not None and change["median"] is not None:
+            gain = (parent["median"] - change["median"]) * (1 if lower else -1)
+            claim_met = bool(10 * len(better) >= 9 * pairs
+                             and gain > parent["q3"] - parent["q1"])
+            within_bound = bool(-gain <= spec["bound"] * abs(parent["median"]))
+        metrics[name] = {"better": spec["better"], **stats, "change_better_pairs": better,
+                         "change_won": len(better), "claim_met": claim_met,
+                         "within_bound": within_bound}
     return {"summary": {"workload": workload, "pairs": pairs, "metrics": metrics,
                         **{key: {side: [by[p, side][key] for p in range(pairs)]
                                  for side in SIDES}

@@ -2,7 +2,8 @@
 
 Selects the test records with the highest and lowest predicted probability of
 the High promote class, runs integrated gradients on each, and writes JSON and
-HTML token heat maps.
+HTML token heat maps. A refused run prints one JSON error line, exits 1 and
+writes nothing.
 """
 
 import argparse
@@ -13,10 +14,12 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from pcbnet.attribution import (integrated_gradients, report_to_html,  # noqa: E402
+from pcbnet.attribution import (STEPS, integrated_gradients, report_to_html,  # noqa: E402
                                 report_to_json, rank_tokens)
+from pcbnet.cli import print_error  # noqa: E402
 from pcbnet.data import (Level, SyntheticGeneratorConfig,  # noqa: E402
                          generate_synthetic, split_records)
+from pcbnet.errors import PcbnetError, SizeError  # noqa: E402
 from pcbnet.experiment import (ExperimentConfig, build_vocab_for_split,  # noqa: E402
                                featurize, train)
 from pcbnet.models import build  # noqa: E402
@@ -32,15 +35,26 @@ def main() -> int:
     parser.add_argument("--steps", type=int, default=128)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
+    try:
+        return explain(args)
+    except PcbnetError as exc:
+        return print_error(exc)
 
+
+def explain(args: argparse.Namespace) -> int:
+    # every argument is checked before anything is generated, and --out is
+    # created only by the first report written
     gen_cfg = SyntheticGeneratorConfig(record_count=args.records, noise_scale=0.0)
+    cfg = ExperimentConfig(architecture=1, pcb_target="promote", text_epochs=args.epochs,
+                           lr=args.lr, base_seed=args.seed)
+    steps = STEPS.check("--steps", args.steps)
     records = generate_synthetic(gen_cfg, seed=args.seed)
     split = split_records(len(records), (0.8, 0.1, 0.1), args.seed)
+    if not split.test:
+        raise SizeError(f"{len(records)} records leave no test record to explain")
     vocab = build_vocab_for_split(records, split)
     data = featurize(records, vocab)
 
-    cfg = ExperimentConfig(architecture=1, pcb_target="promote",
-                           text_epochs=args.epochs, lr=args.lr)
     model = build(1, vocab=vocab, seed=args.seed)
     train(model, data, split.train, cfg, seed=args.seed)
 
@@ -51,18 +65,17 @@ def main() -> int:
         "most_promotable": split.test[int(np.argmax(high_prob))],
         "least_promotable": split.test[int(np.argmin(high_prob))],
     }
+    reports = {label: integrated_gradients(model, records[idx], pcb_target="promote",
+                                           target_class="predicted", steps=steps)
+               for label, idx in extremes.items()}
 
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    for label, idx in extremes.items():
-        record = records[idx]
-        report = integrated_gradients(model, record, pcb_target="promote",
-                                      target_class="predicted", steps=args.steps)
+    for label, report in reports.items():
         atomic_write_text(out / f"{label}.json", report_to_json(report) + "\n")
         atomic_write_text(out / f"{label}.html", report_to_html(report))
         top = ", ".join(f"{token} ({score:+.3f})"
                         for _, token, score in rank_tokens(report, 8))
-        print(f"{label}: record {record.id}, predicted class "
+        print(f"{label}: record {report.record_id}, predicted class "
               f"{report.predicted_class}, top tokens: {top}")
     print(f"reports written to {out}")
     return 0

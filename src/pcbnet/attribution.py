@@ -20,8 +20,13 @@ from .data import ReviewRecord
 from .errors import CapabilityError, ConfigError
 from .experiment import Dataset, featurize
 from .models import TEXT, ModelInstance
+from .schema import Spec
 from .serialize import is_int
 from .text import token_mask, tokenize
+
+# integrated_gradients' rules for these arguments; ``pcbnet attribute`` checks its flags by them
+STEPS = Spec("int", ge=1)
+BASELINE = Spec("str", choices=("pad", "zero"))
 
 
 @dataclass
@@ -102,10 +107,8 @@ def integrated_gradients(model: ModelInstance, record: ReviewRecord,
         raise CapabilityError(
             "attribution requires a differentiable path into token embeddings; "
             "this model uses precomputed embeddings")
-    if steps < 1:
-        raise ConfigError(f"steps must be >= 1, got {steps}")
-    if baseline not in ("pad", "zero"):
-        raise ConfigError(f"baseline must be 'pad' or 'zero', got {baseline!r}")
+    steps = int(STEPS.check("steps", steps))
+    BASELINE.check("baseline", baseline)
 
     encoder = model.encoder
     data = featurize([record], encoder.vocab, encoder.max_sequence_length)
@@ -129,8 +132,7 @@ def integrated_gradients(model: ModelInstance, record: ReviewRecord,
             target_class = predicted
         elif target_class is None:
             target_class = int(data.pcb_labels[pcb_target][0])
-        if not is_int(target_class) or not 0 <= target_class < 3:
-            raise ConfigError(f"target_class must be in [0, 3), got {target_class!r}")
+        target_class = int(Spec("int", ge=0, le=2).check("target_class", target_class))
         logits_base = _logits(model, data, pcb_target, q_base).data[0]
         grad_sum_q = _path_gradient_sum(model, data, pcb_target, q_base.data,
                                         q_x.data - q_base.data, target_class, steps)

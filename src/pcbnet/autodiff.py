@@ -353,22 +353,15 @@ def _log_softmax(z: Array) -> Array:
 def cross_entropy(logits: Tensor, targets: Array) -> Tensor:
     """Mean over the batch of -log softmax(logits)[target].
 
-    Past its own argument checks it is ``grouped_cross_entropy`` with one group.
+    Past its two shape checks it is ``grouped_cross_entropy`` with one group.
     """
     targets = np.asarray(targets)
     if logits.data.ndim != 2:
         raise DimensionError(f"cross_entropy expects logits [b, c], got {logits.shape}")
-    b, c = logits.shape
-    if c < 2:
-        raise DimensionError(f"cross_entropy needs at least 2 classes, got {c}")
+    b = logits.shape[0]
     if targets.shape != (b,):
         raise DimensionError(
             f"cross_entropy targets shape {targets.shape} does not match batch {b}")
-    bad = np.nonzero((targets < 0) | (targets >= c))[0]
-    if bad.size:
-        i = int(bad[0])
-        raise LabelError(
-            f"target {int(targets[i])} at index {i} outside class range [0, {c})")
     return grouped_cross_entropy(logits, targets[:, None], groups=1)
 
 
@@ -394,8 +387,9 @@ def grouped_cross_entropy(logits: Tensor, targets: Array, groups: int,
     bad = np.nonzero((targets < 0) | (targets >= c))
     if bad[0].size:
         i, j = int(bad[0][0]), int(bad[1][0])
+        at = i if groups == 1 else (i, j)  # one group: a row of a cross_entropy batch
         raise LabelError(
-            f"target {int(targets[i, j])} at index ({i}, {j}) outside class range [0, {c})")
+            f"target {int(targets[i, j])} at index {at} outside class range [0, {c})")
     z = logits.data.reshape(b, groups, c)
     lsm = _log_softmax(z)
     rows = np.arange(b)[:, None]

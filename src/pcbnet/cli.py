@@ -21,7 +21,7 @@ from typing import Iterable
 import numpy as np
 
 from . import __version__
-from .attribution import integrated_gradients, report_to_html, report_to_json
+from .attribution import BASELINE, STEPS, integrated_gradients, report_to_html, report_to_json
 from .data import (SyntheticGeneratorConfig, generate_synthetic, ingest,
                    write_appraisal_names, write_jsonl)
 from .errors import (CapabilityError, ConfigError, DatasetLookupError,
@@ -255,7 +255,7 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 def cmd_attribute(args: argparse.Namespace) -> int:
     # the arguments, then the inputs, are checked before any output is made
-    steps = Spec("int", ge=1).check("--steps", args.steps)
+    steps = STEPS.check("--steps", args.steps)
     wanted = [rid for chunk in args.records for rid in chunk.split(",") if rid]
     if not wanted:
         raise ConfigError("no record ids given")
@@ -314,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_attr.add_argument("--records", action="append", default=[],
                         help="comma-separated record ids (repeatable)")
     p_attr.add_argument("--steps", type=int, default=128)
-    p_attr.add_argument("--baseline", default="pad", choices=("pad", "zero"))
+    p_attr.add_argument("--baseline", default="pad", choices=BASELINE.choices)
     p_attr.add_argument("--target", default="gold", choices=("gold", "predicted"),
                         help="attribute the gold or the predicted class logit")
     p_attr.add_argument("--out", default=None, help="output directory")

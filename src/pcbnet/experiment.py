@@ -17,7 +17,7 @@ from .errors import ConfigError, SizeError, TrainingError
 from .metrics import accuracy_score, weighted_f1
 from .models import (APPRAISALS, EMOTIONS, MAX_BUILT_ENCODER_DIM, PCB_HEAD, TEXT, Batch,
                      ModelInstance, architecture_spec, build)
-from .nn import Adam, LinearSchedule
+from .nn import Adam
 from .schema import Spec, check_fields, declared
 from .text import Vocabulary, encode_texts, load_embeddings
 
@@ -218,11 +218,11 @@ def _param_norms(params: dict[str, Tensor]) -> dict[str, float]:
     return {k: float(np.linalg.norm(p.data)) for k, p in params.items()}
 
 
-def _float32(batch: Batch) -> Batch:
-    """``batch`` with each float array cast to float32."""
-    return replace(batch, **{f.name: value.astype(np.float32) for f in fields(batch)
-                             if isinstance(value := getattr(batch, f.name), np.ndarray)
-                             and value.dtype.kind == "f"})
+def _float32(data: Dataset) -> Dataset:
+    """``data`` with each float array cast to float32."""
+    return replace(data, **{f.name: value.astype(np.float32) for f in fields(data)
+                            if isinstance(value := getattr(data, f.name), np.ndarray)
+                            and value.dtype.kind == "f"})
 
 
 def _train_single(model: ModelInstance, data: Dataset, train_idx: Sequence[int],
@@ -231,10 +231,10 @@ def _train_single(model: ModelInstance, data: Dataset, train_idx: Sequence[int],
     """Train ``model``'s parameters that have ``requires_grad``.
 
     Every step computes in float32: on entry each parameter, frozen ones too,
-    is swapped for a float32 copy, and each batch's float inputs are cast. On
-    the way out, even on an error, each trained parameter's float64 value
-    gains its copy's float32 change, so one that did not move keeps every
-    bit, and the float64 arrays go back.
+    is swapped for a float32 copy, and the batches are gathered from a float32
+    copy of ``data``'s float arrays. On the way out, even on an error, each
+    trained parameter's float64 value gains its copy's float32 change, so one
+    that did not move keeps every bit, and the float64 arrays go back.
     """
     n = len(train_idx)
     if n == 0:
@@ -243,9 +243,9 @@ def _train_single(model: ModelInstance, data: Dataset, train_idx: Sequence[int],
     epochs = cfg.epochs_for(modalities)
     batch_size = cfg.batch_size if TEXT in modalities else n
     total_steps = epochs * ((n + batch_size - 1) // batch_size)
-    schedule = LinearSchedule(cfg.lr, total_steps)
     rng = np.random.default_rng(seed)
     idx = data.rows(train_idx)
+    data32 = _float32(data)
     trace: list[float] = []
     val_trace: list[tuple[int, float]] = []
     val_every = max(1, epochs // 20)
@@ -260,8 +260,8 @@ def _train_single(model: ModelInstance, data: Dataset, train_idx: Sequence[int],
         for epoch in range(epochs):
             order = rng.permutation(n)
             for start in range(0, n, batch_size):
-                batch = _float32(data.batch(idx[order[start:start + batch_size]],
-                                            cfg.pcb_target, modalities))
+                batch = data32.batch(idx[order[start:start + batch_size]],
+                                     cfg.pcb_target, modalities)
                 loss = compute_loss(model, batch, cfg)
                 value = loss.item()
                 if not np.isfinite(value):
@@ -269,7 +269,7 @@ def _train_single(model: ModelInstance, data: Dataset, train_idx: Sequence[int],
                         f"non-finite loss at step {step}; parameter norms: "
                         f"{_param_norms(params)}")
                 backward(loss)
-                optimizer.step(lr=schedule.lr_at(step))
+                optimizer.step(lr=cfg.lr * (1.0 - step / total_steps))
                 trace.append(value)
                 step += 1
             if cfg.track_validation and validation_idx and epoch % val_every == 0:

@@ -1,4 +1,4 @@
-"""Layers, initialization, Adam, and the linear learning-rate schedule."""
+"""Layers, initialization, and Adam."""
 
 from __future__ import annotations
 
@@ -10,9 +10,9 @@ from .autodiff import Tensor, dense_epilogue, matmul, parameter
 # Layers run bias and relu in dense_epilogue; the benchmark's tracer
 # (perfbench/spans.py) still patches both chain ops in this module.
 from .autodiff import add, relu  # noqa: F401
-from .errors import ConfigError, OptimizerError
+from .errors import OptimizerError
 
-__all__ = ["LinearLayer", "FFNNHead", "Adam", "LinearSchedule"]
+__all__ = ["LinearLayer", "FFNNHead", "Adam"]
 
 
 def kaiming_uniform(rng: np.random.Generator, fan_in: int, shape) -> np.ndarray:
@@ -63,21 +63,6 @@ class FFNNHead:
         for layer in self.layers:
             out.update(layer.parameters())
         return out
-
-
-@dataclass
-class LinearSchedule:
-    """lr(step) = base_lr * (1 - step / total_steps), clamped at 0."""
-
-    base_lr: float
-    total_steps: int
-
-    def __post_init__(self) -> None:
-        if self.total_steps <= 0:
-            raise ConfigError(f"total_steps must be positive, got {self.total_steps}")
-
-    def lr_at(self, step: int) -> float:
-        return max(self.base_lr * (1.0 - step / self.total_steps), 0.0)
 
 
 # Adam walks each parameter in blocks of this many elements (128 KiB per

@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -121,6 +122,21 @@ class TestContracts:
             integrated_gradients(model, records[0], steps=0)
         with pytest.raises(ConfigError):
             integrated_gradients(model, records[0], baseline="noise")
+
+    @pytest.mark.parametrize("name, value, refused", [
+        ("steps", 2.5, True), ("steps", "3", True), ("steps", True, True),
+        ("steps", np.int64(2), False), ("target_class", np.int64(1), False)])
+    def test_arguments_follow_the_integer_rule(self, trained_text_model, name, value,
+                                               refused):
+        _, records, _, model = trained_text_model
+        kwargs = {"steps": 2, name: value}
+        if refused:
+            with pytest.raises(ConfigError, match=f"{name} must be an integer"):
+                integrated_gradients(model, records[0], **kwargs)
+        else:
+            report = json.loads(report_to_json(integrated_gradients(model, records[0],
+                                                                    **kwargs)))
+            assert report[name] == value and type(report[name]) is int
 
     def test_unknown_pcb_target_is_refused_and_flags_are_restored(self,
                                                                   trained_text_model):

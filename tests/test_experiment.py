@@ -267,6 +267,29 @@ class TestTrain:
         result = train(model, data, split.train, cfg, seed=0)
         assert result.steps == 4  # one full-batch step per epoch
 
+    def test_learning_rate_decays_linearly_to_the_last_step(self, prepared, monkeypatch):
+        from pcbnet import nn
+        data, split = prepared
+        rates = []
+        step = nn.Adam.step
+
+        def spy(self, lr=None):
+            rates.append(lr)
+            step(self, lr)
+
+        monkeypatch.setattr(nn.Adam, "step", spy)
+        batches = (len(split.train) + 15) // 16
+        # a minibatch text model, then a full-batch rating model
+        for arch_id, epochs, total in ((1, 3, 3 * batches), (2, 5, 5)):
+            rates.clear()
+            cfg = ExperimentConfig(architecture=arch_id, text_epochs=epochs,
+                                   rating_epochs=epochs, batch_size=16, lr=1e-3)
+            model = build(arch_id, vocab=data.vocab, seed=0)
+            assert train(model, data, split.train, cfg, seed=0).steps == total
+            assert rates == [cfg.lr * (1 - s / total) for s in range(total)]
+            assert rates[0] == cfg.lr
+            assert all(a > b for a, b in zip(rates, rates[1:])) and rates[-1] > 0
+
     def test_loss_moving_average_non_increasing_late(self, prepared):
         data, split = prepared
         cfg = ExperimentConfig(architecture=2, rating_epochs=400, lr=1e-3)

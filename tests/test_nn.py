@@ -6,8 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pcbnet.autodiff import Tensor, backward, matmul, mean
-from pcbnet.errors import ConfigError, OptimizerError
-from pcbnet.nn import _ADAM_BLOCK, Adam, FFNNHead, LinearLayer, LinearSchedule
+from pcbnet.data import SyntheticGeneratorConfig, generate_synthetic, split_records
+from pcbnet.errors import OptimizerError
+from pcbnet.experiment import ExperimentConfig, build_vocab_for_split, featurize, train
+from pcbnet.models import build
+from pcbnet.nn import _ADAM_BLOCK, Adam, FFNNHead, LinearLayer
 
 
 def make_rng(seed=0):
@@ -169,23 +172,44 @@ class TestAdam:
 
 
 class TestLinearSchedule:
-    def test_endpoints_and_midpoint(self):
-        s = LinearSchedule(base_lr=1e-5, total_steps=100)
-        assert s.lr_at(0) == 1e-5
-        assert abs(s.lr_at(50) - 5e-6) < 1e-20
-        assert s.lr_at(100) == 0.0
+    """The lr ``train`` hands ``Adam.step``: ``base * (1 - step / T)`` over its T steps."""
 
-    def test_zero_total_steps_rejected(self):
-        with pytest.raises(ConfigError):
-            LinearSchedule(base_lr=1e-5, total_steps=0)
+    @pytest.fixture(scope="class")
+    def rates(self):
+        """``rates(epochs, base)``: each step's lr in a full-batch rating run.
 
-    @given(st.integers(1, 500), st.floats(1e-8, 1.0))
-    @settings(max_examples=60)
-    def test_non_increasing_and_exactly_zero_at_end(self, total, base):
-        s = LinearSchedule(base_lr=base, total_steps=total)
-        values = [s.lr_at(t) for t in range(total + 1)]
-        assert all(a >= b for a, b in zip(values, values[1:]))
+        The recorder replaces ``Adam.step``, so no parameter moves and any
+        ``base`` trains without a non-finite loss.
+        """
+        records = generate_synthetic(SyntheticGeneratorConfig(record_count=20), seed=0)
+        split = split_records(len(records), (0.8, 0.1, 0.1), 0)
+        data = featurize(records, build_vocab_for_split(records, split, min_token_freq=1))
+
+        def run(epochs, base):
+            seen = []
+            cfg = ExperimentConfig(architecture=3, rating_epochs=epochs, lr=base)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(Adam, "step", lambda self, lr=None: seen.append(lr))
+                assert train(build(3, seed=0), data, split.train, cfg, seed=0).steps == epochs
+            return seen
+
+        return run
+
+    def test_endpoints_and_midpoint(self, rates):
+        values = rates(100, 1e-5)
+        assert values[0] == 1e-5
+        assert abs(values[50] - 5e-6) < 1e-20
+        # the last of the 100 steps is one decrement of base / 100 above 0
+        assert abs(values[99] - 1e-7) < 1e-20
+
+    @given(st.integers(1, 60), st.floats(1e-8, 1.0))
+    @settings(max_examples=30, deadline=None)
+    def test_non_increasing_and_exactly_zero_at_end(self, rates, total, base):
+        values = rates(total, base)
+        assert values == [base * (1 - t / total) for t in range(total)]
+        assert all(a > b for a, b in zip(values, values[1:]))
         assert values[0] == base
-        assert values[-1] == 0.0
-        assert all(v >= 0 for v in values)
-
+        # the rate falls by base / total a step, so the last step's is one
+        # decrement above 0 and the next would be exactly 0
+        assert all(v > 0 for v in values)
+        assert abs(values[-1] - base / total) <= 1e-12 * base

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import subprocess
 import sys
@@ -61,6 +62,39 @@ def test_ab_pairs_runs_both_sides_and_sums_up():
     assert runs[0]["metrics"]["test_acc"] == runs[1]["metrics"]["test_acc"]
 
 
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_ab_pairs_states_the_verdict_per_metric():
+    # ten pairs; per metric (parent, change) of pair p, and the verdict worked by hand
+    cases = {
+        # won 9, tied 1; median 104.5 -> 94.5 beats the parent's q3 - q1 of 4.5
+        "request_ms_p50": (lambda p: 100 + p, lambda p: 90 + p if p < 9 else 109, 9, True),
+        # won 9 by 1, but q3 - q1 is 45; 1045 -> 1046 is within the bound
+        "samples_per_s": (lambda p: 1000 + 10 * p,
+                          lambda p: 1001 + 10 * p if p < 9 else 1089, 9, False),
+        # halved in 8 pairs only: no claim
+        "setup_s": (lambda p: 1.0 + 0.01 * p, lambda p: 0.5 if p < 8 else 2.0, 8, False),
+        # all tied
+        "test_acc": (lambda p: 0.8, lambda p: 0.8, 0, False),
+        # 50 -> 58 MB is 16% worse, beyond the 0.15 bound
+        "peak_rss_mb": (lambda p: 50.0, lambda p: 58.0, 0, False),
+    }
+    runs = [{"pair": p, "side": side, "correct": True, "failed": 0, "attempted": 3,
+             "metrics": {name: case[i](p) for name, case in cases.items()}}
+            for p in range(10) for i, side in enumerate(SIDES)]
+    metrics = load_script("ab_pairs").summarize(runs, "text-train", 10)["summary"]["metrics"]
+    for name, (_, _, won, claim_met) in cases.items():
+        assert metrics[name]["change_won"] == len(metrics[name]["change_better_pairs"]) == won
+        assert metrics[name]["claim_met"] is claim_met, name
+        assert metrics[name]["within_bound"] is (name != "peak_rss_mb"), name
+    assert metrics["request_ms_p50"]["change_better_pairs"] == list(range(9))
+
+
 def test_full_sweep_refuses_lr_with_full_budgets(tmp_path):
     out = tmp_path / "sweep"
     result = subprocess.run(
@@ -81,6 +115,23 @@ def test_a_refused_full_sweep_writes_nothing(tmp_path, args, category):
     out = tmp_path / "sweep"
     result = subprocess.run(
         [sys.executable, str(SCRIPTS / "run_full_sweep.py"), *args, "--out", str(out)],
+        capture_output=True, text=True, timeout=300)
+    assert result.returncode == 1, result.stderr
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1, result.stderr
+    assert json.loads(lines[0])["error"]["category"] == category
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args, category", [
+    (["--records", "3"], "size"),  # a 3-record split has no test record
+    (["--records", "60", "--steps", "0"], "config"),
+    (["--records", "60", "--epochs", "0"], "config"),
+])
+def test_a_refused_attribution_run_writes_nothing(tmp_path, args, category):
+    out = tmp_path / "extremes"
+    result = subprocess.run(
+        [sys.executable, str(SCRIPTS / "attribute_extremes.py"), *args, "--out", str(out)],
         capture_output=True, text=True, timeout=300)
     assert result.returncode == 1, result.stderr
     lines = result.stderr.splitlines()
