@@ -17,7 +17,7 @@ from .errors import ConfigError, SizeError, TrainingError
 from .metrics import accuracy_score, weighted_f1
 from .models import (APPRAISALS, EMOTIONS, MAX_BUILT_ENCODER_DIM, PCB_HEAD, TEXT, Batch,
                      ModelInstance, architecture_spec, build)
-from .nn import Adam
+from .nn import Adam, arena
 from .schema import Spec, check_fields, declared
 from .text import Vocabulary, encode_texts, load_embeddings
 
@@ -230,11 +230,13 @@ def _train_single(model: ModelInstance, data: Dataset, train_idx: Sequence[int],
                   validation_idx: Sequence[int] | None = None) -> TrainResult:
     """Train ``model``'s parameters that have ``requires_grad``.
 
-    Every step computes in float32: on entry each parameter, frozen ones too,
-    is swapped for a float32 copy, and the batches are gathered from a float32
-    copy of ``data``'s float arrays. On the way out, even on an error, each
-    trained parameter's float64 value gains its copy's float32 change, so one
-    that did not move keeps every bit, and the float64 arrays go back.
+    Every step computes in float32: on entry the trained parameters are cast
+    into views of one float32 arena (``nn.arena``), which Adam updates in one
+    pass, each frozen parameter is swapped for a float32 copy, and the batches
+    are gathered from a float32 copy of ``data``'s float arrays. On the way
+    out, even on an error, each trained parameter's float64 value gains its
+    view's float32 change, so one that did not move keeps every bit, and the
+    float64 arrays go back with no gradient.
     """
     n = len(train_idx)
     if n == 0:
@@ -253,8 +255,10 @@ def _train_single(model: ModelInstance, data: Dataset, train_idx: Sequence[int],
     all_params = model.parameters()
     values = {k: p.data for k, p in all_params.items()}
     params = {k: p for k, p in all_params.items() if p.requires_grad}
-    for p in all_params.values():
-        p.data = p.data.astype(np.float32)
+    arena(params.values(), np.float32)
+    for k, p in all_params.items():
+        if k not in params:
+            p.data = p.data.astype(np.float32)
     try:
         optimizer = Adam(params, lr=cfg.lr)
         for epoch in range(epochs):
@@ -279,7 +283,7 @@ def _train_single(model: ModelInstance, data: Dataset, train_idx: Sequence[int],
         for k, p in all_params.items():
             if k in params:
                 values[k] += p.data - values[k].astype(np.float32)
-            p.data = values[k]
+            p.data, p.grad = values[k], None
     return TrainResult(loss_trace=trace, steps=step, validation_trace=val_trace)
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -12,7 +13,7 @@ from .autodiff import Tensor, dense_epilogue, matmul, parameter
 from .autodiff import add, relu  # noqa: F401
 from .errors import OptimizerError
 
-__all__ = ["LinearLayer", "FFNNHead", "Adam"]
+__all__ = ["LinearLayer", "FFNNHead", "Adam", "arena"]
 
 
 def kaiming_uniform(rng: np.random.Generator, fan_in: int, shape) -> np.ndarray:
@@ -65,11 +66,11 @@ class FFNNHead:
         return out
 
 
-# Adam walks each parameter in blocks of this many elements (128 KiB per
-# array in float32, which training runs in; 256 KiB in float64), so a block of
-# p, g, m, v and the two scratch blocks stays in a 2 MiB L2 cache across the
-# update's 14 passes. Measured on the fusion head's shapes (1.71 M values) on
-# a 2-core Intel Xeon with 2 MiB L2 per core: in float64, 35.8 ms per step
+# Adam walks the arena in blocks of this many elements (128 KiB per array in
+# float32, which training runs in; 256 KiB in float64), so a block of p, g, m,
+# v and the scratch blocks stays in a 2 MiB L2 cache across the update's 14
+# passes. Measured on the fusion head's shapes (1.71 M values) on a 2-core
+# Intel Xeon with 2 MiB L2 per core: in float64, 35.8 ms per step
 # whole-array, 27.9 ms at 4096, 23.1 ms at 8192 and 21.2-21.8 ms from 16384
 # to 65536; in float32, fastest of 25 steps, 6.0 ms at 8192, 5.0 ms at 16384,
 # 4.4 ms at 32768 and 65536 and 4.6 ms at 131072.
@@ -77,23 +78,83 @@ _ADAM_BLOCK = 32768
 _BETA1, _BETA2, _EPSILON = 0.9, 0.999, 1e-8
 
 
+def arena(tensors: Iterable[Tensor], dtype) -> np.ndarray:
+    """One flat C-contiguous buffer of ``dtype`` that the tensors fill in order.
+
+    Each tensor's value is cast straight into its view, which becomes its
+    ``data``; no other copy is made.
+    """
+    tensors = list(tensors)
+    buffer = np.empty(sum(t.data.size for t in tensors), dtype)
+    start = 0
+    for t in tensors:
+        view = buffer[start:start + t.data.size].reshape(t.data.shape)
+        view[...] = t.data
+        start += view.size
+        t.data = view
+    return buffer
+
+
+def _arena_of(arrays: list[np.ndarray]) -> np.ndarray | None:
+    """The flat buffer that ``arrays`` exactly fill in order, if there is one."""
+    buffer = arrays[0].base if arrays else None
+    if (buffer is None or buffer.ndim != 1 or not buffer.flags.c_contiguous
+            or buffer.dtype != arrays[0].dtype):
+        return None
+    address = buffer.ctypes.data
+    for a in arrays:
+        if a.base is not buffer or a.ctypes.data != address:
+            return None
+        address += a.nbytes
+    return buffer if address == buffer.ctypes.data + buffer.nbytes else None
+
+
 @dataclass
 class Adam:
     """Standard Adam with bias correction; clears gradients after each step.
 
-    Every parameter must be C-contiguous: the update runs on flat views of
-    its buffer, in place.
+    Every parameter must be C-contiguous and all must share one dtype; the
+    constructor refuses anything else. The update runs in place, on flat
+    views of the parameters' buffers: one pass over the whole arena when the
+    parameters fill one (``arena``), else one pass per parameter. ``m`` and
+    ``v`` are flat arrays in the parameters' order.
     """
 
     params: dict[str, Tensor]
     lr: float = 1e-5
 
     def __post_init__(self) -> None:
+        values = [p.data for p in self.params.values()]
+        for path, p in self.params.items():
+            if not p.data.flags.c_contiguous:
+                raise OptimizerError(f"parameter {path!r} is not C-contiguous")
+        dtypes = {v.dtype for v in values} or {np.dtype(np.float64)}
+        if len(dtypes) > 1:
+            raise OptimizerError(f"parameters mix dtypes {sorted(map(str, dtypes))}")
+        dtype = dtypes.pop()
+        ends = np.cumsum([v.size for v in values], dtype=np.int64).tolist()
+        starts = [0, *ends[:-1]]
+        total = ends[-1] if ends else 0
         self.step_count = 0
-        self.m = {path: np.zeros(p.data.shape, p.data.dtype)
-                  for path, p in self.params.items()}
-        self.v = {path: np.zeros(p.data.shape, p.data.dtype)
-                  for path, p in self.params.items()}
+        self.m, self.v = np.zeros(total, dtype), np.zeros(total, dtype)
+        # the update's two scratch blocks, and one that gathers the gradient
+        # of a block that spans parameters; each step overwrites them
+        self._scratch = tuple(np.empty(min(_ADAM_BLOCK, total), dtype) for _ in range(3))
+        flat = _arena_of(values)
+        segments = ([(flat, 0)] if flat is not None
+                    else [(v.reshape(-1), s) for v, s in zip(values, starts)])
+        # per block: its views of theta, m and v, and the (parameter, start,
+        # stop) pieces of the parameters' flat gradients it covers
+        self._blocks = []
+        for theta, offset in segments:
+            for lo in range(0, theta.size, _ADAM_BLOCK):
+                hi = min(lo + _ADAM_BLOCK, theta.size)
+                first, last = offset + lo, offset + hi
+                pieces = [(k, max(first, s) - s, min(last, e) - s)
+                          for k, (s, e) in enumerate(zip(starts, ends))
+                          if s < last and e > first]
+                self._blocks.append((theta[lo:hi], self.m[first:last],
+                                     self.v[first:last], pieces))
 
     def step(self, lr: float | None = None) -> None:
         lr = self.lr if lr is None else lr
@@ -104,8 +165,6 @@ class Adam:
                 raise OptimizerError(
                     f"parameter {path!r} has shape {p.data.shape} "
                     f"but its gradient {p.grad.shape}")
-            if not p.data.flags.c_contiguous:
-                raise OptimizerError(f"parameter {path!r} is not C-contiguous")
         self.step_count += 1
         bc1 = 1.0 - _BETA1 ** self.step_count
         bc2 = 1.0 - _BETA2 ** self.step_count
@@ -114,33 +173,31 @@ class Adam:
         #   v = beta2 * v + (1 - beta2) * g * g
         #   p -= lr * (m / bc1) / (sqrt(v / bc2) + epsilon)
         # so every result is bit-for-bit the same: each operation is
-        # elementwise, so running them block by block changes no bit. The two
-        # scratch blocks live for one call, never on the optimizer or the
-        # module, so they add nothing to the memory held between steps and
-        # are never shared between threads. Moments and scratch follow each
-        # parameter's dtype, and every scalar is a Python float, which numpy
-        # never lets widen a float32 array.
-        scratch: dict[np.dtype, tuple[np.ndarray, np.ndarray]] = {}
-        for path, p in self.params.items():
-            if p.data.dtype not in scratch:
-                scratch[p.data.dtype] = (np.empty(_ADAM_BLOCK, p.data.dtype),
-                                         np.empty(_ADAM_BLOCK, p.data.dtype))
-            buf_a, buf_b = scratch[p.data.dtype]
-            theta, grad = p.data.reshape(-1), p.grad.reshape(-1)
-            m_all, v_all = self.m[path].reshape(-1), self.v[path].reshape(-1)
-            for start in range(0, theta.size, _ADAM_BLOCK):
-                stop = min(start + _ADAM_BLOCK, theta.size)
-                g, m, v = grad[start:stop], m_all[start:stop], v_all[start:stop]
-                a, b = buf_a[:stop - start], buf_b[:stop - start]
-                m *= _BETA1
-                m += np.multiply(1.0 - _BETA1, g, out=a)
-                v *= _BETA2
-                np.multiply(1.0 - _BETA2, g, out=a)
-                v += np.multiply(a, g, out=a)
-                np.divide(m, bc1, out=a)
-                a *= lr
-                np.divide(v, bc2, out=b)
-                np.sqrt(b, out=b)
-                b += _EPSILON
-                theta[start:stop] -= np.divide(a, b, out=a)
+        # elementwise, so running them block by block changes no bit. Every
+        # scalar is a Python float, which numpy never lets widen a float32
+        # array.
+        grads = [p.grad.reshape(-1) for p in self.params.values()]
+        buf_a, buf_b, buf_g = self._scratch
+        for theta, m, v, pieces in self._blocks:
+            if len(pieces) == 1:
+                k, lo, hi = pieces[0]
+                g = grads[k][lo:hi]
+            else:
+                g, at = buf_g[:theta.size], 0
+                for k, lo, hi in pieces:
+                    g[at:at + hi - lo] = grads[k][lo:hi]
+                    at += hi - lo
+            a, b = buf_a[:theta.size], buf_b[:theta.size]
+            m *= _BETA1
+            m += np.multiply(1.0 - _BETA1, g, out=a)
+            v *= _BETA2
+            np.multiply(1.0 - _BETA2, g, out=a)
+            v += np.multiply(a, g, out=a)
+            np.divide(m, bc1, out=a)
+            a *= lr
+            np.divide(v, bc2, out=b)
+            np.sqrt(b, out=b)
+            b += _EPSILON
+            theta -= np.divide(a, b, out=a)
+        for p in self.params.values():
             p.grad = None

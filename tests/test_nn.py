@@ -10,7 +10,7 @@ from pcbnet.data import SyntheticGeneratorConfig, generate_synthetic, split_reco
 from pcbnet.errors import OptimizerError
 from pcbnet.experiment import ExperimentConfig, build_vocab_for_split, featurize, train
 from pcbnet.models import build
-from pcbnet.nn import _ADAM_BLOCK, Adam, FFNNHead, LinearLayer
+from pcbnet.nn import _ADAM_BLOCK, Adam, FFNNHead, LinearLayer, arena
 
 
 def make_rng(seed=0):
@@ -117,52 +117,55 @@ class TestAdam:
         assert float((p.data ** 2).mean()) < loss0
 
     def test_in_place_matches_textbook_update_bit_for_bit(self):
-        rng = make_rng(5)
         # "big" spans two blocks and ends in a partial one
         big = (3, _ADAM_BLOCK // 2 + 7)
         assert _ADAM_BLOCK < big[0] * big[1] < 2 * _ADAM_BLOCK
         assert (big[0] * big[1]) % _ADAM_BLOCK != 0
         shapes = {"w": (20, 16), "b": (16,), "e": (7, 4), "big": big,
                   "one": (1,), "scalar": ()}
-        params = {k: Tensor(rng.normal(size=s), requires_grad=True, path=k)
-                  for k, s in shapes.items()}
-        buffers = {k: p.data for k, p in params.items()}
         lr, b1, b2, eps = 3e-3, 0.9, 0.999, 1e-8
-        theta = {k: p.data.copy() for k, p in params.items()}
-        m = {k: np.zeros(s) for k, s in shapes.items()}
-        v = {k: np.zeros(s) for k, s in shapes.items()}
-        opt = Adam(params, lr=lr)
-        for t in range(1, 6):
-            lr_t = lr * (1.0 - t / 10)  # as under the linear schedule
-            grads = {k: rng.normal(size=s) for k, s in shapes.items()}
-            bc1, bc2 = 1.0 - b1 ** t, 1.0 - b2 ** t
-            for k, g in grads.items():
-                m[k] = b1 * m[k] + (1.0 - b1) * g
-                v[k] = b2 * v[k] + (1.0 - b2) * g * g
-                theta[k] = theta[k] - lr_t * (m[k] / bc1) / (np.sqrt(v[k] / bc2) + eps)
-                params[k].grad = g.copy()
-            opt.step(lr=lr_t)
-        for k, p in params.items():
-            assert p.data is buffers[k], k  # updated in place
-            assert np.array_equal(p.data, theta[k]), k
-            assert np.array_equal(opt.m[k], m[k]), k
-            assert np.array_equal(opt.v[k], v[k]), k
+        # in one arena a block spans parameters; apart, each is walked alone
+        for packed in (True, False):
+            rng = make_rng(5)
+            params = {k: Tensor(rng.normal(size=s), requires_grad=True, path=k)
+                      for k, s in shapes.items()}
+            flat = arena(params.values(), np.float64) if packed else None
+            buffers = {k: p.data for k, p in params.items()}
+            theta = {k: p.data.copy() for k, p in params.items()}
+            m = {k: np.zeros(s) for k, s in shapes.items()}
+            v = {k: np.zeros(s) for k, s in shapes.items()}
+            opt = Adam(params, lr=lr)
+            for t in range(1, 6):
+                lr_t = lr * (1.0 - t / 10)  # as under the linear schedule
+                grads = {k: rng.normal(size=s) for k, s in shapes.items()}
+                bc1, bc2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+                for k, g in grads.items():
+                    m[k] = b1 * m[k] + (1.0 - b1) * g
+                    v[k] = b2 * v[k] + (1.0 - b2) * g * g
+                    theta[k] = theta[k] - lr_t * (m[k] / bc1) / (np.sqrt(v[k] / bc2) + eps)
+                    params[k].grad = g.copy()
+                opt.step(lr=lr_t)
+            for k, p in params.items():
+                assert p.data is buffers[k], k  # updated in place
+                assert not packed or np.shares_memory(p.data, flat), k
+                assert np.array_equal(p.data, theta[k]), (packed, k)
+            # the moments are flat, in the parameters' order
+            assert np.array_equal(opt.m, np.concatenate([m[k].ravel() for k in shapes]))
+            assert np.array_equal(opt.v, np.concatenate([v[k].ravel() for k in shapes]))
 
     def test_non_contiguous_parameter_is_refused_not_dropped(self):
         # a flat view of a transposed buffer would be a copy, and the update
-        # would land in the copy; the step must refuse it before any update
+        # would land in the copy; the optimizer refuses it when it is made
         rng = make_rng(6)
         params = {"ok": Tensor(rng.normal(size=(4, 3)), requires_grad=True, path="ok"),
                   "t": Tensor(rng.normal(size=(3, 4)).T, requires_grad=True, path="t")}
         before = {k: p.data.copy() for k, p in params.items()}
         for p in params.values():
             p.grad = np.ones(p.data.shape)
-        opt = Adam(params, lr=0.1)
-        with pytest.raises(OptimizerError, match="contiguous"):
-            opt.step()
+        with pytest.raises(OptimizerError, match="'t' is not C-contiguous"):
+            Adam(params, lr=0.1)
         for k, p in params.items():
-            assert np.array_equal(p.data, before[k]), k
-        assert opt.step_count == 0
+            assert np.array_equal(p.data, before[k]) and p.grad is not None, k
 
     def test_gradient_of_another_shape_is_refused(self):
         p = Tensor(np.zeros((3, 4)), requires_grad=True, path="p")
