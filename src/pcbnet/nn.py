@@ -1,8 +1,15 @@
-"""Layers, initialization, and Adam."""
+"""Layers, initialization, and Adam.
+
+Training hands Adam its parameters as views of one flat buffer (``arena``),
+which it updates in one blocked pass with the bias corrections folded into
+one step size (Kingma & Ba 2015, Section 2).
+"""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable
 
 import numpy as np
@@ -66,14 +73,14 @@ class FFNNHead:
         return out
 
 
-# Adam walks the arena in blocks of this many elements (128 KiB per array in
-# float32, which training runs in; 256 KiB in float64), so a block of p, g, m,
-# v and the scratch blocks stays in a 2 MiB L2 cache across the update's 14
-# passes. Measured on the fusion head's shapes (1.71 M values) on a 2-core
-# Intel Xeon with 2 MiB L2 per core: in float64, 35.8 ms per step
-# whole-array, 27.9 ms at 4096, 23.1 ms at 8192 and 21.2-21.8 ms from 16384
-# to 65536; in float32, fastest of 25 steps, 6.0 ms at 8192, 5.0 ms at 16384,
-# 4.4 ms at 32768 and 65536 and 4.6 ms at 131072.
+# Adam walks the parameters in blocks of this many elements (128 KiB per array
+# in float32, which training runs in; 256 KiB in float64), so a block of p, g,
+# m, v and the scratch blocks stays in a 2 MiB L2 cache across the update's 12
+# passes. Measured on a 2-core Intel Xeon with 2 MiB L2 per core, float32, one
+# arena, fastest of 50 steps in each of 4 alternating runs: the fusion head's
+# 1.71 M values took 3.7-4.5 ms at 32768 and 3.7-4.7 ms at 65536, architecture
+# 12's 186,055 values 0.45-0.47 and 0.44-0.45 ms; 16384 and 131072 were no
+# faster. The smaller block holds half the scratch.
 _ADAM_BLOCK = 32768
 _BETA1, _BETA2, _EPSILON = 0.9, 0.999, 1e-8
 
@@ -111,7 +118,8 @@ def _arena_of(arrays: list[np.ndarray]) -> np.ndarray | None:
 
 @dataclass
 class Adam:
-    """Standard Adam with bias correction; clears gradients after each step.
+    """Adam with its bias corrections folded into the step size; clears
+    gradients after each step.
 
     Every parameter must be C-contiguous and all must share one dtype; the
     constructor refuses anything else. The update runs in place, on flat
@@ -132,7 +140,7 @@ class Adam:
         if len(dtypes) > 1:
             raise OptimizerError(f"parameters mix dtypes {sorted(map(str, dtypes))}")
         dtype = dtypes.pop()
-        ends = np.cumsum([v.size for v in values], dtype=np.int64).tolist()
+        ends = list(accumulate(v.size for v in values))
         starts = [0, *ends[:-1]]
         total = ends[-1] if ends else 0
         self.step_count = 0
@@ -166,16 +174,18 @@ class Adam:
                     f"parameter {path!r} has shape {p.data.shape} "
                     f"but its gradient {p.grad.shape}")
         self.step_count += 1
-        bc1 = 1.0 - _BETA1 ** self.step_count
-        bc2 = 1.0 - _BETA2 ** self.step_count
-        # In place, with the operations and their order of the textbook update
+        # Kingma & Ba (2015), Section 2, with the bias corrections folded into
+        # the step size and epsilon, in place:
         #   m = beta1 * m + (1 - beta1) * g
         #   v = beta2 * v + (1 - beta2) * g * g
-        #   p -= lr * (m / bc1) / (sqrt(v / bc2) + epsilon)
-        # so every result is bit-for-bit the same: each operation is
-        # elementwise, so running them block by block changes no bit. Every
-        # scalar is a Python float, which numpy never lets widen a float32
-        # array.
+        #   p -= step_size * m / (sqrt(v) + eps_hat)
+        # step_size = lr * sqrt(bc2) / bc1 and eps_hat = epsilon * sqrt(bc2)
+        # are Python floats, which numpy never lets widen a float32 array.
+        # The update equals the textbook one up to rounding; each operation is
+        # elementwise, so running them block by block changes no bit.
+        root_bc2 = math.sqrt(1.0 - _BETA2 ** self.step_count)
+        step_size = lr * root_bc2 / (1.0 - _BETA1 ** self.step_count)
+        eps_hat = _EPSILON * root_bc2
         grads = [p.grad.reshape(-1) for p in self.params.values()]
         buf_a, buf_b, buf_g = self._scratch
         for theta, m, v, pieces in self._blocks:
@@ -193,11 +203,9 @@ class Adam:
             v *= _BETA2
             np.multiply(1.0 - _BETA2, g, out=a)
             v += np.multiply(a, g, out=a)
-            np.divide(m, bc1, out=a)
-            a *= lr
-            np.divide(v, bc2, out=b)
-            np.sqrt(b, out=b)
-            b += _EPSILON
+            np.multiply(m, step_size, out=a)
+            np.sqrt(v, out=b)
+            b += eps_hat
             theta -= np.divide(a, b, out=a)
         for p in self.params.values():
             p.grad = None

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -138,11 +139,14 @@ class TestAdam:
             for t in range(1, 6):
                 lr_t = lr * (1.0 - t / 10)  # as under the linear schedule
                 grads = {k: rng.normal(size=s) for k, s in shapes.items()}
-                bc1, bc2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+                # Kingma & Ba (2015), Section 2: the bias corrections folded
+                # into the step size and epsilon
+                root_bc2 = math.sqrt(1.0 - b2 ** t)
+                step_size, eps_hat = lr_t * root_bc2 / (1.0 - b1 ** t), eps * root_bc2
                 for k, g in grads.items():
                     m[k] = b1 * m[k] + (1.0 - b1) * g
                     v[k] = b2 * v[k] + (1.0 - b2) * g * g
-                    theta[k] = theta[k] - lr_t * (m[k] / bc1) / (np.sqrt(v[k] / bc2) + eps)
+                    theta[k] = theta[k] - m[k] * step_size / (np.sqrt(v[k]) + eps_hat)
                     params[k].grad = g.copy()
                 opt.step(lr=lr_t)
             for k, p in params.items():
