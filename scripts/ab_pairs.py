@@ -8,7 +8,10 @@ busier machine. Each run prints one JSON line: pair, side, seed, ``correct``,
 summary: per end-to-end metric of ``BENCHMARK.json``, both sides' median and
 quartiles, the pairs in which the change was better and their number (a tie
 counts for neither side), the verdicts ``claim_met`` and ``within_bound``, and
-each run's ``correct``, ``failed`` and ``attempted`` operations per side.
+per side each run's ``correct``, ``failed`` and ``attempted`` operations and
+its ``test_acc``, pair by pair, so the accuracies compare seed for seed.
+An unknown ``--workload`` or a ``--seconds`` that is not positive exits 2
+before any run.
 
 ``claim_met``: the change won at least 9 of 10 pairs, and its median is better
 than the parent's by more than the parent's q3 - q1. ``within_bound``: the
@@ -22,6 +25,7 @@ when a side has no value for the metric.
 
 import argparse
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -29,6 +33,7 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 SIDES = ("parent", "change")
 
 
@@ -51,10 +56,9 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
 def summarize(runs: list[dict], workload: str, pairs: int) -> dict:
     """Per metric: median and quartiles per side, the pairs the change won, and
     the verdicts ``claim_met`` and ``within_bound``."""
-    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     by = {(r["pair"], r["side"]): r for r in runs}
     metrics = {}
-    for spec in declared:
+    for spec in BENCHMARK["end_to_end"]:
         name, lower = spec["name"], spec["better"] == "lower"
         stats = {}
         for side in SIDES:
@@ -81,19 +85,24 @@ def summarize(runs: list[dict], workload: str, pairs: int) -> dict:
     return {"summary": {"workload": workload, "pairs": pairs, "metrics": metrics,
                         **{key: {side: [by[p, side][key] for p in range(pairs)]
                                  for side in SIDES}
-                           for key in ("correct", "failed", "attempted")}}}
+                           for key in ("correct", "failed", "attempted")},
+                        "test_acc": {side: [by[p, side]["metrics"].get("test_acc")
+                                            for p in range(pairs)] for side in SIDES}}}
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, required=True)
     parser.add_argument("--change", type=Path, required=True)
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", required=True,
+                        choices=[w["name"] for w in BENCHMARK["workloads"]])
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True)
     args = parser.parse_args()
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
+    if not 0 < args.seconds < math.inf:  # nan fails both comparisons
+        parser.error(f"--seconds must be positive and finite, got {args.seconds}")
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     runs = []
     for pair in range(args.pairs):

@@ -23,7 +23,14 @@ from pcbnet.errors import PcbnetError, SizeError  # noqa: E402
 from pcbnet.experiment import (ExperimentConfig, build_vocab_for_split,  # noqa: E402
                                featurize, train)
 from pcbnet.models import build  # noqa: E402
+from pcbnet.schema import specs  # noqa: E402
 from pcbnet.serialize import atomic_write_text  # noqa: E402
+
+# flag -> the config and key whose rule it follows
+FLAG_KEYS = {"--records": (SyntheticGeneratorConfig, "record_count"),
+             "--epochs": (ExperimentConfig, "text_epochs"),
+             "--lr": (ExperimentConfig, "lr"),
+             "--seed": (ExperimentConfig, "base_seed")}
 
 
 def main() -> int:
@@ -43,7 +50,10 @@ def main() -> int:
 
 def explain(args: argparse.Namespace) -> int:
     # every argument is checked before anything is generated, and --out is
-    # created only by the first report written
+    # created only by the first report written; a flag is held to its config
+    # key's rule under its own name
+    for flag, (cls, key) in FLAG_KEYS.items():
+        specs(cls)[key].check(flag, getattr(args, flag[2:]))
     gen_cfg = SyntheticGeneratorConfig(record_count=args.records, noise_scale=0.0)
     cfg = ExperimentConfig(architecture=1, pcb_target="promote", text_epochs=args.epochs,
                            lr=args.lr, base_seed=args.seed)

@@ -19,8 +19,16 @@ from pcbnet import SyntheticGeneratorConfig, generate_synthetic, run_sweep  # no
 from pcbnet.cli import print_error, render_report, sweep_configs, write_run  # noqa: E402
 from pcbnet.data import write_appraisal_names, write_jsonl  # noqa: E402
 from pcbnet.errors import PcbnetError  # noqa: E402
-from pcbnet.schema import Spec  # noqa: E402
+from pcbnet.experiment import ExperimentConfig  # noqa: E402
+from pcbnet.schema import Spec, specs  # noqa: E402
 from pcbnet.serialize import atomic_write_text  # noqa: E402
+
+# flag -> the config and key whose rule it follows
+FLAG_KEYS = {"--records": (SyntheticGeneratorConfig, "record_count"),
+             "--noise": (SyntheticGeneratorConfig, "noise_scale"),
+             "--repetitions": (ExperimentConfig, "repetitions"),
+             "--seed": (ExperimentConfig, "base_seed"),
+             "--lr": (ExperimentConfig, "lr")}
 
 
 def main() -> int:
@@ -45,8 +53,12 @@ def main() -> int:
 
 
 def sweep(args: argparse.Namespace) -> int:
-    # every input is checked, and every split made, before --out is created
+    # every input is checked, and every split made, before --out is created;
+    # a flag is held to its config key's rule under its own name
     workers = Spec("int", ge=1).check("--workers", args.workers)
+    for flag, (cls, key) in FLAG_KEYS.items():
+        if (value := getattr(args, flag[2:])) is not None:  # --lr defaults to None
+            specs(cls)[key].check(flag, value)
     configs = sweep_configs({
         "repetitions": args.repetitions, "base_seed": args.seed, "batch_size": 16,
         "text_epochs": 10, "rating_epochs": 2000 if args.full_budgets else 300,

@@ -138,3 +138,52 @@ def test_a_refused_attribution_run_writes_nothing(tmp_path, args, category):
     assert len(lines) == 1, result.stderr
     assert json.loads(lines[0])["error"]["category"] == category
     assert not out.exists()
+
+
+@pytest.mark.parametrize("script, flag, value, key", [
+    ("attribute_extremes", "--records", "0", "record_count"),
+    ("attribute_extremes", "--epochs", "0", "text_epochs"),
+    ("attribute_extremes", "--seed", "-1", "base_seed"),
+    ("run_full_sweep", "--records", "0", "record_count"),
+    ("run_full_sweep", "--noise", "-1", "noise_scale"),
+    ("run_full_sweep", "--seed", "-1", "base_seed"),
+])
+def test_a_refusal_names_the_flag_not_its_config_key(tmp_path, script, flag, value, key):
+    out = tmp_path / "out"
+    result = subprocess.run(
+        [sys.executable, str(SCRIPTS / f"{script}.py"), flag, value, "--out", str(out)],
+        capture_output=True, text=True, timeout=300)
+    assert result.returncode == 1, result.stderr
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1, result.stderr
+    error = json.loads(lines[0])["error"]
+    assert error["category"] == "config"
+    assert error["message"].startswith(f"{flag} must be ") and key not in error["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args, says", [
+    (["--workload", "nope", "--seconds", "1"], "--workload: invalid choice: 'nope'"),
+    (["--workload", "text-train", "--seconds", "0"], "--seconds must be positive"),
+    (["--workload", "text-train", "--seconds", "-1"], "--seconds must be positive"),
+    (["--workload", "text-train", "--seconds", "nan"], "--seconds must be positive"),
+    (["--workload", "text-train", "--seconds", "inf"], "--seconds must be positive"),
+])
+def test_ab_pairs_refuses_a_bad_argument_before_any_run(tmp_path, args, says):
+    # both checkouts are missing, so any run would print a failed result line
+    result = subprocess.run(
+        [sys.executable, str(SCRIPTS / "ab_pairs.py"), "--parent", str(tmp_path / "p"),
+         "--change", str(tmp_path / "c"), "--pairs", "1", *args],
+        capture_output=True, text=True, timeout=60)
+    assert result.returncode == 2, result.stderr
+    assert result.stdout == ""
+    assert says in result.stderr
+
+
+def test_ab_pairs_lists_test_acc_pair_by_pair():
+    acc = {"parent": [0.8, 0.75, 0.9], "change": [0.8, 0.7, None]}
+    runs = [{"pair": p, "side": side, "correct": True, "failed": 0, "attempted": 3,
+             "metrics": {} if acc[side][p] is None else {"test_acc": acc[side][p]}}
+            for p in range(3) for side in SIDES]
+    summary = load_script("ab_pairs").summarize(runs, "text-train", 3)["summary"]
+    assert summary["test_acc"] == acc
