@@ -132,7 +132,7 @@ class Adam:
     lr: float = 1e-5
 
     def __post_init__(self) -> None:
-        values = [p.data for p in self.params.values()]
+        self._values = values = [p.data for p in self.params.values()]
         for path, p in self.params.items():
             if not p.data.flags.c_contiguous:
                 raise OptimizerError(f"parameter {path!r} is not C-contiguous")
@@ -146,7 +146,8 @@ class Adam:
         self.step_count = 0
         self.m, self.v = np.zeros(total, dtype), np.zeros(total, dtype)
         # the update's two scratch blocks, and one that gathers the gradient
-        # of a block that spans parameters; each step overwrites them
+        # of a block that spans parameters; each step overwrites them, and
+        # each training call makes its own optimizer, so no two threads share them
         self._scratch = tuple(np.empty(min(_ADAM_BLOCK, total), dtype) for _ in range(3))
         flat = _arena_of(values)
         segments = ([(flat, 0)] if flat is not None
@@ -166,7 +167,10 @@ class Adam:
 
     def step(self, lr: float | None = None) -> None:
         lr = self.lr if lr is None else lr
-        for path, p in self.params.items():
+        for (path, p), value in zip(self.params.items(), self._values):
+            if p.data is not value:  # the update would land in the old buffer
+                raise OptimizerError(f"parameter {path!r} was rebound after the "
+                                     f"optimizer was made")
             if p.grad is None:
                 raise OptimizerError(f"parameter {path!r} has no gradient")
             if p.grad.shape != p.data.shape:
@@ -193,10 +197,8 @@ class Adam:
                 k, lo, hi = pieces[0]
                 g = grads[k][lo:hi]
             else:
-                g, at = buf_g[:theta.size], 0
-                for k, lo, hi in pieces:
-                    g[at:at + hi - lo] = grads[k][lo:hi]
-                    at += hi - lo
+                g = np.concatenate([grads[k][lo:hi] for k, lo, hi in pieces],
+                                   out=buf_g[:theta.size])
             a, b = buf_a[:theta.size], buf_b[:theta.size]
             m *= _BETA1
             m += np.multiply(1.0 - _BETA1, g, out=a)

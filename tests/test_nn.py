@@ -171,6 +171,24 @@ class TestAdam:
         for k, p in params.items():
             assert np.array_equal(p.data, before[k]) and p.grad is not None, k
 
+    def test_parameters_of_two_dtypes_are_refused(self):
+        params = {"a": Tensor(np.zeros(2), requires_grad=True, path="a"),
+                  "b": Tensor(np.zeros(2, np.float32), requires_grad=True, path="b")}
+        with pytest.raises(OptimizerError, match="mix dtypes"):
+            Adam(params)
+
+    def test_a_parameter_rebound_after_construction_is_refused(self):
+        # the optimizer updates the buffers it was given; a new one would be skipped
+        kept = Tensor(np.zeros(2), requires_grad=True, path="kept")
+        p = Tensor(np.zeros(3), requires_grad=True, path="p")
+        opt = Adam({"kept": kept, "p": p}, lr=0.1)
+        p.data = np.ones(3)
+        kept.grad, p.grad = np.ones(2), np.ones(3)
+        with pytest.raises(OptimizerError, match="'p' was rebound"):
+            opt.step()
+        assert np.array_equal(kept.data, [0.0, 0.0]) and np.array_equal(p.data, [1.0] * 3)
+        assert opt.step_count == 0
+
     def test_gradient_of_another_shape_is_refused(self):
         p = Tensor(np.zeros((3, 4)), requires_grad=True, path="p")
         p.grad = np.zeros((4, 3))
