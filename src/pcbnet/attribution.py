@@ -10,7 +10,6 @@ The report always carries the completeness gap |sum(attributions) - (F(x) - F(x'
 from __future__ import annotations
 
 import html
-import json
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -21,7 +20,7 @@ from .errors import CapabilityError, ConfigError
 from .experiment import Dataset, featurize
 from .models import TEXT, ModelInstance
 from .schema import Spec
-from .serialize import is_int
+from .serialize import is_int, result_json
 from .text import token_mask, tokenize
 
 # integrated_gradients' rules for these arguments; ``pcbnet attribute`` checks its flags by them
@@ -98,6 +97,9 @@ def integrated_gradients(model: ModelInstance, record: ReviewRecord,
     projection, so F(x) is the model's logit for the record; the zero
     baseline's p' is zero. The record is featurized by ``featurize``, so its
     token ids, truncation and rating features are the ones the model was trained on.
+
+    It computes in float64 whatever dtype the model stores: a float32 model's
+    parameters are widened, exactly, once per call.
     """
     if TEXT not in model.spec.input_modalities:
         raise CapabilityError(
@@ -118,7 +120,7 @@ def integrated_gradients(model: ModelInstance, record: ReviewRecord,
     # Only the α-path needs a gradient. With every parameter frozen, no other
     # forward records a graph, backward skips the weight products, and no
     # gradient is left in the model for a later optimizer step to pick up.
-    with frozen(model.parameters().values()):
+    with frozen(model.parameters().values(), np.float64):
         p_x = embedding_bag(encoder.embedding, ids, mask)
         if baseline == "pad":
             p_base = embedding_bag(encoder.embedding, np.full_like(ids, encoder.vocab.pad_id),
@@ -136,11 +138,11 @@ def integrated_gradients(model: ModelInstance, record: ReviewRecord,
         logits_base = _logits(model, data, pcb_target, q_base).data[0]
         grad_sum_q = _path_gradient_sum(model, data, pcb_target, q_base.data,
                                         q_x.data - q_base.data, target_class, steps)
-    x = encoder.embedding.data[ids]  # [1, L, e]
-    x_base = encoder.embedding.data[encoder.vocab.pad_id] if baseline == "pad" else 0.0
+        x = encoder.embedding.data[ids]  # [1, L, e]
+        x_base = encoder.embedding.data[encoder.vocab.pad_id] if baseline == "pad" else 0.0
+        grad_sum_p = grad_sum_q @ encoder.projection.weight.data.T  # dF/dp = dF/dq Wᵀ
     counts = np.maximum(mask.sum(axis=1), 1.0)[:, None, None]
     # dF/dx_i summed over the path is (mask_i / n) grad_sum_p
-    grad_sum_p = grad_sum_q @ encoder.projection.weight.data.T  # dF/dp = dF/dq Wᵀ
     attributions = (x - x_base) * (mask[:, :, None] * grad_sum_p / counts) / steps
     f_x = float(logits_x[target_class])
     f_base = float(logits_base[target_class])
@@ -173,7 +175,7 @@ def rank_tokens(report: AttributionReport, k: int) -> list[tuple[int, str, float
 
 
 def report_to_json(report: AttributionReport) -> str:
-    return json.dumps(asdict(report), sort_keys=True, indent=2)
+    return result_json(asdict(report), f"the attribution report of record {report.record_id!r}")
 
 
 def report_to_html(report: AttributionReport) -> str:

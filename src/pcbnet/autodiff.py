@@ -1,7 +1,9 @@
 """Reverse-mode automatic differentiation over dense float tensors.
 
 A tensor keeps a float32 or float64 array as given and converts anything
-else to float64; every operation computes in its inputs' dtype.
+else to float64; every operation computes in its inputs' dtype. A
+``parameter`` is float32, so training runs in float32; integrated gradients
+(through ``frozen``) and the gradient checks compute in float64.
 
 Operations eagerly record a closure graph as they execute; ``backward`` walks
 it once in reverse topological order and accumulates gradients additively.
@@ -75,25 +77,29 @@ class Tensor:
 
 
 def parameter(data, path: str) -> Tensor:
-    """A trainable leaf tensor registered under a unique path."""
-    return Tensor(data, requires_grad=True, path=path)
+    """A trainable leaf tensor registered under a unique path, its value
+    rounded once to float32, the dtype of every parameter pcbnet builds."""
+    return Tensor(np.asarray(data, dtype=np.float32), requires_grad=True, path=path)
 
 
 @contextmanager
-def frozen(tensors: Iterable[Tensor]) -> Iterator[None]:
+def frozen(tensors: Iterable[Tensor], dtype=None) -> Iterator[None]:
     """Clear ``requires_grad`` on ``tensors`` for the block, then restore it.
 
     Operations on them alone record no graph; a tensor made in the block with
-    ``requires_grad`` still records its own.
+    ``requires_grad`` still records its own. With ``dtype``, each tensor also
+    holds its value cast to ``dtype`` for the block (no copy where it is one
+    already), and gets the array it had back.
     """
-    cleared = [t for t in tensors if t.requires_grad]
-    for t in cleared:
+    held = [(t, t.requires_grad, t.data) for t in tensors]
+    for t, _, value in held:
         t.requires_grad = False
+        t.data = value if dtype is None else value.astype(dtype, copy=False)
     try:
         yield
     finally:
-        for t in cleared:
-            t.requires_grad = True
+        for t, flag, value in held:
+            t.requires_grad, t.data = flag, value
 
 
 def _accumulate(t: Tensor, g: Array, owned: bool = False) -> None:

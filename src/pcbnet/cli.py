@@ -30,7 +30,7 @@ from .experiment import PCB_TARGETS, ExperimentConfig, MetricsSummary, run_sweep
 from .models import (ARCHITECTURES, TEXT, ModelInstance, architecture_spec, load_model,
                      save_model)
 from .schema import Spec, specs
-from .serialize import atomic_write_text, atomic_writer, output_dir, read_input
+from .serialize import atomic_write_text, atomic_writer, output_dir, read_input, result_json
 
 OUTPUT_ROOT_ENV = "PCBNET_OUT"
 
@@ -154,7 +154,7 @@ def write_run(out: str | Path, dataset_path: str | Path, configs: list[Experimen
         writer.writeheader()
         writer.writerows(all_rows)
     summary_path = out_dir / "summary.json"
-    atomic_write_text(summary_path, json.dumps(summaries, sort_keys=True, indent=2) + "\n")
+    atomic_write_text(summary_path, result_json(summaries, str(summary_path)) + "\n")
     manifest = {
         "tool_version": __version__,
         "configs": config_snapshots,
@@ -166,8 +166,8 @@ def write_run(out: str | Path, dataset_path: str | Path, configs: list[Experimen
         },
         "duration_seconds": time.time() - started,
     }
-    atomic_write_text(out_dir / "manifest.json",
-                      json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    manifest_path = out_dir / "manifest.json"
+    atomic_write_text(manifest_path, result_json(manifest, str(manifest_path)) + "\n")
     print(f"wrote {metrics_path} ({len(all_rows)} rows)")
     return all_rows
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field
 from itertools import starmap
 from typing import Iterator, Sequence
 
@@ -168,7 +168,8 @@ def featurize(records: Sequence[ReviewRecord], vocab: Vocabulary | None,
 
     Rating features are centered and scaled to [-1, 1]; targets follow the
     Likert segmentation rules. ``text_features`` are precomputed text
-    embeddings, one row per record.
+    embeddings, one row per record. Every float column is float32, the
+    parameters' dtype, each value rounded once from float64.
     """
     records = list(records)
     pcb = {t: [r.pcb(t) for r in records] for t in PCB_TARGETS}
@@ -180,13 +181,13 @@ def featurize(records: Sequence[ReviewRecord], vocab: Vocabulary | None,
         vocab=vocab,
         token_ids=(None if vocab is None
                    else encode_texts([r.text for r in records], vocab, max_sequence_length)),
-        text_features=text_features,
-        appraisal_features=(appraisals - 4.0) / 3.0,
-        emotion_features=(emotions - 4.0) / 3.0,
+        text_features=None if text_features is None else text_features.astype(np.float32),
+        appraisal_features=((appraisals - 4.0) / 3.0).astype(np.float32),
+        emotion_features=((emotions - 4.0) / 3.0).astype(np.float32),
         pcb_labels={t: levels[np.array(column, dtype=np.int64) - 1]
                     for t, column in pcb.items()},
         appraisal_target_classes=levels[appraisals - 1],
-        emotion_target_flags=np.array(EMOTION_FLAGS, dtype=np.float64)[emotions - 1],
+        emotion_target_flags=np.array(EMOTION_FLAGS, dtype=np.float32)[emotions - 1],
     )
 
 
@@ -218,25 +219,16 @@ def _param_norms(params: dict[str, Tensor]) -> dict[str, float]:
     return {k: float(np.linalg.norm(p.data)) for k, p in params.items()}
 
 
-def _float32(data: Dataset) -> Dataset:
-    """``data`` with each float array cast to float32."""
-    return replace(data, **{f.name: value.astype(np.float32) for f in fields(data)
-                            if isinstance(value := getattr(data, f.name), np.ndarray)
-                            and value.dtype.kind == "f"})
-
-
 def _train_single(model: ModelInstance, data: Dataset, train_idx: Sequence[int],
                   cfg: ExperimentConfig, seed: int,
                   validation_idx: Sequence[int] | None = None) -> TrainResult:
     """Train ``model``'s parameters that have ``requires_grad``.
 
-    Every step computes in float32: on entry the trained parameters are cast
-    into views of one float32 arena (``nn.arena``), which Adam updates in one
-    pass, each frozen parameter is swapped for a float32 copy, and the batches
-    are gathered from a float32 copy of ``data``'s float arrays. On the way
-    out, even on an error, each trained parameter's float64 value gains its
-    view's float32 change, so one that did not move keeps every bit, and the
-    float64 arrays go back with no gradient.
+    On entry the trained parameters are copied into views of one float32
+    arena (``nn.arena``), which Adam updates in one pass; they stay views of
+    it after the call, and even on an error no gradient is left. Parameters
+    and ``data``'s float columns are float32 already, so every step computes
+    in float32 with no cast.
     """
     n = len(train_idx)
     if n == 0:
@@ -247,25 +239,19 @@ def _train_single(model: ModelInstance, data: Dataset, train_idx: Sequence[int],
     total_steps = epochs * ((n + batch_size - 1) // batch_size)
     rng = np.random.default_rng(seed)
     idx = data.rows(train_idx)
-    data32 = _float32(data)
     trace: list[float] = []
     val_trace: list[tuple[int, float]] = []
     val_every = max(1, epochs // 20)
     step = 0
-    all_params = model.parameters()
-    values = {k: p.data for k, p in all_params.items()}
-    params = {k: p for k, p in all_params.items() if p.requires_grad}
+    params = {k: p for k, p in model.parameters().items() if p.requires_grad}
     arena(params.values(), np.float32)
-    for k, p in all_params.items():
-        if k not in params:
-            p.data = p.data.astype(np.float32)
     try:
         optimizer = Adam(params, lr=cfg.lr)
         for epoch in range(epochs):
             order = rng.permutation(n)
             for start in range(0, n, batch_size):
-                batch = data32.batch(idx[order[start:start + batch_size]],
-                                     cfg.pcb_target, modalities)
+                batch = data.batch(idx[order[start:start + batch_size]],
+                                   cfg.pcb_target, modalities)
                 loss = compute_loss(model, batch, cfg)
                 value = loss.item()
                 if not np.isfinite(value):
@@ -280,10 +266,8 @@ def _train_single(model: ModelInstance, data: Dataset, train_idx: Sequence[int],
                 acc = evaluate(model, data, validation_idx, cfg.pcb_target).accuracy
                 val_trace.append((epoch, acc))
     finally:
-        for k, p in all_params.items():
-            if k in params:
-                values[k] += p.data - values[k].astype(np.float32)
-            p.data, p.grad = values[k], None
+        for p in params.values():
+            p.grad = None
     return TrainResult(loss_trace=trace, steps=step, validation_trace=val_trace)
 
 
@@ -301,12 +285,15 @@ def train(model: ModelInstance, data: Dataset, train_idx: Sequence[int],
         fixed = tower.heads[PCB_HEAD].layers[-1] if cfg.finetune_fused else tower
         for p in fixed.parameters().values():
             p.requires_grad = False
+            if fixed is not tower:  # its own copy, so the tower's arena is freed
+                p.data = p.data.copy()
     return _train_single(model, data, train_idx, cfg, seed, validation_idx)
 
 
 def evaluate(model: ModelInstance, data: Dataset, idx: Sequence[int],
              pcb_target: str) -> RepetitionResult:
-    """Accuracy and weighted F1 of PCB predictions on the given index set."""
+    """Accuracy and weighted F1 of PCB predictions on the given index set,
+    computed in the model's own dtype: float32, or float64 once loaded."""
     idx = list(idx)
     if not idx:
         raise SizeError("cannot evaluate on an empty split")

@@ -74,7 +74,7 @@ class FFNNHead:
 
 
 # Adam walks the parameters in blocks of this many elements (128 KiB per array
-# in float32, which training runs in; 256 KiB in float64), so a block of p, g,
+# in float32, the dtype of every parameter pcbnet builds), so a block of p, g,
 # m, v and the scratch blocks stays in a 2 MiB L2 cache across the update's 12
 # passes. Measured on a 2-core Intel Xeon with 2 MiB L2 per core, float32, one
 # arena, fastest of 50 steps in each of 4 alternating runs: the fusion head's

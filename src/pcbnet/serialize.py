@@ -4,7 +4,10 @@ Layout: magic line, 8-byte little-endian header length, UTF-8 JSON header,
 then the concatenated row-major float64 buffers. The header carries a format
 name, version, arbitrary metadata, and the tensor index (name, shape, offset
 in float64 elements). Writes are atomic (temp file + rename, through
-``atomic_writer``) and byte-stable for identical inputs. ``read_items`` is
+``atomic_writer``) and byte-stable for identical inputs. ``save_params``
+widens the float32 parameters exactly; ``load_params`` returns float64
+arrays and refuses a non-finite value. ``result_json`` is the one JSON
+encoding of a result file, which refuses NaN and infinity. ``read_items`` is
 the loop of every record reader, ``read_jsonl`` and ``jsonl_lines`` its JSONL
 form and line rule, and ``record_id`` and ``unique_id`` their id rules.
 """
@@ -83,6 +86,16 @@ def atomic_writer(path: str | Path, binary: bool = False) -> Iterator[IO]:
 def atomic_write_text(path: str | Path, text: str) -> None:
     with atomic_writer(path) as fh:
         fh.write(text)
+
+
+def result_json(obj, what: str) -> str:
+    """``obj`` as indented JSON with sorted keys. A NaN or an infinity, which
+    JSON cannot carry, is a ``ValidationError`` that names ``what``."""
+    try:
+        return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError:
+        raise ValidationError(f"{what} holds a non-finite value, which JSON "
+                              f"cannot carry") from None
 
 
 def jsonl_lines(text: str) -> Iterator[tuple[int, str]]:
@@ -175,7 +188,8 @@ def save_params(path: str | Path, tensors: dict[str, np.ndarray],
 def load_params(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
     """Read back (tensors, meta) from a file written by save_params.
 
-    A truncated or otherwise corrupt file raises ``ValidationError``.
+    A truncated or otherwise corrupt file, or a tensor that holds a NaN or an
+    infinity, raises ``ValidationError``.
     """
     raw = read_input(path, "checkpoint", binary=True)
     if not raw.startswith(MAGIC):
@@ -222,6 +236,8 @@ def load_params(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
             tensors[name] = flat.reshape(shape).astype(np.float64)
         except ValueError as exc:  # more dimensions, or larger ones, than numpy allows
             raise ValidationError(f"{path}: tensor {name!r} has shape {shape} ({exc})") from exc
+        if not np.isfinite(flat).all():
+            raise ValidationError(f"{path}: tensor {name!r} holds a non-finite value")
     return tensors, meta
 
 

@@ -1,3 +1,4 @@
+import copy
 import json
 from dataclasses import replace
 
@@ -8,12 +9,14 @@ from pcbnet.attribution import (AttributionReport, integrated_gradients,
                                 rank_tokens, report_to_html, report_to_json)
 from pcbnet.autodiff import (Tensor, backward_from, embedding_bag, embedding_lookup,
                              masked_mean)
+from pcbnet.cli import main
 from pcbnet.data import (APPRAISAL_WORDS, EMOTION_WORDS, SyntheticGeneratorConfig,
-                         generate_synthetic, segment_emotion, segment_pcb, split_records)
-from pcbnet.errors import CapabilityError, ConfigError
+                         generate_synthetic, segment_emotion, segment_pcb, split_records,
+                         write_jsonl)
+from pcbnet.errors import CapabilityError, ConfigError, ValidationError
 from pcbnet.experiment import (ExperimentConfig, build_vocab_for_split,
                                featurize, train)
-from pcbnet.models import ModelInstance, build
+from pcbnet.models import ModelInstance, build, save_model
 from pcbnet.text import token_mask
 
 
@@ -240,6 +243,17 @@ class TestRankTokens:
 
 
 class TestSerialization:
+    @pytest.mark.parametrize("field", ["completeness_gap", "output_value", "scores"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_a_non_finite_value_is_refused_not_written_as_invalid_json(self, field, value):
+        report = AttributionReport(
+            record_id="r", tokens=["a", "b"], scores=[0.5, -0.25], target_class=2,
+            predicted_class=2, completeness_gap=0.0, output_value=1.0,
+            baseline_value=0.0, steps=4, baseline="pad", pcb_target="promote")
+        setattr(report, field, [0.5, value] if field == "scores" else value)
+        with pytest.raises(ValidationError, match="record 'r'.*non-finite"):
+            report_to_json(report)
+
     def test_json_round_trip_fields(self, trained_text_model):
         import json
         _, records, split, model = trained_text_model
@@ -300,6 +314,14 @@ class TestModelGradientsUntouched:
 TEXT_ARCHITECTURES = [1, 4, 5, 6, 7, 8, 9, 10, 11, 12]
 
 
+def widened(model):
+    """``model`` with each parameter widened to float64 in place, exactly: the
+    arithmetic that integrated gradients runs a float32 model in."""
+    for p in model.parameters().values():
+        p.data = p.data.astype(np.float64)
+    return model
+
+
 def per_token_reference(model, record, target_class, steps, baseline):
     """Integrated gradients as one batch-1 pass per α-step through the
     per-token path: the gradient reaches every token embedding through the
@@ -355,12 +377,13 @@ class TestPooledAlphaBatch:
     def test_matches_per_token_reference(self, small_corpus, arch_id, baseline):
         records, split, vocab, _ = small_corpus
         model = build(arch_id, vocab=vocab, seed=0)
+        wide = widened(build(arch_id, vocab=vocab, seed=0))
         record = records[split.test[1]]
         gold = int(segment_pcb(record.pcb_promote))
         for steps in (1, 7, 128, 300):  # 300 spans three α-blocks
             report = integrated_gradients(model, record, steps=steps, baseline=baseline)
             scores, f_x, f_base, predicted = per_token_reference(
-                model, record, gold, steps, baseline)
+                wide, record, gold, steps, baseline)
             assert report.target_class == gold
             # the benchmark's tolerance for a recomputation in another order
             assert np.abs(np.asarray(report.scores) - scores).max() \
@@ -371,13 +394,16 @@ class TestPooledAlphaBatch:
 
     @pytest.mark.parametrize("arch_id", TEXT_ARCHITECTURES)
     def test_output_value_is_the_models_own_logit(self, small_corpus, arch_id):
+        # the logit of the model widened to float64, as its checkpoint loads
         records, split, vocab, _ = small_corpus
         model = build(arch_id, vocab=vocab, seed=0)
+        wide = widened(build(arch_id, vocab=vocab, seed=0))
         for i in split.test[:3]:
             report = integrated_gradients(model, records[i], steps=4)
             batch = featurize([records[i]], vocab, model.encoder.max_sequence_length).batch(
                 [0], "promote")
-            logits = model.forward(batch)["pcb_logits"].data[0]
+            logits = wide.forward(batch)["pcb_logits"].data[0]
+            assert logits.dtype == np.float64
             assert report.output_value == logits[report.target_class]
 
     def test_only_the_alpha_batch_records_a_graph(self, small_corpus, monkeypatch):
@@ -396,3 +422,39 @@ class TestPooledAlphaBatch:
         # F(x), which also gives the predicted class, F(x'), and the α-batch
         assert len(logits) == 3
         assert sum(t.node is not None for t in logits) == 1
+
+
+class TestStoredDtype:
+    """Integrated gradients computes in float64 whatever dtype the model stores."""
+
+    @pytest.mark.parametrize("arch_id", [1, 9, 12])
+    def test_a_float32_model_its_float64_copy_and_its_checkpoint_agree(
+            self, small_corpus, tmp_path, arch_id):
+        records, split, vocab, data = small_corpus
+        model = build(arch_id, vocab=vocab, seed=0)
+        train(model, data, split.train, ExperimentConfig(
+            architecture=arch_id, text_epochs=1, rating_epochs=2, lr=1e-3), seed=0)
+        held = {k: p.data for k, p in model.parameters().items()}
+        assert {a.dtype for a in held.values()} == {np.dtype(np.float32)}
+        wide = widened(copy.deepcopy(model))
+        chosen = [records[i] for i in split.test[:3]]
+        reports = {}
+        for record in chosen:
+            for baseline in ("pad", "zero"):
+                got, want = (report_to_json(integrated_gradients(
+                    m, record, steps=16, baseline=baseline)) for m in (model, wide))
+                assert got == want, (record.id, baseline)
+                reports[record.id, baseline] = got
+        # the call put back the very arrays the model held
+        assert all(p.data is held[k] for k, p in model.parameters().items())
+
+        checkpoint, dataset = tmp_path / "model.params", tmp_path / "records.jsonl"
+        save_model(checkpoint, model, meta={"pcb_target": "promote"})
+        write_jsonl(chosen, dataset)
+        out_dir = tmp_path / "attributions"
+        assert main(["attribute", "--checkpoint", str(checkpoint), "--dataset", str(dataset),
+                     "--records", ",".join(r.id for r in chosen), "--steps", "16",
+                     "--out", str(out_dir)]) == 0
+        for record in chosen:
+            written = (out_dir / f"{record.id}.json").read_text()
+            assert written == reports[record.id, "pad"] + "\n", record.id

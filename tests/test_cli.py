@@ -150,6 +150,37 @@ class TestTrain:
             rows = list(csv.DictReader(fh))
         assert rows[0]["seed"] == "77"
 
+    def test_a_non_finite_summary_is_one_validation_line(self, tmp_path, capsys,
+                                                        monkeypatch):
+        from pcbnet import cli
+        from pcbnet.experiment import MetricsSummary, RepetitionResult
+        from pcbnet.models import build
+        dataset = synth_dataset(tmp_path, n=20)
+        cfg = quick_train_config(tmp_path, dataset, architecture=2)
+        rows = [RepetitionResult(0, 0, accuracy=float("nan"), f1_weighted=0.5)]
+        monkeypatch.setattr(cli, "run_sweep", lambda records, configs, workers: iter(
+            [(MetricsSummary.aggregate(rows), build(2))]))
+        out_dir = tmp_path / "r"
+        capsys.readouterr()
+        assert main(["train", "--config", cfg, "--out", str(out_dir)]) == 1
+        error = one_error_line(capsys)
+        assert error["category"] == "validation"
+        assert "summary.json" in error["message"] and "non-finite" in error["message"]
+        assert not (out_dir / "summary.json").exists()
+
+    def test_a_non_finite_manifest_value_is_refused(self, tmp_path):
+        from pcbnet.cli import write_run
+        from pcbnet.errors import ValidationError
+        from pcbnet.experiment import MetricsSummary, RepetitionResult
+        from pcbnet.models import build
+        summary = MetricsSummary.aggregate([RepetitionResult(0, 0, 0.5, 0.5)])
+        out_dir = tmp_path / "r"
+        with pytest.raises(ValidationError, match="manifest.json holds a non-finite"):
+            write_run(out_dir, "data.jsonl", [ExperimentConfig(architecture=2)],
+                      iter([(summary, build(2))]), started=float("nan"))
+        assert (out_dir / "summary.json").exists()
+        assert not (out_dir / "manifest.json").exists()
+
     def test_summary_reports_mean_and_std(self, tmp_path):
         dataset = synth_dataset(tmp_path, n=40)
         cfg = quick_train_config(tmp_path, dataset, repetitions=2)
@@ -393,6 +424,42 @@ class TestAttribute:
         assert error["category"] == "validation"
         assert "encoder.embedding" in error["message"]
         assert not out_dir.exists() or not any(out_dir.iterdir()), "wrote a report"
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_a_non_finite_weight_is_one_validation_line(self, trained_run, capsys, value):
+        from pcbnet.serialize import load_params, save_params
+        dataset, checkpoint, tmp_path = trained_run
+        tensors, meta = load_params(checkpoint)
+        tensors["pcb_head.layer0.weight"][-1, -1] = value
+        bad = tmp_path / f"non_finite_{value}.params"
+        save_params(bad, tensors, meta)
+        out_dir = tmp_path / f"non_finite_{value}_out"
+        capsys.readouterr()
+        assert main(["attribute", "--checkpoint", str(bad), "--dataset", str(dataset),
+                     "--records", ingest(dataset)[0].id, "--out", str(out_dir)]) == 1
+        error = one_error_line(capsys)
+        assert error["category"] == "validation", error
+        assert str(bad) in error["message"] and "pcb_head.layer0.weight" in error["message"]
+        assert not out_dir.exists()
+
+    # finite weights whose logits overflow: the report's values are not finite
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_a_report_that_overflows_is_one_validation_line(self, trained_run, capsys):
+        from pcbnet.serialize import load_params, save_params
+        dataset, checkpoint, tmp_path = trained_run
+        tensors, meta = load_params(checkpoint)
+        bad = tmp_path / "overflowing.params"
+        save_params(bad, {k: t * 1e200 for k, t in tensors.items()}, meta)
+        rid = ingest(dataset)[0].id
+        out_dir = tmp_path / "overflowing_out"
+        capsys.readouterr()
+        assert main(["attribute", "--checkpoint", str(bad), "--dataset", str(dataset),
+                     "--records", rid, "--out", str(out_dir)]) == 1
+        error = one_error_line(capsys)
+        assert error["category"] == "validation", error
+        assert f"record {rid!r}" in error["message"] and "non-finite" in error["message"]
+        assert not (out_dir / f"{rid}.json").exists()
 
     def test_rating_only_checkpoint_rejected(self, tmp_path, capsys):
         dataset = synth_dataset(tmp_path, n=40)

@@ -41,8 +41,9 @@ class TestFeaturize:
         data, _ = prepared
         for i in (0, 7, 31):
             record = small_records[i]
-            assert np.allclose(data.appraisal_features[i],
-                               (np.array(record.appraisals) - 4.0) / 3.0)
+            # float32, each value rounded once
+            assert np.array_equal(data.appraisal_features[i],
+                                  np.float32((np.array(record.appraisals) - 4.0) / 3.0))
             for t in ("promote", "repurchase"):
                 assert data.pcb_labels[t][i] == int(segment_pcb(record.pcb(t)))
             assert data.appraisal_target_classes[i].tolist() == [
@@ -63,10 +64,11 @@ class TestFeaturize:
             pcb_repurchase=to_int(row[28]), pcb_promote=to_int(row[29]))
             for i, row in enumerate(rows)]
         data = featurize(records, None)
+        assert data.appraisal_features.dtype == data.emotion_features.dtype == np.float32
         assert data.appraisal_target_classes.dtype == np.int64
         assert data.appraisal_target_classes.tolist() == [
             [int(segment_pcb(a)) for a in row[:20]] for row in rows]
-        assert data.emotion_target_flags.dtype == np.float64
+        assert data.emotion_target_flags.dtype == np.float32
         assert data.emotion_target_flags.tolist() == [
             [segment_emotion(e) for e in row[20:28]] for row in rows]
         for t, col in (("repurchase", 28), ("promote", 29)):
@@ -332,7 +334,7 @@ class TestTrain:
         assert len(calls) == 8
 
     @pytest.mark.parametrize("arch_id", [2, 9, 12])
-    def test_steps_compute_in_float32_and_parameters_stay_float64(self, prepared,
+    def test_steps_compute_in_float32_and_parameters_stay_float32(self, prepared,
                                                                   arch_id, monkeypatch):
         # a numpy float64 scalar in a step would widen it to float64 silently
         from pcbnet import autodiff, nn
@@ -358,12 +360,13 @@ class TestTrain:
         cfg = ExperimentConfig(architecture=arch_id, text_epochs=1, rating_epochs=1,
                                batch_size=len(split.train), lr=1e-3)
         model = build(arch_id, vocab=data.vocab, seed=0)
+        assert {p.data.dtype for p in model.parameters().values()} == {np.dtype(np.float32)}
         train(model, data, split.train, cfg, seed=0)
         assert any("moment" in name for name, _ in seen)
         assert [(name, dt) for name, dt in seen if dt != np.float32] == []
-        assert {p.data.dtype for p in model.parameters().values()} == {np.dtype(np.float64)}
+        assert {p.data.dtype for p in model.parameters().values()} == {np.dtype(np.float32)}
 
-    def test_a_non_finite_loss_leaves_float64_parameters(self, prepared):
+    def test_a_non_finite_loss_leaves_float32_parameters(self, prepared):
         data, split = prepared
         poisoned = dataclasses.replace(
             data, appraisal_features=np.full_like(data.appraisal_features, np.nan))
@@ -372,7 +375,7 @@ class TestTrain:
         with pytest.raises(TrainingError, match="non-finite loss at step 0"):
             train(model, poisoned, split.train, ExperimentConfig(architecture=2), seed=0)
         for k, p in model.parameters().items():
-            assert p.data.dtype == np.float64 and np.array_equal(p.data, before[k]), k
+            assert p.data.dtype == np.float32 and np.array_equal(p.data, before[k]), k
 
     @pytest.mark.parametrize("arch_id, finetune", [(2, False), (9, False), (9, True),
                                                    (12, False)])
@@ -398,10 +401,21 @@ class TestTrain:
                                batch_size=16, lr=1e-3, finetune_fused=finetune)
         train(model, data, split.train, cfg, seed=0)
         assert frozen_seen and (arch_id != 9 or frozen_seen[-1] > 0)
-        for k, p in model.parameters().items():
-            assert p.data.dtype == np.float64 and p.data.base is None and p.grad is None, k
+        # the last call's parameters stay views of its arena, with no gradient
+        params = model.parameters().values()
+        last = [p for p in params if p.requires_grad]
+        buffer = last[0].data.base
+        assert buffer.dtype == np.float32 and buffer.size == sum(p.data.size for p in last)
+        assert all(p.data.base is buffer for p in last)
+        assert all(p.data.dtype == np.float32 and p.grad is None for p in params)
+        # a frozen tower views its own call's arena; a frozen final layer of a
+        # fine-tuned tower owns its value, so that arena is not kept alive
+        bases = {id(p.data.base) for p in params if not p.requires_grad}
+        assert bases == ({id(None)} if finetune else
+                         {id(c.heads["pcb_head"].layers[0].weight.data.base)
+                          for c in model.components.values()})
 
-    def test_a_non_finite_loss_leaves_no_arena_and_no_gradient(self, prepared):
+    def test_a_non_finite_loss_leaves_one_arena_and_no_gradient(self, prepared):
         # architecture 9's text tower trains; its appraisal tower fails at step 0
         data, split = prepared
         poisoned = dataclasses.replace(
@@ -410,8 +424,12 @@ class TestTrain:
         cfg = ExperimentConfig(architecture=9, text_epochs=1, lr=1e-3)
         with pytest.raises(TrainingError, match="non-finite loss at step 0"):
             train(model, poisoned, split.train, cfg, seed=0)
+        failed = model.components["appraisals"].parameters().values()
+        buffer = next(iter(failed)).data.base
+        assert buffer.dtype == np.float32 and buffer.size == sum(p.data.size for p in failed)
+        assert all(p.data.base is buffer for p in failed)
         for k, p in model.parameters().items():
-            assert p.data.dtype == np.float64 and p.data.base is None and p.grad is None, k
+            assert p.data.dtype == np.float32 and p.grad is None, k
 
     @pytest.mark.parametrize("arch_id", [1, 2, 9])
     def test_empty_train_index_is_a_size_error(self, prepared, arch_id):
@@ -748,7 +766,9 @@ class TestEncoderSlot:
         data = featurize(small_records, None, 256, rows)
         idx = [5, 0, 17]
         batch = data.batch(idx, "promote")
-        assert np.array_equal(batch.text_features, [table[small_records[i].id] for i in idx])
+        assert batch.text_features.dtype == np.float32  # each value rounded once
+        assert np.array_equal(batch.text_features,
+                              np.float32([table[small_records[i].id] for i in idx]))
         assert batch.token_ids is None
         assert data.batch(idx, "promote", ("Appraisals",)).text_features is None
 

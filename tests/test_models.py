@@ -13,7 +13,7 @@ from pcbnet.nn import Adam
 from pcbnet.serialize import load_params, save_params
 from pcbnet.text import Vocabulary
 
-from architecture_fixtures import FIXTURES, INIT_SHA256, PARAMETER_SHAPES
+from architecture_fixtures import DRAW_SHA256, FIXTURES, INIT_SHA256, PARAMETER_SHAPES
 
 
 @pytest.fixture(scope="module")
@@ -104,8 +104,31 @@ class TestBuildShapes:
     def test_initialization_is_pinned(self, arch_id):
         digest = hashlib.sha256()
         for p in build(arch_id, seed=0).parameters().values():
-            digest.update(np.ascontiguousarray(p.data, dtype=np.float64).tobytes())
+            assert p.data.dtype == np.float32 and p.data.flags.c_contiguous
+            digest.update(p.data.tobytes())
         assert digest.hexdigest() == INIT_SHA256[arch_id]
+
+    @pytest.mark.parametrize("arch_id", range(1, 13))
+    def test_each_float32_init_is_its_float64_draw_rounded_once(self, arch_id, monkeypatch):
+        # the draws that reach parameter() are the float64 values the builder
+        # drew before parameters were float32, and each is rounded once
+        from pcbnet import autodiff, nn, text
+        draws = {}
+
+        def recording(data, path):
+            draws[path] = np.asarray(data)
+            return autodiff.parameter(data, path)
+
+        monkeypatch.setattr(nn, "parameter", recording)
+        monkeypatch.setattr(text, "parameter", recording)
+        params = build(arch_id, seed=0).parameters()
+        assert draws.keys() == params.keys()
+        digest = hashlib.sha256()
+        for path, p in params.items():
+            assert draws[path].dtype == np.float64
+            digest.update(np.ascontiguousarray(draws[path]).tobytes())
+            assert np.array_equal(p.data, draws[path].astype(np.float32)), path
+        assert digest.hexdigest() == DRAW_SHA256[arch_id]
 
     def test_build3_parameter_shapes(self):
         shapes = [p.data.shape for p in build(3).parameters().values()]
@@ -285,16 +308,21 @@ class TestFreezeAndPenultimate:
 
 class TestCheckpoint:
     def test_save_load_round_trip(self, tiny_data, tmp_path):
+        # the float32 parameters are saved widened, exactly, and load as float64
         model = build(12, vocab=tiny_data.vocab, seed=5)
         batch = batch_of(tiny_data)
-        before = model.forward(batch)["pcb_logits"].data
         path = tmp_path / "model.params"
         save_model(path, model, meta={"pcb_target": "promote"})
         loaded, meta = load_model(path)
         assert meta["pcb_target"] == "promote"
-        after = loaded.forward(batch)["pcb_logits"].data
-        assert np.array_equal(before, after)
         params = loaded.parameters()
+        for name, p in model.parameters().items():
+            assert params[name].data.dtype == np.float64
+            assert np.array_equal(params[name].data, p.data), name
+            p.data = p.data.astype(np.float64)
+        before = model.forward(batch)["pcb_logits"].data
+        after = loaded.forward(batch)["pcb_logits"].data
+        assert after.dtype == np.float64 and np.array_equal(before, after)
         assert all(p.data.flags.writeable and p.data.flags.c_contiguous
                    for p in params.values())
         backward(compute_loss(loaded, batch, ExperimentConfig(architecture=12)))

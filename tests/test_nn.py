@@ -42,18 +42,19 @@ class TestLayers:
 
     def test_forward_holds_one_buffer_per_layer(self):
         # a rating tower's full-batch forward, graph kept as training keeps it:
-        # bias and relu write into the matmul's output instead of two copies
+        # bias and relu write into the matmul's output instead of two copies.
+        # Parameters and featurized inputs are float32, and so is each buffer.
         widths = (1024, 512, 3)
         head = FFNNHead(20, widths, "pcb_head", make_rng())
-        x = Tensor(make_rng(1).normal(size=(1120, 20)))
+        x = Tensor(make_rng(1).normal(size=(1120, 20)).astype(np.float32))
         tracemalloc.start()
         try:
             out = head(x)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert out.node is not None
-        assert peak <= 1.05 * sum(1120 * w * 8 for w in widths)
+        assert out.node is not None and out.data.dtype == np.float32
+        assert peak <= 1.05 * sum(1120 * w * 4 for w in widths)
 
     def test_init_is_seed_controlled(self):
         a = LinearLayer(6, 4, "l", make_rng(7)).weight.data

@@ -26,12 +26,45 @@ def test_peak_rss_prints_one_line_per_phase(tmp_path):
         capture_output=True, text=True, timeout=300, cwd=tmp_path)
     assert result.returncode == 0, result.stderr
     lines = [json.loads(line) for line in result.stdout.splitlines()]
-    assert [line["phase"] for line in lines] == [
+    phases = [line for line in lines if "phase" in line]  # the rest are training calls
+    assert [line["phase"] for line in phases] == [
         "imports", "generate", "write", "ingest", "vocab", "featurize", "repetition"]
     peaks = [line["maxrss_mb"] for line in lines]
     assert peaks == sorted(peaks) and peaks[0] > 0
     assert all(line["rss_mb"] is None or line["rss_mb"] > 0 for line in lines)
     assert not any(tmp_path.iterdir()), "left files behind"
+
+
+@pytest.mark.parametrize("workload, phases, calls", [
+    ("text-train", [], [12]),
+    # architecture 9 trains its text, appraisal and emotion towers, then fuses
+    ("rating-fusion", [], [1, 2, 3, 9]),
+    ("attribute", ["checkpoint", "attribute"], [12]),
+])
+def test_peak_rss_prints_each_phase_and_training_call_of_a_workload(tmp_path, workload,
+                                                                    phases, calls):
+    result = subprocess.run(
+        [sys.executable, str(SCRIPTS / "peak_rss.py"), "--workload", workload,
+         "--records", "60"], capture_output=True, text=True, timeout=300, cwd=tmp_path)
+    assert result.returncode == 0, result.stderr
+    lines = [json.loads(line) for line in result.stdout.splitlines()]
+    assert [line.get("phase") for line in lines] == [
+        "imports", "generate", "write", "ingest", "vocab", "featurize",
+        *[None] * len(calls), "repetition", *phases]
+    trained = [line for line in lines if "phase" not in line]
+    assert [line["architecture"] for line in trained] == calls
+    assert all(line["trained_values"] > 0 and line["seconds"] >= 0 for line in trained)
+    peaks = [line["maxrss_mb"] for line in lines]
+    assert peaks == sorted(peaks) and peaks[0] > 0
+    assert not any(tmp_path.iterdir()), "left files behind"
+
+
+def test_peak_rss_refuses_an_unknown_workload(tmp_path):
+    result = subprocess.run(
+        [sys.executable, str(SCRIPTS / "peak_rss.py"), "--workload", "nope"],
+        capture_output=True, text=True, timeout=300, cwd=tmp_path)
+    assert result.returncode == 2 and "--workload" in result.stderr
+    assert result.stdout == ""
 
 
 def test_ab_pairs_runs_both_sides_and_sums_up():

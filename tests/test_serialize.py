@@ -52,6 +52,19 @@ class TestParamsFormat:
             assert np.array_equal(loaded[name], tensors[name])
             assert loaded[name].shape == tensors[name].shape
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_value_is_refused_naming_the_file_and_the_tensor(self, tmp_path,
+                                                                          value):
+        path = tmp_path / "model.params"
+        weight = np.arange(12, dtype=np.float64).reshape(3, 4)
+        weight[2, 1] = value
+        save_params(path, {"head.bias": np.zeros(3), "head.weight": weight})
+        with pytest.raises(ValidationError) as info:
+            load_params(path)
+        message = str(info.value)
+        assert str(path) in message and "'head.weight'" in message
+        assert "non-finite" in message and "head.bias" not in message
+
     def test_versioned_header(self, tmp_path):
         path = tmp_path / "m.params"
         save_params(path, {"w": np.zeros(2)}, meta={})

@@ -183,8 +183,11 @@ class TestEncoder:
     def test_encode_matches_per_token_pool_and_project(self):
         # encode pools token-count bags; the per-token masked mean agrees bit
         # for bit on an integer-valued table, where every summation order is
-        # exact, and to rounding on the random one
+        # exact, and to rounding on the random one. masked_mean, a float64
+        # reference op, reads the encoder widened to float64.
         vocab, enc = small_encoder()
+        for p in enc.parameters().values():
+            p.data = p.data.astype(np.float64)
         ids = encode_texts(["alpha gamma beta", "beta", "gamma gamma alpha beta"],
                              vocab)
 
