@@ -1,17 +1,18 @@
 """Run the benchmark in alternating pairs on two checkouts and compare them.
 
-Pair i (from 0) runs ``perfbench/run.py --workload W --seed i+1 --seconds S``
-in each checkout, each in its own process: even pairs run the parent first,
-odd pairs the change first, so neither side always meets a warmer or a
-busier machine. Each run prints one JSON line: pair, side, seed, ``correct``,
+Pair i (from 0) runs ``perfbench/run.py --workload W --seed N+i --seconds S``
+in each checkout, each in its own process. N is ``--first-seed`` (default 1),
+so a claim can be checked again on seeds not used while writing the change.
+Even pairs run the parent first, odd pairs the change first, so neither side
+always meets a warmer or a busier machine. Each run prints one JSON line: pair, side, seed, ``correct``,
 ``failed``, ``attempted`` and the end-to-end metrics. The last line is the
 summary: per end-to-end metric of ``BENCHMARK.json``, both sides' median and
 quartiles, the pairs in which the change was better and their number (a tie
 counts for neither side), the verdicts ``claim_met`` and ``within_bound``, and
 per side each run's ``correct``, ``failed`` and ``attempted`` operations and
 its ``test_acc``, pair by pair, so the accuracies compare seed for seed.
-An unknown ``--workload`` or a ``--seconds`` that is not positive exits 2
-before any run.
+An unknown ``--workload``, a ``--seconds`` that is not positive or a negative
+``--first-seed`` exits 2 before any run.
 
 ``claim_met``: the change won at least 9 of 10 pairs, and its median is better
 than the parent's by more than the parent's q3 - q1. ``within_bound``: the
@@ -20,7 +21,7 @@ change's median is no worse than the parent's by more than the metric's
 when a side has no value for the metric.
 
     python3 scripts/ab_pairs.py --parent ../parent --change . \\
-        --workload text-train --pairs 8 --seconds 20
+        --workload text-train --pairs 8 --seconds 20 [--first-seed 11]
 """
 
 import argparse
@@ -98,17 +99,21 @@ def main() -> int:
                         choices=[w["name"] for w in BENCHMARK["workloads"]])
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True)
+    parser.add_argument("--first-seed", type=int, default=1)
     args = parser.parse_args()
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
     if not 0 < args.seconds < math.inf:  # nan fails both comparisons
         parser.error(f"--seconds must be positive and finite, got {args.seconds}")
+    if args.first_seed < 0:
+        parser.error(f"--first-seed must be at least 0, got {args.first_seed}")
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     runs = []
     for pair in range(args.pairs):
+        seed = args.first_seed + pair
         for side in (SIDES if pair % 2 == 0 else SIDES[::-1]):
-            run = {"pair": pair, "side": side, "seed": pair + 1,
-                   **run_once(checkouts[side], args.workload, pair + 1, args.seconds)}
+            run = {"pair": pair, "side": side, "seed": seed,
+                   **run_once(checkouts[side], args.workload, seed, args.seconds)}
             print(json.dumps(run), flush=True)
             runs.append(run)
     print(json.dumps(summarize(runs, args.workload, args.pairs)))

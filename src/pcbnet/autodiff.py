@@ -351,6 +351,20 @@ def embedding_lookup(table: Tensor, ids: Array) -> Tensor:
     return _result(out, "embedding_lookup", (table,), _back)
 
 
+_FLOOR_OVER_TINY = 2.0 ** 32
+
+
+def _floored(g: Array) -> Array:
+    """A loss gradient ``g`` with every entry below ``_FLOOR_OVER_TINY`` times its
+    dtype's ``tiny`` set to 0, in place: 2^-94 in float32, so a probability below
+    about e^-60 gives none, and about 1e-298 in float64, which leaves float64
+    gradients as they were. Subnormals born here slow every matmul backward and
+    Adam step they reach through x86 microcode assists (a fusion-head GEMM: 2.0 ms
+    with them, 0.38 ms without)."""
+    g[np.abs(g) < np.finfo(g.dtype).tiny * _FLOOR_OVER_TINY] = 0.0
+    return g
+
+
 def _log_softmax(z: Array) -> Array:
     m = z.max(axis=-1, keepdims=True)
     return z - m - np.log(np.exp(z - m).sum(axis=-1, keepdims=True))
@@ -405,8 +419,8 @@ def grouped_cross_entropy(logits: Tensor, targets: Array, groups: int,
     def _back(g: Array) -> None:
         dz = np.exp(lsm)
         dz[rows, cols, targets] -= 1.0
-        _accumulate(logits, dz.reshape(b, groups * c) * (weight * float(g) / (b * groups)),
-                    owned=True)
+        _accumulate(logits, _floored(
+            dz.reshape(b, groups * c) * (weight * float(g) / (b * groups))), owned=True)
 
     return _result(out, "cross_entropy", (logits,), _back)
 
@@ -434,6 +448,6 @@ def binary_cross_entropy(logits: Tensor, targets: Array, weight: float = 1.0) ->
     def _back(g: Array) -> None:
         e = np.exp(-np.abs(z))
         sig = np.where(z >= 0, 1.0, e) / (1.0 + e)
-        _accumulate(logits, (sig - targets) * (weight * float(g) / n), owned=True)
+        _accumulate(logits, _floored((sig - targets) * (weight * float(g) / n)), owned=True)
 
     return _result(out, "binary_cross_entropy", (logits,), _back)

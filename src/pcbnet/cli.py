@@ -113,8 +113,10 @@ def write_run(out: str | Path, dataset_path: str | Path, configs: list[Experimen
               started: float) -> list[dict]:
     """A run's files under directory ``out``, which it makes: each config's
     checkpoint as ``results`` yields it, then ``metrics.csv``, ``summary.json``
-    and ``manifest.json``. Returns the metrics rows."""
+    and ``manifest.json``. A config's non-finite summary value is refused
+    before its checkpoint is saved. Returns the metrics rows."""
     out_dir = output_dir(out)
+    summary_path = out_dir / "summary.json"
     all_rows: list[dict] = []
     summaries: dict[str, dict] = {}
     checkpoints: list[str] = []
@@ -123,7 +125,6 @@ def write_run(out: str | Path, dataset_path: str | Path, configs: list[Experimen
         arch_id, target = cfg.architecture, cfg.pcb_target
         tag = f"arch{arch_id:02d}_{target}"
         checkpoint = out_dir / f"checkpoint_{tag}.params"
-        save_model(checkpoint, model, meta={"pcb_target": cfg.pcb_target})
         counts = [r.class_counts for r in summary.rows]  # the splits are not stratified
         all_rows.extend({"architecture_id": arch_id, "family": architecture_spec(arch_id).family,
                          "pcb_target": target, "repetition": r.repetition,
@@ -142,6 +143,8 @@ def write_run(out: str | Path, dataset_path: str | Path, configs: list[Experimen
                 counts if cfg.resplit_each_repetition else counts[0],
             "auxiliary_diagnostics": [r.diagnostics for r in summary.rows],
         }
+        result_json(summaries[tag], str(summary_path))
+        save_model(checkpoint, model, meta={"pcb_target": cfg.pcb_target})
         checkpoints.append(str(checkpoint))
         config_snapshots.append({**asdict(cfg), "dataset": str(dataset_path)})
         print(f"{tag}: accuracy {summary.mean_accuracy:.4f} "
@@ -153,7 +156,6 @@ def write_run(out: str | Path, dataset_path: str | Path, configs: list[Experimen
         writer = csv.DictWriter(fh, METRICS_COLUMNS, lineterminator="\n")
         writer.writeheader()
         writer.writerows(all_rows)
-    summary_path = out_dir / "summary.json"
     atomic_write_text(summary_path, result_json(summaries, str(summary_path)) + "\n")
     manifest = {
         "tool_version": __version__,

@@ -2,8 +2,10 @@
 
 Layout: magic line, 8-byte little-endian header length, UTF-8 JSON header,
 then the concatenated row-major float64 buffers. The header carries a format
-name, version, arbitrary metadata, and the tensor index (name, shape, offset
-in float64 elements). Writes are atomic (temp file + rename, through
+name, version, arbitrary metadata, the tensor index (name, shape, offset
+in float64 elements) and a sha256 digest of the file's header and data
+(``load_params`` refuses a file whose bytes do not match it, or that has
+none). Writes are atomic (temp file + rename, through
 ``atomic_writer``) and byte-stable for identical inputs. ``save_params``
 widens the float32 parameters exactly; ``load_params`` returns float64
 arrays and refuses a non-finite value. ``result_json`` is the one JSON
@@ -14,6 +16,7 @@ form and line rule, and ``record_id`` and ``unique_id`` their id rules.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
@@ -178,7 +181,8 @@ def save_params(path: str | Path, tensors: dict[str, np.ndarray],
         "meta": meta or {},
         "tensors": index,
     }
-    header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    header["sha256"] = _digest(header, arrays)
+    header_bytes = _header_bytes(header)
     with atomic_writer(path, binary=True) as fh:
         fh.write(MAGIC + struct.pack("<Q", len(header_bytes)) + header_bytes)
         for arr in arrays:
@@ -188,8 +192,9 @@ def save_params(path: str | Path, tensors: dict[str, np.ndarray],
 def load_params(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
     """Read back (tensors, meta) from a file written by save_params.
 
-    A truncated or otherwise corrupt file, or a tensor that holds a NaN or an
-    infinity, raises ``ValidationError``.
+    A truncated or otherwise corrupt file, one whose header and data do not
+    match its sha256 digest or that has none, or a tensor that holds a NaN or
+    an infinity, raises ``ValidationError``.
     """
     raw = read_input(path, "checkpoint", binary=True)
     if not raw.startswith(MAGIC):
@@ -214,7 +219,7 @@ def load_params(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
         raise ValidationError(f"{path}: unexpected format {header.get('format')!r}")
     if header.get("version") != FORMAT_VERSION:
         raise ValidationError(f"{path}: unsupported version {header.get('version')!r}")
-    index, meta = header.get("tensors"), header.get("meta")
+    index, meta, digest = header.get("tensors"), header.get("meta"), header.pop("sha256", None)
     if not isinstance(index, list) or not isinstance(meta, dict):
         raise ValidationError(f"{path}: header lacks the tensor index or the metadata")
     data_start = pos + header_len
@@ -238,7 +243,24 @@ def load_params(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
             raise ValidationError(f"{path}: tensor {name!r} has shape {shape} ({exc})") from exc
         if not np.isfinite(flat).all():
             raise ValidationError(f"{path}: tensor {name!r} holds a non-finite value")
+    if digest is None:
+        raise ValidationError(f"{path}: no sha256 digest in the header")
+    if digest != _digest(header, [memoryview(raw)[data_start:]]):
+        raise ValidationError(f"{path}: the bytes do not match the header's sha256 digest")
     return tensors, meta
+
+
+def _header_bytes(header: dict) -> bytes:
+    return json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+
+
+def _digest(header: dict, data: Iterable) -> str:
+    """sha256 of ``header`` (without the digest) as ``save_params`` encodes it,
+    then of the data region, given as buffers."""
+    h = hashlib.sha256(_header_bytes(header))
+    for chunk in data:
+        h.update(chunk)
+    return h.hexdigest()
 
 
 def is_int(value) -> bool:

@@ -565,3 +565,83 @@ class TestLosses:
         assert abs(l2.item() - 2.5 * l1.item()) < 1e-12
         assert np.allclose(t2.grad, 2.5 * t1.grad)
 
+
+# Margins of 100 nats: a probability of e^-100 is subnormal in float32.
+CONFIDENT = np.array([[100.0, 0.0, 40.0, 60.0, -3.0, 2.0],
+                      [0.0, 100.0, -100.0, 1.0, 50.0, 49.0],
+                      [-80.0, 20.0, 0.0, 0.5, -0.5, 100.0],
+                      [1.0, 2.0, 3.0, 100.0, 35.0, -70.0]])
+GROUPED_TARGETS = np.array([[0, 1], [1, 2], [2, 2], [0, 0]])
+FLAGS = np.array([[1.0, 0.0, 1.0, 1.0, 0.0, 1.0],
+                  [0.0, 1.0, 0.0, 1.0, 1.0, 0.0],
+                  [0.0, 1.0, 1.0, 0.0, 0.0, 1.0],
+                  [1.0, 0.0, 0.0, 1.0, 1.0, 0.0]])
+# The loss-gradient floor: 2^32 times the dtype's smallest normal number.
+FLOOR = {np.float32: 2.0 ** -94, np.float64: 2.0 ** -990}
+
+
+def formula_ce_grad(z, targets, groups, weight):
+    """The grouped cross-entropy gradient without a floor, operation for operation."""
+    b, c = z.shape[0], z.shape[1] // groups
+    zz = z.reshape(b, groups, c)
+    m = zz.max(axis=-1, keepdims=True)
+    lsm = zz - m - np.log(np.exp(zz - m).sum(axis=-1, keepdims=True))
+    dz = np.exp(lsm)
+    dz[np.arange(b)[:, None], np.arange(groups)[None, :], targets] -= 1.0
+    return dz.reshape(b, groups * c) * (weight * 1.0 / (b * groups))
+
+
+def formula_bce_grad(z, t, weight):
+    """The binary cross-entropy gradient without a floor, operation for operation."""
+    e = np.exp(-np.abs(z))
+    sig = np.where(z >= 0, 1.0, e) / (1.0 + e)
+    return (sig - t) * (weight * 1.0 / z.size)
+
+
+LOSS_CASES = {
+    "cross_entropy": (lambda x: cross_entropy(x, GROUPED_TARGETS[:, 0]),
+                      lambda z: formula_ce_grad(z, GROUPED_TARGETS[:, :1], 1, 1.0)),
+    "grouped_cross_entropy": (
+        lambda x: grouped_cross_entropy(x, GROUPED_TARGETS, groups=2, weight=0.5),
+        lambda z: formula_ce_grad(z, GROUPED_TARGETS, 2, 0.5)),
+    "binary_cross_entropy": (lambda x: binary_cross_entropy(x, FLAGS, weight=0.5),
+                             lambda z: formula_bce_grad(z, FLAGS.astype(z.dtype), 0.5)),
+}
+
+
+def loss_grad(loss_fn, z):
+    x = Tensor(z, requires_grad=True)
+    backward(loss_fn(x))
+    return x.grad
+
+
+class TestLossGradientFloor:
+    @pytest.mark.parametrize("case", LOSS_CASES)
+    def test_float32_gradient_holds_nothing_between_zero_and_the_floor(self, case):
+        loss_fn, formula = LOSS_CASES[case]
+        z = CONFIDENT.astype(np.float32)
+        magnitude = np.abs(formula(z))
+        assert np.any((magnitude > 0) & (magnitude < FLOOR[np.float32]))  # inputs bite
+        grad = loss_grad(loss_fn, z)
+        assert grad.dtype == np.float32
+        tiny = (grad != 0) & (np.abs(grad) < FLOOR[np.float32])
+        assert not tiny.any(), grad[tiny]
+
+    @pytest.mark.parametrize("case", LOSS_CASES)
+    def test_float32_entries_at_or_above_the_floor_are_the_formulas_bits(self, case):
+        loss_fn, formula = LOSS_CASES[case]
+        z = CONFIDENT.astype(np.float32)
+        expected = formula(z)
+        below = np.abs(expected) < FLOOR[np.float32]
+        assert (~below).sum() > z.shape[0]  # not only the target entries stay
+        grad = loss_grad(loss_fn, z)
+        assert np.array_equal(grad[~below], expected[~below])
+        assert np.all(grad[below] == 0.0)
+
+    @pytest.mark.parametrize("case", LOSS_CASES)
+    def test_float64_gradient_is_the_formulas_bits(self, case):
+        loss_fn, formula = LOSS_CASES[case]
+        grad = loss_grad(loss_fn, CONFIDENT.copy())
+        assert grad.dtype == np.float64
+        assert np.array_equal(grad, formula(CONFIDENT))
+

@@ -166,7 +166,7 @@ class TestTrain:
         error = one_error_line(capsys)
         assert error["category"] == "validation"
         assert "summary.json" in error["message"] and "non-finite" in error["message"]
-        assert not (out_dir / "summary.json").exists()
+        assert not out_dir.exists() or list(out_dir.iterdir()) == []
 
     def test_a_non_finite_manifest_value_is_refused(self, tmp_path):
         from pcbnet.cli import write_run
@@ -375,12 +375,29 @@ class TestAttribute:
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["category"] == "validation"
 
+    def test_a_flipped_data_byte_is_one_validation_line(self, trained_run, capsys):
+        dataset, checkpoint, tmp_path = trained_run
+        flipped = tmp_path / "flipped_data.params"
+        raw = bytearray(checkpoint.read_bytes())
+        raw[-2] ^= 0x01  # a low mantissa byte of the last value
+        flipped.write_bytes(bytes(raw))
+        out_dir = tmp_path / "flipped_data_out"
+        capsys.readouterr()
+        assert main(["attribute", "--checkpoint", str(flipped),
+                     "--dataset", str(dataset), "--records", ingest(dataset)[0].id,
+                     "--out", str(out_dir)]) == 1
+        error = one_error_line(capsys)
+        assert error["category"] == "validation"
+        assert str(flipped) in error["message"] and "sha256" in error["message"]
+        assert not out_dir.exists()
+
     def test_renamed_metadata_key_is_a_validation_error(self, trained_run, capsys):
+        from pcbnet.serialize import load_params, save_params
         dataset, checkpoint, tmp_path = trained_run
         flipped = tmp_path / "flipped.params"
-        raw = checkpoint.read_bytes()
-        assert raw.count(b'"architecture_id"') == 1
-        flipped.write_bytes(raw.replace(b'"architecture_id"', b'"brchitecture_id"'))
+        tensors, meta = load_params(checkpoint)
+        meta["brchitecture_id"] = meta.pop("architecture_id")
+        save_params(flipped, tensors, meta)
         assert main(["attribute", "--checkpoint", str(flipped),
                      "--dataset", str(dataset), "--records", ingest(dataset)[0].id,
                      "--out", str(tmp_path / "x")]) == 1

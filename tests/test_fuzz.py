@@ -2,7 +2,8 @@
 
 Each reader gets arbitrary bytes, and a valid file with one byte flipped and
 then truncated. Each case either loads or raises the reader's error class, a
-``PcbnetError``; ``main`` must then exit 1 with one JSON line on stderr.
+``PcbnetError``; ``main`` must then exit 1 with one JSON line on stderr. A
+checkpoint carries a sha256 digest of its bytes, so a flipped one must raise.
 """
 
 import contextlib
@@ -47,6 +48,7 @@ class Reader:
     load: Callable       # reads the given path
     error: type = PcbnetError
     magic: bytes = b""   # a prefix that arbitrary bytes are tried behind, too
+    refuses_flips: bool = False  # a flipped byte must raise, not load
 
 
 def write_metrics(path):
@@ -65,11 +67,11 @@ READERS = [
            lambda p: save_params(p, {"head.weight": np.arange(6.0).reshape(2, 3),
                                      "head.bias": np.ones(3), "s": np.array(2.5)},
                                  meta={"architecture_id": 12, "vocab": ["<pad>", "good"]}),
-           load_params, ValidationError, MAGIC),
+           load_params, ValidationError, MAGIC, refuses_flips=True),
     Reader("load_model.params",
            lambda p: save_model(p, build(1, encoder_dim=2, seed=0,
                                          vocab=Vocabulary(["<pad>", "<unk>", "good"]))),
-           load_model, magic=MAGIC),
+           load_model, magic=MAGIC, refuses_flips=True),
     Reader("train_config.json",
            lambda p: atomic_write_text(p, json.dumps({
                "dataset": "d.jsonl", "architecture": 3, "lr": 1e-3,
@@ -108,14 +110,16 @@ def valid_bytes(fuzz_dir):
     return out
 
 
-def load_or_error(fuzz_dir, reader, raw):
-    """Read ``raw`` through ``reader``; any exception but its error class fails the test."""
+def load_or_error(fuzz_dir, reader, raw, must_raise=False):
+    """Read ``raw`` through ``reader``; any exception but its error class fails the
+    test, and so does a load when ``must_raise``."""
     path = fuzz_path(fuzz_dir, reader)
     path.write_bytes(raw)
     try:
         reader.load(path)
     except reader.error:
-        pass
+        return
+    assert not must_raise, f"{reader.name} loaded a flipped file"
 
 
 @pytest.mark.parametrize("reader", READERS, ids=[r.name for r in READERS])
@@ -133,4 +137,4 @@ def test_flipped_and_truncated_file(fuzz_dir, valid_bytes, reader, data):
     i = data.draw(st.integers(0, len(raw) - 1))
     raw[i] ^= data.draw(st.integers(1, 255))
     cut = data.draw(st.integers(0, len(raw)))
-    load_or_error(fuzz_dir, reader, bytes(raw[:cut]))
+    load_or_error(fuzz_dir, reader, bytes(raw[:cut]), must_raise=reader.refuses_flips)

@@ -376,6 +376,15 @@ class TestCheckpoint:
         with pytest.raises(ValidationError, match="checkpoint"):
             load_model(path)
 
+    def test_a_flipped_data_byte_is_refused(self, tiny_data, tmp_path):
+        path = tmp_path / "model.params"
+        save_model(path, build(12, vocab=tiny_data.vocab, encoder_dim=8, seed=5))
+        raw = bytearray(path.read_bytes())
+        raw[-2] ^= 0x01  # a low mantissa byte of the last value
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValidationError, match="sha256"):
+            load_model(path)
+
     def test_precomputed_checkpoint_is_a_config_refusal(self, tmp_path):
         path = tmp_path / "model.params"
         save_model(path, build(1, encoder_dim=8, precomputed=True))

@@ -95,6 +95,19 @@ def test_ab_pairs_runs_both_sides_and_sums_up():
     assert runs[0]["metrics"]["test_acc"] == runs[1]["metrics"]["test_acc"]
 
 
+def test_ab_pairs_first_seed_moves_every_pair():
+    root = SCRIPTS.parent
+    result = subprocess.run(
+        [sys.executable, str(SCRIPTS / "ab_pairs.py"), "--parent", str(root),
+         "--change", str(root), "--workload", "text-train", "--pairs", "2",
+         "--seconds", "0.05", "--first-seed", "11"],
+        capture_output=True, text=True, timeout=600)
+    assert result.returncode == 0, result.stderr
+    runs = [json.loads(line) for line in result.stdout.splitlines()[:-1]]
+    assert [(r["pair"], r["side"], r["seed"]) for r in runs] == [
+        (0, "parent", 11), (0, "change", 11), (1, "change", 12), (1, "parent", 12)]
+
+
 def load_script(name):
     spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
@@ -201,6 +214,8 @@ def test_a_refusal_names_the_flag_not_its_config_key(tmp_path, script, flag, val
     (["--workload", "text-train", "--seconds", "-1"], "--seconds must be positive"),
     (["--workload", "text-train", "--seconds", "nan"], "--seconds must be positive"),
     (["--workload", "text-train", "--seconds", "inf"], "--seconds must be positive"),
+    (["--workload", "text-train", "--seconds", "1", "--first-seed", "-1"],
+     "--first-seed must be at least 0, got -1"),
 ])
 def test_ab_pairs_refuses_a_bad_argument_before_any_run(tmp_path, args, says):
     # both checkouts are missing, so any run would print a failed result line

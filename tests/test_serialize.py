@@ -79,6 +79,34 @@ class TestParamsFormat:
         save_params(p2, tensors, meta={"k": 1})
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_the_header_carries_a_sha256_digest(self, tmp_path):
+        path = tmp_path / "m.params"
+        save_params(path, {"w": np.arange(3.0)}, meta={"k": 1})
+        raw = path.read_bytes()
+        (n,) = struct.unpack("<Q", raw[len(MAGIC):len(MAGIC) + 8])
+        digest = json.loads(raw[len(MAGIC) + 8:len(MAGIC) + 8 + n])["sha256"]
+        assert len(digest) == 64 and set(digest) <= set("0123456789abcdef")
+
+    @pytest.mark.parametrize("where", ["data", "meta"])
+    def test_a_flipped_byte_is_refused_naming_the_file(self, tmp_path, where):
+        path = tmp_path / "m.params"
+        save_params(path, {"w": np.arange(6.0)}, meta={"note": "x"})
+        raw = bytearray(path.read_bytes())
+        i = len(raw) - 3 if where == "data" else raw.index(b'"x"') + 1
+        raw[i] ^= 0x01  # the data stay finite; the note becomes "y"
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValidationError, match="sha256") as info:
+            load_params(path)
+        assert str(path) in str(info.value)
+
+    def test_a_file_without_a_digest_is_refused(self, tmp_path):
+        path = tmp_path / "m.params"
+        header = json.dumps({"format": FORMAT_NAME, "version": FORMAT_VERSION, "meta": {},
+                             "tensors": [{"name": "w", "shape": [1], "offset": 0}]}).encode()
+        path.write_bytes(MAGIC + struct.pack("<Q", len(header)) + header + bytes(8))
+        with pytest.raises(ValidationError, match="no sha256 digest"):
+            load_params(path)
+
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "junk.params"
         path.write_bytes(b"not a checkpoint")
