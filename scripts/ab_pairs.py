@@ -4,13 +4,17 @@ Pair i (from 0) runs ``perfbench/run.py --workload W --seed N+i --seconds S``
 in each checkout, each in its own process. N is ``--first-seed`` (default 1),
 so a claim can be checked again on seeds not used while writing the change.
 Even pairs run the parent first, odd pairs the change first, so neither side
-always meets a warmer or a busier machine. Each run prints one JSON line: pair, side, seed, ``correct``,
-``failed``, ``attempted`` and the end-to-end metrics. The last line is the
-summary: per end-to-end metric of ``BENCHMARK.json``, both sides' median and
-quartiles, the pairs in which the change was better and their number (a tie
-counts for neither side), the verdicts ``claim_met`` and ``within_bound``, and
-per side each run's ``correct``, ``failed`` and ``attempted`` operations and
-its ``test_acc``, pair by pair, so the accuracies compare seed for seed.
+always meets a warmer or a busier machine. Each run prints one JSON line: pair,
+side, seed, ``correct``, ``failed``, ``attempted``, the BLAS fields of the
+benchmark's info line (``blas``, ``blas_threads`` as set, and
+``blas_threads_reported`` as read after the run) and the end-to-end metrics.
+The last line is the summary: per end-to-end metric of ``BENCHMARK.json``,
+both sides' median and quartiles, the pairs in which the change was better and
+their number (a tie counts for neither side), the verdicts ``claim_met`` and
+``within_bound``, and per side each run's ``correct``, ``failed`` and
+``attempted`` operations, its BLAS fields and its ``test_acc``, pair by pair,
+so the accuracies compare seed for seed and both sides show the BLAS settings
+they ran with, and that the program left the thread count as it found it.
 An unknown ``--workload``, a ``--seconds`` that is not positive or a negative
 ``--first-seed`` exits 2 before any run.
 
@@ -36,21 +40,27 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 SIDES = ("parent", "change")
+BLAS_FIELDS = ("blas", "blas_threads", "blas_threads_reported")
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One benchmark process; its result line, or ``correct: false`` with the error."""
+    """One benchmark process: its result line with its info line's BLAS fields, or
+    ``correct: false`` with the error."""
     proc = subprocess.run(
         [sys.executable, str(checkout / "perfbench" / "run.py"), "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
         cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.splitlines()
     if proc.returncode != 0 or not lines:
-        return {"correct": False, "failed": None, "attempted": None, "metrics": {},
+        return {"correct": False, "failed": None, "attempted": None,
+                **dict.fromkeys(BLAS_FIELDS), "metrics": {},
                 "error": (proc.stderr.strip().splitlines() or ["no output"])[-1]}
     result = json.loads(lines[-1])
+    info = next((json.loads(line)["info"] for line in reversed(lines[:-1])
+                 if line.startswith('{"info"')), {})
     return {"correct": result["correct"], "failed": result["failed"],
             "attempted": result["attempted"],
+            **{key: info.get("machine", {}).get(key) for key in BLAS_FIELDS},
             "metrics": {k: m["value"] for k, m in result["metrics"].items()}}
 
 
@@ -84,9 +94,9 @@ def summarize(runs: list[dict], workload: str, pairs: int) -> dict:
                          "change_won": len(better), "claim_met": claim_met,
                          "within_bound": within_bound}
     return {"summary": {"workload": workload, "pairs": pairs, "metrics": metrics,
-                        **{key: {side: [by[p, side][key] for p in range(pairs)]
+                        **{key: {side: [by[p, side].get(key) for p in range(pairs)]
                                  for side in SIDES}
-                           for key in ("correct", "failed", "attempted")},
+                           for key in ("correct", "failed", "attempted", *BLAS_FIELDS)},
                         "test_acc": {side: [by[p, side]["metrics"].get("test_acc")
                                             for p in range(pairs)] for side in SIDES}}}
 

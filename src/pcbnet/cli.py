@@ -20,7 +20,7 @@ from typing import Iterable
 
 import numpy as np
 
-from . import __version__
+from . import __version__, blas
 from .attribution import BASELINE, STEPS, integrated_gradients, report_to_html, report_to_json
 from .data import (SyntheticGeneratorConfig, generate_synthetic, ingest,
                    write_appraisal_names, write_jsonl)
@@ -114,42 +114,50 @@ def write_run(out: str | Path, dataset_path: str | Path, configs: list[Experimen
     """A run's files under directory ``out``, which it makes: each config's
     checkpoint as ``results`` yields it, then ``metrics.csv``, ``summary.json``
     and ``manifest.json``. A config's non-finite summary value is refused
-    before its checkpoint is saved. Returns the metrics rows."""
+    before its checkpoint is saved; when a config is refused or fails, the
+    checkpoints saved before it are removed. Returns the metrics rows."""
+    blas_info = blas.info()  # before anything trains: the count the run inherits
     out_dir = output_dir(out)
     summary_path = out_dir / "summary.json"
     all_rows: list[dict] = []
     summaries: dict[str, dict] = {}
     checkpoints: list[str] = []
     config_snapshots: list[dict] = []
-    for cfg, (summary, model) in zip(configs, results):
-        arch_id, target = cfg.architecture, cfg.pcb_target
-        tag = f"arch{arch_id:02d}_{target}"
-        checkpoint = out_dir / f"checkpoint_{tag}.params"
-        counts = [r.class_counts for r in summary.rows]  # the splits are not stratified
-        all_rows.extend({"architecture_id": arch_id, "family": architecture_spec(arch_id).family,
-                         "pcb_target": target, "repetition": r.repetition,
-                         "accuracy": repr(r.accuracy), "f1_weighted": repr(r.f1_weighted),
-                         "seed": r.seed} for r in summary.rows)
-        summaries[tag] = {
-            "architecture_id": arch_id,
-            "pcb_target": target,
-            "mean_accuracy": summary.mean_accuracy,
-            "std_accuracy": summary.std_accuracy,
-            "mean_f1": summary.mean_f1,
-            "std_f1": summary.std_f1,
-            "std_kind": "population",
-            "repetitions": cfg.repetitions,
-            "class_counts_low_moderate_high":
-                counts if cfg.resplit_each_repetition else counts[0],
-            "auxiliary_diagnostics": [r.diagnostics for r in summary.rows],
-        }
-        result_json(summaries[tag], str(summary_path))
-        save_model(checkpoint, model, meta={"pcb_target": cfg.pcb_target})
-        checkpoints.append(str(checkpoint))
-        config_snapshots.append({**asdict(cfg), "dataset": str(dataset_path)})
-        print(f"{tag}: accuracy {summary.mean_accuracy:.4f} "
-              f"({summary.std_accuracy:.4f}), f1 {summary.mean_f1:.4f} "
-              f"({summary.std_f1:.4f})")
+    try:
+        for cfg, (summary, model) in zip(configs, results):
+            arch_id, target = cfg.architecture, cfg.pcb_target
+            tag = f"arch{arch_id:02d}_{target}"
+            checkpoint = out_dir / f"checkpoint_{tag}.params"
+            counts = [r.class_counts for r in summary.rows]  # the splits are not stratified
+            all_rows.extend({"architecture_id": arch_id,
+                             "family": architecture_spec(arch_id).family,
+                             "pcb_target": target, "repetition": r.repetition,
+                             "accuracy": repr(r.accuracy), "f1_weighted": repr(r.f1_weighted),
+                             "seed": r.seed} for r in summary.rows)
+            summaries[tag] = {
+                "architecture_id": arch_id,
+                "pcb_target": target,
+                "mean_accuracy": summary.mean_accuracy,
+                "std_accuracy": summary.std_accuracy,
+                "mean_f1": summary.mean_f1,
+                "std_f1": summary.std_f1,
+                "std_kind": "population",
+                "repetitions": cfg.repetitions,
+                "class_counts_low_moderate_high":
+                    counts if cfg.resplit_each_repetition else counts[0],
+                "auxiliary_diagnostics": [r.diagnostics for r in summary.rows],
+            }
+            result_json(summaries[tag], str(summary_path))
+            save_model(checkpoint, model, meta={"pcb_target": cfg.pcb_target})
+            checkpoints.append(str(checkpoint))
+            config_snapshots.append({**asdict(cfg), "dataset": str(dataset_path)})
+            print(f"{tag}: accuracy {summary.mean_accuracy:.4f} "
+                  f"({summary.std_accuracy:.4f}), f1 {summary.mean_f1:.4f} "
+                  f"({summary.std_f1:.4f})")
+    except Exception:
+        for path in checkpoints:
+            Path(path).unlink(missing_ok=True)
+        raise
 
     metrics_path = out_dir / "metrics.csv"
     with atomic_writer(metrics_path) as fh:
@@ -159,6 +167,7 @@ def write_run(out: str | Path, dataset_path: str | Path, configs: list[Experimen
     atomic_write_text(summary_path, result_json(summaries, str(summary_path)) + "\n")
     manifest = {
         "tool_version": __version__,
+        **blas_info,
         "configs": config_snapshots,
         "seeds": sorted({int(row["seed"]) for row in all_rows}),
         "artifacts": {

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from itertools import starmap
 from typing import Iterator, Sequence
 
 import numpy as np
 
+from . import blas
 from .autodiff import (Tensor, add, backward, binary_cross_entropy, cross_entropy, frozen,
                        grouped_cross_entropy)
 from .data import (APPRAISAL_COUNT, EMOTION_FLAGS, PCB_LEVELS, PCB_TARGETS, DatasetSplit,
@@ -23,6 +25,10 @@ from .text import Vocabulary, encode_texts, load_embeddings
 
 # rows per evaluation forward pass; bounds its activations for any split size
 _EVAL_CHUNK = 512
+# A training call whose widest product per step (its rows times the largest 2-D
+# parameter) has fewer multiply-adds runs on one OpenBLAS thread: splitting so
+# small a product across threads costs more than it saves (README, "BLAS threads")
+_SERIAL_MULADDS = 2**22
 
 
 @dataclass(frozen=True)
@@ -244,27 +250,30 @@ def _train_single(model: ModelInstance, data: Dataset, train_idx: Sequence[int],
     val_every = max(1, epochs // 20)
     step = 0
     params = {k: p for k, p in model.parameters().items() if p.requires_grad}
+    widest = min(batch_size, n) * max(
+        (p.data.size for p in model.parameters().values() if p.data.ndim == 2), default=0)
     arena(params.values(), np.float32)
     try:
-        optimizer = Adam(params, lr=cfg.lr)
-        for epoch in range(epochs):
-            order = rng.permutation(n)
-            for start in range(0, n, batch_size):
-                batch = data.batch(idx[order[start:start + batch_size]],
-                                   cfg.pcb_target, modalities)
-                loss = compute_loss(model, batch, cfg)
-                value = loss.item()
-                if not np.isfinite(value):
-                    raise TrainingError(
-                        f"non-finite loss at step {step}; parameter norms: "
-                        f"{_param_norms(params)}")
-                backward(loss)
-                optimizer.step(lr=cfg.lr * (1.0 - step / total_steps))
-                trace.append(value)
-                step += 1
-            if cfg.track_validation and validation_idx and epoch % val_every == 0:
-                acc = evaluate(model, data, validation_idx, cfg.pcb_target).accuracy
-                val_trace.append((epoch, acc))
+        with blas.one_thread() if widest < _SERIAL_MULADDS else nullcontext():
+            optimizer = Adam(params, lr=cfg.lr)
+            for epoch in range(epochs):
+                order = rng.permutation(n)
+                for start in range(0, n, batch_size):
+                    batch = data.batch(idx[order[start:start + batch_size]],
+                                       cfg.pcb_target, modalities)
+                    loss = compute_loss(model, batch, cfg)
+                    value = loss.item()
+                    if not np.isfinite(value):
+                        raise TrainingError(
+                            f"non-finite loss at step {step}; parameter norms: "
+                            f"{_param_norms(params)}")
+                    backward(loss)
+                    optimizer.step(lr=cfg.lr * (1.0 - step / total_steps))
+                    trace.append(value)
+                    step += 1
+                if cfg.track_validation and validation_idx and epoch % val_every == 0:
+                    acc = evaluate(model, data, validation_idx, cfg.pcb_target).accuracy
+                    val_trace.append((epoch, acc))
     finally:
         for p in params.values():
             p.grad = None
@@ -398,7 +407,8 @@ def run_sweep(records: Sequence[ReviewRecord], configs: Sequence[ExperimentConfi
 def _repetitions(jobs: list[tuple], workers: int) -> tuple[MetricsSummary, ModelInstance]:
     """A config's summary and last model, from ``run_repetition``'s arguments per repetition."""
     if workers > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        # the workers share the cores, so none splits its products across them
+        with blas.one_thread(), ThreadPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(run_repetition, *zip(*jobs)))
     else:
         outcomes = list(starmap(run_repetition, jobs))

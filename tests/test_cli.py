@@ -181,6 +181,41 @@ class TestTrain:
         assert (out_dir / "summary.json").exists()
         assert not (out_dir / "manifest.json").exists()
 
+    def test_a_refused_second_configuration_leaves_no_file(self, tmp_path):
+        from pcbnet.cli import write_run
+        from pcbnet.errors import ValidationError
+        from pcbnet.experiment import MetricsSummary, RepetitionResult
+        from pcbnet.models import build
+        results = [(MetricsSummary.aggregate([RepetitionResult(0, 0, acc, 0.5)]), build(arch))
+                   for arch, acc in ((2, 0.5), (3, float("nan")))]
+        out_dir = tmp_path / "r"
+        with pytest.raises(ValidationError, match="summary.json holds a non-finite"):
+            write_run(out_dir, "data.jsonl", [ExperimentConfig(architecture=2),
+                                              ExperimentConfig(architecture=3)],
+                      iter(results), started=0.0)
+        assert list(out_dir.iterdir()) == []
+
+    @pytest.mark.parametrize("found", [True, False], ids=["openblas", "no-setter"])
+    def test_manifest_records_the_blas_library_and_thread_count(self, tmp_path, monkeypatch,
+                                                                found):
+        from pcbnet import blas
+        if not found:
+            monkeypatch.setattr(blas, "_find", lambda: None)
+        elif blas._find() is None:
+            pytest.skip("no OpenBLAS thread getter and setter found in this process")
+        # the count the run inherits, though architecture 1 trains on one thread
+        expected = blas.info()
+        dataset = synth_dataset(tmp_path, n=40)
+        cfg = quick_train_config(tmp_path, dataset, architecture=1)
+        out_dir = tmp_path / "r"
+        assert main(["train", "--config", cfg, "--out", str(out_dir)]) == 0
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        assert {k: manifest[k] for k in ("blas_library", "blas_threads")} == expected
+        if found:
+            assert "openblas" in manifest["blas_library"] and manifest["blas_threads"] >= 1
+        else:
+            assert expected == {"blas_library": None, "blas_threads": None}
+
     def test_summary_reports_mean_and_std(self, tmp_path):
         dataset = synth_dataset(tmp_path, n=40)
         cfg = quick_train_config(tmp_path, dataset, repetitions=2)

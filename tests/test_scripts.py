@@ -93,6 +93,12 @@ def test_ab_pairs_runs_both_sides_and_sums_up():
         assert set(stats["change_better_pairs"]) <= {0}
     # one corpus, split and model seed on both sides: the same accuracy
     assert runs[0]["metrics"]["test_acc"] == runs[1]["metrics"]["test_acc"]
+    # the info line's BLAS fields, per run and per side; the program left the
+    # thread count it found (None where the benchmark could not read it)
+    for key in ("blas", "blas_threads", "blas_threads_reported"):
+        assert summary[key] == {s: [r[key]] for s, r in zip(SIDES, runs)}
+    assert all(r["blas"] and r["blas_threads"] >= 1 for r in runs)
+    assert all(r["blas_threads_reported"] in (None, r["blas_threads"]) for r in runs)
 
 
 def test_ab_pairs_first_seed_moves_every_pair():
@@ -226,6 +232,26 @@ def test_ab_pairs_refuses_a_bad_argument_before_any_run(tmp_path, args, says):
     assert result.returncode == 2, result.stderr
     assert result.stdout == ""
     assert says in result.stderr
+
+
+def test_ab_pairs_keeps_each_runs_blas_fields(monkeypatch):
+    ab_pairs = load_script("ab_pairs")
+    machine = {"blas": "scipy-openblas", "blas_threads": 2, "blas_threads_reported": 2,
+               "nproc": 2}
+    stdout = "\n".join([json.dumps({"info": {"machine": machine}}), json.dumps(
+        {"correct": True, "failed": 0, "attempted": 3,
+         "metrics": {"test_acc": {"value": 0.8, "unit": "ratio"}}})])
+    monkeypatch.setattr(ab_pairs.subprocess, "run", lambda *a, **k: subprocess.CompletedProcess(
+        a, 0, stdout=stdout + "\n", stderr=""))
+    run = ab_pairs.run_once(Path("."), "text-train", 1, 0.1)
+    assert {k: run[k] for k in ab_pairs.BLAS_FIELDS} == {
+        "blas": "scipy-openblas", "blas_threads": 2, "blas_threads_reported": 2}
+    runs = [{"pair": 0, "side": side, **run, "blas_threads_reported": reported}
+            for side, reported in zip(SIDES, (2, 1))]
+    summary = ab_pairs.summarize(runs, "text-train", 1)["summary"]
+    assert summary["blas"] == {"parent": ["scipy-openblas"], "change": ["scipy-openblas"]}
+    assert summary["blas_threads"] == {"parent": [2], "change": [2]}
+    assert summary["blas_threads_reported"] == {"parent": [2], "change": [1]}
 
 
 def test_ab_pairs_lists_test_acc_pair_by_pair():
