@@ -9,12 +9,15 @@ side, seed, ``correct``, ``failed``, ``attempted``, the BLAS fields of the
 benchmark's info line (``blas``, ``blas_threads`` as set, and
 ``blas_threads_reported`` as read after the run) and the end-to-end metrics.
 The last line is the summary: per end-to-end metric of ``BENCHMARK.json``,
-both sides' median and quartiles, the pairs in which the change was better and
-their number (a tie counts for neither side), the verdicts ``claim_met`` and
-``within_bound``, and per side each run's ``correct``, ``failed`` and
-``attempted`` operations, its BLAS fields and its ``test_acc``, pair by pair,
-so the accuracies compare seed for seed and both sides show the BLAS settings
-they ran with, and that the program left the thread count as it found it.
+both sides' median and quartiles, the median and quartiles of change / parent
+taken pair by pair (``change_over_parent``, as the two runs of a pair share
+the machine's state; a pair without a value, or with a parent of 0, is left
+out), the pairs in which the change was better and their number (a tie counts
+for neither side), the verdicts ``claim_met`` and ``within_bound``, and per
+side each run's ``correct``, ``failed`` and ``attempted`` operations, its BLAS
+fields and its ``test_acc``, pair by pair, so the accuracies compare seed for
+seed and both sides show the BLAS settings they ran with, and that the
+program left the thread count as it found it.
 An unknown ``--workload``, a ``--seconds`` that is not positive or a negative
 ``--first-seed`` exits 2 before any run.
 
@@ -64,9 +67,15 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
             "metrics": {k: m["value"] for k, m in result["metrics"].items()}}
 
 
+def quartiles(values: list[float]) -> dict:
+    q1, median, q3 = np.percentile(values, [25, 50, 75]) if values else [None] * 3
+    return {"median": median, "q1": q1, "q3": q3}
+
+
 def summarize(runs: list[dict], workload: str, pairs: int) -> dict:
-    """Per metric: median and quartiles per side, the pairs the change won, and
-    the verdicts ``claim_met`` and ``within_bound``."""
+    """Per metric: median and quartiles per side and of change / parent pair by
+    pair, the pairs the change won, and the verdicts ``claim_met`` and
+    ``within_bound``."""
     by = {(r["pair"], r["side"]): r for r in runs}
     metrics = {}
     for spec in BENCHMARK["end_to_end"]:
@@ -75,14 +84,12 @@ def summarize(runs: list[dict], workload: str, pairs: int) -> dict:
         for side in SIDES:
             values = [by[p, side]["metrics"][name] for p in range(pairs)
                       if name in by[p, side]["metrics"]]
-            q1, median, q3 = np.percentile(values, [25, 50, 75]) if values else [None] * 3
-            stats[side] = {"median": median, "q1": q1, "q3": q3, "runs": len(values)}
-        better = []
-        for p in range(pairs):
-            a = by[p, "parent"]["metrics"].get(name)
-            b = by[p, "change"]["metrics"].get(name)
-            if a is not None and b is not None and (b < a if lower else b > a):
-                better.append(p)
+            stats[side] = {**quartiles(values), "runs": len(values)}
+        paired = [(p, *(by[p, side]["metrics"].get(name) for side in SIDES))
+                  for p in range(pairs)]
+        paired = [(p, a, b) for p, a, b in paired if a is not None and b is not None]
+        better = [p for p, a, b in paired if (b < a if lower else b > a)]
+        ratios = [b / a for _, a, b in paired if a != 0]
         parent, change = stats["parent"], stats["change"]
         claim_met = within_bound = None
         if parent["median"] is not None and change["median"] is not None:
@@ -90,7 +97,9 @@ def summarize(runs: list[dict], workload: str, pairs: int) -> dict:
             claim_met = bool(10 * len(better) >= 9 * pairs
                              and gain > parent["q3"] - parent["q1"])
             within_bound = bool(-gain <= spec["bound"] * abs(parent["median"]))
-        metrics[name] = {"better": spec["better"], **stats, "change_better_pairs": better,
+        metrics[name] = {"better": spec["better"], **stats,
+                         "change_over_parent": {**quartiles(ratios), "pairs": len(ratios)},
+                         "change_better_pairs": better,
                          "change_won": len(better), "claim_met": claim_met,
                          "within_bound": within_bound}
     return {"summary": {"workload": workload, "pairs": pairs, "metrics": metrics,

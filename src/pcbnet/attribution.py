@@ -1,9 +1,9 @@
 """Integrated-gradients token attribution for trained text-input models.
 
-Attributions are computed per embedding dimension as (x - x') times the mean
-gradient of the target-class logit along the straight path from baseline x'
-to input x, sampled on a midpoint grid, then summed per token. The path is
-walked on the encoder output, which the model reads as ``Batch.text_features``.
+A token's attribution is the dot product of (x - x') with the mean gradient
+of the target-class logit along the straight path from baseline x' to input
+x, sampled on a midpoint grid. The path is walked on the encoder output,
+which the model reads as ``Batch.text_features``.
 The report always carries the completeness gap |sum(attributions) - (F(x) - F(x'))|.
 """
 
@@ -138,16 +138,14 @@ def integrated_gradients(model: ModelInstance, record: ReviewRecord,
         logits_base = _logits(model, data, pcb_target, q_base).data[0]
         grad_sum_q = _path_gradient_sum(model, data, pcb_target, q_base.data,
                                         q_x.data - q_base.data, target_class, steps)
-        x = encoder.embedding.data[ids]  # [1, L, e]
+        n = len(tokens)  # the record's tokens fill the first n positions
+        x = encoder.embedding.data[ids[0, :n]]  # [n, e]
         x_base = encoder.embedding.data[encoder.vocab.pad_id] if baseline == "pad" else 0.0
         grad_sum_p = grad_sum_q @ encoder.projection.weight.data.T  # dF/dp = dF/dq Wᵀ
-    counts = np.maximum(mask.sum(axis=1), 1.0)[:, None, None]
-    # dF/dx_i summed over the path is (mask_i / n) grad_sum_p
-    attributions = (x - x_base) * (mask[:, :, None] * grad_sum_p / counts) / steps
+    # dF/dx_i summed over the path is grad_sum_p / n for each of the n tokens
+    token_scores = (x - x_base) @ grad_sum_p / max(n, 1) / steps
     f_x = float(logits_x[target_class])
     f_base = float(logits_base[target_class])
-
-    token_scores = attributions[0, :len(tokens)].sum(axis=1)
     gap = abs(float(token_scores.sum()) - (f_x - f_base))
     return AttributionReport(
         record_id=record.id,

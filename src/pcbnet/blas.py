@@ -23,12 +23,28 @@ _lock = threading.Lock()
 def _find() -> tuple | None:
     """The loaded OpenBLAS's file name, thread getter and setter, or None."""
     try:
-        with open("/proc/self/maps", encoding="utf-8") as fh:
-            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+        with open("/proc/self/maps", "rb") as fh:
+            return _search(fh.read())
     except OSError:
         return None
-    for path in paths:
-        lib = ctypes.CDLL(path)
+
+
+def _search(maps: bytes) -> tuple | None:
+    """The first library in the memory map ``maps`` (``/proc/<pid>/maps``
+    format) that exports an OpenBLAS thread getter and setter, as ``_find``
+    gives it; None if none does."""
+    paths = set()
+    for line in maps.splitlines():
+        # address, perms, offset, device, inode, then the path, spaces and all
+        fields = line.split(maxsplit=5)
+        if (len(fields) == 6 and b"openblas" in fields[5].lower()
+                and not fields[5].endswith(b" (deleted)")):
+            paths.add(os.fsdecode(fields[5]))
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except (OSError, UnicodeDecodeError):  # dlopen quotes the path, which may not decode
+            continue
         # numpy's wheels prefix the symbols; builds with 64-bit integers suffix them
         for name in ("scipy_openblas_{}64_", "openblas_{}64_", "scipy_openblas_{}", "openblas_{}"):
             get, set_ = (getattr(lib, name.format(f"{verb}_num_threads"), None)

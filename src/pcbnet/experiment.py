@@ -19,7 +19,7 @@ from .errors import ConfigError, SizeError, TrainingError
 from .metrics import accuracy_score, weighted_f1
 from .models import (APPRAISALS, EMOTIONS, MAX_BUILT_ENCODER_DIM, PCB_HEAD, TEXT, Batch,
                      ModelInstance, architecture_spec, build)
-from .nn import Adam, arena
+from .nn import Adam
 from .schema import Spec, check_fields, declared
 from .text import Vocabulary, encode_texts, load_embeddings
 
@@ -230,11 +230,11 @@ def _train_single(model: ModelInstance, data: Dataset, train_idx: Sequence[int],
                   validation_idx: Sequence[int] | None = None) -> TrainResult:
     """Train ``model``'s parameters that have ``requires_grad``.
 
-    On entry the trained parameters are copied into views of one float32
-    arena (``nn.arena``), which Adam updates in one pass; they stay views of
-    it after the call, and even on an error no gradient is left. Parameters
-    and ``data``'s float columns are float32 already, so every step computes
-    in float32 with no cast.
+    Adam copies the trained parameters into views of one arena of their dtype
+    (``nn.arena``), float32 for every model ``build`` makes, and updates it in
+    one pass; they stay views of it after the call, and even on an error no
+    gradient is left. Parameters and ``data``'s float columns are float32
+    already, so every step computes in float32 with no cast.
     """
     n = len(train_idx)
     if n == 0:
@@ -252,10 +252,9 @@ def _train_single(model: ModelInstance, data: Dataset, train_idx: Sequence[int],
     params = {k: p for k, p in model.parameters().items() if p.requires_grad}
     widest = min(batch_size, n) * max(
         (p.data.size for p in model.parameters().values() if p.data.ndim == 2), default=0)
-    arena(params.values(), np.float32)
     try:
         with blas.one_thread() if widest < _SERIAL_MULADDS else nullcontext():
-            optimizer = Adam(params, lr=cfg.lr)
+            optimizer = Adam(params)
             for epoch in range(epochs):
                 order = rng.permutation(n)
                 for start in range(0, n, batch_size):
@@ -268,6 +267,8 @@ def _train_single(model: ModelInstance, data: Dataset, train_idx: Sequence[int],
                             f"non-finite loss at step {step}; parameter norms: "
                             f"{_param_norms(params)}")
                     backward(loss)
+                    # by keyword: the benchmark's tracer (perfbench/spans.py)
+                    # counts a step's work from its positional arguments
                     optimizer.step(lr=cfg.lr * (1.0 - step / total_steps))
                     trace.append(value)
                     step += 1

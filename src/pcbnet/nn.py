@@ -1,14 +1,13 @@
 """Layers, initialization, and Adam.
 
-Training hands Adam its parameters as views of one flat buffer (``arena``),
-which it updates in one blocked pass with the bias corrections folded into
-one step size (Kingma & Ba 2015, Section 2).
+Adam packs its parameters into views of one flat buffer (``arena``), which
+it updates in one blocked pass with the bias corrections folded into one
+step size (Kingma & Ba 2015, Section 2).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterable
 
@@ -102,71 +101,43 @@ def arena(tensors: Iterable[Tensor], dtype) -> np.ndarray:
     return buffer
 
 
-def _arena_of(arrays: list[np.ndarray]) -> np.ndarray | None:
-    """The flat buffer that ``arrays`` exactly fill in order, if there is one."""
-    buffer = arrays[0].base if arrays else None
-    if (buffer is None or buffer.ndim != 1 or not buffer.flags.c_contiguous
-            or buffer.dtype != arrays[0].dtype):
-        return None
-    address = buffer.ctypes.data
-    for a in arrays:
-        if a.base is not buffer or a.ctypes.data != address:
-            return None
-        address += a.nbytes
-    return buffer if address == buffer.ctypes.data + buffer.nbytes else None
-
-
-@dataclass
 class Adam:
     """Adam with its bias corrections folded into the step size; clears
     gradients after each step.
 
-    Every parameter must be C-contiguous and all must share one dtype; the
-    constructor refuses anything else. The update runs in place, on flat
-    views of the parameters' buffers: one pass over the whole arena when the
-    parameters fill one (``arena``), else one pass per parameter. ``m`` and
-    ``v`` are flat arrays in the parameters' order.
+    The parameters must share one dtype; the constructor refuses anything
+    else before it touches one. It then packs them into one arena of that
+    dtype (``nn.arena``), so each becomes a view of it, and every step walks
+    the arena in place in ``_ADAM_BLOCK`` blocks. ``m`` and ``v`` are flat
+    arrays in the parameters' order.
     """
 
-    params: dict[str, Tensor]
-    lr: float = 1e-5
-
-    def __post_init__(self) -> None:
-        self._values = values = [p.data for p in self.params.values()]
-        for path, p in self.params.items():
-            if not p.data.flags.c_contiguous:
-                raise OptimizerError(f"parameter {path!r} is not C-contiguous")
-        dtypes = {v.dtype for v in values} or {np.dtype(np.float64)}
+    def __init__(self, params: dict[str, Tensor]):
+        self.params = params
+        dtypes = {p.data.dtype for p in params.values()} or {np.dtype(np.float64)}
         if len(dtypes) > 1:
             raise OptimizerError(f"parameters mix dtypes {sorted(map(str, dtypes))}")
-        dtype = dtypes.pop()
-        ends = list(accumulate(v.size for v in values))
+        theta = arena(params.values(), dtypes.pop())
+        self._values = [p.data for p in params.values()]
+        ends = list(accumulate(v.size for v in self._values))
         starts = [0, *ends[:-1]]
-        total = ends[-1] if ends else 0
         self.step_count = 0
-        self.m, self.v = np.zeros(total, dtype), np.zeros(total, dtype)
+        self.m, self.v = np.zeros_like(theta), np.zeros_like(theta)
         # the update's two scratch blocks, and one that gathers the gradient
         # of a block that spans parameters; each step overwrites them, and
         # each training call makes its own optimizer, so no two threads share them
-        self._scratch = tuple(np.empty(min(_ADAM_BLOCK, total), dtype) for _ in range(3))
-        flat = _arena_of(values)
-        segments = ([(flat, 0)] if flat is not None
-                    else [(v.reshape(-1), s) for v, s in zip(values, starts)])
+        self._scratch = tuple(np.empty(min(_ADAM_BLOCK, theta.size), theta.dtype)
+                              for _ in range(3))
         # per block: its views of theta, m and v, and the (parameter, start,
         # stop) pieces of the parameters' flat gradients it covers
         self._blocks = []
-        for theta, offset in segments:
-            for lo in range(0, theta.size, _ADAM_BLOCK):
-                hi = min(lo + _ADAM_BLOCK, theta.size)
-                first, last = offset + lo, offset + hi
-                pieces = [(k, max(first, s) - s, min(last, e) - s)
-                          for k, (s, e) in enumerate(zip(starts, ends))
-                          if s < last and e > first]
-                self._blocks.append((theta[lo:hi], self.m[first:last],
-                                     self.v[first:last], pieces))
+        for lo in range(0, theta.size, _ADAM_BLOCK):
+            hi = min(lo + _ADAM_BLOCK, theta.size)
+            pieces = [(k, max(lo, s) - s, min(hi, e) - s)
+                      for k, (s, e) in enumerate(zip(starts, ends)) if s < hi and e > lo]
+            self._blocks.append((theta[lo:hi], self.m[lo:hi], self.v[lo:hi], pieces))
 
-    def step(self, lr: float | None = None) -> None:
-        lr = self.lr if lr is None else lr
+    def step(self, lr: float) -> None:
         for (path, p), value in zip(self.params.items(), self._values):
             if p.data is not value:  # the update would land in the old buffer
                 raise OptimizerError(f"parameter {path!r} was rebound after the "

@@ -1,6 +1,7 @@
 """``blas.one_thread`` and the step-size rule that ``_train_single`` reads it by."""
 
 import math
+import os
 import sys
 import threading
 from contextlib import contextmanager
@@ -165,6 +166,41 @@ class TestOneThread:
     def test_finds_the_openblas_numpy_loaded(self, openblas):
         info = blas.info()
         assert "openblas" in info["blas_library"] and info["blas_threads"] == 2
+
+
+class TestFind:
+    """``blas._search`` reads ``/proc/self/maps`` lines: address, perms, offset,
+    device, inode, then the pathname, which may hold spaces."""
+
+    @staticmethod
+    def line(path: bytes) -> bytes:
+        return b"7f0000000000-7f0000001000 r-xp 00000000 08:01 7    " + path
+
+    def test_a_whole_path_is_found_and_nothing_raises(self, openblas, tmp_path):
+        name = blas.info()["blas_library"].encode()
+        with open("/proc/self/maps", "rb") as fh:
+            real = next(line.split(maxsplit=5)[5] for line in fh.read().splitlines()
+                        if name in line)
+        (tmp_path / "my env").mkdir()
+        link = tmp_path / "my env" / "libopenblas-link.so"
+        link.symlink_to(os.fsdecode(real))
+        maps = b"\n".join([
+            self.line(b"/gone/libopenblas.so (deleted)"),
+            self.line(b"/opt/\xff\xfe/libopenblas.so"),  # not UTF-8, and not loadable
+            self.line(b"/opt/\xff/libm.so"),
+            self.line(os.fsencode(link)),
+            b"7ffd00000000-7ffd00021000 rw-p 00000000 00:00 0                          [stack]",
+            b"7f0000002000-7f0000003000 rw-p 00000000 00:00 0 ",
+        ])
+        found = blas._search(maps)
+        assert found is not None and found[0] == "libopenblas-link.so"
+        assert found[1]() == 2
+
+    @pytest.mark.parametrize("path", [b"/gone/libopenblas.so (deleted)",
+                                      b"/opt/\xff\xfe/libopenblas.so",
+                                      b"/no such dir/libopenblas.so"])
+    def test_a_library_that_cannot_be_loaded_is_not_found(self, path):
+        assert blas._search(self.line(path) + b"\n" + self.line(b"/opt/\xff/libm.so")) is None
 
 
 class TestStepSizeRule:

@@ -275,7 +275,7 @@ class TestTrain:
         rates = []
         step = nn.Adam.step
 
-        def spy(self, lr=None):
+        def spy(self, lr):
             rates.append(lr)
             step(self, lr)
 
@@ -350,7 +350,7 @@ class TestTrain:
                 backward_fn(g)
             return result(out, op_kind, inputs, spy_backward)
 
-        def spy_step(self, lr=None):
+        def spy_step(self, lr):
             seen.extend((f"{k} gradient", p.grad.dtype) for k, p in self.params.items())
             step(self, lr)
             seen.extend(("moment", moments.dtype) for moments in (self.m, self.v))
@@ -386,7 +386,7 @@ class TestTrain:
         model = build(arch_id, vocab=data.vocab, seed=0)
         step, frozen_seen = nn.Adam.step, []
 
-        def spy_step(self, lr=None):
+        def spy_step(self, lr):
             buffer = next(iter(self.params.values())).data.base
             assert buffer is not None and buffer.dtype == np.float32 and buffer.ndim == 1
             assert buffer.size == sum(p.data.size for p in self.params.values())

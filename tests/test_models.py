@@ -326,7 +326,9 @@ class TestCheckpoint:
         assert all(p.data.flags.writeable and p.data.flags.c_contiguous
                    for p in params.values())
         backward(compute_loss(loaded, batch, ExperimentConfig(architecture=12)))
-        Adam(params, lr=1e-3).step()
+        Adam(params).step(1e-3)
+        # a float64 model trains in float64
+        assert all(p.data.dtype == np.float64 for p in params.values())
         assert not np.array_equal(loaded.forward(batch)["pcb_logits"].data, after)
 
     def test_checkpoint_carries_architecture(self, tiny_data, tmp_path):

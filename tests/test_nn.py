@@ -11,7 +11,7 @@ from pcbnet.data import SyntheticGeneratorConfig, generate_synthetic, split_reco
 from pcbnet.errors import OptimizerError
 from pcbnet.experiment import ExperimentConfig, build_vocab_for_split, featurize, train
 from pcbnet.models import build
-from pcbnet.nn import _ADAM_BLOCK, Adam, FFNNHead, LinearLayer, arena
+from pcbnet.nn import _ADAM_BLOCK, Adam, FFNNHead, LinearLayer
 
 
 def make_rng(seed=0):
@@ -67,13 +67,13 @@ class TestAdam:
         # bias-corrected ratio m_hat/sqrt(v_hat) is 1 at t=1 for any constant grad
         p = Tensor(np.array([0.0]), requires_grad=True, path="p")
         p.grad = np.array([1.0])
-        Adam({"p": p}, lr=1e-5).step()
+        Adam({"p": p}).step(1e-5)
         assert abs(p.data[0] + 1e-5) < 1e-12
 
     def test_zero_grad_leaves_params_unchanged(self):
         p = Tensor(np.array([1.0, -2.0]), requires_grad=True, path="p")
         p.grad = np.zeros(2)
-        Adam({"p": p}, lr=0.1).step()
+        Adam({"p": p}).step(0.1)
         assert np.array_equal(p.data, [1.0, -2.0])
 
     def test_two_steps_match_reference_recurrence(self):
@@ -87,10 +87,10 @@ class TestAdam:
             v = b2 * v + (1 - b2) * g * g
             theta -= lr * (m / (1 - b1 ** t)) / (np.sqrt(v / (1 - b2 ** t)) + eps)
         p = Tensor(np.array([1.0]), requires_grad=True, path="p")
-        opt = Adam({"p": p}, lr=lr)
+        opt = Adam({"p": p})
         for _ in range(2):
             p.grad = np.array([g])
-            opt.step()
+            opt.step(lr)
         assert abs(p.data[0] - theta) < 1e-12
 
     def test_missing_grad_names_parameter(self):
@@ -98,95 +98,101 @@ class TestAdam:
         first.grad = np.array([1.0])
         p = Tensor(np.array([0.0]), requires_grad=True, path="pcb_head.bias")
         with pytest.raises(OptimizerError, match="pcb_head.bias"):
-            Adam({"w": first, "pcb_head.bias": p}).step()
+            Adam({"w": first, "pcb_head.bias": p}).step(0.1)
         # checked before any parameter is updated
         assert first.data[0] == 1.0 and first.grad is not None
 
     def test_grads_cleared_after_step(self):
         p = Tensor(np.array([0.0]), requires_grad=True, path="p")
         p.grad = np.array([1.0])
-        Adam({"p": p}).step()
+        Adam({"p": p}).step(1e-5)
         assert p.grad is None
 
     def test_one_step_decreases_quadratic_bowl(self):
         # f(p) = mean(p^2); any lr below the curvature bound must reduce f
         p = Tensor(np.array([[0.7, -1.3]]), requires_grad=True, path="p")
-        opt = Adam({"p": p}, lr=0.05)
+        opt = Adam({"p": p})
         loss0 = float((p.data ** 2).mean())
         loss = mean(matmul(p, Tensor(p.data.T)))  # p . p
         backward(loss)
-        opt.step()
+        opt.step(0.05)
         assert float((p.data ** 2).mean()) < loss0
 
     def test_in_place_matches_textbook_update_bit_for_bit(self):
-        # "big" spans two blocks and ends in a partial one
+        # "big" spans two blocks and ends in a partial one; in the arena a
+        # block spans parameters
         big = (3, _ADAM_BLOCK // 2 + 7)
         assert _ADAM_BLOCK < big[0] * big[1] < 2 * _ADAM_BLOCK
         assert (big[0] * big[1]) % _ADAM_BLOCK != 0
         shapes = {"w": (20, 16), "b": (16,), "e": (7, 4), "big": big,
                   "one": (1,), "scalar": ()}
         lr, b1, b2, eps = 3e-3, 0.9, 0.999, 1e-8
-        # in one arena a block spans parameters; apart, each is walked alone
-        for packed in (True, False):
-            rng = make_rng(5)
-            params = {k: Tensor(rng.normal(size=s), requires_grad=True, path=k)
-                      for k, s in shapes.items()}
-            flat = arena(params.values(), np.float64) if packed else None
-            buffers = {k: p.data for k, p in params.items()}
-            theta = {k: p.data.copy() for k, p in params.items()}
-            m = {k: np.zeros(s) for k, s in shapes.items()}
-            v = {k: np.zeros(s) for k, s in shapes.items()}
-            opt = Adam(params, lr=lr)
-            for t in range(1, 6):
-                lr_t = lr * (1.0 - t / 10)  # as under the linear schedule
-                grads = {k: rng.normal(size=s) for k, s in shapes.items()}
-                # Kingma & Ba (2015), Section 2: the bias corrections folded
-                # into the step size and epsilon
-                root_bc2 = math.sqrt(1.0 - b2 ** t)
-                step_size, eps_hat = lr_t * root_bc2 / (1.0 - b1 ** t), eps * root_bc2
-                for k, g in grads.items():
-                    m[k] = b1 * m[k] + (1.0 - b1) * g
-                    v[k] = b2 * v[k] + (1.0 - b2) * g * g
-                    theta[k] = theta[k] - m[k] * step_size / (np.sqrt(v[k]) + eps_hat)
-                    params[k].grad = g.copy()
-                opt.step(lr=lr_t)
-            for k, p in params.items():
-                assert p.data is buffers[k], k  # updated in place
-                assert not packed or np.shares_memory(p.data, flat), k
-                assert np.array_equal(p.data, theta[k]), (packed, k)
-            # the moments are flat, in the parameters' order
-            assert np.array_equal(opt.m, np.concatenate([m[k].ravel() for k in shapes]))
-            assert np.array_equal(opt.v, np.concatenate([v[k].ravel() for k in shapes]))
+        rng = make_rng(5)
+        params = {k: Tensor(rng.normal(size=s), requires_grad=True, path=k)
+                  for k, s in shapes.items()}
+        theta = {k: p.data.copy() for k, p in params.items()}
+        m = {k: np.zeros(s) for k, s in shapes.items()}
+        v = {k: np.zeros(s) for k, s in shapes.items()}
+        opt = Adam(params)
+        # packed into one float64 arena, in order, with the values unchanged
+        flat = params["w"].data.base
+        assert flat.dtype == np.float64 and flat.size == sum(t.size for t in theta.values())
+        assert np.array_equal(flat, np.concatenate([t.ravel() for t in theta.values()]))
+        assert all(p.data.base is flat for p in params.values())
+        buffers = {k: p.data for k, p in params.items()}
+        for t in range(1, 6):
+            lr_t = lr * (1.0 - t / 10)  # as under the linear schedule
+            grads = {k: rng.normal(size=s) for k, s in shapes.items()}
+            # Kingma & Ba (2015), Section 2: the bias corrections folded
+            # into the step size and epsilon
+            root_bc2 = math.sqrt(1.0 - b2 ** t)
+            step_size, eps_hat = lr_t * root_bc2 / (1.0 - b1 ** t), eps * root_bc2
+            for k, g in grads.items():
+                m[k] = b1 * m[k] + (1.0 - b1) * g
+                v[k] = b2 * v[k] + (1.0 - b2) * g * g
+                theta[k] = theta[k] - m[k] * step_size / (np.sqrt(v[k]) + eps_hat)
+                params[k].grad = g.copy()
+            opt.step(lr_t)
+        for k, p in params.items():
+            assert p.data is buffers[k], k  # updated in place
+            assert np.array_equal(p.data, theta[k]), k
+        # the moments are flat, in the parameters' order
+        assert np.array_equal(opt.m, np.concatenate([m[k].ravel() for k in shapes]))
+        assert np.array_equal(opt.v, np.concatenate([v[k].ravel() for k in shapes]))
 
-    def test_non_contiguous_parameter_is_refused_not_dropped(self):
-        # a flat view of a transposed buffer would be a copy, and the update
-        # would land in the copy; the optimizer refuses it when it is made
+    def test_non_contiguous_parameter_is_packed_and_updated(self):
+        # a flat view of a transposed buffer would be a copy; packing copies
+        # its values into the arena, where the update lands
         rng = make_rng(6)
         params = {"ok": Tensor(rng.normal(size=(4, 3)), requires_grad=True, path="ok"),
                   "t": Tensor(rng.normal(size=(3, 4)).T, requires_grad=True, path="t")}
         before = {k: p.data.copy() for k, p in params.items()}
-        for p in params.values():
-            p.grad = np.ones(p.data.shape)
-        with pytest.raises(OptimizerError, match="'t' is not C-contiguous"):
-            Adam(params, lr=0.1)
+        opt = Adam(params)
         for k, p in params.items():
-            assert np.array_equal(p.data, before[k]) and p.grad is not None, k
+            assert p.data.flags.c_contiguous and np.array_equal(p.data, before[k]), k
+            p.grad = np.ones(p.data.shape)
+        opt.step(0.1)
+        for k, p in params.items():
+            assert np.allclose(p.data, before[k] - 0.1, rtol=0, atol=1e-7), k
 
     def test_parameters_of_two_dtypes_are_refused(self):
         params = {"a": Tensor(np.zeros(2), requires_grad=True, path="a"),
                   "b": Tensor(np.zeros(2, np.float32), requires_grad=True, path="b")}
+        values = {k: p.data for k, p in params.items()}
         with pytest.raises(OptimizerError, match="mix dtypes"):
             Adam(params)
+        # refused before anything is packed
+        assert all(p.data is values[k] for k, p in params.items())
 
     def test_a_parameter_rebound_after_construction_is_refused(self):
         # the optimizer updates the buffers it was given; a new one would be skipped
         kept = Tensor(np.zeros(2), requires_grad=True, path="kept")
         p = Tensor(np.zeros(3), requires_grad=True, path="p")
-        opt = Adam({"kept": kept, "p": p}, lr=0.1)
+        opt = Adam({"kept": kept, "p": p})
         p.data = np.ones(3)
         kept.grad, p.grad = np.ones(2), np.ones(3)
         with pytest.raises(OptimizerError, match="'p' was rebound"):
-            opt.step()
+            opt.step(0.1)
         assert np.array_equal(kept.data, [0.0, 0.0]) and np.array_equal(p.data, [1.0] * 3)
         assert opt.step_count == 0
 
@@ -194,7 +200,7 @@ class TestAdam:
         p = Tensor(np.zeros((3, 4)), requires_grad=True, path="p")
         p.grad = np.zeros((4, 3))
         with pytest.raises(OptimizerError, match="shape"):
-            Adam({"p": p}).step()
+            Adam({"p": p}).step(0.1)
 
 
 class TestLinearSchedule:
@@ -215,7 +221,7 @@ class TestLinearSchedule:
             seen = []
             cfg = ExperimentConfig(architecture=3, rating_epochs=epochs, lr=base)
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(Adam, "step", lambda self, lr=None: seen.append(lr))
+                mp.setattr(Adam, "step", lambda self, lr: seen.append(lr))
                 assert train(build(3, seed=0), data, split.train, cfg, seed=0).steps == epochs
             return seen
 

@@ -145,6 +145,18 @@ def test_ab_pairs_states_the_verdict_per_metric():
         assert metrics[name]["claim_met"] is claim_met, name
         assert metrics[name]["within_bound"] is (name != "peak_rss_mb"), name
     assert metrics["request_ms_p50"]["change_better_pairs"] == list(range(9))
+    # change / parent pair by pair: 90/100, 91/101, ..., 98/108, then 109/109;
+    # numpy's linear quartiles sit at sorted positions 2.25, 4.5 and 6.75
+    ratio = metrics["request_ms_p50"]["change_over_parent"]
+    assert ratio["pairs"] == 10
+    assert ratio["median"] == pytest.approx((94 / 104 + 95 / 105) / 2, rel=1e-12)
+    assert ratio["q1"] == pytest.approx(92 / 102 + 0.25 * (93 / 103 - 92 / 102), rel=1e-12)
+    assert ratio["q3"] == pytest.approx(96 / 106 + 0.75 * (97 / 107 - 96 / 106), rel=1e-12)
+    # 58 / 50 in every pair
+    assert metrics["peak_rss_mb"]["change_over_parent"] == {
+        "median": pytest.approx(1.16), "q1": pytest.approx(1.16), "q3": pytest.approx(1.16),
+        "pairs": 10}
+    assert metrics["test_acc"]["change_over_parent"]["median"] == 1.0
 
 
 def test_full_sweep_refuses_lr_with_full_budgets(tmp_path):
@@ -261,3 +273,6 @@ def test_ab_pairs_lists_test_acc_pair_by_pair():
             for p in range(3) for side in SIDES]
     summary = load_script("ab_pairs").summarize(runs, "text-train", 3)["summary"]
     assert summary["test_acc"] == acc
+    # the pair without a change value has no ratio
+    ratio = summary["metrics"]["test_acc"]["change_over_parent"]
+    assert ratio["pairs"] == 2 and ratio["median"] == pytest.approx((1 + 0.7 / 0.75) / 2)
