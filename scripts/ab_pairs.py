@@ -18,6 +18,11 @@ side each run's ``correct``, ``failed`` and ``attempted`` operations, its BLAS
 fields and its ``test_acc``, pair by pair, so the accuracies compare seed for
 seed and both sides show the BLAS settings they ran with, and that the
 program left the thread count as it found it.
+With ``--bench PATH`` the same summary is also written to PATH as one JSON
+object, with the arguments, every run, each side's machine as its first run's
+benchmark info line gives it (nproc, BLAS name, version and threads, numpy,
+Python) and each checkout's git commit, with ``dirty`` true when its tracked
+files differ from that commit (both null outside a git checkout).
 An unknown ``--workload``, a ``--seconds`` that is not positive or a negative
 ``--first-seed`` exits 2 before any run.
 
@@ -28,7 +33,8 @@ change's median is no worse than the parent's by more than the metric's
 when a side has no value for the metric.
 
     python3 scripts/ab_pairs.py --parent ../parent --change . \\
-        --workload text-train --pairs 8 --seconds 20 [--first-seed 11]
+        --workload text-train --pairs 8 --seconds 20 [--first-seed 11] \\
+        [--bench BENCH_<n>.json]
 """
 
 import argparse
@@ -56,15 +62,29 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     lines = proc.stdout.splitlines()
     if proc.returncode != 0 or not lines:
         return {"correct": False, "failed": None, "attempted": None,
-                **dict.fromkeys(BLAS_FIELDS), "metrics": {},
+                **dict.fromkeys(BLAS_FIELDS), "metrics": {}, "machine": None,
                 "error": (proc.stderr.strip().splitlines() or ["no output"])[-1]}
     result = json.loads(lines[-1])
     info = next((json.loads(line)["info"] for line in reversed(lines[:-1])
                  if line.startswith('{"info"')), {})
+    machine = info.get("machine", {})
     return {"correct": result["correct"], "failed": result["failed"],
             "attempted": result["attempted"],
-            **{key: info.get("machine", {}).get(key) for key in BLAS_FIELDS},
-            "metrics": {k: m["value"] for k, m in result["metrics"].items()}}
+            **{key: machine.get(key) for key in BLAS_FIELDS},
+            "metrics": {k: m["value"] for k, m in result["metrics"].items()},
+            "machine": machine}
+
+
+def git_commit(checkout: Path) -> dict:
+    """The checkout's commit, and whether its tracked files differ from it;
+    both None outside a git checkout."""
+    def git(*args):
+        proc = subprocess.run(["git", "-C", str(checkout), *args],
+                              capture_output=True, text=True)
+        return proc.stdout.strip() if proc.returncode == 0 else None
+    commit = git("rev-parse", "HEAD")
+    status = git("status", "--porcelain", "--untracked-files=no") if commit else None
+    return {"commit": commit, "dirty": None if status is None else bool(status)}
 
 
 def quartiles(values: list[float]) -> dict:
@@ -119,6 +139,9 @@ def main() -> int:
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--first-seed", type=int, default=1)
+    parser.add_argument("--bench", type=Path, default=None,
+                        help="also write the summary, the runs, the machine and the "
+                             "commits here")
     args = parser.parse_args()
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -135,7 +158,17 @@ def main() -> int:
                    **run_once(checkouts[side], args.workload, seed, args.seconds)}
             print(json.dumps(run), flush=True)
             runs.append(run)
-    print(json.dumps(summarize(runs, args.workload, args.pairs)))
+    summary = summarize(runs, args.workload, args.pairs)
+    print(json.dumps(summary))
+    if args.bench is not None:
+        args.bench.write_text(json.dumps({
+            "workload": args.workload, "pairs": args.pairs, "seconds": args.seconds,
+            "first_seed": args.first_seed,
+            "commits": {side: git_commit(checkouts[side]) for side in SIDES},
+            "machine": {side: next((r["machine"] for r in runs
+                                    if r["side"] == side and r["machine"]), None)
+                        for side in SIDES},
+            **summary, "runs": runs}, indent=1) + "\n")
     return 0
 
 

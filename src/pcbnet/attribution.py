@@ -61,18 +61,27 @@ def _path_gradient_sum(model: ModelInstance, data: Dataset, pcb_target: str,
                        steps: int) -> np.ndarray:
     """Sum over the midpoint α-grid of dF/dq at q' + α (q - q'), shape ``[d]``.
 
-    Each block of α-steps is one batched forward and one backward; rows are
-    independent, so row j's gradient is the one a batch-1 pass would give.
+    Each block of α-steps is one forward and one backward on the 2-row basis
+    [q'; q - q'], with the block's rows [1, α] as ``Batch.alpha_path``: the model
+    runs its layers up to each ReLU on the basis and its rating inputs on one
+    row (``ModelInstance``). The path's rows are the rows of [1, α] @ basis,
+    and the first column is all ones, so the basis' first gradient row is
+    the sum of the rows' gradients; each row's gradient is the one a batch-1
+    pass would give, up to rounding.
     """
+    ratings = tuple(m for m in model.spec.input_modalities if m != TEXT)
+    batch = data.batch([0], pcb_target, ratings)
     grad_sum = np.zeros_like(q_base[0])
     for first in range(0, steps, _ALPHA_BLOCK):
         alphas = (np.arange(first, min(first + _ALPHA_BLOCK, steps)) + 0.5) / steps
-        path = Tensor(q_base + alphas[:, None] * q_delta, requires_grad=True)
-        logits = _logits(model, data, pcb_target, path)
+        basis = Tensor(np.concatenate([q_base, q_delta]), requires_grad=True)
+        batch.text_features = basis
+        batch.alpha_path = np.stack([np.ones_like(alphas), alphas], axis=1)
+        logits = model.forward(batch)["pcb_logits"]
         seed = np.zeros_like(logits.data)
         seed[:, target_class] = 1.0
         backward_from(logits, seed)
-        grad_sum += path.grad.sum(axis=0)
+        grad_sum += basis.grad[0]
     return grad_sum
 
 

@@ -27,7 +27,7 @@ import numpy as np
 from .autodiff import Tensor, concat
 from .data import APPRAISAL_COUNT, EMOTION_COUNT, PCB_TARGETS
 from .errors import ConfigError, InputError, ValidationError
-from .nn import FFNNHead
+from .nn import AFFINE, CONSTANT, ROWS, FFNNHead, Value, lift
 from .schema import shown
 from .serialize import is_int, load_params, save_params
 from .text import TextEncoder, Vocabulary
@@ -173,12 +173,25 @@ class Batch:
     pcb_labels: np.ndarray | None = None          # [b] int class
     appraisal_target_classes: np.ndarray | None = None  # [b, 20] class indices
     emotion_target_flags: np.ndarray | None = None      # [b, 8] binary
+    # Integrated gradients' α-path, [s, 2] with rows [1, α]. With it,
+    # ``text_features`` is the 2-row basis [q'; q - q'], each rating input is
+    # one row, and each output has one row per α (``ModelInstance``).
+    alpha_path: np.ndarray | None = None
 
 
 class ModelInstance:
     """One built architecture: text encoder, heads, and optional frozen towers.
 
     A text model without an encoder reads ``Batch.text_features`` alone.
+
+    Every value of an ordinary batch is per row (``nn.ROWS``). With
+    ``Batch.alpha_path`` the walk is integrated gradients' α-path, on frozen
+    parameters, and its values have the kinds of ``nn``: the text embedding
+    is AFFINE and the rating inputs CONSTANT. A linear map keeps a kind, a
+    ReLU turns an affine value into one row per α, and a head whose sources
+    mix kinds multiplies each by its own rows of the first weight. So every
+    product up to a branch's first ReLU runs on two rows, and the rating
+    towers on one.
     """
 
     def __init__(self, spec: ArchitectureSpec, encoder_dim: int):
@@ -218,39 +231,49 @@ class ModelInstance:
             return self.encoder.encode(batch.token_ids)
         return features if isinstance(features, Tensor) else Tensor(features)
 
-    def _read(self, head: Head, batch: Batch, values: dict[str, Tensor]) -> Tensor:
-        """``head``'s sources, concatenated; each is computed once into ``values``."""
+    def _read(self, head: Head, batch: Batch, values: dict[str, Value]) -> list[Value]:
+        """``head``'s sources, each computed once into ``values``: concatenated
+        into one value, or one value per source if they mix kinds."""
+        on_path = batch.alpha_path is not None
         for source in head.inputs:
             if source in values:
                 continue
             if source == TEXT_EMBEDDING:
-                values[source] = self.embed_text(batch)
+                values[source] = Value(self.embed_text(batch), AFFINE if on_path else ROWS)
             elif source in _RATINGS:
-                values[source] = Tensor(getattr(batch, _RATINGS[source][0]))
-            else:
+                values[source] = Value(Tensor(getattr(batch, _RATINGS[source][0])),
+                                       CONSTANT if on_path else ROWS)
+            else:  # an ordinary batch calls penultimate, which the benchmark's tracer counts
                 tower = self.components[_TOWERS[source][1]]
-                values[source] = tower.penultimate(batch)
+                values[source] = (tower._walk(batch)[1] if on_path
+                                  else Value(tower.penultimate(batch), ROWS))
         parts = [values[source] for source in head.inputs]
-        return parts[0] if len(parts) == 1 else concat(parts, axis=1)
+        if len(parts) == 1 or len({part.kind for part in parts}) > 1:
+            return parts
+        return [Value(concat([part.tensor for part in parts], axis=1), parts[0].kind)]
 
-    def _walk(self, batch: Batch) -> tuple[dict[str, Tensor], Tensor]:
+    def _walk(self, batch: Batch) -> tuple[dict[str, Value], Value]:
         """Every head before the PCB head, by name, and the PCB head's hidden activation."""
         self._require(batch)
         *earlier, pcb = self.spec.heads
-        values: dict[str, Tensor] = {}
+        values: dict[str, Value] = {}
         for head in earlier:
-            values[head.name] = self.heads[head.name](self._read(head, batch, values))
-        return values, self.heads[pcb.name].hidden(self._read(pcb, batch, values))
+            values[head.name] = self.heads[head.name].run(self._read(head, batch, values),
+                                                          batch.alpha_path)
+        return values, self.heads[pcb.name].run(self._read(pcb, batch, values),
+                                                batch.alpha_path, final=False)
 
     def penultimate(self, batch: Batch) -> Tensor:
         """Second-to-last activation, excluding the final classification layer."""
-        return self._walk(batch)[1]
+        return self._walk(batch)[1].tensor
 
     def forward(self, batch: Batch) -> dict[str, Tensor]:
-        """Compute pcb_logits plus whatever auxiliary logits the spec declares."""
+        """Compute pcb_logits plus whatever auxiliary logits the spec declares,
+        one row per α on an α-path."""
         values, hidden = self._walk(batch)
-        values[PCB_HEAD] = self.heads[PCB_HEAD].layers[-1](hidden)
-        return {head.name.replace("_head", "_logits"): values[head.name]
+        path = batch.alpha_path
+        values[PCB_HEAD] = self.heads[PCB_HEAD].layers[-1].run([hidden], False, path)
+        return {head.name.replace("_head", "_logits"): lift(values[head.name], ROWS, path).tensor
                 for head in self.spec.heads}
 
 

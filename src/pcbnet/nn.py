@@ -1,4 +1,4 @@
-"""Layers, initialization, and Adam.
+"""Layers, initialization, the α-path value kinds, and Adam.
 
 Adam packs its parameters into views of one flat buffer (``arena``), which
 it updates in one blocked pass with the bias corrections folded into one
@@ -9,17 +9,18 @@ from __future__ import annotations
 
 import math
 from itertools import accumulate
-from typing import Iterable
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .autodiff import Tensor, dense_epilogue, matmul, parameter
+from .autodiff import Tensor, add, dense_epilogue, matmul, parameter
 # Layers run bias and relu in dense_epilogue; the benchmark's tracer
-# (perfbench/spans.py) still patches both chain ops in this module.
-from .autodiff import add, relu  # noqa: F401
-from .errors import OptimizerError
+# (perfbench/spans.py) still patches relu in this module.
+from .autodiff import relu  # noqa: F401
+from .errors import GraphError, OptimizerError
 
-__all__ = ["LinearLayer", "FFNNHead", "Adam", "arena"]
+__all__ = ["LinearLayer", "FFNNHead", "Adam", "arena", "Value", "CONSTANT", "AFFINE", "ROWS",
+           "lift"]
 
 
 def kaiming_uniform(rng: np.random.Generator, fan_in: int, shape) -> np.ndarray:
@@ -27,10 +28,58 @@ def kaiming_uniform(rng: np.random.Generator, fan_in: int, shape) -> np.ndarray:
     return rng.uniform(-bound, bound, size=shape)
 
 
+# The kinds of a value on integrated gradients' α-path, in the order they
+# combine. The path's s steps are the rows of A @ [q'; q - q'], where A is the
+# fixed [s, 2] matrix with rows [1, α] (``Batch.alpha_path``). A CONSTANT value
+# is one row that stands for every step: the rating inputs and what is computed
+# from them alone. An AFFINE value is two rows V that stand for A @ V. ROWS is
+# one row per step; every value of an ordinary batch is ROWS.
+CONSTANT, AFFINE, ROWS = 0, 1, 2
+
+
+class Value(NamedTuple):
+    tensor: Tensor
+    kind: int
+
+
+def lift(value: Value, kind: int, alpha_path: np.ndarray | None) -> Value:
+    """``value`` as a value of the wider ``kind``, by one product with a fixed matrix.
+
+    As A's first column is all ones, a constant row c is the affine [c; 0] and,
+    per step, A[:, :1] @ c; an affine value V is A @ V per step.
+    """
+    if value.kind == kind:
+        return value
+    if value.kind == AFFINE:
+        left = alpha_path
+    else:
+        left = alpha_path[:, :1] if kind == ROWS else np.array([[1.0], [0.0]])
+    return Value(matmul(Tensor(left), value.tensor), kind)
+
+
+def _total(values: Sequence[Value], alpha_path: np.ndarray | None) -> Value:
+    """The sum of same-width ``values``, of the widest kind among them; the
+    narrower kinds are summed first, so each is lifted once."""
+    values = sorted(values, key=lambda v: v.kind)
+    out = values[0]
+    for v in values[1:]:
+        out = Value(add(lift(out, v.kind, alpha_path).tensor, v.tensor), v.kind)
+    return out
+
+
+def _constant(t: Tensor, rows: slice | None = None) -> Tensor:
+    """``t.data[rows]``, by default the vector ``t`` as one row, as an operand
+    that records no gradient: the α-path runs on frozen parameters only."""
+    if t.requires_grad:
+        raise GraphError(f"parameter {t.path!r} must be frozen on an α-path")
+    return Tensor(t.data[rows])
+
+
 class LinearLayer:
     """Affine map x @ W + b, then relu if asked, with parameters under ``path``.
 
     Bias and relu run in place in the matmul's output buffer (``dense_epilogue``).
+    ``run`` applies it to values of any kind.
     """
 
     def __init__(self, in_dim: int, out_dim: int, path: str, rng: np.random.Generator):
@@ -40,6 +89,34 @@ class LinearLayer:
 
     def __call__(self, x: Tensor, apply_relu: bool = False) -> Tensor:
         return dense_epilogue(matmul(x, self.weight), self.bias, apply_relu)
+
+    def run(self, parts: Sequence[Value], apply_relu: bool,
+            alpha_path: np.ndarray | None) -> Value:
+        """The layer on its input, given whole as one value, or as one value per
+        block of the weight's rows, in order.
+
+        A whole input of a kind other than AFFINE runs ``__call__`` and keeps
+        its kind: every layer of an ordinary batch runs as it always has.
+        Otherwise each block is multiplied by its own rows of the weight and
+        the products are summed, so no affine value is expanded to one row per
+        step before a ReLU. A linear map keeps an affine value affine, with the
+        bias on its base row; a ReLU expands it first.
+        """
+        if len(parts) == 1 and parts[0].kind != AFFINE:
+            return Value(self(parts[0].tensor, apply_relu), parts[0].kind)
+        products, start = [], 0
+        for x in parts:
+            stop = start + x.tensor.shape[1]
+            weight = self.weight if len(parts) == 1 else _constant(self.weight,
+                                                                   slice(start, stop))
+            products.append(Value(matmul(x.tensor, weight), x.kind))
+            start = stop
+        z = _total(products, alpha_path)
+        if z.kind == AFFINE and apply_relu:
+            z = lift(z, ROWS, alpha_path)
+        if z.kind == AFFINE:
+            return _total([z, Value(_constant(self.bias), CONSTANT)], alpha_path)
+        return Value(dense_epilogue(z.tensor, self.bias, apply_relu), z.kind)
 
     def parameters(self) -> dict[str, Tensor]:
         return {self.weight.path: self.weight, self.bias.path: self.bias}
@@ -56,14 +133,19 @@ class FFNNHead:
             self.layers.append(LinearLayer(prev, w, f"{path}.layer{i}", rng))
             prev = w
 
-    def hidden(self, x: Tensor) -> Tensor:
-        """Activation before the final layer: each earlier layer followed by relu."""
-        for layer in self.layers[:-1]:
-            x = layer(x, apply_relu=True)
+    def run(self, parts: Sequence[Value], alpha_path: np.ndarray | None,
+            final: bool = True) -> Value:
+        """The head on its input, as ``LinearLayer.run`` takes it, through every
+        layer, or without ``final`` through all but the last; a ReLU follows
+        every layer but the last."""
+        layers = self.layers if final else self.layers[:-1]
+        for i, layer in enumerate(layers):
+            parts = [layer.run(parts, i < len(self.layers) - 1, alpha_path)]
+        (x,) = parts
         return x
 
     def __call__(self, x: Tensor) -> Tensor:
-        return self.layers[-1](self.hidden(x))
+        return self.run([Value(x, ROWS)], None).tensor
 
     def parameters(self) -> dict[str, Tensor]:
         out: dict[str, Tensor] = {}

@@ -73,18 +73,27 @@ class Vocabulary:
 
 def encode_texts(texts: Sequence[str], vocab: Vocabulary,
                  max_sequence_length: int = 256) -> np.ndarray:
-    """Tokenize, truncate from the tail, and pad into ``[n, L]`` int64 token ids.
+    """Tokenize, truncate from the tail, and pad into ``[n, L]`` int64 token ids,
+    L the longest row (at least 1).
 
-    One text at a time: its token list lives only until its ids are an int64
-    row, so what is held while encoding is one row per text (about the size
-    of the output) and then the output, never a token list per text.
+    One text at a time, into one ``[n, max_sequence_length]`` buffer: a text's
+    token list lives only until its ids are a row of it. When no text reaches
+    ``max_sequence_length``, the rows are moved to the front of the buffer and
+    the rest is given back, so nothing else of the output's size is held.
     """
-    rows = [np.array(vocab.ids(tokenize(t)[:max_sequence_length]), dtype=np.int64)
-            for t in texts]
-    width = max(max((len(r) for r in rows), default=0), 1)
-    ids = np.full((len(rows), width), vocab.pad_id, dtype=np.int64)
-    for i, row in enumerate(rows):
+    n, capacity = len(texts), max(max_sequence_length, 1)
+    ids = np.full((n, capacity), vocab.pad_id, dtype=np.int64)
+    width = 1
+    for i, text in enumerate(texts):
+        row = vocab.ids(tokenize(text)[:max_sequence_length])
         ids[i, :len(row)] = row
+        width = max(width, len(row))
+    if width < capacity:
+        flat = ids.reshape(-1)  # a view: row i moves from i * capacity to i * width
+        for i in range(1, n):
+            flat[i * width:(i + 1) * width] = flat[i * capacity:i * capacity + width]
+        del flat  # no view may outlive the reallocation
+        ids.resize((n, width), refcheck=False)
     return ids
 
 

@@ -7,13 +7,14 @@ import pytest
 
 from pcbnet.attribution import (AttributionReport, integrated_gradients,
                                 rank_tokens, report_to_html, report_to_json)
+from pcbnet import nn
 from pcbnet.autodiff import (Tensor, backward_from, embedding_bag, embedding_lookup,
                              masked_mean)
 from pcbnet.cli import main
 from pcbnet.data import (APPRAISAL_WORDS, EMOTION_WORDS, SyntheticGeneratorConfig,
                          generate_synthetic, segment_emotion, segment_pcb, split_records,
                          write_jsonl)
-from pcbnet.errors import CapabilityError, ConfigError, ValidationError
+from pcbnet.errors import CapabilityError, ConfigError, GraphError, ValidationError
 from pcbnet.experiment import (ExperimentConfig, build_vocab_for_split,
                                featurize, train)
 from pcbnet.models import ModelInstance, build, save_model
@@ -409,19 +410,91 @@ class TestPooledAlphaBatch:
     def test_only_the_alpha_batch_records_a_graph(self, small_corpus, monkeypatch):
         records, split, vocab, _ = small_corpus
         model = build(12, vocab=vocab, seed=0)
-        logits = []
+        calls = []
         forward = ModelInstance.forward
 
-        def recording_forward(self, *args, **kwargs):
-            out = forward(self, *args, **kwargs)
-            logits.append(out["pcb_logits"])
+        def recording_forward(self, batch):
+            out = forward(self, batch)
+            path = batch.alpha_path
+            calls.append((None if path is None else len(path), len(batch.text_features.data),
+                          out["pcb_logits"]))
             return out
 
         monkeypatch.setattr(ModelInstance, "forward", recording_forward)
-        integrated_gradients(model, records[split.test[0]], target_class="predicted")
-        # F(x), which also gives the predicted class, F(x'), and the α-batch
-        assert len(logits) == 3
-        assert sum(t.node is not None for t in logits) == 1
+        integrated_gradients(model, records[split.test[0]], target_class="predicted",
+                             steps=300)
+        # F(x), which also gives the predicted class, and F(x'): one row each, no graph
+        assert [(steps, rows, logits.shape, logits.node is None)
+                for steps, rows, logits in calls[:2]] == [(None, 1, (1, 3), True)] * 2
+        # then one graph per α-block: at most 128 steps, each read off the 2-row basis
+        assert [(steps, rows, logits.shape, logits.node is not None)
+                for steps, rows, logits in calls[2:]] == [
+            (128, 2, (128, 3), True), (128, 2, (128, 3), True), (44, 2, (44, 3), True)]
+
+
+# (weight, rows it has as a product's right operand) -> what the α-path reads it
+# with: "basis" runs on at most 2 rows, "one row" on 1, "per step" on a row per α
+_PRODUCTS = {
+    12: {("encoder.projection.weight", 128): "one row",
+         ("appraisal_head.layer0.weight", 128): "basis",
+         ("emotion_head.layer0.weight", 60): "basis",
+         ("emotion_head.layer1.weight", 512): "per step",
+         ("pcb_head.layer0.weight", 128): "basis",  # the text embedding's rows
+         ("pcb_head.layer0.weight", 60): "basis",  # the appraisal head's
+         ("pcb_head.layer0.weight", 8): "per step",  # the emotion head's, past its ReLU
+         ("pcb_head.layer0.weight", 196): "one row",  # all of them, in F(x) and F(x')
+         ("pcb_head.layer1.weight", 512): "per step"},
+    9: {("text_model.encoder.projection.weight", 128): "one row",
+        ("appraisal_model.pcb_head.layer0.weight", 20): "one row",
+        ("appraisal_model.pcb_head.layer1.weight", 1024): "one row",
+        ("emotion_model.pcb_head.layer0.weight", 8): "one row",
+        ("emotion_model.pcb_head.layer1.weight", 1024): "one row",
+        ("pcb_head.layer0.weight", 128): "basis",  # the text tower's rows
+        ("pcb_head.layer0.weight", 512): "one row",  # each rating tower's
+        ("pcb_head.layer0.weight", 1152): "one row",  # all of them, in F(x) and F(x')
+        ("pcb_head.layer1.weight", 1024): "per step",
+        ("pcb_head.layer2.weight", 512): "per step"},
+}
+
+
+@pytest.mark.parametrize("arch_id", sorted(_PRODUCTS))
+def test_products_before_the_first_relu_run_on_the_basis(small_corpus, monkeypatch, arch_id):
+    records, split, vocab, _ = small_corpus
+    model = build(arch_id, vocab=vocab, seed=0)
+    weights = {name: p for name, p in model.parameters().items() if name.endswith(".weight")}
+    rows: dict[tuple[str, int], set[int]] = {}
+    expansions = set()
+    matmul = nn.matmul
+
+    def recording_matmul(a, b):
+        owner = [name for name, p in weights.items() if np.shares_memory(b.data, p.data)]
+        if owner:
+            rows.setdefault((owner[0], b.shape[0]), set()).add(a.shape[0])
+        else:  # a fixed [1, α] matrix, or a column of one, times a 1- or 2-row value
+            expansions.add((a.shape, b.shape[0]))
+        return matmul(a, b)
+
+    monkeypatch.setattr(nn, "matmul", recording_matmul)
+    integrated_gradients(model, records[split.test[0]], steps=128)
+    assert set(rows) == set(_PRODUCTS[arch_id])
+    want = {"basis": {1, 2}, "one row": {1}, "per step": {1, 128}}
+    for product, seen in rows.items():
+        assert seen <= want[_PRODUCTS[arch_id][product]], (product, seen)
+        assert max(seen) == max(want[_PRODUCTS[arch_id][product]]), (product, seen)
+    assert expansions and all(a[0] in (2, 128) and a[1] == inner <= 2
+                              for a, inner in expansions), expansions
+
+
+def test_an_alpha_path_needs_frozen_parameters(small_corpus):
+    # the α-path reads weight rows and biases as constants, so a parameter that
+    # would train is refused rather than left without its gradient
+    records, split, vocab, data = small_corpus
+    model = build(12, vocab=vocab, seed=0)
+    batch = data.batch([0], "promote")
+    batch.text_features = Tensor(np.zeros((2, model.encoder_dim)), requires_grad=True)
+    batch.alpha_path = np.array([[1.0, 0.25], [1.0, 0.75]])
+    with pytest.raises(GraphError, match="appraisal_head.layer0.bias' must be frozen"):
+        model.forward(batch)
 
 
 class TestStoredDtype:

@@ -67,12 +67,13 @@ def test_peak_rss_refuses_an_unknown_workload(tmp_path):
     assert result.stdout == ""
 
 
-def test_ab_pairs_runs_both_sides_and_sums_up():
+def test_ab_pairs_runs_both_sides_and_sums_up(tmp_path):
     root = SCRIPTS.parent
+    bench = tmp_path / "BENCH.json"
     result = subprocess.run(
         [sys.executable, str(SCRIPTS / "ab_pairs.py"), "--parent", str(root),
          "--change", str(root), "--workload", "text-train", "--pairs", "1",
-         "--seconds", "0.1"],
+         "--seconds", "0.1", "--bench", str(bench)],
         capture_output=True, text=True, timeout=600)
     assert result.returncode == 0, result.stderr
     *runs, last = [json.loads(line) for line in result.stdout.splitlines()]
@@ -99,6 +100,23 @@ def test_ab_pairs_runs_both_sides_and_sums_up():
         assert summary[key] == {s: [r[key]] for s, r in zip(SIDES, runs)}
     assert all(r["blas"] and r["blas_threads"] >= 1 for r in runs)
     assert all(r["blas_threads_reported"] in (None, r["blas_threads"]) for r in runs)
+    # the bench file: the same summary and runs, the machine and the commits
+    written = json.loads(bench.read_text())
+    assert written["summary"] == summary and written["runs"] == runs
+    assert (written["workload"], written["pairs"], written["seconds"],
+            written["first_seed"]) == ("text-train", 1, 0.1, 1)
+    for side, run in zip(SIDES, runs):
+        machine = written["machine"][side]
+        assert machine == run["machine"]
+        assert machine["nproc"] >= 1 and machine["numpy"] and machine["python"]
+        assert {k: machine[k] for k in ("blas", "blas_threads")} == {
+            k: run[k] for k in ("blas", "blas_threads")}
+    head = subprocess.run(["git", "-C", str(root), "rev-parse", "HEAD"],
+                          capture_output=True, text=True)
+    commit = head.stdout.strip() if head.returncode == 0 else None
+    assert [written["commits"][s]["commit"] for s in SIDES] == [commit, commit]
+    assert all(written["commits"][s]["dirty"] in ((None,) if commit is None else (True, False))
+               for s in SIDES)
 
 
 def test_ab_pairs_first_seed_moves_every_pair():
