@@ -21,8 +21,9 @@ program left the thread count as it found it.
 With ``--bench PATH`` the same summary is also written to PATH as one JSON
 object, with the arguments, every run, each side's machine as its first run's
 benchmark info line gives it (nproc, BLAS name, version and threads, numpy,
-Python) and each checkout's git commit, with ``dirty`` true when its tracked
-files differ from that commit (both null outside a git checkout).
+Python) and each checkout's git commit before the first run, with ``dirty``
+true when its tracked files differed from it (both null outside a git
+checkout).
 An unknown ``--workload``, a ``--seconds`` that is not positive or a negative
 ``--first-seed`` exits 2 before any run.
 
@@ -150,6 +151,7 @@ def main() -> int:
     if args.first_seed < 0:
         parser.error(f"--first-seed must be at least 0, got {args.first_seed}")
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    commits = {side: git_commit(checkouts[side]) for side in SIDES}  # as the runs find them
     runs = []
     for pair in range(args.pairs):
         seed = args.first_seed + pair
@@ -164,7 +166,7 @@ def main() -> int:
         args.bench.write_text(json.dumps({
             "workload": args.workload, "pairs": args.pairs, "seconds": args.seconds,
             "first_seed": args.first_seed,
-            "commits": {side: git_commit(checkouts[side]) for side in SIDES},
+            "commits": commits,
             "machine": {side: next((r["machine"] for r in runs
                                     if r["side"] == side and r["machine"]), None)
                         for side in SIDES},
