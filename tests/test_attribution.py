@@ -5,9 +5,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from pcbnet import nn
 from pcbnet.attribution import (AttributionReport, integrated_gradients,
                                 rank_tokens, report_to_html, report_to_json)
-from pcbnet import nn
 from pcbnet.autodiff import (Tensor, backward_from, embedding_bag, embedding_lookup,
                              masked_mean)
 from pcbnet.cli import main
@@ -488,7 +488,7 @@ def test_products_before_the_first_relu_run_on_the_basis(small_corpus, monkeypat
 def test_an_alpha_path_needs_frozen_parameters(small_corpus):
     # the α-path reads weight rows and biases as constants, so a parameter that
     # would train is refused rather than left without its gradient
-    records, split, vocab, data = small_corpus
+    _, _, vocab, data = small_corpus
     model = build(12, vocab=vocab, seed=0)
     batch = data.batch([0], "promote")
     batch.text_features = Tensor(np.zeros((2, model.encoder_dim)), requires_grad=True)
