@@ -6,11 +6,12 @@ write, ingest, vocab, featurize, then one repetition; the ``attribute``
 workload then saves and reloads its checkpoint (``checkpoint``) and runs
 integrated gradients on its round of test records (``attribute``). After
 each phase it prints one JSON line: the phase, its wall time, ``ru_maxrss``
-(the high-water mark so far) and the current RSS, both in MB. Each training
+(the high-water mark so far) and the current RSS, both in MB, and ``minflt``,
+the minor page faults since the previous line (``ru_minflt``). Each training
 call (``experiment._train_single``) also prints one line when it returns:
 its architecture, the number of values it trained, its wall time and the same
-two RSS figures. The last line whose ``maxrss_mb`` rises is the one that
-sets the peak.
+three figures. The last line whose ``maxrss_mb`` rises is the one that sets
+the peak.
 
     python3 scripts/peak_rss.py --workload rating-fusion --records 1400 --seed 1
 """
@@ -46,13 +47,21 @@ def current_rss_mb() -> float | None:
     return pages * resource.getpagesize() / 2**20
 
 
+last_minflt = 0  # ru_minflt as of the last line printed
+
+
 def report(start: float, **fields) -> float:
+    global last_minflt
+    seconds = round(time.perf_counter() - start, 4)
+    usage = resource.getrusage(resource.RUSAGE_SELF)
     print(json.dumps({
         **fields,
-        "seconds": round(time.perf_counter() - start, 4),
-        "maxrss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+        "seconds": seconds,
+        "maxrss_mb": usage.ru_maxrss / 1024,
         "rss_mb": current_rss_mb(),
+        "minflt": usage.ru_minflt - last_minflt,
     }), flush=True)
+    last_minflt = usage.ru_minflt
     return time.perf_counter()
 
 

@@ -17,8 +17,8 @@ import numpy as np
 from .autodiff import Tensor, backward_from, embedding_bag, frozen
 from .data import ReviewRecord
 from .errors import CapabilityError, ConfigError
-from .experiment import Dataset, featurize
-from .models import TEXT, ModelInstance
+from .experiment import featurize
+from .models import TEXT, Batch, ModelInstance
 from .schema import Spec
 from .serialize import is_int, result_json
 from .text import token_mask, tokenize
@@ -47,42 +47,35 @@ class AttributionReport:
 _ALPHA_BLOCK = 128
 
 
-def _logits(model: ModelInstance, data: Dataset, pcb_target: str,
-            text_features: Tensor) -> Tensor:
-    """PCB logits of the one record in ``data``, once per row of ``text_features``."""
-    ratings = tuple(m for m in model.spec.input_modalities if m != TEXT)
-    batch = data.batch(np.zeros(len(text_features.data), np.int64), pcb_target, ratings)
+def _logits(model: ModelInstance, batch: Batch, text_features: Tensor) -> Tensor:
+    """PCB logits of ``batch``'s one record with ``text_features`` as its text embedding."""
     batch.text_features = text_features
     return model.forward(batch)["pcb_logits"]
 
 
-def _path_gradient_sum(model: ModelInstance, data: Dataset, pcb_target: str,
-                       q_base: np.ndarray, q_delta: np.ndarray, target_class: int,
-                       steps: int) -> np.ndarray:
-    """Sum over the midpoint α-grid of dF/dq at q' + α (q - q'), shape ``[d]``.
+def _path_gradient_sum(model: ModelInstance, batch: Batch, basis: np.ndarray,
+                       target_class: int, steps: int) -> np.ndarray:
+    """Sum over the midpoint α-grid of dF/dq at (1 - α) q' + α q, shape ``[d]``.
 
-    Each block of α-steps is one forward and one backward on the 2-row basis
-    [q'; q - q'], with the block's rows [1, α] as ``Batch.alpha_path``: the model
+    ``basis`` is [q'; q]. Each block of α-steps is one forward and one backward
+    on it, with the block's rows [1 - α, α] as ``batch.alpha_path``: the model
     runs its layers up to each ReLU on the basis and its rating inputs on one
-    row (``ModelInstance``). The path's rows are the rows of [1, α] @ basis,
-    and the first column is all ones, so the basis' first gradient row is
-    the sum of the rows' gradients; each row's gradient is the one a batch-1
-    pass would give, up to rounding.
+    row (``ModelInstance``). The path's rows are the rows of [1 - α, α] @ basis,
+    and each row of that matrix sums to 1, so the column sum of the basis'
+    gradient is the sum of the rows' gradients. One leaf serves every block:
+    its gradient accumulates across them. Each row's gradient is the one a
+    batch-1 pass would give, up to rounding.
     """
-    ratings = tuple(m for m in model.spec.input_modalities if m != TEXT)
-    batch = data.batch([0], pcb_target, ratings)
-    grad_sum = np.zeros_like(q_base[0])
+    basis = Tensor(basis, requires_grad=True)
+    batch.text_features = basis
     for first in range(0, steps, _ALPHA_BLOCK):
         alphas = (np.arange(first, min(first + _ALPHA_BLOCK, steps)) + 0.5) / steps
-        basis = Tensor(np.concatenate([q_base, q_delta]), requires_grad=True)
-        batch.text_features = basis
-        batch.alpha_path = np.stack([np.ones_like(alphas), alphas], axis=1)
+        batch.alpha_path = np.stack([1.0 - alphas, alphas], axis=1)
         logits = model.forward(batch)["pcb_logits"]
         seed = np.zeros_like(logits.data)
         seed[:, target_class] = 1.0
         backward_from(logits, seed)
-        grad_sum += basis.grad[0]
-    return grad_sum
+    return basis.grad.sum(axis=0)
 
 
 def integrated_gradients(model: ModelInstance, record: ReviewRecord,
@@ -124,6 +117,8 @@ def integrated_gradients(model: ModelInstance, record: ReviewRecord,
     encoder = model.encoder
     data = featurize([record], encoder.vocab, encoder.max_sequence_length)
     ids, mask = data.token_ids, token_mask(data.token_ids, encoder.vocab.pad_id)
+    batch = data.batch([0], pcb_target,
+                       tuple(m for m in model.spec.input_modalities if m != TEXT))
     tokens = tokenize(record.text)[:int(mask.sum())]
 
     # Only the α-path needs a gradient. With every parameter frozen, no other
@@ -137,16 +132,16 @@ def integrated_gradients(model: ModelInstance, record: ReviewRecord,
         else:
             p_base = Tensor(np.zeros_like(p_x.data))
         q_x, q_base = encoder.projection(p_x), encoder.projection(p_base)
-        logits_x = _logits(model, data, pcb_target, q_x).data[0]
+        logits_x = _logits(model, batch, q_x).data[0]
         predicted = int(np.argmax(logits_x))
         if target_class == "predicted":
             target_class = predicted
         elif target_class is None:
             target_class = int(data.pcb_labels[pcb_target][0])
         target_class = int(Spec("int", ge=0, le=2).check("target_class", target_class))
-        logits_base = _logits(model, data, pcb_target, q_base).data[0]
-        grad_sum_q = _path_gradient_sum(model, data, pcb_target, q_base.data,
-                                        q_x.data - q_base.data, target_class, steps)
+        logits_base = _logits(model, batch, q_base).data[0]
+        grad_sum_q = _path_gradient_sum(model, batch, np.concatenate([q_base.data, q_x.data]),
+                                        target_class, steps)
         n = len(tokens)  # the record's tokens fill the first n positions
         x = encoder.embedding.data[ids[0, :n]]  # [n, e]
         x_base = encoder.embedding.data[encoder.vocab.pad_id] if baseline == "pad" else 0.0

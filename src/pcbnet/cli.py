@@ -227,23 +227,32 @@ def render_report(rows: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _metrics_row_ok(row: dict) -> bool:
+    try:  # a short row reads None
+        return (1 <= int(row["architecture_id"]) <= len(ARCHITECTURES)
+                and row["pcb_target"] in PCB_TARGETS
+                and all(0.0 <= float(row[key]) <= 1.0 for key in ("accuracy", "f1_weighted")))
+    except (TypeError, ValueError):
+        return False
+
+
 def _metrics_rows(csv_path: Path) -> list[dict]:
-    """The rows of a CSV that carry every metrics column, their numbers checked."""
+    """The rows of a CSV that carry every metrics column, each checked: an
+    architecture id, a PCB target, and accuracy and f1_weighted in [0, 1]."""
     reader = csv.DictReader(io.StringIO(read_input(csv_path, "metrics CSV"), newline=""))
     rows = []
     try:
         for row in reader:
             if not set(METRICS_COLUMNS) <= set(row):
                 continue
-            try:
-                int(row["architecture_id"]), float(row["accuracy"]), float(row["f1_weighted"])
-            except (TypeError, ValueError):  # a short row reads None
+            if not _metrics_row_ok(row):
                 raise ValidationError(
-                    f"{csv_path}: line {reader.line_num}: architecture_id, accuracy "
-                    "and f1_weighted must be numbers") from None
+                    f"{csv_path}: line {reader.line_num}: architecture_id must be in "
+                    f"1..{len(ARCHITECTURES)}, pcb_target one of {', '.join(PCB_TARGETS)}, "
+                    "and accuracy and f1_weighted numbers in [0, 1]")
             rows.append(row)
-    except csv.Error as exc:
-        raise ValidationError(f"{csv_path}: line {reader.line_num}: {exc}") from None
+    except csv.Error as exc:  # DictReader's own line_num still names the last good row
+        raise ValidationError(f"{csv_path}: line {reader.reader.line_num}: {exc}") from None
     return rows
 
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from .autodiff import Tensor, concat
 from .data import APPRAISAL_COUNT, EMOTION_COUNT, PCB_TARGETS
-from .errors import ConfigError, InputError, ValidationError
+from .errors import ConfigError, GraphError, InputError, ValidationError
 from .nn import AFFINE, CONSTANT, ROWS, FFNNHead, Value, lift
 from .schema import shown
 from .serialize import is_int, load_params, save_params
@@ -173,9 +173,10 @@ class Batch:
     pcb_labels: np.ndarray | None = None          # [b] int class
     appraisal_target_classes: np.ndarray | None = None  # [b, 20] class indices
     emotion_target_flags: np.ndarray | None = None      # [b, 8] binary
-    # Integrated gradients' α-path, [s, 2] with rows [1, α]. With it,
-    # ``text_features`` is the 2-row basis [q'; q - q'], each rating input is
-    # one row, and each output has one row per α (``ModelInstance``).
+    # Integrated gradients' α-path, [s, 2] with rows [1 - α, α]. With it,
+    # ``text_features`` is the 2-row basis [q'; q], the text embedding at the
+    # baseline and at the input, each rating input is one row, and each output
+    # has one row per α (``ModelInstance``).
     alpha_path: np.ndarray | None = None
 
 
@@ -185,13 +186,14 @@ class ModelInstance:
     A text model without an encoder reads ``Batch.text_features`` alone.
 
     Every value of an ordinary batch is per row (``nn.ROWS``). With
-    ``Batch.alpha_path`` the walk is integrated gradients' α-path, on frozen
-    parameters, and its values have the kinds of ``nn``: the text embedding
-    is AFFINE and the rating inputs CONSTANT. A linear map keeps a kind, a
-    ReLU turns an affine value into one row per α, and a head whose sources
-    mix kinds multiplies each by its own rows of the first weight. So every
-    product up to a branch's first ReLU runs on two rows, and the rating
-    towers on one.
+    ``Batch.alpha_path`` the walk is integrated gradients' α-path and its
+    values have the kinds of ``nn``: the text embedding is AFFINE and the
+    rating inputs CONSTANT. A linear map keeps a kind, a ReLU turns an affine
+    value into one row per α, and a head whose sources mix kinds multiplies
+    each by its own rows of the first weight. So every product up to a
+    branch's first ReLU runs on two rows, and the rating towers on one. Those
+    weight rows record no gradient, so such a walk refuses, before it records
+    anything, a model with a parameter that is not frozen.
     """
 
     def __init__(self, spec: ArchitectureSpec, encoder_dim: int):
@@ -255,6 +257,10 @@ class ModelInstance:
     def _walk(self, batch: Batch) -> tuple[dict[str, Value], Value]:
         """Every head before the PCB head, by name, and the PCB head's hidden activation."""
         self._require(batch)
+        if batch.alpha_path is not None:
+            trained = next((p for p in self.parameters().values() if p.requires_grad), None)
+            if trained is not None:
+                raise GraphError(f"parameter {trained.path!r} must be frozen on an α-path")
         *earlier, pcb = self.spec.heads
         values: dict[str, Value] = {}
         for head in earlier:

@@ -17,7 +17,7 @@ from .autodiff import Tensor, add, dense_epilogue, matmul, parameter
 # Layers run bias and relu in dense_epilogue; the benchmark's tracer
 # (perfbench/spans.py) still patches relu in this module.
 from .autodiff import relu  # noqa: F401
-from .errors import GraphError, OptimizerError
+from .errors import OptimizerError
 
 __all__ = ["LinearLayer", "FFNNHead", "Adam", "arena", "Value", "CONSTANT", "AFFINE", "ROWS",
            "lift"]
@@ -29,11 +29,14 @@ def kaiming_uniform(rng: np.random.Generator, fan_in: int, shape) -> np.ndarray:
 
 
 # The kinds of a value on integrated gradients' α-path, in the order they
-# combine. The path's s steps are the rows of A @ [q'; q - q'], where A is the
-# fixed [s, 2] matrix with rows [1, α] (``Batch.alpha_path``). A CONSTANT value
-# is one row that stands for every step: the rating inputs and what is computed
-# from them alone. An AFFINE value is two rows V that stand for A @ V. ROWS is
-# one row per step; every value of an ordinary batch is ROWS.
+# combine. The path's s steps are the rows of A @ [q'; q], the baseline's and
+# the input's text embedding, where A is the fixed [s, 2] matrix with rows
+# [1 - α, α] (``Batch.alpha_path``). A CONSTANT value is one row that stands
+# for every step: the rating inputs and what is computed from them alone. An
+# AFFINE value is two rows V, its values at the baseline and at the input,
+# that stand for A @ V. ROWS is one row per step; every value of an ordinary
+# batch is ROWS. Each row of A sums to 1, so a row added to both rows of V is
+# added to every step: a bias acts on every kind alike.
 CONSTANT, AFFINE, ROWS = 0, 1, 2
 
 
@@ -45,15 +48,13 @@ class Value(NamedTuple):
 def lift(value: Value, kind: int, alpha_path: np.ndarray | None) -> Value:
     """``value`` as a value of the wider ``kind``, by one product with a fixed matrix.
 
-    As A's first column is all ones, a constant row c is the affine [c; 0] and,
-    per step, A[:, :1] @ c; an affine value V is A @ V per step.
+    A constant row c is [c; c] as an affine value, and one row per step as a
+    column of ones times c; an affine value V is A @ V per step.
     """
     if value.kind == kind:
         return value
-    if value.kind == AFFINE:
-        left = alpha_path
-    else:
-        left = alpha_path[:, :1] if kind == ROWS else np.array([[1.0], [0.0]])
+    left = (alpha_path if value.kind == AFFINE
+            else np.ones((2 if kind == AFFINE else len(alpha_path), 1)))
     return Value(matmul(Tensor(left), value.tensor), kind)
 
 
@@ -65,14 +66,6 @@ def _total(values: Sequence[Value], alpha_path: np.ndarray | None) -> Value:
     for v in values[1:]:
         out = Value(add(lift(out, v.kind, alpha_path).tensor, v.tensor), v.kind)
     return out
-
-
-def _constant(t: Tensor, rows: slice | None = None) -> Tensor:
-    """``t.data[rows]``, by default the vector ``t`` as one row, as an operand
-    that records no gradient: the α-path runs on frozen parameters only."""
-    if t.requires_grad:
-        raise GraphError(f"parameter {t.path!r} must be frozen on an α-path")
-    return Tensor(t.data[rows])
 
 
 class LinearLayer:
@@ -95,27 +88,22 @@ class LinearLayer:
         """The layer on its input, given whole as one value, or as one value per
         block of the weight's rows, in order.
 
-        A whole input of a kind other than AFFINE runs ``__call__`` and keeps
-        its kind: every layer of an ordinary batch runs as it always has.
-        Otherwise each block is multiplied by its own rows of the weight and
-        the products are summed, so no affine value is expanded to one row per
-        step before a ReLU. A linear map keeps an affine value affine, with the
-        bias on its base row; a ReLU expands it first.
+        Each block is multiplied by its own rows of the weight and the products
+        are summed, so no value is expanded to one row per step before a ReLU;
+        a ReLU expands an affine sum first. The bias is then added to every row
+        of the sum, whatever its kind. A whole input of one row per step runs
+        exactly as ``__call__``. The weight's row blocks record no gradient:
+        an α-path runs on frozen parameters (``ModelInstance``).
         """
-        if len(parts) == 1 and parts[0].kind != AFFINE:
-            return Value(self(parts[0].tensor, apply_relu), parts[0].kind)
         products, start = [], 0
         for x in parts:
             stop = start + x.tensor.shape[1]
-            weight = self.weight if len(parts) == 1 else _constant(self.weight,
-                                                                   slice(start, stop))
+            weight = self.weight if len(parts) == 1 else Tensor(self.weight.data[start:stop])
             products.append(Value(matmul(x.tensor, weight), x.kind))
             start = stop
         z = _total(products, alpha_path)
-        if z.kind == AFFINE and apply_relu:
+        if apply_relu and z.kind == AFFINE:
             z = lift(z, ROWS, alpha_path)
-        if z.kind == AFFINE:
-            return _total([z, Value(_constant(self.bias), CONSTANT)], alpha_path)
         return Value(dense_epilogue(z.tensor, self.bias, apply_relu), z.kind)
 
     def parameters(self) -> dict[str, Tensor]:

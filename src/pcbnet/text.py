@@ -77,9 +77,7 @@ def encode_texts(texts: Sequence[str], vocab: Vocabulary,
     L the longest row (at least 1).
 
     One text at a time, into one ``[n, max_sequence_length]`` buffer: a text's
-    token list lives only until its ids are a row of it. When no text reaches
-    ``max_sequence_length``, the rows are moved to the front of the buffer and
-    the rest is given back, so nothing else of the output's size is held.
+    token list lives only until its ids are a row of it.
     """
     n, capacity = len(texts), max(max_sequence_length, 1)
     ids = np.full((n, capacity), vocab.pad_id, dtype=np.int64)
@@ -88,13 +86,7 @@ def encode_texts(texts: Sequence[str], vocab: Vocabulary,
         row = vocab.ids(tokenize(text)[:max_sequence_length])
         ids[i, :len(row)] = row
         width = max(width, len(row))
-    if width < capacity:
-        flat = ids.reshape(-1)  # a view: row i moves from i * capacity to i * width
-        for i in range(1, n):
-            flat[i * width:(i + 1) * width] = flat[i * capacity:i * capacity + width]
-        del flat  # no view may outlive the reallocation
-        ids.resize((n, width), refcheck=False)
-    return ids
+    return np.ascontiguousarray(ids[:, :width])
 
 
 def token_mask(token_ids: np.ndarray, pad_id: int) -> np.ndarray:

@@ -470,7 +470,7 @@ def test_products_before_the_first_relu_run_on_the_basis(small_corpus, monkeypat
         owner = [name for name, p in weights.items() if np.shares_memory(b.data, p.data)]
         if owner:
             rows.setdefault((owner[0], b.shape[0]), set()).add(a.shape[0])
-        else:  # a fixed [1, α] matrix, or a column of one, times a 1- or 2-row value
+        else:  # a fixed [1 - α, α] matrix, or a column of ones, times a 1- or 2-row value
             expansions.add((a.shape, b.shape[0]))
         return matmul(a, b)
 
@@ -485,16 +485,22 @@ def test_products_before_the_first_relu_run_on_the_basis(small_corpus, monkeypat
                               for a, inner in expansions), expansions
 
 
-def test_an_alpha_path_needs_frozen_parameters(small_corpus):
-    # the α-path reads weight rows and biases as constants, so a parameter that
-    # would train is refused rather than left without its gradient
+@pytest.mark.parametrize("arch_id", [1, 12])
+def test_an_alpha_path_needs_frozen_parameters(small_corpus, monkeypatch, arch_id):
+    # the α-path reads weight rows as constants, so a model with a parameter
+    # that would train is refused before the walk records anything
     _, _, vocab, data = small_corpus
-    model = build(12, vocab=vocab, seed=0)
+    model = build(arch_id, vocab=vocab, seed=0)
     batch = data.batch([0], "promote")
-    batch.text_features = Tensor(np.zeros((2, model.encoder_dim)), requires_grad=True)
-    batch.alpha_path = np.array([[1.0, 0.25], [1.0, 0.75]])
-    with pytest.raises(GraphError, match="appraisal_head.layer0.bias' must be frozen"):
+    basis = Tensor(np.zeros((2, model.encoder_dim)), requires_grad=True)
+    batch.text_features = basis
+    batch.alpha_path = np.array([[0.75, 0.25], [0.25, 0.75]])
+    products = []
+    monkeypatch.setattr(nn, "matmul", lambda a, b: products.append((a, b)))
+    with pytest.raises(GraphError, match="'encoder.embedding' must be frozen on an α-path"):
         model.forward(batch)
+    assert products == [] and basis.grad is None
+    assert all(p.requires_grad and p.grad is None for p in model.parameters().values())
 
 
 class TestStoredDtype:

@@ -319,10 +319,13 @@ class TestReport:
         cfg = quick_train_config(tmp_path, dataset, architecture=2)
         out_dir = tmp_path / "r"
         assert main(["train", "--config", cfg, "--out", str(out_dir)]) == 0
-        assert main(["report", str(out_dir)]) == 0
+        capsys.readouterr()
+        table = tmp_path / "table.txt"
+        assert main(["report", str(out_dir), "--out", str(table)]) == 0
         out = capsys.readouterr().out
         assert "Appraisals -> PCB" in out
         assert "missing results" in out  # the other 23 combinations are gaps
+        assert table.read_text() == out
 
     def test_family_group_headers(self):
         rows = [{"architecture_id": a, "pcb_target": t, "repetition": 0,
@@ -386,6 +389,16 @@ class TestAttribute:
                      "--steps", steps, "--out", str(out_dir)]) == 1
         error = one_error_line(capsys)
         assert error["category"] == category and wording in error["message"], error
+        assert not out_dir.exists()
+
+    def test_an_empty_record_list_is_one_config_line(self, trained_run, capsys):
+        dataset, checkpoint, tmp_path = trained_run
+        out_dir = tmp_path / "attr_no_ids"
+        capsys.readouterr()
+        assert main(["attribute", "--checkpoint", str(checkpoint), "--dataset", str(dataset),
+                     "--records", ",", "--out", str(out_dir)]) == 1
+        error = one_error_line(capsys)
+        assert error["category"] == "config" and "no record ids given" in error["message"]
         assert not out_dir.exists()
 
     def test_predicted_target_flag(self, trained_run):
@@ -633,6 +646,21 @@ class TestBadInputs:
         assert one_error_line(capsys)["category"] == "config"
         assert not out.exists()
 
+    @pytest.mark.parametrize("key, wording", [("dataset", "must name a 'dataset' file"),
+                                              ("architecture", "must set 'architecture'")])
+    def test_a_train_config_without_a_required_key_is_one_config_line(
+            self, probe_dir, tmp_path, capsys, key, wording):
+        out = tmp_path / "out"
+        base = quick_train_config(tmp_path, probe_dir / "dataset.jsonl")
+        keys = json.loads(Path(base).read_text())
+        del keys[key]
+        cfg = write_config(tmp_path / "train.json", keys)
+        capsys.readouterr()
+        assert main(["train", "--config", cfg, "--out", str(out)]) == 1
+        error = one_error_line(capsys)
+        assert error["category"] == "config" and wording in error["message"], error
+        assert not out.exists()
+
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_below_one_is_one_json_line(self, probe_dir, tmp_path, capsys, workers):
         out = tmp_path / "out"
@@ -645,7 +673,18 @@ class TestBadInputs:
 
     @pytest.mark.parametrize("column, value", [("accuracy", "high"),
                                                ("f1_weighted", ""),
-                                               ("architecture_id", "two")])
+                                               ("architecture_id", "two"),
+                                               # numbers that are not a metric or an id
+                                               ("accuracy", "nan"),
+                                               ("accuracy", "inf"),
+                                               ("accuracy", "1e400"),
+                                               ("f1_weighted", "-7"),
+                                               ("architecture_id", "0"),
+                                               ("architecture_id", "13"),
+                                               ("pcb_target", "recommend"),
+                                               # over the csv module's field limit
+                                               pytest.param("family", "x" * 200_000,
+                                                            id="family-over-field-limit")])
     def test_non_numeric_report_cell_names_file_and_line(self, tmp_path, capsys,
                                                          column, value):
         good = {"architecture_id": "3", "family": "Baseline", "pcb_target": "promote",

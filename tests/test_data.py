@@ -296,6 +296,10 @@ class TestIngestNeverTracebacks:
             path.write_bytes(raw)
             with pytest.raises(ValidationError):
                 ingest(path)
+        write_csv([make_record(0)], path)
+        path.write_bytes(path.read_bytes()[:-2] + b"4.5\n")  # the last rating, pcb_promote
+        with pytest.raises(ValidationError, match="line 2: non-integer rating value"):
+            ingest(path)
 
     @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
     def test_bad_utf8_names_its_line(self, tmp_path, fmt):

@@ -32,6 +32,9 @@ def test_peak_rss_prints_one_line_per_phase(tmp_path):
     peaks = [line["maxrss_mb"] for line in lines]
     assert peaks == sorted(peaks) and peaks[0] > 0
     assert all(line["rss_mb"] is None or line["rss_mb"] > 0 for line in lines)
+    # the minor page faults since the previous line; imports alone take some
+    assert all(isinstance(line["minflt"], int) and line["minflt"] >= 0 for line in lines)
+    assert lines[0]["minflt"] > 0
     assert not any(tmp_path.iterdir()), "left files behind"
 
 

@@ -107,6 +107,27 @@ class TestParamsFormat:
         with pytest.raises(ValidationError, match="no sha256 digest"):
             load_params(path)
 
+    @pytest.mark.parametrize("header, wording", [
+        ([], "header is not a JSON object"),
+        ({"format": FORMAT_NAME, "version": FORMAT_VERSION + 1, "meta": {}, "tensors": []},
+         "unsupported version"),
+        ({"format": FORMAT_NAME, "version": FORMAT_VERSION, "meta": {}},
+         "lacks the tensor index or the metadata"),
+        ({"format": FORMAT_NAME, "version": FORMAT_VERSION, "tensors": []},
+         "lacks the tensor index or the metadata"),
+        ({"format": FORMAT_NAME, "version": FORMAT_VERSION, "meta": {},
+          "tensors": [{"name": "w", "shape": [1] * 65, "offset": 0}]},
+         "tensor 'w' has shape"),  # numpy allows at most 64 dimensions
+    ], ids=["not-an-object", "unsupported-version", "no-index", "no-metadata",
+            "65-dimensions"])
+    def test_a_malformed_header_is_refused_naming_the_file(self, tmp_path, header, wording):
+        path = tmp_path / "m.params"
+        raw = json.dumps(header).encode()
+        path.write_bytes(MAGIC + struct.pack("<Q", len(raw)) + raw + bytes(8))
+        with pytest.raises(ValidationError, match=wording) as info:
+            load_params(path)
+        assert str(path) in str(info.value)
+
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "junk.params"
         path.write_bytes(b"not a checkpoint")
